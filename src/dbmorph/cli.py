@@ -9,27 +9,27 @@ JSON (sorted keys, sorted rows), written to --out or stdout.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .errors import DbmorphError, PreconditionError
-from .flux import EQUAL, UNEQUAL, ClosureBounds, flux_kernel, in_closure, morphism_equal
-from .interp import (
-    ComponentFunction,
-    TarskiInterpretation,
-    alpha_star,
-    apply_component,
-    component_assignment,
-    eval_guard,
-    satisfies,
+from .flux import (
+    EQUAL,
+    UNEQUAL,
+    ClosureBounds,
+    _show,
+    flux_equal,
+    flux_kernel,
+    in_closure,
+    require_shared_endpoints,
 )
+from .interp import InstanceMorphism, alpha_star, satisfies
 from .irdb import parse_database
 from .logic import validate_instance
 from .model import NULL, Schema
-from .operads import OperadArrow, build_equal_var_set
+from .operads import build_equal_var_set
 from .project import (
-    Project,
+    _read_json,
     arrow_to_json,
     canonical_json,
     compile_project_mapping,
@@ -63,45 +63,30 @@ def _bounds(spec: "str | None") -> ClosureBounds:
     parts = spec.split(",")
     if len(parts) != 3:
         raise DbmorphError("--bounds takes depth,arity,cap (depth may be 'none')")
-    depth = None if parts[0].strip().lower() == "none" else int(parts[0])
-    return ClosureBounds(depth, int(parts[1]), int(parts[2]))
+    try:
+        depth = None if parts[0].strip().lower() == "none" else int(parts[0])
+        return ClosureBounds(depth, int(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise DbmorphError(f"--bounds {spec}: {exc}") from None
 
 
-def _show(value) -> str:
-    if value is NULL:
-        return "null"
-    if isinstance(value, str):
-        return '"' + value + '"'
-    return str(value)
-
-
-def _trace_morphism(it: TarskiInterpretation, arrow: OperadArrow, stream) -> None:
-    """The per-tuple evaluation trace: equal-variable set, assignment,
-    guard results, and the head value."""
-    for op in arrow.operations:
-        equal_sets = build_equal_var_set(op)
-        rendered = sorted(sorted(group) for group in equal_sets)
+def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
+    """Print each component's evaluation as it runs: the equal-variable
+    set, then per argument tuple the assignment, the guard outcomes up to
+    the first failure, and the head value."""
+    for component in morphism.components:
+        op = component.op
+        rendered = sorted(sorted(group) for group in build_equal_var_set(op))
         print(f"{op.name}: S = {rendered}", file=stream)
-        component = ComponentFunction(it, op)
-        for args in component.domain_product():
+        for args, g, checks, out in component.evaluations():
             shown = ", ".join("<" + ", ".join(map(_show, t)) + ">" for t in args)
-            g = component_assignment(op, args)
             if g is None:
                 print(f"  ({shown}) join guard failed -> <>", file=stream)
                 continue
             bound = ", ".join(f"{k}={_show(v)}" for k, v in g.items())
-            checks = []
-            ok = True
-            for lit in op.guards:
-                holds = eval_guard(g, lit, it)
-                ok = ok and holds
-                checks.append(f"[{'ok' if holds else 'fail'}]")
-            out = apply_component(it, op, args)
-            shown_out = (
-                "<>" if out == () and op.target_arity else
-                "<" + ", ".join(map(_show, out)) + ">"
-            )
-            suffix = f" guards {' '.join(checks)}" if checks else ""
+            marks = " ".join("[ok]" if holds else "[fail]" for holds in checks)
+            suffix = f" guards {marks}" if checks else ""
+            shown_out = "<" + ", ".join(map(_show, out)) + ">"
             print(f"  ({shown}) g: {bound}{suffix} -> {shown_out}", file=stream)
 
 
@@ -121,10 +106,10 @@ def _arrow_and_interp(args, mapping_attr="mapping", interp_attr="interp"):
 
 def cmd_eval(args) -> int:
     project, arrow, it = _arrow_and_interp(args)
-    if args.verbose:
-        _trace_morphism(it, arrow, sys.stderr)
     morphism = alpha_star(it, arrow)
-    report = satisfies(it, arrow)
+    if args.verbose:
+        _trace_morphism(morphism, sys.stderr)
+    report = satisfies(morphism)
     _emit(args, morphism_to_json(morphism, report))
     return 0 if report.satisfied else 1
 
@@ -152,7 +137,7 @@ def cmd_flux(args) -> int:
     payload = kernel_to_json(kernel)
     code = 0
     if args.member:
-        rows = json.loads(Path(args.member).read_text(encoding="utf-8"))
+        rows = _read_json(Path(args.member))
         member = frozenset(
             tuple(value_from_json(v, "member row") for v in row) for row in rows
         )
@@ -177,12 +162,12 @@ def cmd_equal(args) -> int:
         it2 = load_interpretation_file(args.interp2, project)
         m1 = alpha_star(it, arrow)
         m2 = alpha_star(it2, arrow2)
-        comparison = morphism_equal(m1, m2, bounds)
-        left, right = flux_kernel(m1), flux_kernel(m2)
     else:
         sat = saturate(it, arrow)
-        comparison = morphism_equal(sat.base, sat, bounds)
-        left, right = flux_kernel(sat.base), flux_kernel(sat)
+        m1, m2 = sat.base, sat
+    require_shared_endpoints(m1, m2)
+    left, right = flux_kernel(m1), flux_kernel(m2)
+    comparison = flux_equal(left, right, bounds)
     payload = {
         "verdict": comparison.verdict,
         "capped": comparison.capped,

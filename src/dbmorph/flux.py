@@ -43,6 +43,7 @@ __all__ = [
     "UNKNOWN",
     "FluxComparison",
     "flux_equal",
+    "require_shared_endpoints",
     "morphism_equal",
     "ComposedVerdict",
     "in_composed_flux",
@@ -328,13 +329,18 @@ def flux_equal(
     return FluxComparison(EQUAL, capped=capped)
 
 
-def morphism_equal(m1, m2, bounds: ClosureBounds = DEFAULT_BOUNDS) -> FluxComparison:
-    """Arrow equality in the database category: same instances at both ends
-    and equal fluxes."""
+def require_shared_endpoints(m1, m2) -> None:
+    """Morphisms compare only between identical source and target instances."""
     if m1.source != m2.source or m1.target != m2.target:
         raise PreconditionError(
             "morphism equality needs identical source and target instances"
         )
+
+
+def morphism_equal(m1, m2, bounds: ClosureBounds = DEFAULT_BOUNDS) -> FluxComparison:
+    """Arrow equality in the database category: same instances at both ends
+    and equal fluxes."""
+    require_shared_endpoints(m1, m2)
     return flux_equal(flux_kernel(m1), flux_kernel(m2), bounds)
 
 

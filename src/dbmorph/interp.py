@@ -21,13 +21,11 @@ from dataclasses import dataclass
 from .errors import IncompleteInterpretationError, SchemaError
 from .irdb import hash_tuple
 from .logic import (
-    App,
     Comparison,
     Const,
     FuncKind,
     Literal,
     NotNull,
-    RelAtom,
     Term,
     Var,
     eval_comparison,
@@ -42,17 +40,9 @@ from .model import (
     RelationSymbol,
     Row,
     active_domain,
-    row_key,
     sort_rows,
 )
-from .operads import (
-    OperadArrow,
-    OperadOperation,
-    Place,
-    build_equal_var_set,
-    cmp,
-    simple_var_positions,
-)
+from .operads import OperadArrow, OperadOperation, Place
 
 __all__ = [
     "FunctionTable",
@@ -161,8 +151,8 @@ def eval_guard(g: dict, lit: Literal, it: TarskiInterpretation) -> bool:
 
 
 def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
-    """The compacted assignment for an argument tuple, or None when the
-    equal-variable join guard fails."""
+    """The compacted assignment (keys in variable order) for an argument
+    tuple, or None when the equal-variable join guard fails."""
     if len(args) != len(op.places):
         raise SchemaError(
             f"operation {op.name} takes {len(op.places)} tuples, got {len(args)}"
@@ -173,24 +163,33 @@ def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
                 f"operation {op.name}: tuple {tup!r} does not fit atom "
                 f"{place.symbol}/{place.arity}"
             )
-    equal_sets = build_equal_var_set(op)
-    for group in equal_sets:
-        vals = {args[j - 1][i - 1] for (i, j) in group}
-        if len(vals) > 1:
+    g: dict = {}
+    for v, j, i in op.occurrences:
+        value = args[j][i]
+        if g.setdefault(v, value) != value:
             return None
-    return dict(zip(op.variable_order, cmp(equal_sets, args)))
+    return g
+
+
+def _evaluate(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> tuple:
+    """Join guard, built-in guards up to the first failure, head terms:
+    the assignment (None if the join fails), the guard outcomes, the output."""
+    g = component_assignment(op, args)
+    if g is None:
+        return None, (), ()
+    checks = []
+    for lit in op.guards:
+        holds = eval_guard(g, lit, it)
+        checks.append(holds)
+        if not holds:
+            return g, checks, ()
+    return g, checks, tuple(eval_term(g, t, it) for t in op.target_terms)
 
 
 def apply_component(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> Row:
     """Evaluate one argument tuple: join guard, then built-in guards, then
     the head terms.  Returns the empty tuple when any guard fails."""
-    g = component_assignment(op, args)
-    if g is None:
-        return ()
-    for lit in op.guards:
-        if not eval_guard(g, lit, it):
-            return ()
-    return tuple(eval_term(g, t, it) for t in op.target_terms)
+    return _evaluate(it, op, args)[2]
 
 
 def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
@@ -228,12 +227,20 @@ class ComponentFunction:
     def domain_product(self):
         return itertools.product(*self.domains)
 
+    def evaluations(self):
+        """Evaluate each argument tuple once, yielding it with what
+        ``_evaluate`` returns; running to the end fills the graph."""
+        graph = {}
+        for args in self.domain_product():
+            g, checks, out = _evaluate(self.it, self.op, args)
+            graph[args] = out
+            yield args, g, checks, out
+        self._graph = graph
+
     def graph(self) -> dict:
         if self._graph is None:
-            self._graph = {
-                args: apply_component(self.it, self.op, args)
-                for args in self.domain_product()
-            }
+            for _ in self.evaluations():
+                pass
         return self._graph
 
     def apply(self, args: tuple) -> Row:
@@ -319,14 +326,13 @@ class SatisfactionReport:
     violations: tuple  # (operation name, offending output row)
 
 
-def satisfies(it: TarskiInterpretation, arrow: OperadArrow) -> SatisfactionReport:
+def satisfies(morphism: InstanceMorphism) -> SatisfactionReport:
     """The interpretation satisfies the arrow iff every component image is
     contained in its target relation."""
     bad = []
-    for op in arrow.operations:
-        component = ComponentFunction(it, op)
+    for component in morphism.components:
         target_rows = component.codomain.rows
         for out in sort_rows(component.image()):
             if out not in target_rows:
-                bad.append((op.name, out))
+                bad.append((component.op.name, out))
     return SatisfactionReport(not bad, tuple(bad))

@@ -22,6 +22,7 @@ distinguished nullary symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .dsl import parse_mapping, pretty_literal, pretty_term
@@ -97,13 +98,23 @@ class OperadOperation:
         for f in ("body", "target_columns", "target_terms", "variable_order"):
             object.__setattr__(self, f, tuple(getattr(self, f)))
 
-    @property
+    @cached_property
     def places(self) -> tuple:
         return tuple(item for item in self.body if isinstance(item, Place))
 
-    @property
+    @cached_property
     def guards(self) -> tuple:
         return tuple(item for item in self.body if not isinstance(item, Place))
+
+    @cached_property
+    def occurrences(self) -> tuple:
+        """(variable, atom index, position in atom) of every place variable,
+        0-based, left to right."""
+        return tuple(
+            (v, j, i)
+            for j, place in enumerate(self.places)
+            for i, v in enumerate(place.variables)
+        )
 
     @property
     def target_arity(self) -> int:
@@ -159,9 +170,8 @@ def build_equal_var_set(op: OperadOperation) -> frozenset:
     """One member set per shared variable, holding all of its occurrence
     pairs (positionInAtom, atomIndex), both 1-based."""
     occurrences: dict = {}
-    for j, place in enumerate(op.places, 1):
-        for i, v in enumerate(place.variables, 1):
-            occurrences.setdefault(v, []).append((i, j))
+    for v, j, i in op.occurrences:
+        occurrences.setdefault(v, []).append((i + 1, j + 1))
     return frozenset(
         frozenset(pairs) for pairs in occurrences.values() if len(pairs) >= 2
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import parse_mapping, pretty_literal, pretty_mapping, pretty_term
-from .errors import SchemaError
+from .errors import ParseError, SchemaError
 from .flux import FluxKernel
 from .interp import FunctionTable, InstanceMorphism, SatisfactionReport, TarskiInterpretation
 from .logic import SOtgd, ValidationReport
@@ -142,10 +142,20 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
     return Instance.build(schema, rows_by_name)
 
 
+def _read_json(path: Path):
+    """Parse one JSON input file; malformed JSON is an input error located
+    by path, line and column."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from None
+
+
 def load_instance_file(path, schema: "Schema | None" = None) -> Instance:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return load_instance(data, schema, where=str(path))
+    return load_instance(_read_json(path), schema, where=str(path))
 
 
 @dataclass(frozen=True)
@@ -187,9 +197,15 @@ def _schema_constraints(text: str, where: str):
     return tuple(parsed)
 
 
+def _entry_field(body, key: str, where: str):
+    if not isinstance(body, dict) or key not in body:
+        raise SchemaError(f"{where}: missing '{key}'")
+    return body[key]
+
+
 def load_project(path) -> Project:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_json(path)
     base = path.parent
 
     domain = tuple(value_from_json(v, "project domain") for v in data.get("domain", []))
@@ -208,17 +224,24 @@ def load_project(path) -> Project:
     project = Project(domain=domain, schemas=schemas)
 
     for name, body in sorted(data.get("instances", {}).items()):
-        schema = project.schema(body["schema"])
-        project.instances[name] = load_instance_file(base / body["file"], schema)
+        where = f"{path}: instance {name}"
+        schema = project.schema(_entry_field(body, "schema", where))
+        file = _entry_field(body, "file", where)
+        project.instances[name] = load_instance_file(base / file, schema)
 
     for name, body in sorted(data.get("mappings", {}).items()):
-        src = project.schema(body["source"])
-        tgt = project.schema(body["target"])
-        text = (base / body["file"]).read_text(encoding="utf-8")
+        where = f"{path}: mapping {name}"
+        src = project.schema(_entry_field(body, "source", where))
+        tgt = project.schema(_entry_field(body, "target", where))
+        text = (base / _entry_field(body, "file", where)).read_text(encoding="utf-8")
         project.mappings[name] = MappingSource(name, src.name, tgt.name, text)
 
     edges = []
     for edge in data.get("graph", []):
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise SchemaError(
+                f"{path}: graph edge {edge!r} is not a [source, target, mapping] triple"
+            )
         src, tgt, mapping = edge
         project.schema(src)
         project.schema(tgt)
@@ -249,7 +272,7 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
     Characteristic functions and the hash built-in never appear here.
     """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_json(path)
     if "source" not in data or "target" not in data:
         raise SchemaError(f"{path}: interpretation needs 'source' and 'target'")
     source = project.instance(data["source"])

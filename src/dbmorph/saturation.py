@@ -207,23 +207,21 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
     heads are skipped outright; arguments with failing guards contribute
     nothing; every alternative row yields one extra or one skip report.
     """
-    report = satisfies(it, arrow)
+    base = alpha_star(it, arrow)
+    report = satisfies(base)
     if not report.satisfied:
         offender = report.violations[0]
         raise PreconditionError(
             "interpretation does not satisfy the mapping: "
             f"{offender[0]} produces {offender[1]!r} outside its target relation"
         )
-    base = alpha_star(it, arrow)
     extras: list = []
     skipped: list = []
     for op_index, component in enumerate(base.components, 1):
         op = component.op
         if not _head_skolems(op):
             continue
-        graph = component.graph()
-        for trigger in component.domain_product():
-            produced = graph[trigger]
+        for trigger, produced in component.graph().items():
             if produced == ():
                 continue
             g = component_assignment(op, trigger)
@@ -254,9 +252,6 @@ class PFunction:
             if a == args:
                 return rows
         raise SchemaError(f"{self.name} is not defined at {args!r}")
-
-    def sorted_graph(self):
-        return self.graph
 
 
 def _domain_descriptor(op: OperadOperation) -> tuple:

@@ -172,7 +172,7 @@ def test_criterion_3_saturation_preserves_flux_at_scale():
     nontrivial = 0
     for round_no in range(500):
         it, arrow = random_saturation_fixture(rng)
-        assert satisfies(it, arrow).satisfied, round_no
+        assert satisfies(alpha_star(it, arrow)).satisfied, round_no
         sat = saturate(it, arrow)
         nontrivial += bool(sat.extras)
         outcome = morphism_equal(sat.base, sat)

@@ -1,10 +1,14 @@
 """The dbmorph command line: subcommands, exit codes, canonical output."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from dbmorph import interp as interp_module
 from dbmorph.cli import main
+from dbmorph.interp import ComponentFunction
+from dbmorph.project import compile_project_mapping, load_project
 
 from conftest import FIXTURES
 
@@ -113,6 +117,54 @@ def test_eval_verbose_shows_guard_checks(capsys):
         "--interp", interp("example3"), "--verbose",
     )
     assert "guards [ok] -> <1, 3, 5, 7>" in err
+
+
+def short_circuit_fixture(tmp_path):
+    """f is defined only where the guard x = 1 holds, so evaluating f(x)
+    for the row (3, 4) would fail."""
+    files = {
+        "a.json": {
+            "schema": "A",
+            "relations": {"R": {"columns": ["c1", "c2"], "rows": [[1, 2], [3, 4]]}},
+        },
+        "b.json": {
+            "schema": "B", "relations": {"T": {"columns": ["c1"], "rows": [[1]]}}
+        },
+        "interp.json": {
+            "source": "a", "target": "b", "skolem": {"f": {"entries": [[[1], 2]]}}
+        },
+        "project.json": {
+            "schemas": {
+                "A": {"relations": {"R": ["c1", "c2"]}},
+                "B": {"relations": {"T": ["c1"]}},
+            },
+            "instances": {
+                "a": {"schema": "A", "file": "a.json"},
+                "b": {"schema": "B", "file": "b.json"},
+            },
+            "mappings": {"m": {"source": "A", "target": "B", "file": "m.map"}},
+        },
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    (tmp_path / "m.map").write_text(
+        "exists f . forall x, y . R(x, y) & x = 1 & f(x) = y -> T(x)", encoding="utf-8"
+    )
+    return str(tmp_path / "project.json"), str(tmp_path / "interp.json")
+
+
+def test_eval_verbose_traces_the_short_circuit_evaluation(capsys, tmp_path):
+    project, it = short_circuit_fixture(tmp_path)
+    argv = ("eval", "--project", project, "--mapping", "m", "--interp", it)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    verbose_code, verbose_out, trace = run(capsys, *argv, "--verbose")
+    assert (verbose_code, verbose_out) == (code, out)
+    assert trace.splitlines() == [
+        "q_1: S = []",
+        "  (<1, 2>) g: x=1, y=2 guards [ok] [ok] -> <1>",
+        "  (<3, 4>) g: x=3, y=4 guards [fail] -> <>",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +278,16 @@ def test_flux_accepts_none_depth(capsys, tmp_path):
         "--member", str(member), "--bounds", "none,4,1000",
     )
     assert code == 0 and payload(out)["member"]["found"] is True
+
+
+@pytest.mark.parametrize("spec", ["x,1,1", "3,6,0"])
+def test_flux_bounds_values_are_validated(capsys, spec):
+    code, _, err = run(
+        capsys,
+        "flux", "--project", P4, "--mapping", "m_ab",
+        "--interp", interp("example4"), "--bounds", spec,
+    )
+    assert code == 3 and err.startswith("error: --bounds")
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +517,141 @@ def test_dsl_errors_surface_as_input_errors(capsys, tmp_path):
         "compile", "--project", str(tmp_path / "project.json"), "--mapping", "m",
     )
     assert code == 3 and err.startswith("error:")
+
+
+def flux_on_unknown_fixture(capsys, tmp_path, breaking):
+    """Run flux --member on the fixture after ``breaking`` edits its files."""
+    project, it = unknown_fixture(tmp_path)
+    (tmp_path / "member.json").write_text("[[1]]", encoding="utf-8")
+    breaking(tmp_path)
+    code, out, err = run(
+        capsys,
+        "flux", "--project", project, "--mapping", "m1", "--interp", it,
+        "--member", str(tmp_path / "member.json"),
+    )
+    assert code == 3 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("project.json", '{"schemas": ', "project.json:1:13:"),
+        ("a.json", "{\n  ]", "a.json:2:3:"),
+        ("interp.json", "", "interp.json:1:1:"),
+        ("member.json", "[[1]", "member.json:1:5:"),
+    ],
+)
+def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, where):
+    err = flux_on_unknown_fixture(
+        capsys, tmp_path, lambda d: (d / name).write_text(text, encoding="utf-8")
+    )
+    assert where in err
+
+
+def edit_project(tmp_path, edit):
+    path = tmp_path / "project.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "section, entry, key",
+    [
+        ("instances", "a", "schema"),
+        ("instances", "b", "file"),
+        ("mappings", "m1", "source"),
+        ("mappings", "m2", "target"),
+        ("mappings", "m1", "file"),
+    ],
+)
+def test_project_entry_without_a_key_is_an_input_error(
+    capsys, tmp_path, section, entry, key
+):
+    def drop_key(data):
+        del data[section][entry][key]
+
+    err = flux_on_unknown_fixture(
+        capsys, tmp_path, lambda d: edit_project(d, drop_key)
+    )
+    assert f"project.json: {section[:-1]} {entry}: missing '{key}'" in err
+
+
+def test_graph_edge_must_be_a_triple(capsys, tmp_path):
+    def pair_edge(data):
+        data["graph"] = [["A", "B"]]
+
+    err = flux_on_unknown_fixture(
+        capsys, tmp_path, lambda d: edit_project(d, pair_edge)
+    )
+    assert "project.json: graph edge ['A', 'B'] is not" in err
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per component
+
+
+E1_BC = (
+    "--project", P1, "--mapping", "m_bc",
+    "--interp", interp("example1", "interp_bc.json"),
+)
+E3 = ("--project", P3, "--mapping", "m_ab", "--interp", interp("example3"))
+E4 = ("--project", P4, "--mapping", "m_ab", "--interp", interp("example4"))
+E4_TAUT = ("--mapping2", "m_taut", "--interp2", interp("example4", "interp_taut.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", *E1_BC),
+        ("eval", *E3),
+        ("flux", *E4),
+        ("saturate", *E4),
+        ("pfunction", *E4, "--op", "1"),
+        ("equal", *E4),
+        ("equal", *E4, *E4_TAUT),
+    ],
+    ids=[
+        "eval-1", "eval-3", "flux", "saturate", "pfunction", "equal", "equal-mapping2"
+    ],
+)
+def test_each_component_graph_is_built_once(monkeypatch, capsys, argv):
+    built = []
+    graph = ComponentFunction.graph
+
+    def counting_graph(component):
+        if component._graph is None:
+            built.append(component.op.name)
+        return graph(component)
+
+    monkeypatch.setattr(ComponentFunction, "graph", counting_graph)
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    project = load_project(argv[2])
+    mappings = [argv[4]]
+    if "--mapping2" in argv:
+        mappings.append(argv[argv.index("--mapping2") + 1])
+    expected = [
+        op.name
+        for name in mappings
+        for op in compile_project_mapping(project, name).operations
+    ]
+    assert sorted(built) == sorted(expected)
+
+
+def test_eval_verbose_evaluates_each_argument_tuple_once(monkeypatch, capsys):
+    evaluated = Counter()
+    evaluate = interp_module._evaluate
+
+    def counting_evaluate(it, op, args):
+        evaluated[op.name, args] += 1
+        return evaluate(it, op, args)
+
+    monkeypatch.setattr(interp_module, "_evaluate", counting_evaluate)
+    code, _, trace = run(capsys, "eval", *E1_BC, "--verbose")
+    assert code == 0
+    traced = sum(1 for line in trace.splitlines() if line.startswith("  ("))
+    assert traced == len(evaluated) > 0
+    assert set(evaluated.values()) == {1}

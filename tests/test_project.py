@@ -318,7 +318,7 @@ def test_arrow_serialization_golden(example3):
 def test_morphism_serialization(example1):
     arrow, it = arrow_and_interp(example1, "example1", "m_bc", "interp_bc.json")
     m = alpha_star(it, arrow)
-    data = morphism_to_json(m, satisfies(it, arrow))
+    data = morphism_to_json(m, satisfies(alpha_star(it, arrow)))
     assert data["satisfied"] is True and data["violations"] == []
     q1 = data["components"][0]
     assert q1["operation"] == "q_1"
@@ -328,7 +328,7 @@ def test_morphism_serialization(example1):
 def test_violation_serialization(example4):
     arrow, it = arrow_and_interp(example4, "example4", "m_ab", "interp_bad.json")
     m = alpha_star(it, arrow)
-    data = morphism_to_json(m, satisfies(it, arrow))
+    data = morphism_to_json(m, satisfies(alpha_star(it, arrow)))
     assert data["satisfied"] is False
     assert data["violations"] == [{"operation": "q_1", "row": [132, "opera"]}]
 
