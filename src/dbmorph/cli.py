@@ -29,19 +29,18 @@ from .logic import validate_instance
 from .model import NULL, Schema
 from .operads import build_equal_var_set
 from .project import (
-    _read_json,
     arrow_to_json,
     canonical_json,
     compile_project_mapping,
     instance_to_json,
     kernel_to_json,
     load_interpretation_file,
+    load_member_file,
     load_project,
     morphism_to_json,
     pfunction_to_json,
     saturation_to_json,
     validation_to_json,
-    value_from_json,
     value_to_json,
 )
 from .saturation import derive_pfunction, saturate
@@ -137,10 +136,7 @@ def cmd_flux(args) -> int:
     payload = kernel_to_json(kernel)
     code = 0
     if args.member:
-        rows = _read_json(Path(args.member))
-        member = frozenset(
-            tuple(value_from_json(v, "member row") for v in row) for row in rows
-        )
+        member = load_member_file(args.member)
         verdict = in_closure(member, kernel, bounds)
         payload["member"] = {
             "found": verdict.found,

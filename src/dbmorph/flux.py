@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import PreconditionError
 from .logic import Var, eval_comparison
@@ -168,6 +169,11 @@ class ClosureResult:
     fixpoint: bool
 
 
+def _positions(seq: tuple) -> str:
+    """The 1-based column list of a projection witness."""
+    return ",".join(str(j + 1) for j in seq)
+
+
 def closure_set(
     kernel: FluxKernel,
     bounds: ClosureBounds = DEFAULT_BOUNDS,
@@ -179,7 +185,13 @@ def closure_set(
     column = column, projection onto any injective position sequence
     (renaming included as permutation), cross product, and same-arity
     union.  Selections compare with the same semantics as mapping guards,
-    so NULL matches nothing.  Stops early once every target is found.
+    so NULL matches nothing.  Stops early once every target is found, and
+    at the first new relation the cap refuses (``capped``).
+
+    The search is semi-naive: each depth's frontier is the tail of
+    ``members`` that the depth before added.  The unary views apply to the
+    frontier; products and unions take, in the order of the full pair
+    product, only the pairs that hold a frontier member.
     """
     members: dict = {}
     counter = 0
@@ -189,74 +201,78 @@ def closure_set(
         else:
             counter += 1
             members.setdefault(member, f"g{counter}")
-    constants = sorted(kernel.values(), key=value_key)
+    constants = [(c, _show(c)) for c in sorted(kernel.values(), key=value_key)]
 
     remaining = set(targets or ()) - set(members)
     if targets is not None and not remaining:
         return ClosureResult(members, False, False)
 
-    capped = False
-    frontier = dict(members)
+    def add(rows: frozenset, witness) -> "ClosureResult | None":
+        """Record a row set not yet in ``members``, formatting its witness;
+        the result once the search must stop."""
+        if len(members) >= bounds.max_relations:
+            return ClosureResult(members, True, False)
+        members[rows] = witness()
+        remaining.discard(rows)
+        if targets is not None and not remaining:
+            return ClosureResult(members, False, False)
+        return None
+
+    start = 0
     depth = 0
-    while frontier:
+    while start < len(members):
         if bounds.max_depth is not None and depth >= bounds.max_depth:
-            return ClosureResult(members, capped, False)
-        new: dict = {}
+            return ClosureResult(members, False, False)
+        items = [(m, e, len(next(iter(m))) if m else 0) for m, e in members.items()]
+        frontier = items[start:]
 
-        def arity(member: frozenset) -> int:
-            return len(next(iter(member)))
-
-        def add(rows: frozenset, expr: str) -> bool:
-            nonlocal capped
-            if rows in members or rows in new:
-                return False
-            if len(members) + len(new) >= bounds.max_relations:
-                capped = True
-                return False
-            new[rows] = expr
-            remaining.discard(rows)
-            return targets is not None and not remaining
-
-        for member, expr in frontier.items():
+        for member, expr, n in frontier:
             if not member:
                 continue
-            n = arity(member)
             for col in range(1, n + 1):
-                for const in constants:
+                for const, shown in constants:
                     rows = frozenset(
                         r for r in member if eval_comparison("=", r[col - 1], const)
                     )
-                    if add(rows, f"select[{col}={_show(const)}]({expr})"):
-                        return ClosureResult({**members, **new}, capped, False)
+                    if rows not in members and (
+                        done := add(rows, lambda: f"select[{col}={shown}]({expr})")
+                    ):
+                        return done
                 for col2 in range(col + 1, n + 1):
                     rows = frozenset(
                         r for r in member if eval_comparison("=", r[col - 1], r[col2 - 1])
                     )
-                    if add(rows, f"select[{col}={col2}]({expr})"):
-                        return ClosureResult({**members, **new}, capped, False)
+                    if rows not in members and (
+                        done := add(rows, lambda: f"select[{col}={col2}]({expr})")
+                    ):
+                        return done
             for k in range(1, min(n, bounds.max_arity) + 1):
-                for seq in itertools.permutations(range(1, n + 1), k):
-                    rows = frozenset(tuple(r[j - 1] for j in seq) for r in member)
-                    label = ",".join(map(str, seq))
-                    if add(rows, f"project[{label}]({expr})"):
-                        return ClosureResult({**members, **new}, capped, False)
+                for seq in itertools.permutations(range(n), k):
+                    if k == 1:  # a slice keeps the projected rows tuples
+                        get = itemgetter(slice(seq[0], seq[0] + 1))
+                    else:
+                        get = itemgetter(*seq)
+                    rows = frozenset(map(get, member))
+                    if rows not in members and (
+                        done := add(rows, lambda: f"project[{_positions(seq)}]({expr})")
+                    ):
+                        return done
 
-        for (m1, e1), (m2, e2) in itertools.product(members.items(), repeat=2):
-            if m1 not in frontier and m2 not in frontier:
-                continue
-            if m1 and m2 and arity(m1) + arity(m2) <= bounds.max_arity:
-                rows = frozenset(a + b for a in m1 for b in m2)
-                if add(rows, f"({e1} x {e2})"):
-                    return ClosureResult({**members, **new}, capped, False)
-            if (not m1 or not m2 or arity(m1) == arity(m2)) and m1 != m2:
-                if add(m1 | m2, f"({e1} u {e2})"):
-                    return ClosureResult({**members, **new}, capped, False)
+        for i, (m1, e1, n1) in enumerate(items):
+            for m2, e2, n2 in items if i >= start else frontier:
+                if m1 and m2 and n1 + n2 <= bounds.max_arity:
+                    rows = frozenset(a + b for a in m1 for b in m2)
+                    if rows not in members and (done := add(rows, lambda: f"({e1} x {e2})")):
+                        return done
+                if (not m1 or not m2 or n1 == n2) and m1 != m2:
+                    rows = m1 | m2
+                    if rows not in members and (done := add(rows, lambda: f"({e1} u {e2})")):
+                        return done
 
-        members.update(new)
-        frontier = new
+        start = len(items)
         depth += 1
 
-    return ClosureResult(members, capped, not capped)
+    return ClosureResult(members, False, True)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ __all__ = [
     "load_instance",
     "load_instance_file",
     "load_interpretation_file",
+    "load_member_file",
     "MappingSource",
     "Project",
     "load_project",
@@ -96,6 +97,29 @@ def _row_from_json(row, where: str) -> Row:
     return tuple(value_from_json(v, where) for v in row)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """The value, unless its JSON type is wrong: then an input error located
+    by ``where`` (the file and the key)."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _columns(value, where: str) -> tuple:
+    """A relation's column names: a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise SchemaError(f"{where} must be an array of strings")
+    return tuple(value)
+
+
+def _section(data: dict, key: str, kind: type, where: str):
+    """data[key], an empty ``kind`` when absent, checked to be of that kind."""
+    return _typed(data.get(key, kind()), kind, f"{where}: '{key}'")
+
+
 def instance_to_json(inst: Instance) -> dict:
     relations = {}
     for sym in inst.schema.ordinary_symbols():
@@ -121,11 +145,10 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
     for name, body in sorted(declared.items()):
         if not isinstance(body, dict) or "columns" not in body or "rows" not in body:
             raise SchemaError(f"{where}: relation {name} needs 'columns' and 'rows'")
-        sym = RelationSymbol(name, tuple(body["columns"]))
-        symbols[name] = sym
-        rows_by_name[name] = frozenset(
-            _row_from_json(r, f"{where}: {name}") for r in body["rows"]
-        )
+        columns = _columns(body["columns"], f"{where}: relation {name}: 'columns'")
+        rows = _typed(body["rows"], list, f"{where}: relation {name}: 'rows'")
+        symbols[name] = RelationSymbol(name, columns)
+        rows_by_name[name] = frozenset(_row_from_json(r, f"{where}: {name}") for r in rows)
 
     if schema is None:
         schema = Schema(str(data.get("schema", "S")), symbols.values())
@@ -156,6 +179,13 @@ def _read_json(path: Path):
 def load_instance_file(path, schema: "Schema | None" = None) -> Instance:
     path = Path(path)
     return load_instance(_read_json(path), schema, where=str(path))
+
+
+def load_member_file(path) -> frozenset:
+    """A relation to test for flux membership: a JSON array of rows."""
+    path = Path(path)
+    rows = _typed(_read_json(path), list, f"{path}: the top level")
+    return frozenset(_row_from_json(row, f"{path}: member row") for row in rows)
 
 
 @dataclass(frozen=True)
@@ -197,39 +227,44 @@ def _schema_constraints(text: str, where: str):
     return tuple(parsed)
 
 
-def _entry_field(body, key: str, where: str):
-    if not isinstance(body, dict) or key not in body:
+def _entry_field(body, key: str, where: str) -> str:
+    if key not in _typed(body, dict, where):
         raise SchemaError(f"{where}: missing '{key}'")
-    return body[key]
+    return _typed(body[key], str, f"{where}: '{key}'")
 
 
 def load_project(path) -> Project:
     path = Path(path)
-    data = _read_json(path)
+    data = _typed(_read_json(path), dict, f"{path}: the top level")
     base = path.parent
 
-    domain = tuple(value_from_json(v, "project domain") for v in data.get("domain", []))
+    domain = tuple(
+        value_from_json(v, "project domain") for v in _section(data, "domain", list, path)
+    )
 
     schemas = {}
-    for name, body in sorted(data.get("schemas", {}).items()):
+    for name, body in sorted(_section(data, "schemas", dict, path).items()):
+        where = f"{path}: schema {name}"
+        relations = _section(_typed(body, dict, where), "relations", dict, where)
         symbols = [
-            RelationSymbol(rel, tuple(cols))
-            for rel, cols in sorted(body.get("relations", {}).items())
+            RelationSymbol(rel, _columns(cols, f"{where}: relation {rel}"))
+            for rel, cols in sorted(relations.items())
         ]
         constraints = ()
         if "constraints" in body:
-            constraints = _schema_constraints(body["constraints"], f"schema {name}")
+            text = _typed(body["constraints"], str, f"{where}: 'constraints'")
+            constraints = _schema_constraints(text, f"schema {name}")
         schemas[name] = Schema(name, symbols, constraints)
 
     project = Project(domain=domain, schemas=schemas)
 
-    for name, body in sorted(data.get("instances", {}).items()):
+    for name, body in sorted(_section(data, "instances", dict, path).items()):
         where = f"{path}: instance {name}"
         schema = project.schema(_entry_field(body, "schema", where))
         file = _entry_field(body, "file", where)
         project.instances[name] = load_instance_file(base / file, schema)
 
-    for name, body in sorted(data.get("mappings", {}).items()):
+    for name, body in sorted(_section(data, "mappings", dict, path).items()):
         where = f"{path}: mapping {name}"
         src = project.schema(_entry_field(body, "source", where))
         tgt = project.schema(_entry_field(body, "target", where))
@@ -237,8 +272,10 @@ def load_project(path) -> Project:
         project.mappings[name] = MappingSource(name, src.name, tgt.name, text)
 
     edges = []
-    for edge in data.get("graph", []):
-        if not isinstance(edge, list) or len(edge) != 3:
+    for edge in _section(data, "graph", list, path):
+        if not isinstance(edge, list) or len(edge) != 3 or not all(
+            isinstance(end, str) for end in edge
+        ):
             raise SchemaError(
                 f"{path}: graph edge {edge!r} is not a [source, target, mapping] triple"
             )
@@ -272,17 +309,21 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
     Characteristic functions and the hash built-in never appear here.
     """
     path = Path(path)
-    data = _read_json(path)
+    data = _typed(_read_json(path), dict, f"{path}: the top level")
     if "source" not in data or "target" not in data:
         raise SchemaError(f"{path}: interpretation needs 'source' and 'target'")
-    source = project.instance(data["source"])
-    target = project.instance(data["target"])
-    extras = tuple(project.instance(n) for n in data.get("extras", []))
+    source = project.instance(_typed(data["source"], str, f"{path}: 'source'"))
+    target = project.instance(_typed(data["target"], str, f"{path}: 'target'"))
+    extras = tuple(
+        project.instance(_typed(n, str, f"{path}: 'extras' entry"))
+        for n in _section(data, "extras", list, path)
+    )
 
     tables = {}
-    for fname, body in sorted(data.get("skolem", {}).items()):
+    for fname, body in sorted(_section(data, "skolem", dict, path).items()):
+        where = f"{path}: skolem {fname}"
         entries = {}
-        for pair in body.get("entries", []):
+        for pair in _section(_typed(body, dict, where), "entries", list, where):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{path}: {fname}: entries are [args, value] pairs")
             args, value = pair
@@ -297,7 +338,8 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
     domain = None
     if "domain" in data:
         domain = frozenset(
-            value_from_json(v, f"{path}: domain") for v in data["domain"]
+            value_from_json(v, f"{path}: domain")
+            for v in _section(data, "domain", list, path)
         )
     return TarskiInterpretation(source, target, tables, extras, domain)
 

@@ -550,6 +550,21 @@ def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, w
     assert where in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("0", "member.json: the top level must be an array"),
+        ("{}", "member.json: the top level must be an array"),
+        ("[1]", "member.json: member row: each row must be a JSON array"),
+    ],
+)
+def test_wrongly_typed_member_file_is_an_input_error(capsys, tmp_path, text, where):
+    err = flux_on_unknown_fixture(
+        capsys, tmp_path, lambda d: (d / "member.json").write_text(text, encoding="utf-8")
+    )
+    assert where in err
+
+
 def edit_project(tmp_path, edit):
     path = tmp_path / "project.json"
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -587,6 +602,65 @@ def test_graph_edge_must_be_a_triple(capsys, tmp_path):
         capsys, tmp_path, lambda d: edit_project(d, pair_edge)
     )
     assert "project.json: graph edge ['A', 'B'] is not" in err
+
+
+@pytest.mark.parametrize("value", [0, None, ["forall x . p(x) -> p(x)"]])
+def test_schema_constraints_must_be_text(capsys, tmp_path, value):
+    def set_constraints(data):
+        data["schemas"]["A"]["constraints"] = value
+
+    err = flux_on_unknown_fixture(
+        capsys, tmp_path, lambda d: edit_project(d, set_constraints)
+    )
+    assert "project.json: schema A: 'constraints' must be a string" in err
+
+
+def json_places(value, depth):
+    """Key paths of ``value`` and its nested values down to ``depth``."""
+    yield ()
+    if depth and isinstance(value, (dict, list)):
+        for key in value if isinstance(value, dict) else range(len(value)):
+            for rest in json_places(value[key], depth - 1):
+                yield (key,) + rest
+
+
+def wrongly_typed_inputs():
+    """Each value down to depth 4 of example1's project, interpretation and
+    instance-a files, replaced by each kind of JSON value."""
+    for name in ("project.json", "interp_ab.json", "a.json"):
+        data = json.loads((FIXTURES / "example1" / name).read_text(encoding="utf-8"))
+        for place in json_places(data, 4):
+            for replacement in ([], {}, 0, "x", None):
+                label = ".".join(map(str, place)) or "top"
+                yield pytest.param(
+                    name, place, replacement, id=f"{name}:{label}={json.dumps(replacement)}"
+                )
+
+
+@pytest.mark.parametrize("name, place, replacement", wrongly_typed_inputs())
+def test_wrongly_typed_json_is_an_input_error(capsys, tmp_path, name, place, replacement):
+    for src in (FIXTURES / "example1").iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    path = tmp_path / name
+    data = json.loads(path.read_text(encoding="utf-8"))
+    holder, original = None, data
+    for key in place:
+        holder, original = original, original[key]
+    if holder is None:
+        data = replacement
+    else:
+        holder[place[-1]] = replacement
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    code, _, err = run(
+        capsys,
+        "eval", "--project", str(tmp_path / "project.json"), "--mapping", "m_ab",
+        "--interp", str(tmp_path / "interp_ab.json"),
+    )
+    assert code in (0, 3), err
+    if type(replacement) is not type(original):
+        # the fixture is well formed, so another kind of value is misplaced
+        assert code == 3 and f"error: {path}: " in err
 
 
 # ---------------------------------------------------------------------------

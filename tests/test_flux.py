@@ -32,8 +32,10 @@ from dbmorph.flux import (
     closure_set,
     flux_positions,
 )
+from dbmorph.model import row_key
 from dbmorph.project import compile_project_mapping
 
+from closure_oracle import closure_set as oracle_closure_set
 from conftest import arrow_and_interp
 
 
@@ -217,6 +219,16 @@ def test_relation_cap_marks_the_result():
     assert len(result.members) <= 4
 
 
+@pytest.mark.parametrize("cap, size, capped", [(5, 5, False), (4, 4, True)])
+def test_relation_cap_boundary(cap, size, capped):
+    # the closure is bottom, g1, select[1=0](g1), select[1=1](g1) and ∅:
+    # a cap of exactly five refuses nothing new, so the search completes
+    k = FluxKernel([member((0,), (1,))])
+    result = closure_set(k, ClosureBounds(None, 1, cap))
+    assert len(result.members) == size
+    assert result.capped == capped and result.fixpoint == (not capped)
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         ClosureBounds(max_depth=-1)
@@ -333,3 +345,53 @@ def test_closure_values_stay_inside_the_kernel_domain(kernel):
 def test_every_kernel_equals_itself(kernel):
     out = flux_equal(kernel, FluxKernel(kernel.members))
     assert out.verdict == EQUAL
+
+
+# ---------------------------------------------------------------------------
+# the semi-naive enumeration against the full pair product
+
+
+closure_values = st.sampled_from([0, 1, "a", NULL])
+
+
+@st.composite
+def closure_cases(draw):
+    members = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        arity = draw(st.integers(min_value=1, max_value=3))
+        rows = st.tuples(*([closure_values] * arity))
+        members.append(draw(st.frozensets(rows, max_size=3)))
+    kernel = FluxKernel(members)
+
+    max_arity = draw(st.integers(min_value=1, max_value=4))
+    depths = st.integers(min_value=0, max_value=3)
+    if max_arity <= 2:
+        depths = depths | st.none()
+    bounds = ClosureBounds(
+        draw(depths), max_arity, draw(st.integers(min_value=1, max_value=300))
+    )
+
+    pool = kernel.sorted_members()
+    kind = draw(st.sampled_from(["none", "member", "selection", "foreign"]))
+    if kind == "none":
+        return kernel, bounds, None
+    if kind == "member":
+        target = draw(st.sampled_from(pool))
+    elif kind == "selection":
+        rows = sorted(draw(st.sampled_from(pool)), key=row_key)
+        target = frozenset(r for r in rows if draw(st.booleans()))
+    else:
+        row = draw(st.lists(closure_values, min_size=1, max_size=3))
+        row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = "foreign"
+        target = member(row)
+    return kernel, bounds, frozenset({target})
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_cases())
+def test_closure_matches_the_full_pair_product(case):
+    kernel, bounds, targets = case
+    expected = oracle_closure_set(kernel, bounds, targets)
+    result = closure_set(kernel, bounds, targets)
+    assert list(result.members.items()) == list(expected.members.items())
+    assert (result.capped, result.fixpoint) == (expected.capped, expected.fixpoint)
