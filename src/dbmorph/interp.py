@@ -16,6 +16,7 @@ is contained in the target relation it points at.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
@@ -215,6 +216,8 @@ class ComponentFunction:
             self.codomain = it.target.relation(op.target)
         self._domains: "tuple | None" = None
         self._graph: "dict | None" = None
+        self._counts: "Counter | None" = None
+        self._image: "frozenset | None" = None
 
     @property
     def domains(self) -> tuple:
@@ -252,12 +255,22 @@ class ComponentFunction:
                 f"arguments {args!r} lie outside the domain of {self.op.name}"
             ) from None
 
+    def preimage_counts(self) -> Counter:
+        """Output -> number of argument tuples mapped to it, () included."""
+        if self._counts is None:
+            self._counts = Counter(self.graph().values())
+        return self._counts
+
     def image(self) -> frozenset:
         # the identity targets r_∅, whose only row IS the empty tuple; for
         # every other operation () is the failure sentinel
-        if self.op.target == EMPTY_NAME:
-            return frozenset(self.graph().values())
-        return frozenset(out for out in self.graph().values() if out != ())
+        if self._image is None:
+            outputs = self.graph().values()
+            if self.op.target == EMPTY_NAME:
+                self._image = frozenset(outputs)
+            else:
+                self._image = frozenset(out for out in outputs if out != ())
+        return self._image
 
 
 def component_image(it: TarskiInterpretation, op: OperadOperation) -> Relation:

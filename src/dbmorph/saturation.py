@@ -57,23 +57,23 @@ def _head_skolems(op: OperadOperation) -> frozenset:
     )
 
 
-def _selection_rows(
-    it: TarskiInterpretation, op: OperadOperation, g: dict
-) -> frozenset:
-    """Target rows agreeing with the assignment at every simple-variable
-    head position.  Agreement is tuple identity, as in the join guard."""
-    fixed = {j: g[op.target_terms[j - 1].name] for j in simple_var_positions(op)}
-    return frozenset(
-        row
-        for row in it.target.rows(op.target)
-        if all(row[j - 1] == v for j, v in fixed.items())
-    )
+def _selector(it: TarskiInterpretation, op: OperadOperation):
+    """Index the target relation once by its values at the simple-variable
+    head positions; the returned lookup gives, for an assignment, the rows
+    agreeing with it there, sorted.  Hashing int, str, NULL and TRUTH agrees
+    with the ``==`` of the join guard."""
+    positions = sorted(simple_var_positions(op))
+    names = [op.target_terms[j - 1].name for j in positions]
+    index: dict = {}
+    for row in sort_rows(it.target.rows(op.target)):
+        index.setdefault(tuple(row[j - 1] for j in positions), []).append(row)
+    return lambda g: index.get(tuple(g[name] for name in names), ())
 
 
 def agreement_selection(it: TarskiInterpretation, op: OperadOperation, g: dict) -> Relation:
     """The full positional-match selection, base output included."""
     sym = it.target.schema.symbol(op.target)
-    return Relation(sym, _selection_rows(it, op, g))
+    return Relation(sym, frozenset(_selector(it, op)(g)))
 
 
 def extension_relation(
@@ -83,7 +83,7 @@ def extension_relation(
     selection minus the output the base component actually produced."""
     sym = it.target.schema.symbol(op.target)
     produced = tuple(eval_term(g, t, it) for t in op.target_terms)
-    return Relation(sym, _selection_rows(it, op, g) - {produced})
+    return Relation(sym, frozenset(_selector(it, op)(g)) - {produced})
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,13 @@ class ExtraFunction:
         return self.component.apply(args)
 
     def image(self) -> frozenset:
-        rows = set()
-        for args, out in self.component.graph().items():
-            if args == self.trigger:
-                rows.add(self.output)
-            elif out != ():
-                rows.add(out)
-        return frozenset(rows)
+        """The base image with one row swapped: the base output at the
+        trigger leaves only if no other argument tuple produces it."""
+        image = self.component.image()
+        produced = self.component.apply(self.trigger)
+        if self.component.preimage_counts()[produced] == 1:
+            image = image - {produced}
+        return image | {self.output}
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,14 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
         op = component.op
         if not _head_skolems(op):
             continue
+        select = _selector(it, op)
         for trigger, produced in component.graph().items():
             if produced == ():
                 continue
             g = component_assignment(op, trigger)
-            rows = _selection_rows(it, op, g) - {produced}
-            for candidate in sort_rows(rows):
+            for candidate in select(g):
+                if candidate == produced:
+                    continue
                 built = _candidate_extra(
                     it, component, op_index, g, trigger, produced, candidate
                 )
@@ -267,22 +269,25 @@ def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
     chosen = ops[op_index - 1]
     key = (_domain_descriptor(chosen), chosen.target)
 
-    members: list = []
-    for component in sat.base.components:
-        if (_domain_descriptor(component.op), component.op.target) == key:
-            members.append(component)
+    graphs = [
+        c.graph()
+        for c in sat.base.components
+        if (_domain_descriptor(c.op), c.op.target) == key
+    ]
+    # an extra differs from its base component, itself a member, only at
+    # its trigger
+    deviations: dict = {}
     for extra in sat.extras:
         op = extra.component.op
         if (_domain_descriptor(op), op.target) == key:
-            members.append(extra)
+            deviations.setdefault(extra.trigger, set()).add(extra.output)
 
-    anchor = sat.base.component(chosen.name)
     graph = []
-    for args in anchor.domain_product():
-        outputs = frozenset(
-            out for m in members if (out := m.apply(args)) != ()
-        )
-        graph.append((args, outputs))
+    for args in sat.base.component(chosen.name).graph():
+        outputs = {g[args] for g in graphs}
+        outputs.update(deviations.get(args, ()))
+        outputs.discard(())
+        graph.append((args, frozenset(outputs)))
     return PFunction(
         name=f"f_{chosen.name}",
         domain=_domain_descriptor(chosen),

@@ -1,6 +1,10 @@
 """Saturation: alternative skolem outcomes and set-valued p-functions."""
 
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbmorph import (
     FunctionTable,
@@ -19,8 +23,10 @@ from dbmorph import (
     saturate,
 )
 from dbmorph.interp import component_assignment
+from dbmorph.model import NULL, TRUTH
 from dbmorph.saturation import ExtraFunction, agreement_selection
 
+import saturation_oracle as oracle
 from conftest import arrow_and_interp
 
 CONTACT = (132, "Zoran", "Majkic", "Appia", "0187")
@@ -261,3 +267,160 @@ def test_flux_invariance_of_the_examples(request, example, mapping, interp):
     report = check_flux_invariance(it, arrow)
     assert report.ok, report.failures
     assert report.failures == ()
+
+
+# ---------------------------------------------------------------------------
+# cost
+
+
+def test_saturate_reads_each_target_relation_once(monkeypatch):
+    r, r2 = [(1,), (2,), (3,)], [(1, 1), (1, 2), (2, 1), (3, 3)]
+    arrow, it = simple_setup(
+        "exists f1, f2 . forall x, y . r2(x, y) -> s2(x, f1(x, y))"
+        " && forall x . r(x) -> s3(x, x, f2(x)) && forall x . r(x) -> s(x)",
+        {"r": r, "r2": r2},
+        {
+            "s": r,
+            "s2": [(1, "a"), (1, "b"), (2, "a"), (3, "a")],
+            "s3": [(1, 1, "a"), (2, 2, "a"), (2, 2, "b"), (3, 3, "a")],
+        },
+        skolem={"f1": dict.fromkeys(r2, "a"), "f2": dict.fromkeys(r, "a")},
+    )
+    reads = Counter()
+    rows = Instance.rows
+
+    def counting_rows(instance, name):
+        reads[name] += 1
+        return rows(instance, name)
+
+    monkeypatch.setattr(Instance, "rows", counting_rows)
+    sat = saturate(it, arrow)
+    assert len(sat.extras) == 3
+    # seven triggers, but one read per skolem-headed operation
+    assert reads == Counter({"s2": 1, "s3": 1})
+
+
+# ---------------------------------------------------------------------------
+# the scan, the full-graph images and the per-member p-function as oracle
+
+# (clause, skolem symbol, its arity)
+ORACLE_CLAUSES = (
+    # triggers (x, y) and (x, y') produce one row: preimage count 2
+    ("forall x, y . r2(x, y) -> s2(x, f1(x))", "f1", 1),
+    # same domain and target as the first: their extras merge in one p-function
+    ("forall x, y . r2(x, y) -> s2(y, f2(x, y))", "f2", 2),
+    # no simple variable (index key ()), one skolem applied twice (skips)
+    ("forall x . r(x) -> s2(f3(x), f3(x))", "f3", 1),
+    # head variables in another order than in the body
+    ("forall x, y . r2(x, y) -> s3(y, x, f4(x, y))", "f4", 2),
+    ("forall x . r(x) -> s(x)", None, 0),
+)
+ORACLE_VALUES = (0, 1, "a", NULL, TRUTH)
+
+
+def oracle_case(clauses, source_rows, skolem_values, noise):
+    """Arrow and satisfying interpretation: the chosen clauses, total skolem
+    tables taking ``skolem_values`` in argument order, and target relations
+    holding every operation's image plus the ``noise`` rows."""
+    used = [ORACLE_CLAUSES[i] for i in clauses]
+    names = [f for _, f, _ in used if f]
+    text = " && ".join(clause for clause, _, _ in used)
+    if names:
+        text = f"exists {', '.join(names)} . {text}"
+    skolem = {
+        f: dict(zip(itertools.product(ORACLE_VALUES, repeat=k), skolem_values[f]))
+        for _, f, k in used
+        if f
+    }
+    arrow, probe = simple_setup(text, source_rows, noise, skolem)
+    target = {name: set(rows) for name, rows in noise.items()}
+    for component in alpha_star(probe, arrow).components:
+        target.setdefault(component.op.target, set()).update(component.image())
+    return simple_setup(text, source_rows, target, skolem)
+
+
+@st.composite
+def oracle_cases(draw):
+    values = st.sampled_from(ORACLE_VALUES)
+    clauses = draw(
+        st.lists(st.integers(0, len(ORACLE_CLAUSES) - 1), min_size=1, max_size=5, unique=True)
+    )
+    source_rows = {
+        "r": draw(st.frozensets(st.tuples(values), max_size=3)),
+        "r2": draw(st.frozensets(st.tuples(values, values), max_size=6)),
+    }
+    skolem_values = {
+        f: draw(st.lists(values, min_size=5**k, max_size=5**k))
+        for _, f, k in ORACLE_CLAUSES
+        if f
+    }
+    noise = {
+        "s": draw(st.frozensets(st.tuples(values), max_size=2)),
+        "s2": draw(st.frozensets(st.tuples(values, values), max_size=8)),
+        "s3": draw(st.frozensets(st.tuples(values, values, values), max_size=6)),
+    }
+    return oracle_case(sorted(clauses), source_rows, skolem_values, noise)
+
+
+def assert_saturation_matches_the_oracle(arrow, it):
+    sat, expected = saturate(it, arrow), oracle.saturate(it, arrow)
+
+    def extras(s):
+        return [(e.op_index, e.op_name, e.trigger, e.output, e.perturbation) for e in s.extras]
+
+    def skips(s):
+        return [(k.op_index, k.op_name, k.trigger, k.candidate, k.reason) for k in s.skipped]
+
+    assert extras(sat) == extras(expected)
+    assert skips(sat) == skips(expected)
+    assert [e.image() for e in sat.extras] == [
+        oracle.extra_image(e) for e in expected.extras
+    ]
+    assert flux_kernel(sat).members == oracle.flux_kernel(expected).members
+    for op_index in range(1, len(arrow.operations) + 1):
+        assert derive_pfunction(sat, op_index) == oracle.derive_pfunction(expected, op_index)
+    for component in sat.base.components:
+        for trigger, produced in component.graph().items():
+            if produced != ():
+                g = component_assignment(component.op, trigger)
+                assert agreement_selection(it, component.op, g).rows == (
+                    oracle._selection_rows(it, component.op, g)
+                )
+    return sat
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_saturation_matches_the_scan_oracle(case):
+    assert_saturation_matches_the_oracle(*case)
+
+
+def test_the_oracle_cases_reach_every_shape():
+    arrow, it = oracle_case(
+        range(len(ORACLE_CLAUSES)),
+        {"r": [(1,)], "r2": [(0, 1), (0, "a")]},
+        {
+            "f1": [0] * 5,  # q_1 sends both r2 rows to (0, 0)
+            "f2": ["a"] * 25,  # q_2 produces (1, "a") and ("a", "a")
+            "f3": ["a"] * 5,  # q_3 produces ("a", "a")
+            "f4": [1] * 25,
+        },
+        {"s2": [(0, 1), ("a", 1), (1, 1)], "s3": [(1, 0, 0)]},
+    )
+    sat = assert_saturation_matches_the_oracle(arrow, it)
+    by_op = Counter(e.op_name for e in sat.extras)
+    assert by_op == Counter({"q_1": 2, "q_2": 2, "q_3": 2, "q_4": 1})
+    # both q_1 triggers produce (0, 0): its extras keep that row in the image
+    assert [(e.trigger, e.output, e.image()) for e in sat.extras[:2]] == [
+        (((0, 1),), (0, 1), frozenset({(0, 0), (0, 1)})),
+        (((0, "a"),), (0, 1), frozenset({(0, 0), (0, 1)})),
+    ]
+    # q_3's head has no simple variable, so every s2 row is a candidate;
+    # those with two different values are skipped
+    assert [(k.op_name, k.candidate) for k in sat.skipped] == [
+        ("q_3", (0, 1)), ("q_3", (1, "a")), ("q_3", ("a", 1)),
+    ]
+    # q_1 and q_2 share r2 -> s2: (1, 1) comes only from an extra of q_2
+    assert dict(derive_pfunction(sat, 1).graph)[((0, 1),)] == frozenset(
+        {(0, 0), (0, 1), (1, "a"), (1, 1)}
+    )
