@@ -140,13 +140,17 @@ def flux_kernel(morphism) -> FluxKernel:
     """One member per operation with source-carrying head variables: the
     projection of its image onto those positions.  ⊥ is adjoined; with no
     contributing operation the kernel is exactly ⊥⁰."""
-    members = []
-    for op, image in morphism.op_images():
-        pos = flux_positions(op)
-        if not pos:
-            continue
-        members.append(frozenset(tuple(row[j - 1] for j in pos) for row in image))
-    return FluxKernel(members)
+    members = (_kernel_member(op, image) for op, image in morphism.op_images())
+    return FluxKernel(m for m in members if m is not None)
+
+
+def _kernel_member(op: OperadOperation, image) -> "frozenset | None":
+    """The projection of an operation's image onto its flux positions, or
+    None when the operation carries no source information."""
+    pos = flux_positions(op)
+    if not pos:
+        return None
+    return frozenset(tuple(row[j - 1] for j in pos) for row in image)
 
 
 def _show(value) -> str:

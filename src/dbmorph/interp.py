@@ -199,8 +199,7 @@ def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
     rel = it.place_relation(place)
     if not place.negated:
         return rel.rows
-    values = sorted(it.domain_values(), key=lambda v: (str(type(v)), str(v)))
-    universe = itertools.product(values, repeat=place.arity)
+    universe = itertools.product(it.domain_values(), repeat=place.arity)
     return frozenset(t for t in universe if t not in rel.rows)
 
 
@@ -210,10 +209,7 @@ class ComponentFunction:
     def __init__(self, it: TarskiInterpretation, op: OperadOperation):
         self.it = it
         self.op = op
-        if op.target == EMPTY_NAME:
-            self.codomain = it.target.relation(EMPTY_NAME)
-        else:
-            self.codomain = it.target.relation(op.target)
+        self.codomain = it.target.relation(op.target)
         self._domains: "tuple | None" = None
         self._graph: "dict | None" = None
         self._counts: "Counter | None" = None
@@ -283,8 +279,7 @@ def component_image(it: TarskiInterpretation, op: OperadOperation) -> Relation:
 def apply_v(it: TarskiInterpretation, op: OperadOperation, b: Row) -> Row:
     """The copy operation r_q → r_B: identity on rows of α(r_B), empty tuple
     otherwise."""
-    rel = it.target.relation(op.target) if op.target != EMPTY_NAME else it.target.relation(EMPTY_NAME)
-    return b if b in rel.rows else ()
+    return b if b in it.target.relation(op.target).rows else ()
 
 
 @dataclass
@@ -342,10 +337,9 @@ class SatisfactionReport:
 def satisfies(morphism: InstanceMorphism) -> SatisfactionReport:
     """The interpretation satisfies the arrow iff every component image is
     contained in its target relation."""
-    bad = []
-    for component in morphism.components:
-        target_rows = component.codomain.rows
-        for out in sort_rows(component.image()):
-            if out not in target_rows:
-                bad.append((component.op.name, out))
-    return SatisfactionReport(not bad, tuple(bad))
+    bad = tuple(
+        (component.op.name, out)
+        for component in morphism.components
+        for out in sort_rows(component.image() - component.codomain.rows)
+    )
+    return SatisfactionReport(not bad, bad)

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import SafetyError, SchemaError
+from .irdb import hash_tuple
 from .model import (
     EMPTY_NAME,
     NULL,
     TRUTH,
     DomainValue,
     Instance,
-    Row,
-    sort_rows,
+    active_domain,
     value_key,
 )
 
@@ -511,8 +511,6 @@ def _eval_constraint_term(term: Term, g: Mapping[str, DomainValue], inst: Instan
         return g[term.name]
     if isinstance(term, Const):
         return 1 if term.value is TRUTH else term.value
-    from .irdb import hash_tuple  # late import: irdb depends on this module
-
     if term.func.kind is FuncKind.HASH:
         return hash_tuple(tuple(_eval_constraint_term(a, g, inst) for a in term.args))
     if term.func.kind is FuncKind.CHAR:
@@ -571,23 +569,20 @@ def _match_atoms(
             yield from _match_atoms(atoms, inst, bound, idx + 1)
 
 
-def _lhs_assignments(
-    lits: Sequence[Literal],
-    all_vars: Sequence[str],
+def _extensions(
+    g: Mapping[str, DomainValue],
+    names: Sequence[str],
+    literals: Sequence[Literal],
     inst: Instance,
     domain: Sequence[DomainValue],
 ) -> Iterator[dict]:
-    """Assignments over all_vars satisfying the literal conjunction; positive
-    atoms are matched against rows, leftover variables range over domain."""
-    positive = [l for l in lits if isinstance(l, RelAtom) and not l.negated]
-    rest = [l for l in lits if not (isinstance(l, RelAtom) and not l.negated)]
-    for g in _match_atoms(positive, inst, {}, 0):
-        free = [v for v in all_vars if v not in g]
-        for combo in itertools.product(domain, repeat=len(free)):
-            full = dict(g)
-            full.update(zip(free, combo))
-            if all(_literal_holds(l, full, inst) for l in rest):
-                yield full
+    """Every extension of ``g`` by domain values for ``names`` under which
+    all ``literals`` hold."""
+    for combo in itertools.product(domain, repeat=len(names)):
+        full = dict(g)
+        full.update(zip(names, combo))
+        if all(_literal_holds(l, full, inst) for l in literals):
+            yield full
 
 
 def validate_instance(
@@ -598,8 +593,6 @@ def validate_instance(
     """Brute-force check of every tgd and egd over the active domain plus the
     declared constants.  Incomplete by construction for witnesses outside
     that domain; violations are data, not errors."""
-    from .model import active_domain
-
     if constraints is None:
         constraints = inst.schema.constraints
     base: set = set(active_domain(inst)) | set(domain)
@@ -610,33 +603,25 @@ def validate_instance(
                 if isinstance(t, Const) and t.value is not TRUTH:
                     base.add(t.value)
     dom = sorted(base, key=value_key)
-    violations: list[Violation] = []
+    # (constraint, witness) -> None, in the order the violations are found
+    found: dict = {}
     for dep in constraints:
-        if isinstance(dep, Tgd):
-            all_vars = list(dep.universals) + list(dep.lhs_exists)
-            for g in _lhs_assignments(dep.lhs, all_vars, inst, dom):
-                witnessed = False
-                for combo in itertools.product(dom, repeat=len(dep.rhs_exists)):
-                    full = {v: g[v] for v in dep.universals}
-                    full.update(zip(dep.rhs_exists, combo))
-                    if all(_literal_holds(a, full, inst) for a in dep.rhs):
-                        witnessed = True
-                        break
-                if not witnessed:
-                    witness = tuple(sorted((v, g[v]) for v in dep.universals))
-                    if not any(
-                        v.constraint == dep and v.witness == witness for v in violations
-                    ):
-                        violations.append(Violation(dep, witness))
-        else:
-            for g in _lhs_assignments(dep.lhs, dep.universals, inst, dom):
-                for y, z in dep.equalities:
-                    if not eval_comparison("=", g[y], g[z]):
-                        witness = tuple(sorted((v, g[v]) for v in dep.universals))
-                        if not any(
-                            v.constraint == dep and v.witness == witness
-                            for v in violations
-                        ):
-                            violations.append(Violation(dep, witness))
-                        break
-    return ValidationReport(tuple(violations))
+        is_tgd = isinstance(dep, Tgd)
+        # positive atoms are matched against rows; the other variables range
+        # over the domain
+        positive = [l for l in dep.lhs if isinstance(l, RelAtom) and not l.negated]
+        rest = [l for l in dep.lhs if not (isinstance(l, RelAtom) and not l.negated)]
+        names = list(dep.universals) + (list(dep.lhs_exists) if is_tgd else [])
+        for match in _match_atoms(positive, inst, {}, 0):
+            free = [v for v in names if v not in match]
+            for g in _extensions(match, free, rest, inst, dom):
+                if is_tgd:
+                    head = {v: g[v] for v in dep.universals}
+                    witnesses = _extensions(head, dep.rhs_exists, dep.rhs, inst, dom)
+                    # the empty assignment is a witness too, though falsy
+                    holds = next(witnesses, None) is not None
+                else:
+                    holds = all(eval_comparison("=", g[y], g[z]) for y, z in dep.equalities)
+                if not holds:
+                    found[dep, tuple(sorted((v, g[v]) for v in dep.universals))] = None
+    return ValidationReport(tuple(Violation(dep, witness) for dep, witness in found))

@@ -30,6 +30,7 @@ from .model import (
     Row,
     Schema,
     sort_rows,
+    value_key,
 )
 from .operads import (
     OperadArrow,
@@ -148,7 +149,13 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
         columns = _columns(body["columns"], f"{where}: relation {name}: 'columns'")
         rows = _typed(body["rows"], list, f"{where}: relation {name}: 'rows'")
         symbols[name] = RelationSymbol(name, columns)
-        rows_by_name[name] = frozenset(_row_from_json(r, f"{where}: {name}") for r in rows)
+        rows_by_name[name] = [_row_from_json(r, f"{where}: {name}") for r in rows]
+        for row in rows_by_name[name]:
+            if len(row) != len(columns):
+                raise SchemaError(
+                    f"{where}: relation {name}: row {row!r} has {len(row)} values; "
+                    f"{name} has arity {len(columns)}"
+                )
 
     if schema is None:
         schema = Schema(str(data.get("schema", "S")), symbols.values())
@@ -158,6 +165,8 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
                 f"{where}: file is for schema {data['schema']}, expected {schema.name}"
             )
         for name, sym in symbols.items():
+            if name not in schema:
+                raise SchemaError(f"{where}: schema {schema.name} has no relation {name}")
             if sym != schema.symbol(name):
                 raise SchemaError(
                     f"{where}: relation {name} disagrees with the schema's columns"
@@ -466,6 +475,13 @@ def pfunction_to_json(pf: PFunction) -> dict:
     }
 
 
+def _violation_key(entry: dict) -> tuple:
+    """Constraint text, then the witness items (in ``str`` order) with
+    values compared by ``value_key``, so mixed value kinds sort."""
+    items = sorted(entry["witness"].items(), key=str)
+    return entry["constraint"], [(name, value_key(value_from_json(v))) for name, v in items]
+
+
 def validation_to_json(report: ValidationReport) -> dict:
     entries = []
     for v in report.violations:
@@ -475,5 +491,5 @@ def validation_to_json(report: ValidationReport) -> dict:
                 "witness": {name: value_to_json(val) for name, val in v.witness},
             }
         )
-    entries.sort(key=lambda e: (e["constraint"], sorted(e["witness"].items(), key=str)))
+    entries.sort(key=_violation_key)
     return {"valid": report.ok, "violations": entries}

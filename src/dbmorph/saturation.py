@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, SchemaError
-from .flux import FluxKernel, flux_kernel, flux_positions
+from .flux import FluxKernel, _kernel_member
 from .interp import (
     ComponentFunction,
     InstanceMorphism,
@@ -31,7 +31,7 @@ from .interp import (
     satisfies,
 )
 from .logic import App, FuncKind, term_functions
-from .model import Instance, Relation, Row, sort_rows
+from .model import Instance, Relation, Row, row_key, sort_rows
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
 __all__ = [
@@ -158,7 +158,9 @@ def _candidate_extra(
                 candidate,
                 f"head position {j} is not a skolem term and cannot be reassigned",
             )
-    perturbation = tuple(sorted(demands.items()))
+    perturbation = tuple(
+        sorted(demands.items(), key=lambda item: (item[0][0], row_key(item[0][1])))
+    )
     return ExtraFunction(
         component=component,
         op_index=op_index,
@@ -307,36 +309,22 @@ def check_flux_invariance(it: TarskiInterpretation, arrow: OperadArrow) -> FluxI
     on the simple-variable positions pointwise, and swapping any single
     extra for its base component leaves the kernel set-identical."""
     sat = saturate(it, arrow)
-    failures: list = []
-
+    pointwise, kernel = [], []
+    bases = [(c, _kernel_member(c.op, c.image())) for c in sat.base.components]
+    base_kernel = FluxKernel(m for _, m in bases if m is not None)
     for extra in sat.extras:
-        component = extra.component
-        pos = sorted(simple_var_positions(component.op))
-        for args, out in component.graph().items():
-            alt = extra.apply(args)
-            if out == () or alt == ():
-                continue
-            if tuple(out[j - 1] for j in pos) != tuple(alt[j - 1] for j in pos):
-                failures.append(
-                    ("pointwise", extra.op_name, extra.trigger, extra.output, args)
-                )
-
-    base_kernel = flux_kernel(sat.base)
-    for extra in sat.extras:
-        members = []
-        for component in sat.base.components:
-            pos = flux_positions(component.op)
-            if not pos:
-                continue
-            image = (
-                extra.image()
-                if component is extra.component
-                else component.image()
+        # an extra differs from its base only at its trigger
+        pos = sorted(simple_var_positions(extra.component.op))
+        out = extra.component.apply(extra.trigger)
+        if [out[j - 1] for j in pos] != [extra.output[j - 1] for j in pos]:
+            pointwise.append(
+                ("pointwise", extra.op_name, extra.trigger, extra.output, extra.trigger)
             )
-            members.append(
-                frozenset(tuple(row[j - 1] for j in pos) for row in image)
-            )
-        if FluxKernel(members).members != base_kernel.members:
-            failures.append(("kernel", extra.op_name, extra.trigger, extra.output))
-
-    return FluxInvarianceReport(not failures, tuple(failures))
+        members = (
+            _kernel_member(c.op, extra.image()) if c is extra.component else m
+            for c, m in bases
+        )
+        if FluxKernel(m for m in members if m is not None).members != base_kernel.members:
+            kernel.append(("kernel", extra.op_name, extra.trigger, extra.output))
+    failures = tuple(pointwise + kernel)
+    return FluxInvarianceReport(not failures, failures)

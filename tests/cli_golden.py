@@ -1,0 +1,125 @@
+"""Golden record of the CLI on the fixture projects.
+
+Runs every fixture invocation in process, with ``tests/fixtures`` as the
+working directory so that messages hold relative paths, and records per
+invocation the exit code and the sha256 of stdout and of stderr in
+``tests/fixtures/cli_golden.json``:
+
+- ``compile`` of every mapping;
+- ``eval``, ``eval --verbose``, ``saturate``, ``flux``, ``equal`` and
+  ``pfunction --op 0..12`` of every mapping with every interpretation file
+  of its project;
+- ``equal --mapping2 --interp2`` of every ordered pair of those
+  (mapping, interpretation) choices;
+- ``parse``, ``parse --roundtrip`` and ``validate`` of every instance.
+
+Usage (stdlib only):
+
+    python tests/cli_golden.py           # check; exit 1 listing each mismatch
+    python tests/cli_golden.py --write   # record the current behaviour
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import traceback
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = FIXTURES / "cli_golden.json"
+EXAMPLES = ("example1", "example3", "example4", "example5")
+PFUNCTION_OPS = range(13)
+
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from dbmorph import cli  # noqa: E402
+
+
+def invocations() -> list:
+    """Every argv of the golden set, paths relative to ``tests/fixtures``."""
+    out = []
+    for example in EXAMPLES:
+        project = json.loads((FIXTURES / example / "project.json").read_text(encoding="utf-8"))
+        proj = f"{example}/project.json"
+        interps = sorted(p.name for p in (FIXTURES / example).glob("interp*.json"))
+        pairs = [(m, f"{example}/{i}") for m in project["mappings"] for i in interps]
+        for mapping in project["mappings"]:
+            out.append(["compile", "--project", proj, "--mapping", mapping])
+        for mapping, interp in pairs:
+            common = ["--project", proj, "--mapping", mapping, "--interp", interp]
+            for command in ("eval", "saturate", "flux", "equal"):
+                out.append([command, *common])
+            out.append(["eval", *common, "--verbose"])
+            out.extend(["pfunction", *common, "--op", str(k)] for k in PFUNCTION_OPS)
+            for mapping2, interp2 in pairs:
+                out.append(["equal", *common, "--mapping2", mapping2, "--interp2", interp2])
+        for instance in project["instances"]:
+            base = ["--project", proj, "--instance", instance]
+            out.extend([["parse", *base], ["parse", *base, "--roundtrip"], ["validate", *base]])
+    return out
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(argv: list) -> dict:
+    """Exit code and output digests of one in-process invocation; an
+    uncaught exception is recorded as exit 1 with its traceback's last line
+    on stderr, as the interpreter would end the process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except Exception:  # a traceback is behaviour too
+            code = 1
+            print(traceback.format_exc().splitlines()[-1], file=sys.stderr)
+    return {"exit": code, "stdout": _digest(stdout.getvalue()), "stderr": _digest(stderr.getvalue())}
+
+
+def record() -> dict:
+    cwd = os.getcwd()
+    os.chdir(FIXTURES)
+    try:
+        return {" ".join(argv): run(argv) for argv in invocations()}
+    finally:
+        os.chdir(cwd)
+
+
+def mismatches() -> list:
+    """One line per invocation whose result differs from the golden file."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    current = record()
+    lines = []
+    for key in sorted(golden.keys() | current.keys()):
+        want, got = golden.get(key), current.get(key)
+        if want != got:
+            lines.append(f"{key}: recorded {want}, now {got}")
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--write"]:
+        results = record()
+        GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {len(results)} invocations in {GOLDEN.name}")
+        return 0
+    if argv:
+        print("usage: cli_golden.py [--write]", file=sys.stderr)
+        return 2
+    lines = mismatches()
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} mismatches")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,218 @@
+"""The law checkers against their direct definitions in ``law_oracle.py``:
+satisfaction, flux invariance of saturation and constraint validation give
+the same reports, order included."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dbmorph import saturation
+from dbmorph.errors import DbmorphError, SafetyError
+from dbmorph.interp import ComponentFunction, TarskiInterpretation, alpha_star, satisfies
+from dbmorph.logic import (
+    App,
+    Comparison,
+    Const,
+    Egd,
+    FuncKind,
+    FuncSymbol,
+    NotNull,
+    RelAtom,
+    Tgd,
+    Var,
+    hash_symbol,
+    validate_instance,
+)
+from dbmorph.model import NULL, TRUTH, Instance, RelationSymbol, Schema, sort_rows
+from dbmorph.saturation import ExtraFunction, check_flux_invariance
+
+import law_oracle as oracle
+from test_saturation import oracle_case, oracle_cases
+
+# ---------------------------------------------------------------------------
+# satisfaction
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases(), st.data())
+def test_satisfies_matches_the_oracle(case, data):
+    arrow, it = case
+    # drop target rows so that images leave their targets
+    target = {}
+    for name in ("s", "s2", "s3"):
+        rows = sort_rows(it.target.rows(name))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        target[name] = [row for row, kept in zip(rows, keep) if kept]
+    it = TarskiInterpretation(it.source, Instance.build(it.target.schema, target), it.skolem)
+    morphism = alpha_star(it, arrow)
+    assert satisfies(morphism) == oracle.satisfies(morphism)
+
+
+# ---------------------------------------------------------------------------
+# flux invariance
+
+
+def _select_every_row(it, op):
+    """A wrong selector: every target row, whatever the simple-variable
+    positions hold."""
+    rows = sort_rows(it.target.rows(op.target))
+    return lambda g: rows
+
+
+def _accept_every_candidate(it, component, op_index, g, trigger, produced, candidate):
+    """A wrong extra builder: no candidate is skipped, so that with the
+    wrong selector extras disagree with their base at simple positions."""
+    return ExtraFunction(component, op_index, component.op.name, trigger, candidate, ())
+
+
+def move_the_flux(mp):
+    # the selector alone cannot do it: ``_candidate_extra`` skips every
+    # candidate that differs from the base at a non-skolem head position
+    mp.setattr(saturation, "_selector", _select_every_row)
+    mp.setattr(saturation, "_candidate_extra", _accept_every_candidate)
+
+
+def assert_flux_invariance_matches_the_oracle(arrow, it):
+    report = check_flux_invariance(it, arrow)
+    assert report == oracle.check_flux_invariance(it, arrow)
+    return report
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases(), st.booleans())
+def test_flux_invariance_matches_the_oracle(case, moved):
+    with pytest.MonkeyPatch.context() as mp:
+        if moved:
+            move_the_flux(mp)
+        assert_flux_invariance_matches_the_oracle(*case)
+
+
+def moving_case():
+    """Three triggers of ``r2(x, y) -> s2(x, f1(x))``; the target holds rows
+    that agree with them at the simple position and rows that do not."""
+    return oracle_case(
+        [0],
+        {"r2": [(0, 1), (1, 1), (0, 0)]},
+        {"f1": ["a"] * 5},
+        {"s2": [(0, "b"), (1, "b"), ("a", "a"), ("a", 1)]},
+    )
+
+
+def test_extras_that_move_the_flux_fail_both_laws(monkeypatch):
+    arrow, it = moving_case()
+    assert assert_flux_invariance_matches_the_oracle(arrow, it).ok
+    move_the_flux(monkeypatch)
+    report = assert_flux_invariance_matches_the_oracle(arrow, it)
+    kinds = Counter(failure[0] for failure in report.failures)
+    assert kinds["pointwise"] > 0 and kinds["kernel"] > 0
+
+
+def test_flux_invariance_applies_each_extra_at_most_twice(monkeypatch):
+    arrow, it = moving_case()
+    extras = len(saturation.saturate(it, arrow).extras)
+    calls = Counter()
+    apply = ComponentFunction.apply
+
+    def counting_apply(component, args):
+        calls["apply"] += 1
+        return apply(component, args)
+
+    monkeypatch.setattr(ComponentFunction, "apply", counting_apply)
+    assert check_flux_invariance(it, arrow).ok
+    # the graph has three argument tuples: comparing an extra with its
+    # base at each of them would take more
+    assert extras == 3
+    assert calls["apply"] <= 2 * extras
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+P = "P"
+Q = "Q"
+VALIDATION_SCHEMA = Schema("A", [RelationSymbol(P, ("a",)), RelationSymbol(Q, ("a", "b"))])
+VALUES = (0, 1, "a", NULL)
+x, y, z = Var("x"), Var("y"), Var("z")
+SKOLEM = FuncSymbol("f", FuncKind.SKOLEM)
+
+
+def atom(name, *terms, negated=False):
+    return RelAtom(name, terms, negated)
+
+
+# each kind of constraint the validator meets
+CONSTRAINTS = (
+    # an rhs existential
+    Tgd(("x", "y"), (atom(Q, x, y),), (atom(Q, y, z),), rhs_exists=("z",)),
+    # an lhs existential, so one witness can come from several assignments,
+    # and a negated atom
+    Tgd(("x",), (atom(Q, x, y), atom(P, y, negated=True)), (atom(P, x),), lhs_exists=("y",)),
+    # a comparison and notnull
+    Tgd(("x", "y"), (atom(Q, x, y), Comparison(x, "!=", y), NotNull(y)), (atom(Q, y, x),)),
+    # the truth constant in an atom on either side
+    Tgd(("x",), (atom(Q, x, Const(TRUTH)),), (atom(P, x),)),
+    Tgd(("x",), (atom(P, x),), (atom(Q, x, Const(TRUTH)),)),
+    # a hash term in the head
+    Tgd(("x",), (atom(P, x),), (atom(Q, x, App(hash_symbol(), (x,))),)),
+    # a negated atom over a variable that no positive atom binds
+    Tgd(("x", "y"), (atom(P, x), atom(Q, x, y, negated=True)), (atom(P, y),)),
+    # no universals: the only witness is the empty assignment
+    Tgd((), (atom(P, Const(1)),), (atom(P, Const(1)),)),
+    Tgd((), (atom(Q, y, z),), (atom(P, Const(0)),), lhs_exists=("y", "z")),
+    # an egd
+    Egd(("x", "y", "z"), (atom(Q, x, y), atom(Q, x, z)), (("y", "z"),)),
+)
+# constraints no validator can decide: both must raise alike
+UNDECIDABLE = (
+    Tgd(("x",), (atom(P, x),), (atom(P, App(SKOLEM, (x,))),)),
+    Tgd(("x",), (atom(P, App(hash_symbol(), (x,))),), (atom(P, x),)),
+)
+
+
+def outcome(validate, inst, constraints, domain):
+    try:
+        return validate(inst, constraints, domain)
+    except DbmorphError as exc:
+        return type(exc)
+
+
+@st.composite
+def validation_cases(draw):
+    values = st.sampled_from(VALUES)
+    rows = {
+        P: draw(st.frozensets(st.tuples(values), max_size=4)),
+        Q: draw(st.frozensets(st.tuples(values, values), max_size=6)),
+    }
+    pool = CONSTRAINTS + (UNDECIDABLE if draw(st.booleans()) else ())
+    # repeats allowed: a constraint listed twice reports each witness once
+    constraints = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    domain = draw(st.frozensets(st.sampled_from((2, "b", TRUTH)), max_size=2))
+    return Instance.build(VALIDATION_SCHEMA, rows), constraints, domain
+
+
+@settings(max_examples=300, deadline=None)
+@given(validation_cases())
+def test_validation_matches_the_oracle(case):
+    assert outcome(validate_instance, *case) == outcome(oracle.validate_instance, *case)
+
+
+def test_the_validation_cases_reach_every_shape():
+    inst = Instance.build(
+        VALIDATION_SCHEMA,
+        {P: [(1,), ("a",)], Q: [(0, 0), (0, NULL), (0, 1), (0, "a"), (1, 1), (NULL, 0)]},
+    )
+    report = validate_instance(inst, CONSTRAINTS + CONSTRAINTS)
+    assert report == oracle.validate_instance(inst, CONSTRAINTS + CONSTRAINTS)
+    # a constraint listed twice reports each witness once
+    assert report == validate_instance(inst, CONSTRAINTS)
+    witnesses = {c: [v.witness for v in report.violations if v.constraint == c] for c in CONSTRAINTS}
+    # x = 0 violates the lhs-existential tgd through y = 0 and y = NULL
+    assert witnesses[CONSTRAINTS[1]] == [(("x", NULL),), (("x", 0),)]
+    # P(1) holds: the empty assignment witnesses the head, though falsy
+    assert witnesses[CONSTRAINTS[7]] == []
+    assert witnesses[CONSTRAINTS[8]] == [()]
+    assert len(witnesses[CONSTRAINTS[9]]) == 13
+    for constraint in UNDECIDABLE:
+        assert outcome(validate_instance, inst, [constraint], ()) is SafetyError
+        assert outcome(oracle.validate_instance, inst, [constraint], ()) is SafetyError

@@ -13,6 +13,7 @@ from dbmorph import (
     satisfies,
     saturate,
 )
+from dbmorph.dsl import parse_mapping
 from dbmorph.model import RelationSymbol, Schema
 from dbmorph.project import (
     arrow_to_json,
@@ -121,6 +122,25 @@ def test_load_instance_shape_errors():
             {"relations": {"p": {"columns": ["c1", "c2"], "rows": ["oops"]}}},
             sample_schema(),
         )
+
+
+@pytest.mark.parametrize(
+    "relations,message",
+    [
+        (
+            {"q": {"columns": ["c1"], "rows": [["x", "x"]]}},
+            "a.json: relation q: row ('x', 'x') has 2 values; q has arity 1",
+        ),
+        (
+            {"nope": {"columns": ["c1"], "rows": []}},
+            "a.json: schema A has no relation nope",
+        ),
+    ],
+)
+def test_instance_errors_name_their_file(relations, message):
+    with pytest.raises(SchemaError) as err:
+        load_instance({"relations": relations}, sample_schema(), where="a.json")
+    assert str(err.value) == message
 
 
 def test_instance_round_trips_through_json(example5):
@@ -361,3 +381,17 @@ def test_validation_serialization(example4):
     }
     assert streets == {("Appia", "Nomentana"), ("Nomentana", "Appia")}
     assert all(entry["witness"]["x1"] == 132 for entry in data["violations"])
+
+
+def test_validation_serialization_orders_mixed_witness_values():
+    key = parse_mapping("forall k, v, w . K(k, v) & K(k, w) -> v = w")
+    schema = Schema("A", [RelationSymbol("K", ("k", "v"))], key)
+    inst = load_instance(
+        {"relations": {"K": {"columns": ["k", "v"], "rows": [[0, 1], [0, "a"]]}}}, schema
+    )
+    data = validation_to_json(validate_instance(inst))
+    # integers before strings, as everywhere else
+    assert [entry["witness"] for entry in data["violations"]] == [
+        {"k": 0, "v": 1, "w": "a"},
+        {"k": 0, "v": "a", "w": 1},
+    ]

@@ -173,6 +173,17 @@ def test_conflicting_skolem_demands_are_skipped():
     assert skip.op_name == "q_1" and skip.trigger == ((1,),)
 
 
+def test_perturbations_order_mixed_arguments_by_value_key():
+    arrow, it = simple_setup(
+        "exists f1 . forall x, y . r2(x, y) -> s2(f1(x), f1(y))",
+        {"r2": [(1, "a")]},
+        {"s2": [("p", "q"), ("p2", "q2")]},
+        skolem={"f1": {(1,): "p", ("a",): "q"}},
+    )
+    (extra,) = saturate(it, arrow).extras
+    assert extra.perturbation == ((("f1", (1,)), "p2"), (("f1", ("a",)), "q2"))
+
+
 def test_constant_positions_cannot_be_reassigned():
     arrow, it = simple_setup(
         "exists f1 . forall x . r(x) -> s3(x, 5, f1(x))",
