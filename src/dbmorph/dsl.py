@@ -128,9 +128,9 @@ def _tokenize(text: str) -> list[_Token]:
                 col += 1
             tokens.append(_Token("string", "".join(buf), start_line, start_col))
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
@@ -359,19 +359,17 @@ class _Resolver:
         if raw.kind == "cmp":
             left = self.term(raw.terms[0], bound, implicit)
             right = self.term(raw.terms[1], bound, implicit)
-            return Comparison(left, raw.op, right, pos=(raw.line, raw.col))
+            return Comparison(left, raw.op, right)
         assert raw.kind == "atom"
         if raw.name == "notnull":
             if len(raw.terms) != 1:
                 raise ParseError("notnull takes exactly one argument", raw.line, raw.col)
-            return NotNull(
-                self.term(raw.terms[0], bound, implicit), raw.negated, pos=(raw.line, raw.col)
-            )
+            return NotNull(self.term(raw.terms[0], bound, implicit), raw.negated)
         if raw.name in RESERVED or raw.name == HASH_NAME:
             raise ParseError(f"{raw.name!r} cannot be used as a relation", raw.line, raw.col)
         self.check_rel(raw.name, len(raw.terms), raw.line, raw.col)
         terms = tuple(self.term(t, bound, implicit) for t in raw.terms)
-        return RelAtom(raw.name, terms, raw.negated, pos=(raw.line, raw.col))
+        return RelAtom(raw.name, terms, raw.negated)
 
     def head_atom(self, raw: _RawLiteral, bound: set, implicit: list | None) -> RelAtom:
         atom = self.literal(raw, bound, implicit)

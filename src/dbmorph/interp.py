@@ -2,7 +2,7 @@
 
 An interpretation fixes a source and a target instance, finite tables for
 the skolem function symbols, and nothing else: the hash built-in and the
-characteristic functions are derived.  Each operad operation then denotes a
+characteristic places are derived.  Each operad operation then denotes a
 total component function R_1 × … × R_k → rows ∪ {()}: the i-th factor is
 the relation named by the i-th place symbol (complemented over the active
 domain when the place is negated), and an argument tuple maps to the
@@ -20,21 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
-from .irdb import hash_tuple
-from .logic import (
-    Comparison,
-    Const,
-    FuncKind,
-    Literal,
-    NotNull,
-    Term,
-    Var,
-    eval_comparison,
-)
+from .logic import Comparison, Literal, NotNull, Term, _holds, _term_value
 from .model import (
     EMPTY_NAME,
-    NULL,
-    TRUTH,
     DomainValue,
     Instance,
     Relation,
@@ -124,31 +112,13 @@ class TarskiInterpretation:
 
 
 def eval_term(g: dict, term: Term, it: TarskiInterpretation) -> DomainValue:
-    if isinstance(term, Var):
-        try:
-            return g[term.name]
-        except KeyError:
-            raise SchemaError(f"variable {term.name} has no value under the assignment") from None
-    if isinstance(term, Const):
-        return 1 if term.value is TRUTH else term.value
-    args = tuple(eval_term(g, a, it) for a in term.args)
-    if term.func.kind is FuncKind.SKOLEM:
-        return it.skolem_value(term.func.name, args)
-    if term.func.kind is FuncKind.HASH:
-        return hash_tuple(args)
-    return 1 if args in it.char_relation(term.func.relation).rows else 0
+    return _term_value(term, g, it.skolem_value)
 
 
 def eval_guard(g: dict, lit: Literal, it: TarskiInterpretation) -> bool:
-    if isinstance(lit, Comparison):
-        holds = eval_comparison(
-            lit.op, eval_term(g, lit.left, it), eval_term(g, lit.right, it)
-        )
-    elif isinstance(lit, NotNull):
-        holds = eval_term(g, lit.term, it) is not NULL
-    else:
+    if not isinstance(lit, (Comparison, NotNull)):
         raise SchemaError("relational atoms are place symbols, not guards")
-    return holds != lit.negated
+    return _holds(lit, g, None, it.skolem_value)
 
 
 def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
@@ -178,13 +148,14 @@ def _evaluate(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> tup
     g = component_assignment(op, args)
     if g is None:
         return None, (), ()
+    skolem_value = it.skolem_value
     checks = []
     for lit in op.guards:
-        holds = eval_guard(g, lit, it)
+        holds = _holds(lit, g, None, skolem_value)
         checks.append(holds)
         if not holds:
             return g, checks, ()
-    return g, checks, tuple(eval_term(g, t, it) for t in op.target_terms)
+    return g, checks, tuple(_term_value(t, g, skolem_value) for t in op.target_terms)
 
 
 def apply_component(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> Row:

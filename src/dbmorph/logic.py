@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import SafetyError, SchemaError
@@ -54,7 +54,6 @@ __all__ = [
     "COMPARISON_OPS",
     "HASH_NAME",
     "hash_symbol",
-    "char_symbol",
     "term_variables",
     "term_functions",
     "literal_terms",
@@ -78,26 +77,16 @@ HASH_NAME = "hash"
 class FuncKind(enum.Enum):
     SKOLEM = "skolem"
     HASH = "hash"
-    CHAR = "char"  # characteristic function of a relation, e.g. f_Over65
 
 
 @dataclass(frozen=True)
 class FuncSymbol:
     name: str
     kind: FuncKind
-    relation: str | None = None  # CHAR only: the relation it tests
-
-    def __post_init__(self) -> None:
-        if (self.kind is FuncKind.CHAR) != (self.relation is not None):
-            raise SchemaError("characteristic function symbols carry exactly one relation name")
 
 
 def hash_symbol() -> FuncSymbol:
     return FuncSymbol(HASH_NAME, FuncKind.HASH)
-
-
-def char_symbol(relation: str) -> FuncSymbol:
-    return FuncSymbol(f"f_{relation}", FuncKind.CHAR, relation)
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,6 @@ class RelAtom:
     relation: str
     terms: tuple
     negated: bool = False
-    pos: "tuple[int, int] | None" = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -159,7 +147,6 @@ class Comparison:
     op: str
     right: Term
     negated: bool = False
-    pos: "tuple[int, int] | None" = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.op not in COMPARISON_OPS:
@@ -172,7 +159,6 @@ class NotNull:
 
     term: Term
     negated: bool = False
-    pos: "tuple[int, int] | None" = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 Literal = Union[RelAtom, Comparison, NotNull]
@@ -506,33 +492,43 @@ class ValidationReport:
         return not self.violations
 
 
-def _eval_constraint_term(term: Term, g: Mapping[str, DomainValue], inst: Instance) -> DomainValue:
+def _term_value(term: Term, g: Mapping[str, DomainValue], skolem_value) -> DomainValue:
+    """The value of ``term`` under ``g``.  ``hash`` has its fixed meaning; a
+    skolem application takes ``skolem_value(name, args)``, and with
+    ``skolem_value`` None (a schema constraint) it is unsafe."""
     if isinstance(term, Var):
-        return g[term.name]
+        try:
+            return g[term.name]
+        except KeyError:
+            raise SchemaError(f"variable {term.name} has no value under the assignment") from None
     if isinstance(term, Const):
         return 1 if term.value is TRUTH else term.value
+    if term.func.kind is FuncKind.SKOLEM and skolem_value is None:
+        raise SafetyError(
+            f"function {term.func.name} has no fixed interpretation inside a schema constraint"
+        )
+    args = tuple(_term_value(a, g, skolem_value) for a in term.args)
     if term.func.kind is FuncKind.HASH:
-        return hash_tuple(tuple(_eval_constraint_term(a, g, inst) for a in term.args))
-    if term.func.kind is FuncKind.CHAR:
-        args = tuple(_eval_constraint_term(a, g, inst) for a in term.args)
-        return 1 if args in inst.relation(term.func.relation).rows else 0
-    raise SafetyError(
-        f"function {term.func.name} has no fixed interpretation inside a schema constraint"
-    )
+        return hash_tuple(args)
+    return skolem_value(term.func.name, args)
 
 
-def _literal_holds(lit: Literal, g: Mapping[str, DomainValue], inst: Instance) -> bool:
+def _holds(
+    lit: Literal, g: Mapping[str, DomainValue], inst: "Instance | None", skolem_value
+) -> bool:
+    """Whether ``lit`` holds under ``g``; a relational atom is looked up in
+    ``inst``."""
     if isinstance(lit, RelAtom):
-        row = tuple(_eval_constraint_term(t, g, inst) for t in lit.terms)
+        row = tuple(_term_value(t, g, skolem_value) for t in lit.terms)
         holds = row in inst.relation(lit.relation).rows
     elif isinstance(lit, Comparison):
         holds = eval_comparison(
             lit.op,
-            _eval_constraint_term(lit.left, g, inst),
-            _eval_constraint_term(lit.right, g, inst),
+            _term_value(lit.left, g, skolem_value),
+            _term_value(lit.right, g, skolem_value),
         )
     else:
-        holds = _eval_constraint_term(lit.term, g, inst) is not NULL
+        holds = _term_value(lit.term, g, skolem_value) is not NULL
     return holds != lit.negated
 
 
@@ -581,7 +577,7 @@ def _extensions(
     for combo in itertools.product(domain, repeat=len(names)):
         full = dict(g)
         full.update(zip(names, combo))
-        if all(_literal_holds(l, full, inst) for l in literals):
+        if all(_holds(l, full, inst, None) for l in literals):
             yield full
 
 

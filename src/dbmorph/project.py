@@ -174,11 +174,21 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
     return Instance.build(schema, rows_by_name)
 
 
+def _read_text(path: Path) -> str:
+    """One input file as text; bytes that are not UTF-8 are an input error
+    located by path and byte offset."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: invalid UTF-8: {exc.reason}") from None
+
+
 def _read_json(path: Path):
     """Parse one JSON input file; malformed JSON is an input error located
     by path, line and column."""
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
@@ -248,7 +258,7 @@ def load_project(path) -> Project:
     base = path.parent
 
     domain = tuple(
-        value_from_json(v, "project domain") for v in _section(data, "domain", list, path)
+        value_from_json(v, f"{path}: 'domain'") for v in _section(data, "domain", list, path)
     )
 
     schemas = {}
@@ -277,7 +287,7 @@ def load_project(path) -> Project:
         where = f"{path}: mapping {name}"
         src = project.schema(_entry_field(body, "source", where))
         tgt = project.schema(_entry_field(body, "target", where))
-        text = (base / _entry_field(body, "file", where)).read_text(encoding="utf-8")
+        text = _read_text(base / _entry_field(body, "file", where))
         project.mappings[name] = MappingSource(name, src.name, tgt.name, text)
 
     edges = []
@@ -315,7 +325,7 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
           "domain": [0, 1],
           "skolem": { "f1": { "entries": [[[132], "art"]], "default": "x" } } }
 
-    Characteristic functions and the hash built-in never appear here.
+    Characteristic places and the hash built-in never appear here.
     """
     path = Path(path)
     data = _typed(_read_json(path), dict, f"{path}: the top level")

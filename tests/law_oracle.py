@@ -7,27 +7,37 @@ included.
 every extra with its base at every argument tuple and projects every
 image again per extra; ``validate_instance`` scans the violations found so
 far for a duplicate and extends assignments in two separate loops.
+
+``_eval_constraint_term`` and ``_literal_holds`` are the constraint-side
+term and literal evaluators as they stood before mappings and constraints
+came to share one evaluator: the oracle validation runs on them, and
+``test_laws.py`` checks ``interp.eval_term``/``eval_guard`` against them.
 """
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from dbmorph.errors import SafetyError
 from dbmorph.flux import FluxKernel, flux_kernel, flux_positions
 from dbmorph.interp import InstanceMorphism, SatisfactionReport
+from dbmorph.irdb import hash_tuple
 from dbmorph.logic import (
+    Comparison,
     Const,
     Dependency,
+    FuncKind,
     Literal,
     RelAtom,
+    Term,
     Tgd,
     ValidationReport,
+    Var,
     Violation,
-    _literal_holds,
     _match_atoms,
     eval_comparison,
     literal_terms,
 )
-from dbmorph.model import TRUTH, DomainValue, Instance, sort_rows, value_key
+from dbmorph.model import NULL, TRUTH, DomainValue, Instance, sort_rows, value_key
 from dbmorph.operads import OperadArrow, simple_var_positions
 from dbmorph.saturation import FluxInvarianceReport, saturate
 
@@ -82,6 +92,33 @@ def check_flux_invariance(it, arrow: OperadArrow) -> FluxInvarianceReport:
             failures.append(("kernel", extra.op_name, extra.trigger, extra.output))
 
     return FluxInvarianceReport(not failures, tuple(failures))
+
+
+def _eval_constraint_term(term: Term, g: Mapping[str, DomainValue], inst: Instance) -> DomainValue:
+    if isinstance(term, Var):
+        return g[term.name]
+    if isinstance(term, Const):
+        return 1 if term.value is TRUTH else term.value
+    if term.func.kind is FuncKind.HASH:
+        return hash_tuple(tuple(_eval_constraint_term(a, g, inst) for a in term.args))
+    raise SafetyError(
+        f"function {term.func.name} has no fixed interpretation inside a schema constraint"
+    )
+
+
+def _literal_holds(lit: Literal, g: Mapping[str, DomainValue], inst: Instance) -> bool:
+    if isinstance(lit, RelAtom):
+        row = tuple(_eval_constraint_term(t, g, inst) for t in lit.terms)
+        holds = row in inst.relation(lit.relation).rows
+    elif isinstance(lit, Comparison):
+        holds = eval_comparison(
+            lit.op,
+            _eval_constraint_term(lit.left, g, inst),
+            _eval_constraint_term(lit.right, g, inst),
+        )
+    else:
+        holds = _eval_constraint_term(lit.term, g, inst) is not NULL
+    return holds != lit.negated
 
 
 def _lhs_assignments(

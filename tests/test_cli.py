@@ -1,9 +1,14 @@
 """The dbmorph command line: subcommands, exit codes, canonical output."""
 
+import io
 import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dbmorph import interp as interp_module
 from dbmorph.cli import main
@@ -541,11 +546,24 @@ def flux_on_unknown_fixture(capsys, tmp_path, breaking):
         ("a.json", "{\n  ]", "a.json:2:3:"),
         ("interp.json", "", "interp.json:1:1:"),
         ("member.json", "[[1]", "member.json:1:5:"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("project.json", '{"schemas": \udcff', "project.json: byte 12: invalid UTF-8"),
+        ("a.json", '{\n  "\udcff"', "a.json: byte 5: invalid UTF-8"),
+        ("interp.json", "\udcff", "interp.json: byte 0: invalid UTF-8"),
+        ("member.json", "[[1]\udcff]", "member.json: byte 4: invalid UTF-8"),
+        ("m1.map", "forall x . p(x) -> s(\udcff)", "m1.map: byte 21: invalid UTF-8"),
+        (
+            "project.json",
+            '{"domain": [1.5]}',
+            "project.json: 'domain': floats are not domain values",
+        ),
     ],
 )
 def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, where):
     err = flux_on_unknown_fixture(
-        capsys, tmp_path, lambda d: (d / name).write_text(text, encoding="utf-8")
+        capsys,
+        tmp_path,
+        lambda d: (d / name).write_bytes(text.encode("utf-8", "surrogateescape")),
     )
     assert where in err
 
@@ -637,10 +655,15 @@ def wrongly_typed_inputs():
                 )
 
 
+def copy_example1(d):
+    for src in (FIXTURES / "example1").iterdir():
+        (d / src.name).write_bytes(src.read_bytes())
+    return d / "project.json"
+
+
 @pytest.mark.parametrize("name, place, replacement", wrongly_typed_inputs())
 def test_wrongly_typed_json_is_an_input_error(capsys, tmp_path, name, place, replacement):
-    for src in (FIXTURES / "example1").iterdir():
-        (tmp_path / src.name).write_bytes(src.read_bytes())
+    copy_example1(tmp_path)
     path = tmp_path / name
     data = json.loads(path.read_text(encoding="utf-8"))
     holder, original = None, data
@@ -661,6 +684,72 @@ def test_wrongly_typed_json_is_an_input_error(capsys, tmp_path, name, place, rep
     if type(replacement) is not type(original):
         # the fixture is well formed, so another kind of value is misplaced
         assert code == 3 and f"error: {path}: " in err
+
+
+@pytest.mark.parametrize("where", ["mapping", "constraints"])
+def test_non_decimal_digits_are_unexpected_characters(capsys, tmp_path, where):
+    project = copy_example1(tmp_path)
+    text = "forall x . EmpAcme(x) & x = ² -> Emp(x)"
+    if where == "mapping":
+        (tmp_path / "m_ab.map").write_text(text, encoding="utf-8")
+    else:
+        edit_project(tmp_path, lambda data: data["schemas"]["A"].update(constraints=text))
+    code, out, err = run(capsys, "compile", "--project", str(project), "--mapping", "m_ab")
+    assert code == 3 and out == ""
+    assert "unexpected character '²'" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files
+
+# the example1 files the fuzzed commands read
+FUZZ_FILES = (
+    "project.json", "a.json", "b.json", "c.json", "interp_ab.json", "m_ab.map", "m_bc.map",
+)
+FUZZ_ARGV = {
+    "compile": ("--mapping", "m_ab"),
+    "eval": ("--mapping", "m_ab", "--interp", "interp_ab.json"),
+    "flux": ("--mapping", "m_ab", "--interp", "interp_ab.json"),
+    "validate": ("--instance", "a"),
+}
+CHUNKS = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.text(min_size=1, max_size=2).map(str.encode),
+    st.sampled_from(
+        (b'"', b"[", b"]", b"{", b"}", b",", b":", b"(", b")", b"&", b"1.5", b"null", b"\xff")
+    ),
+)
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(("delete", "insert", "replace")), st.integers(0, 2000), CHUNKS),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    for kind, at, chunk in edits:
+        i = at % (len(data) + 1)
+        end = i if kind == "insert" else i + len(chunk)
+        data = data[:i] + (b"" if kind == "delete" else chunk) + data[end:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@example("m_ab.map", [("insert", 21, " & x = ²".encode())])
+@example("a.json", [("insert", 0, b"\xff")])
+@given(st.sampled_from(FUZZ_FILES), BYTE_EDITS)
+def test_mutated_input_files_exit_with_a_code(name, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        project = copy_example1(d)
+        path = d / name
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        for cmd, rest in FUZZ_ARGV.items():
+            argv = [cmd, "--project", str(project)]
+            argv += [str(d / a) if a.endswith(".json") else a for a in rest]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2, 3), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

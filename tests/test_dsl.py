@@ -213,6 +213,15 @@ def test_unexpected_character_is_located():
     assert err.value.column == 25
 
 
+def test_numbers_are_decimal_digits():
+    # "²" is a digit to str.isdigit, but no decimal number
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        parse_mapping("forall x . p(x) & x = ² -> q(x)")
+    assert err.value.column == 23
+    (dep,) = parse_mapping("forall x . p(x, ٤٢) -> q(x)")
+    assert dep.lhs[0].terms[1] == Const(42)
+
+
 def test_trailing_tokens_are_an_error():
     with pytest.raises(ParseError, match="expected"):
         parse_mapping("taut taut")

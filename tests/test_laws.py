@@ -1,6 +1,7 @@
 """The law checkers against their direct definitions in ``law_oracle.py``:
 satisfaction, flux invariance of saturation and constraint validation give
-the same reports, order included."""
+the same reports, order included; mapping terms and guards evaluate as the
+oracle's constraint evaluator does."""
 
 from collections import Counter
 
@@ -9,8 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from dbmorph import saturation
 from dbmorph.errors import DbmorphError, SafetyError
-from dbmorph.interp import ComponentFunction, TarskiInterpretation, alpha_star, satisfies
+from dbmorph.interp import (
+    ComponentFunction,
+    TarskiInterpretation,
+    alpha_star,
+    eval_guard,
+    eval_term,
+    satisfies,
+)
+from dbmorph.irdb import hash_tuple
 from dbmorph.logic import (
+    COMPARISON_OPS,
     App,
     Comparison,
     Const,
@@ -216,3 +226,55 @@ def test_the_validation_cases_reach_every_shape():
     for constraint in UNDECIDABLE:
         assert outcome(validate_instance, inst, [constraint], ()) is SafetyError
         assert outcome(oracle.validate_instance, inst, [constraint], ()) is SafetyError
+
+
+# ---------------------------------------------------------------------------
+# term and guard evaluation
+
+# a hash value among the constants, so that hash terms can compare equal
+TERM_VALUES = (0, 1, 2, "a", "1", hash_tuple((1,)), NULL)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A skolem-free term, a guard and an assignment of its variables."""
+    leaves = st.one_of(
+        st.sampled_from((x, y, z)),
+        st.sampled_from(TERM_VALUES + (TRUTH,)).map(Const),
+    )
+    terms = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+            lambda args: App(hash_symbol(), tuple(args))
+        ),
+        max_leaves=6,
+    )
+    guard = draw(
+        st.one_of(
+            st.builds(Comparison, terms, st.sampled_from(COMPARISON_OPS), terms, st.booleans()),
+            st.builds(NotNull, terms, st.booleans()),
+        )
+    )
+    values = st.sampled_from(TERM_VALUES)
+    g = {"x": draw(values), "y": draw(values), "z": draw(values)}
+    return draw(terms), guard, g
+
+
+def subterms(term):
+    yield term
+    if isinstance(term, App):
+        for arg in term.args:
+            yield from subterms(arg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_cases())
+def test_term_and_guard_evaluation_match_the_oracle(case):
+    term, guard, g = case
+    empty = Instance.build(VALIDATION_SCHEMA, {})
+    it = TarskiInterpretation(empty, empty, {})
+    # every subterm, so that a truth constant is also met outside hash
+    # arguments and comparisons, which both read it as 1
+    for t in subterms(term):
+        assert eval_term(g, t, it) == oracle._eval_constraint_term(t, g, empty)
+    assert eval_guard(g, guard, it) == oracle._literal_holds(guard, g, empty)
