@@ -51,7 +51,10 @@ __all__ = ["main"]
 def _emit(args, payload: dict) -> None:
     text = canonical_json(payload)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except ValueError as exc:  # a NUL in the name, which no file system takes
+            raise DbmorphError(f"{args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -242,59 +245,57 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a mapping to an operad arrow")
     common(p, interp=False)
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("eval", help="evaluate a mapping under an interpretation")
     common(p)
     p.add_argument("--verbose", action="store_true", help="per-tuple trace on stderr")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("saturate", help="enumerate the saturation extras")
     common(p)
-    p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("pfunction", help="derive the set-valued p-function")
     common(p)
     p.add_argument("--op", type=int, required=True, help="operation index, 1-based")
-    p.set_defaults(func=cmd_pfunction)
 
     p = sub.add_parser("flux", help="information-flux kernel and membership")
     common(p)
     p.add_argument("--bounds", help="closure bounds depth,arity,cap")
     p.add_argument("--member", help="JSON rows file to test against the flux")
-    p.set_defaults(func=cmd_flux)
 
     p = sub.add_parser("equal", help="morphism equality via flux kernels")
     common(p)
     p.add_argument("--mapping2", help="second mapping name")
     p.add_argument("--interp2", help="second interpretation file")
     p.add_argument("--bounds", help="closure bounds depth,arity,cap")
-    p.set_defaults(func=cmd_equal)
 
     p = sub.add_parser("parse", help="flatten an instance into the vector relation")
     p.add_argument("--project", required=True)
     p.add_argument("--instance", required=True, help="instance name")
     p.add_argument("--roundtrip", action="store_true", help="verify reconstruction")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("validate", help="check an instance against its constraints")
     p.add_argument("--project", required=True)
     p.add_argument("--instance", required=True, help="instance name")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code else 0
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* handler is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

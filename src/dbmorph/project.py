@@ -181,6 +181,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: invalid UTF-8: {exc.reason}") from None
+    except ValueError as exc:  # a NUL in the name, which no file system takes
+        raise ParseError(f"{str(path)!r}: {exc}") from None
 
 
 def _read_json(path: Path):
@@ -217,26 +219,39 @@ class MappingSource:
 
 @dataclass
 class Project:
+    """A loaded project file.  ``instances`` maps each instance name to its
+    (path, schema) and ``mappings`` each mapping name to its (path, source,
+    target); ``instance()`` and ``mapping()`` read and check a file on first
+    use and keep the result, so a command reads only the files it needs,
+    each once."""
+
     domain: tuple = ()
     schemas: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
     mappings: dict = field(default_factory=dict)
     graph: tuple = ()
+    _read: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
-        if name not in self.schemas:
-            raise SchemaError(f"project declares no schema {name}")
-        return self.schemas[name]
+        return self._declared("schema", self.schemas, name)
 
     def instance(self, name: str) -> Instance:
-        if name not in self.instances:
-            raise SchemaError(f"project declares no instance {name}")
-        return self.instances[name]
+        entry = self._declared("instance", self.instances, name)
+        if ("instance", name) not in self._read:
+            self._read["instance", name] = load_instance_file(*entry)
+        return self._read["instance", name]
 
     def mapping(self, name: str) -> MappingSource:
-        if name not in self.mappings:
-            raise SchemaError(f"project declares no mapping {name}")
-        return self.mappings[name]
+        path, source, target = self._declared("mapping", self.mappings, name)
+        if ("mapping", name) not in self._read:
+            self._read["mapping", name] = MappingSource(name, source, target, _read_text(path))
+        return self._read["mapping", name]
+
+    @staticmethod
+    def _declared(kind: str, entries: dict, name: str):
+        if name not in entries:
+            raise SchemaError(f"project declares no {kind} {name}")
+        return entries[name]
 
 
 def _schema_constraints(text: str, where: str):
@@ -280,15 +295,14 @@ def load_project(path) -> Project:
     for name, body in sorted(_section(data, "instances", dict, path).items()):
         where = f"{path}: instance {name}"
         schema = project.schema(_entry_field(body, "schema", where))
-        file = _entry_field(body, "file", where)
-        project.instances[name] = load_instance_file(base / file, schema)
+        project.instances[name] = (base / _entry_field(body, "file", where), schema)
 
     for name, body in sorted(_section(data, "mappings", dict, path).items()):
         where = f"{path}: mapping {name}"
         src = project.schema(_entry_field(body, "source", where))
         tgt = project.schema(_entry_field(body, "target", where))
-        text = _read_text(base / _entry_field(body, "file", where))
-        project.mappings[name] = MappingSource(name, src.name, tgt.name, text)
+        file = base / _entry_field(body, "file", where)
+        project.mappings[name] = (file, src.name, tgt.name)
 
     edges = []
     for edge in _section(data, "graph", list, path):
@@ -301,8 +315,7 @@ def load_project(path) -> Project:
         src, tgt, mapping = edge
         project.schema(src)
         project.schema(tgt)
-        ms = project.mapping(mapping)
-        if (ms.source, ms.target) != (src, tgt):
+        if project._declared("mapping", project.mappings, mapping)[1:] != (src, tgt):
             raise SchemaError(
                 f"graph edge {edge!r} disagrees with mapping {mapping}'s schemas"
             )

@@ -1,7 +1,11 @@
 """The dbmorph command line: subcommands, exit codes, canonical output."""
 
+import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,12 +14,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbmorph import interp as interp_module
+from dbmorph import cli, interp as interp_module
+from dbmorph import project as project_module
 from dbmorph.cli import main
 from dbmorph.interp import ComponentFunction
 from dbmorph.project import compile_project_mapping, load_project
 
 from conftest import FIXTURES
+
+REPO = FIXTURES.parent.parent
 
 P1 = str(FIXTURES / "example1" / "project.json")
 P3 = str(FIXTURES / "example3" / "project.json")
@@ -495,10 +502,13 @@ def test_no_arguments_exits_three(capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    out = capsys.readouterr().out
-    for sub in ("compile", "eval", "saturate", "pfunction", "flux", "equal", "parse", "validate"):
-        assert sub in out
+    for _ in range(2):  # the parser is built once and reused
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for sub in (
+            "compile", "eval", "saturate", "pfunction", "flux", "equal", "parse", "validate"
+        ):
+            assert sub in out
 
 
 def test_dsl_errors_surface_as_input_errors(capsys, tmp_path):
@@ -699,17 +709,55 @@ def test_non_decimal_digits_are_unexpected_characters(capsys, tmp_path, where):
     assert "unexpected character '²'" in err
 
 
+@pytest.mark.parametrize("where", ["entry file", "--project", "--interp", "--member", "--out"])
+def test_nul_in_a_path_is_a_located_input_error(capsys, tmp_path, where):
+    project = copy_example1(tmp_path)
+    (tmp_path / "member.json").write_text("[]", encoding="utf-8")
+    paths = {
+        "--project": str(project),
+        "--interp": str(tmp_path / "interp_ab.json"),
+        "--member": str(tmp_path / "member.json"),
+        "--out": str(tmp_path / "out.json"),
+    }
+    if where == "entry file":
+        edit_project(tmp_path, lambda data: data["instances"]["a"].update(file="a\0.json"))
+        bad = str(tmp_path / "a\0.json")
+    else:
+        bad = paths[where] = paths[where].replace(".json", "\0.json")
+    argv = ["flux", "--mapping", "m_ab"]
+    for flag, path in paths.items():
+        argv += [flag, path]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {bad!r}: embedded null byte\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzed input files
 
-# the example1 files the fuzzed commands read
+E1_AB = ("--mapping", "m_ab", "--interp", "interp_ab.json")
+
+
+def project_argv(d, *argv):
+    """argv on the project in directory ``d``; a ``.json`` argument names
+    a file there."""
+    out = [argv[0], "--project", str(d / "project.json")]
+    return out + [str(d / a) if a.endswith(".json") else a for a in argv[1:]]
+
+
+# the example1 files the fuzzed commands read, and two that none of them reads
 FUZZ_FILES = (
     "project.json", "a.json", "b.json", "c.json", "interp_ab.json", "m_ab.map", "m_bc.map",
 )
+UNREAD = ("c.json", "m_bc.map")
 FUZZ_ARGV = {
     "compile": ("--mapping", "m_ab"),
-    "eval": ("--mapping", "m_ab", "--interp", "interp_ab.json"),
-    "flux": ("--mapping", "m_ab", "--interp", "interp_ab.json"),
+    "eval": E1_AB,
+    "saturate": E1_AB,
+    "pfunction": (*E1_AB, "--op", "1"),
+    "flux": E1_AB,
+    "equal": E1_AB,
+    "parse": ("--instance", "a"),
     "validate": ("--instance", "a"),
 }
 CHUNKS = st.one_of(
@@ -745,11 +793,18 @@ def test_mutated_input_files_exit_with_a_code(name, edits):
         path = d / name
         path.write_bytes(mutate(path.read_bytes(), edits))
         for cmd, rest in FUZZ_ARGV.items():
-            argv = [cmd, "--project", str(project)]
-            argv += [str(d / a) if a.endswith(".json") else a for a in rest]
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-                code = main(argv)
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                code = main(project_argv(d, cmd, *rest))
             assert code in (0, 1, 2, 3), err.getvalue()
+            if name in UNREAD:
+                assert (code, out.getvalue()) == unmutated_run(cmd)
+
+
+@functools.cache
+def unmutated_run(cmd):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = main(project_argv(FIXTURES / "example1", cmd, *FUZZ_ARGV[cmd]))
+    return code, out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -818,3 +873,124 @@ def test_eval_verbose_evaluates_each_argument_tuple_once(monkeypatch, capsys):
     traced = sum(1 for line in trace.splitlines() if line.startswith("  ("))
     assert traced == len(evaluated) > 0
     assert set(evaluated.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# project files read on first use
+
+
+@pytest.mark.parametrize(
+    "argv", [("compile", "--mapping", "m_ab"), ("eval", *E1_AB)], ids=["compile", "eval"]
+)
+def test_a_broken_file_the_command_does_not_read_is_ignored(capsys, tmp_path, argv):
+    clean = run(capsys, *project_argv(FIXTURES / "example1", *argv))
+    copy_example1(tmp_path)
+    (tmp_path / "c.json").write_text("{", encoding="utf-8")
+    assert run(capsys, *project_argv(tmp_path, *argv)) == clean
+    assert clean[0] == 0
+
+
+def test_a_broken_file_the_command_reads_exits_three(capsys, tmp_path):
+    copy_example1(tmp_path)
+    (tmp_path / "c.json").write_text("{", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        *project_argv(tmp_path, "eval", "--mapping", "m_bc", "--interp", "interp_bc.json"),
+    )
+    assert code == 3 and out == ""
+    assert f"error: {tmp_path / 'c.json'}:1:2: invalid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "example, argv, needed",
+    [
+        (
+            "example1",
+            ("eval", *E1_AB),
+            ("project.json", "interp_ab.json", "m_ab.map", "a.json", "b.json"),
+        ),
+        (
+            "example4",
+            (
+                "equal", "--mapping", "m_ab", "--interp", "interp.json",
+                "--mapping2", "m_taut", "--interp2", "interp_taut.json",
+            ),
+            (
+                "project.json", "interp.json", "interp_taut.json", "m_ab.map",
+                "../taut.map", "a.json", "b.json",
+            ),
+        ),
+        ("example4", ("validate", "--instance", "a_dup"), ("project.json", "a_dup.json")),
+    ],
+    ids=["eval", "equal-mapping2", "validate"],
+)
+def test_each_needed_file_is_read_once(monkeypatch, capsys, example, argv, needed):
+    reads = Counter()
+    read_text = project_module._read_text
+
+    def counting_read_text(path):
+        reads[path.resolve()] += 1
+        return read_text(path)
+
+    monkeypatch.setattr(project_module, "_read_text", counting_read_text)
+    d = FIXTURES / example
+    code, _, err = run(capsys, *project_argv(d, *argv))
+    assert code in (0, 1) and err == ""
+    assert reads == Counter((d / name).resolve() for name in needed)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+COMPILE_E1 = ("compile", "--project", P1, "--mapping", "m_ab")
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    for _ in range(10):
+        assert main(list(COMPILE_E1)) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_a_usage_error_leaves_the_parser_reusable(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    fresh = run(capsys, *COMPILE_E1)
+    code, out, err = run(capsys, *COMPILE_E1, "--bogus")
+    assert code == 3 and out == "" and "unrecognized arguments: --bogus" in err
+    assert run(capsys, *COMPILE_E1) == fresh
+    assert fresh[0] == 0
+
+
+def test_a_rebound_handler_is_the_one_called(monkeypatch, capsys):
+    assert run(capsys, *COMPILE_E1)[0] == 0
+    called = []
+    monkeypatch.setattr(cli, "cmd_compile", lambda args: called.append(args.mapping) or 0)
+    assert run(capsys, *COMPILE_E1) == (0, "", "")
+    assert called == ["m_ab"]
+
+
+def test_the_module_entry_point_runs(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    argv = ["compile", "--project", "tests/fixtures/example1/project.json", "--mapping", "m_ab"]
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def entry_point(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dbmorph.cli", *args],
+            cwd=REPO, env=env, capture_output=True, timeout=60,
+        )
+
+    done = entry_point(*argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run(capsys, *argv)[1].encode("utf-8")
+    assert entry_point(*argv, "--bogus").returncode == 3
