@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .errors import PreconditionError
 from .logic import Var, eval_comparison
-from .model import NULL, TRUTH, Row, row_key, value_key
+from .model import NULL, TRUTH, row_key, value_key
 from .operads import OperadOperation
 
 __all__ = [

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import (
-    EMPTY_NAME,
     NULL,
     TRUTH,
     DomainValue,

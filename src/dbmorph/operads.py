@@ -21,23 +21,17 @@ distinguished nullary symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .dsl import parse_mapping, pretty_literal, pretty_term
 from .errors import SafetyError, SchemaError
 from .logic import (
-    App,
-    Comparison,
-    Const,
     Egd,
-    Literal,
     NormalizedImplication,
-    NotNull,
     RelAtom,
     SOtgd,
-    Term,
     Var,
     literal_variables,
     normalize,
@@ -304,42 +298,32 @@ def compile_source(
 # renderings
 
 
+def _render(op: OperadOperation, logical: bool) -> str:
+    parts = []
+    places = 0
+    for item in op.body:
+        if not isinstance(item, Place):
+            parts.append(pretty_literal(item))
+            continue
+        places += 1
+        inner = ", ".join(item.variables)
+        if logical and item.char:
+            parts.append(f"f_{item.symbol}({inner}) = {0 if item.negated else 1}")
+            continue
+        symbol = item.symbol if logical else f"(_){places}"
+        s = f"{symbol}({inner})"
+        parts.append(f"not {s}" if item.negated else s)
+    lhs = " & ".join(parts) if parts or logical else "(_)()"
+    head = ", ".join(pretty_term(t) for t in op.target_terms)
+    return f"{lhs} -> {op.target if logical else '(_)'}({head})"
+
+
 def render_expression(op: OperadOperation) -> str:
     """The operation's expression with numbered place symbols."""
-    parts = []
-    place_index = 0
-    for item in op.body:
-        if isinstance(item, Place):
-            place_index += 1
-            inner = ", ".join(item.variables)
-            s = f"(_){place_index}({inner})"
-            if item.negated:
-                s = f"not {s}"
-        else:
-            s = pretty_literal(item)
-        parts.append(s)
-    if op.target_terms:
-        head = "(_)(" + ", ".join(pretty_term(t) for t in op.target_terms) + ")"
-    else:
-        head = "(_)()"
-    lhs = " & ".join(parts) if parts else "(_)()"
-    return f"{lhs} -> {head}"
+    return _render(op, logical=False)
 
 
 def render_implication(op: OperadOperation) -> str:
     """The logical form: source atoms stay atoms, characteristic places
     render as f_r(t…) = 1 literals (= 0 when negated)."""
-    parts = []
-    for item in op.body:
-        if isinstance(item, Place):
-            inner = ", ".join(item.variables)
-            if item.char:
-                cmp_val = "0" if item.negated else "1"
-                parts.append(f"f_{item.symbol}({inner}) = {cmp_val}")
-            else:
-                s = f"{item.symbol}({inner})"
-                parts.append(f"not {s}" if item.negated else s)
-        else:
-            parts.append(pretty_literal(item))
-    head_terms = ", ".join(pretty_term(t) for t in op.target_terms)
-    return " & ".join(parts) + f" -> {op.target}({head_terms})"
+    return _render(op, logical=True)

@@ -187,14 +187,22 @@ def _read_text(path: Path) -> str:
 
 def _read_json(path: Path):
     """Parse one JSON input file; malformed JSON is an input error located
-    by path, line and column."""
+    by path, line and column.  A ``\\u`` escape of an unpaired surrogate,
+    which no UTF-8 output can carry, is an input error naming the file."""
     text = _read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from None
+    if "\\u" in text:
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = ord(exc.object[exc.start])
+            raise ParseError(f"{path}: unpaired surrogate \\u{bad:04x} in a JSON string") from None
+    return data
 
 
 def load_instance_file(path, schema: "Schema | None" = None) -> Instance:

@@ -567,6 +567,11 @@ def flux_on_unknown_fixture(capsys, tmp_path, breaking):
             '{"domain": [1.5]}',
             "project.json: 'domain': floats are not domain values",
         ),
+        # a JSON escape of an unpaired surrogate, in a value or in a key
+        ("project.json", '{"domain": ["\\udcff"]}', "project.json: unpaired surrogate \\udcff"),
+        ("a.json", '{"schema": "A\\ud83d"}', "a.json: unpaired surrogate \\ud83d"),
+        ("interp.json", '{"\\ude00x": 1}', "interp.json: unpaired surrogate \\ude00"),
+        ("member.json", '[["e\\ude00\\ud83d"]]', "member.json: unpaired surrogate \\ude00"),
     ],
 )
 def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, where):
@@ -576,6 +581,17 @@ def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, w
         lambda d: (d / name).write_bytes(text.encode("utf-8", "surrogateescape")),
     )
     assert where in err
+
+
+def test_json_surrogate_pair_is_one_character(capsys, tmp_path):
+    project = copy_example1(tmp_path)
+    path = tmp_path / "a.json"
+    path.write_text(
+        path.read_text(encoding="utf-8").replace('"e1"', '"\\ud83d\\ude00"'), encoding="utf-8"
+    )
+    code, out, _ = run(capsys, "parse", "--project", str(project), "--instance", "a")
+    assert code == 0 and "\U0001f600" in out
+    out.encode("utf-8")
 
 
 @pytest.mark.parametrize(

@@ -1,27 +1,32 @@
 """Mapping DSL: parser, pretty-printer, and their round trip."""
 
+import functools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import dsl_oracle as oracle
 from dbmorph import (
     App,
     Comparison,
     Const,
     Egd,
     FuncKind,
+    FuncSymbol,
     NULL,
     NotNull,
     ParseError,
     RelAtom,
     SOtgd,
+    SOtgdConjunct,
     Tgd,
     Var,
+    dsl,
     parse_mapping,
     pretty_mapping,
 )
-from dbmorph.logic import TAUT_SOTGD
+from dbmorph.logic import COMPARISON_OPS, TAUT_SOTGD, hash_symbol, literal_variables, term_variables
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -275,3 +280,170 @@ def test_round_trip_on_generated_tgds(deps):
                 return
     text = pretty_mapping(deps)
     assert parse_mapping(text) == deps
+
+
+# randomized round trip over the whole surface syntax: SOtgds with skolem
+# and hash head terms, egds, every built-in literal, every constant kind,
+# escaped strings and non-ASCII names
+
+RELATIONS = {"p": 1, "q'": 2, "rö": 3, "_s": 2}
+FUNCTIONS = {"f": 1, "g'": 2, "ℓ": 1}
+# universals, lhs-only and head-only variables come from disjoint pools
+UNIVERSALS = ("x", "y'", "é", "αβ")
+LHS_ONLY = ("u", "ñ2")
+HEAD_ONLY = ("w", "_z")
+universal_lists = st.lists(st.sampled_from(UNIVERSALS), min_size=1, max_size=3, unique=True)
+strings = st.text(alphabet='"\\\n\t\ra é ßZ', max_size=6)
+constants = st.one_of(
+    st.integers(0, 10**6).map(Const), strings.map(Const), st.just(Const(NULL))
+)
+
+
+@functools.lru_cache(maxsize=None)
+def mapping_terms(variables, functions, depth=2):
+    leaves = st.one_of(st.sampled_from(variables).map(Var), constants)
+    if depth == 0:
+        return leaves
+    inner = mapping_terms(variables, functions, depth - 1)
+    apps = [st.lists(inner, min_size=1, max_size=2).map(lambda args: App(hash_symbol(), args))]
+    apps += [
+        st.lists(inner, min_size=arity, max_size=arity).map(
+            lambda args, sym=FuncSymbol(name, FuncKind.SKOLEM): App(sym, args)
+        )
+        for name, arity in FUNCTIONS.items()
+        if name in functions
+    ]
+    return st.one_of(leaves, *apps)
+
+
+def atoms(terms, negatable):
+    return st.sampled_from(sorted(RELATIONS)).flatmap(
+        lambda rel: st.builds(
+            RelAtom,
+            st.just(rel),
+            st.lists(terms, min_size=RELATIONS[rel], max_size=RELATIONS[rel]),
+            st.booleans() if negatable else st.just(False),
+        )
+    )
+
+
+def literals(terms):
+    return st.one_of(
+        atoms(terms, negatable=True),
+        st.builds(Comparison, terms, st.sampled_from(COMPARISON_OPS), terms),
+        st.builds(NotNull, terms, st.booleans()),
+    )
+
+
+def first_seen(names, pool):
+    return tuple(dict.fromkeys(v for v in names if v in pool))
+
+
+@st.composite
+def tgds_with_builtins(draw):
+    universals = tuple(draw(universal_lists))
+    lhs = draw(st.lists(literals(mapping_terms(universals + LHS_ONLY, ())), min_size=1, max_size=3))
+    head_terms = mapping_terms(universals + HEAD_ONLY, ())
+    head = draw(st.lists(atoms(head_terms, negatable=False), min_size=1, max_size=2))
+    lhs_exists = first_seen((v for lit in lhs for v in literal_variables(lit)), LHS_ONLY)
+    rhs_exists = first_seen((v for a in head for t in a.terms for v in term_variables(t)), HEAD_ONLY)
+    return Tgd(universals, lhs, head, lhs_exists, rhs_exists)
+
+
+@st.composite
+def egds(draw):
+    universals = draw(universal_lists)
+    lead = RelAtom("p", (Var(universals[0]),))
+    flat = st.one_of(st.sampled_from(universals).map(Var), constants)
+    lhs = [lead] + draw(st.lists(atoms(flat, negatable=False), max_size=2))
+    seen = sorted({v for a in lhs for t in a.terms for v in term_variables(t)})
+    pairs = st.tuples(st.sampled_from(seen), st.sampled_from(seen))
+    return Egd(universals, lhs, draw(st.lists(pairs, min_size=1, max_size=2)))
+
+
+@st.composite
+def sotgds(draw):
+    functions = tuple(
+        draw(st.lists(st.sampled_from(sorted(FUNCTIONS)), min_size=1, max_size=3, unique=True))
+    )
+    conjuncts = []
+    for _ in range(draw(st.integers(1, 3))):
+        universals = tuple(draw(universal_lists))
+        terms = mapping_terms(universals, functions)
+        lhs = draw(st.lists(literals(terms), min_size=1, max_size=3))
+        head = draw(st.lists(atoms(terms, negatable=False), min_size=1, max_size=2))
+        conjuncts.append(SOtgdConjunct(universals, lhs, head))
+    return SOtgd([FuncSymbol(f, FuncKind.SKOLEM) for f in functions], conjuncts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sotgds(), st.lists(st.one_of(tgds_with_builtins(), egds()), min_size=1, max_size=3)))
+def test_round_trip_on_generated_mappings(mapping):
+    text = pretty_mapping(mapping)
+    assert parse_mapping(text) == mapping
+    assert pretty_mapping(parse_mapping(text)) == text
+
+
+# differential test against the tokenizer, parser and printer as they stood
+# before the tokenizer became one regular expression (tests/dsl_oracle.py)
+
+
+def _error(exc):
+    return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def outcome(module, text):
+    """Tokens, parse and print of ``text``; where one fails, its error."""
+    try:
+        tokens = [(t.kind, t.value, t.line, t.col) for t in module._tokenize(text)]
+    except ParseError as exc:
+        tokens = _error(exc)
+    try:
+        parsed = module.parse_mapping(text)
+    except Exception as exc:
+        return tokens, _error(exc)
+    return tokens, parsed, module.pretty_mapping(parsed)
+
+
+HOSTILE = list("afpxy_'²½٤٢019é \"\\\n\r\t()(),.&-<>=!;\f\x00\udcff") + [
+    "forall ", "exists ", "not ", "null", "taut", "notnull", "hash", "->", "&&", "\\n", "f1",
+]
+FIXTURE_BYTES = [path.read_bytes() for path in ALL_MAPPING_FILES]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    data = bytearray(draw(st.sampled_from(FIXTURE_BYTES)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.one_of(st.sampled_from(b"\"\\\n\r(),.&'0x\xb2\xff"), st.integers(0, 255)))
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if edit == "insert":
+            data[at:at] = bytes([byte])
+        else:
+            data[at : at + 1] = b"" if edit == "delete" else bytes([byte])
+    return data.decode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(HOSTILE), max_size=30).map("".join), mutated_fixtures()))
+@example("forall ²x . p(x) -> q(x)")
+@example("forall x . p(x, ٤٢) -> q(x)")
+@example('forall x . p(x, "a\nb") -> q(x)')
+@example('forall x . p(x, "a\\')
+@example('forall x . p(x, "a\\\nb") -> q(x)')
+@example("forall x .\r\n p(x, y)\r\n -> q(y) ;")
+@example("forall x, x . p(x) -> q(x) && forall y . p(y) ->")
+@example("forall x . p(x) & g(x) = 1 -> x = x & q(x)")
+def test_tokens_parse_and_print_match_the_oracle(text):
+    assert outcome(dsl, text) == outcome(oracle, text)
+
+
+def test_syntax_errors_win_over_resolution_errors():
+    # the whole text is parsed before any conjunct is resolved
+    with pytest.raises(ParseError, match="expected a term") as err:
+        parse_mapping("forall x, x . p(x) -> q(x) && forall y . p(y) ->")
+    assert (err.value.line, err.value.column) == (1, 49)
+    with pytest.raises(ParseError, match="a head mixes") as err:
+        parse_mapping("forall x . p(x) & g(x) = 1 -> x = x & q(x)")
+    assert (err.value.line, err.value.column) == (1, 31)
