@@ -50,7 +50,7 @@ __all__ = ["main"]
 
 def _emit(args, payload: dict) -> None:
     text = canonical_json(payload)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except ValueError as exc:  # a NUL in the name, which no file system takes
@@ -99,10 +99,10 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _arrow_and_interp(args, mapping_attr="mapping", interp_attr="interp"):
+def _arrow_and_interp(args):
     project = load_project(args.project)
-    arrow = compile_project_mapping(project, getattr(args, mapping_attr))
-    it = load_interpretation_file(getattr(args, interp_attr), project)
+    arrow = compile_project_mapping(project, args.mapping)
+    it = load_interpretation_file(args.interp, project)
     return project, arrow, it
 
 

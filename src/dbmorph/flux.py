@@ -193,9 +193,8 @@ def closure_set(
     at the first new relation the cap refuses (``capped``).
 
     The search is semi-naive: each depth's frontier is the tail of
-    ``members`` that the depth before added.  The unary views apply to the
-    frontier; products and unions take, in the order of the full pair
-    product, only the pairs that hold a frontier member.
+    ``members`` that the depth before added (see ``_views``).  One loop
+    admits every new relation.
     """
     members: dict = {}
     counter = 0
@@ -208,75 +207,75 @@ def closure_set(
     constants = [(c, _show(c)) for c in sorted(kernel.values(), key=value_key)]
 
     remaining = set(targets or ()) - set(members)
-    if targets is not None and not remaining:
-        return ClosureResult(members, False, False)
-
-    def add(rows: frozenset, witness) -> "ClosureResult | None":
-        """Record a row set not yet in ``members``, formatting its witness;
-        the result once the search must stop."""
-        if len(members) >= bounds.max_relations:
+    views = iter(())
+    start = depth = 0
+    # the target test comes before every step, so a kernel that already
+    # holds every target ends the search before the first depth
+    while targets is None or remaining:
+        view = next(views, None)
+        if view is None:
+            if start == len(members):
+                return ClosureResult(members, False, True)
+            if bounds.max_depth is not None and depth >= bounds.max_depth:
+                break
+            views = _views(members, start, constants, bounds.max_arity)
+            start, depth = len(members), depth + 1
+        elif len(members) >= bounds.max_relations:
             return ClosureResult(members, True, False)
-        members[rows] = witness()
-        remaining.discard(rows)
-        if targets is not None and not remaining:
-            return ClosureResult(members, False, False)
-        return None
+        else:
+            rows, witness = view
+            members[rows] = witness()
+            remaining.discard(rows)
+    return ClosureResult(members, False, False)
 
-    start = 0
-    depth = 0
-    while start < len(members):
-        if bounds.max_depth is not None and depth >= bounds.max_depth:
-            return ClosureResult(members, False, False)
-        items = [(m, e, len(next(iter(m))) if m else 0) for m, e in members.items()]
-        frontier = items[start:]
 
-        for member, expr, n in frontier:
-            if not member:
-                continue
-            for col in range(1, n + 1):
-                for const, shown in constants:
-                    rows = frozenset(
-                        r for r in member if eval_comparison("=", r[col - 1], const)
-                    )
-                    if rows not in members and (
-                        done := add(rows, lambda: f"select[{col}={shown}]({expr})")
-                    ):
-                        return done
-                for col2 in range(col + 1, n + 1):
-                    rows = frozenset(
-                        r for r in member if eval_comparison("=", r[col - 1], r[col2 - 1])
-                    )
-                    if rows not in members and (
-                        done := add(rows, lambda: f"select[{col}={col2}]({expr})")
-                    ):
-                        return done
-            for k in range(1, min(n, bounds.max_arity) + 1):
-                for seq in itertools.permutations(range(n), k):
-                    if k == 1:  # a slice keeps the projected rows tuples
-                        get = itemgetter(slice(seq[0], seq[0] + 1))
-                    else:
-                        get = itemgetter(*seq)
-                    rows = frozenset(map(get, member))
-                    if rows not in members and (
-                        done := add(rows, lambda: f"project[{_positions(seq)}]({expr})")
-                    ):
-                        return done
+def _views(members: dict, start: int, constants: list, max_arity: int):
+    """One depth of the search: each view result not yet in ``members``,
+    with a thunk that formats its witness.
 
-        for i, (m1, e1, n1) in enumerate(items):
-            for m2, e2, n2 in items if i >= start else frontier:
-                if m1 and m2 and n1 + n2 <= bounds.max_arity:
-                    rows = frozenset(a + b for a in m1 for b in m2)
-                    if rows not in members and (done := add(rows, lambda: f"({e1} x {e2})")):
-                        return done
-                if (not m1 or not m2 or n1 == n2) and m1 != m2:
-                    rows = m1 | m2
-                    if rows not in members and (done := add(rows, lambda: f"({e1} u {e2})")):
-                        return done
+    The unary views apply to the frontier, the members from ``start`` on;
+    products and unions take, in the order of the full pair product, only
+    the pairs that hold a frontier member.  The caller admits or refuses a
+    proposal before resuming, so the duplicate test sees every member
+    admitted so far and the thunk still sees the loop variables it reads.
+    """
+    items = [(m, e, len(next(iter(m))) if m else 0) for m, e in members.items()]
+    frontier = items[start:]
 
-        start = len(items)
-        depth += 1
+    for member, expr, n in frontier:
+        if not member:
+            continue
+        for col in range(1, n + 1):
+            for const, shown in constants:
+                rows = frozenset(r for r in member if eval_comparison("=", r[col - 1], const))
+                if rows not in members:
+                    yield rows, lambda: f"select[{col}={shown}]({expr})"
+            for col2 in range(col + 1, n + 1):
+                rows = frozenset(
+                    r for r in member if eval_comparison("=", r[col - 1], r[col2 - 1])
+                )
+                if rows not in members:
+                    yield rows, lambda: f"select[{col}={col2}]({expr})"
+        for k in range(1, min(n, max_arity) + 1):
+            for seq in itertools.permutations(range(n), k):
+                if k == 1:  # a slice keeps the projected rows tuples
+                    get = itemgetter(slice(seq[0], seq[0] + 1))
+                else:
+                    get = itemgetter(*seq)
+                rows = frozenset(map(get, member))
+                if rows not in members:
+                    yield rows, lambda: f"project[{_positions(seq)}]({expr})"
 
-    return ClosureResult(members, False, True)
+    for i, (m1, e1, n1) in enumerate(items):
+        for m2, e2, n2 in items if i >= start else frontier:
+            if m1 and m2 and n1 + n2 <= max_arity:
+                rows = frozenset(a + b for a in m1 for b in m2)
+                if rows not in members:
+                    yield rows, lambda: f"({e1} x {e2})"
+            if (not m1 or not m2 or n1 == n2) and m1 != m2:
+                rows = m1 | m2
+                if rows not in members:
+                    yield rows, lambda: f"({e1} u {e2})"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .dsl import parse_mapping, pretty_literal, pretty_mapping, pretty_term
 from .errors import ParseError, SchemaError
 from .flux import FluxKernel
 from .interp import FunctionTable, InstanceMorphism, SatisfactionReport, TarskiInterpretation
-from .logic import SOtgd, ValidationReport
+from .logic import RelAtom, SOtgd, ValidationReport
 from .model import (
     NULL,
     TRUTH,
@@ -187,7 +187,8 @@ def _read_text(path: Path) -> str:
 
 def _read_json(path: Path):
     """Parse one JSON input file; malformed JSON is an input error located
-    by path, line and column.  A ``\\u`` escape of an unpaired surrogate,
+    by path, line and column, and JSON nested past the recursion limit one
+    naming the file.  A ``\\u`` escape of an unpaired surrogate,
     which no UTF-8 output can carry, is an input error naming the file."""
     text = _read_text(path)
     try:
@@ -196,6 +197,8 @@ def _read_json(path: Path):
         raise ParseError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nests too deeply") from None
     if "\\u" in text:
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
@@ -262,10 +265,26 @@ class Project:
         return entries[name]
 
 
-def _schema_constraints(text: str, where: str):
+def _schema_constraints(text: str, symbols: dict, where: str):
+    """The schema's dependencies; each relational atom, negated or not, in
+    either side, must name a relation of the schema with its arity."""
     parsed = parse_mapping(text)
     if isinstance(parsed, SOtgd):
         raise SchemaError(f"{where}: constraints must be plain dependencies")
+    for dep in parsed:
+        for atom in (*dep.lhs, *getattr(dep, "rhs", ())):
+            if not isinstance(atom, RelAtom):
+                continue
+            sym = symbols.get(atom.relation)
+            if sym is None:
+                raise SchemaError(
+                    f"{where}: constraints use relation {atom.relation}, which the schema lacks"
+                )
+            if len(atom.terms) != sym.arity:
+                raise SchemaError(
+                    f"{where}: constraints use {atom.relation} with arity "
+                    f"{len(atom.terms)}, but the schema declares {sym.arity}"
+                )
     return tuple(parsed)
 
 
@@ -288,15 +307,15 @@ def load_project(path) -> Project:
     for name, body in sorted(_section(data, "schemas", dict, path).items()):
         where = f"{path}: schema {name}"
         relations = _section(_typed(body, dict, where), "relations", dict, where)
-        symbols = [
-            RelationSymbol(rel, _columns(cols, f"{where}: relation {rel}"))
+        symbols = {
+            rel: RelationSymbol(rel, _columns(cols, f"{where}: relation {rel}"))
             for rel, cols in sorted(relations.items())
-        ]
+        }
         constraints = ()
         if "constraints" in body:
             text = _typed(body["constraints"], str, f"{where}: 'constraints'")
-            constraints = _schema_constraints(text, f"schema {name}")
-        schemas[name] = Schema(name, symbols, constraints)
+            constraints = _schema_constraints(text, symbols, where)
+        schemas[name] = Schema(name, symbols.values(), constraints)
 
     project = Project(domain=domain, schemas=schemas)
 

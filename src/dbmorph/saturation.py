@@ -141,23 +141,14 @@ def _candidate_extra(
         want = candidate[j - 1]
         if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM:
             key = (term.func.name, tuple(eval_term(g, a, it) for a in term.args))
-            if key in demands and demands[key] != want:
-                return SkippedCandidate(
-                    op_index,
-                    op.name,
-                    trigger,
-                    candidate,
-                    f"skolem {term.func.name} would need two values at one point",
-                )
-            demands[key] = want
-        elif want != produced[j - 1]:
-            return SkippedCandidate(
-                op_index,
-                op.name,
-                trigger,
-                candidate,
-                f"head position {j} is not a skolem term and cannot be reassigned",
-            )
+            if demands.setdefault(key, want) == want:
+                continue
+            reason = f"skolem {term.func.name} would need two values at one point"
+        elif want == produced[j - 1]:
+            continue
+        else:
+            reason = f"head position {j} is not a skolem term and cannot be reassigned"
+        return SkippedCandidate(op_index, op.name, trigger, candidate, reason)
     perturbation = tuple(
         sorted(demands.items(), key=lambda item: (item[0][0], row_key(item[0][1])))
     )

@@ -5,27 +5,79 @@ order, same extra images, same flux kernel, same p-functions.
 
 It scans the whole target relation once per trigger, rebuilds every
 extra's image from the full graph, and applies every family member to
-every argument tuple of the p-function.
+every argument tuple of the p-function.  ``_candidate_extra`` is the
+version that built its skip report at each failing head position.
 """
 
 from dbmorph.errors import PreconditionError, SchemaError
 from dbmorph.flux import FluxKernel, flux_positions
 from dbmorph.interp import (
+    ComponentFunction,
     TarskiInterpretation,
     alpha_star,
     component_assignment,
+    eval_term,
     satisfies,
 )
-from dbmorph.model import EMPTY_NAME, sort_rows
+from dbmorph.logic import App, FuncKind
+from dbmorph.model import EMPTY_NAME, Row, row_key, sort_rows
 from dbmorph.operads import OperadArrow, OperadOperation, simple_var_positions
 from dbmorph.saturation import (
     ExtraFunction,
     PFunction,
     SaturatedMorphism,
-    _candidate_extra,
+    SkippedCandidate,
     _domain_descriptor,
     _head_skolems,
 )
+
+
+def _candidate_extra(
+    it: TarskiInterpretation,
+    component: ComponentFunction,
+    op_index: int,
+    g: dict,
+    trigger: tuple,
+    produced: Row,
+    candidate: Row,
+) -> "ExtraFunction | SkippedCandidate":
+    """Build the extra for one alternative row, or explain why none exists:
+    a disagreement at a non-skolem head position, or two occurrences of one
+    skolem application demanding different values."""
+    op = component.op
+    demands: dict = {}
+    for j, term in enumerate(op.target_terms, 1):
+        want = candidate[j - 1]
+        if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM:
+            key = (term.func.name, tuple(eval_term(g, a, it) for a in term.args))
+            if key in demands and demands[key] != want:
+                return SkippedCandidate(
+                    op_index,
+                    op.name,
+                    trigger,
+                    candidate,
+                    f"skolem {term.func.name} would need two values at one point",
+                )
+            demands[key] = want
+        elif want != produced[j - 1]:
+            return SkippedCandidate(
+                op_index,
+                op.name,
+                trigger,
+                candidate,
+                f"head position {j} is not a skolem term and cannot be reassigned",
+            )
+    perturbation = tuple(
+        sorted(demands.items(), key=lambda item: (item[0][0], row_key(item[0][1])))
+    )
+    return ExtraFunction(
+        component=component,
+        op_index=op_index,
+        op_name=op.name,
+        trigger=trigger,
+        output=candidate,
+        perturbation=perturbation,
+    )
 
 
 def _selection_rows(

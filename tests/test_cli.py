@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from dbmorph import cli, interp as interp_module
 from dbmorph import project as project_module
 from dbmorph.cli import main
+from dbmorph.dsl import _MAX_NESTING as DSL_NESTING
 from dbmorph.interp import ComponentFunction
 from dbmorph.project import compile_project_mapping, load_project
 
@@ -572,6 +573,19 @@ def flux_on_unknown_fixture(capsys, tmp_path, breaking):
         ("a.json", '{"schema": "A\\ud83d"}', "a.json: unpaired surrogate \\ud83d"),
         ("interp.json", '{"\\ude00x": 1}', "interp.json: unpaired surrogate \\ude00"),
         ("member.json", '[["e\\ude00\\ud83d"]]', "member.json: unpaired surrogate \\ude00"),
+        # nested past the recursion limit
+        pytest.param(
+            "member.json",
+            "[" * 100_000 + "]" * 100_000,
+            "member.json: JSON nests too deeply",
+            id="member.json-deep",
+        ),
+        pytest.param(
+            "project.json",
+            '{"domain": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "project.json: JSON nests too deeply",
+            id="project.json-deep",
+        ),
     ],
 )
 def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, where):
@@ -723,6 +737,71 @@ def test_non_decimal_digits_are_unexpected_characters(capsys, tmp_path, where):
     code, out, err = run(capsys, "compile", "--project", str(project), "--mapping", "m_ab")
     assert code == 3 and out == ""
     assert "unexpected character '²'" in err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("forall x, y . EmpAcme(x, y) -> Local(x)", "EmpAcme with arity 2, but the schema declares 1"),
+        ("forall x . EmpAcme(x) -> Local(x, x)", "Local with arity 2, but the schema declares 1"),
+        ("forall x . EmpAcme(x) -> Nope(x)", "relation Nope, which the schema lacks"),
+        ("forall x . EmpAcme(x) & not Nope(x) -> Local(x)", "relation Nope, which the schema lacks"),
+        ("forall x, y . EmpAcme(x, y) -> x = y", "EmpAcme with arity 2, but the schema declares 1"),
+    ],
+)
+def test_constraints_must_fit_their_schema(capsys, tmp_path, text, problem):
+    project = copy_example1(tmp_path)
+    edit_project(tmp_path, lambda data: data["schemas"]["A"].update(constraints=text))
+    for argv in (["compile", "--mapping", "m_ab"], ["validate", "--instance", "a"]):
+        code, out, err = run(capsys, argv[0], "--project", str(project), *argv[1:])
+        assert code == 3 and out == ""
+        assert f"{project}: schema A: constraints use {problem}" in err
+
+
+def nested_hash(depth):
+    return "hash(" * depth + "x" + ")" * depth
+
+
+# a comparison side holds as many argument lists as it nests hashes, an atom
+# one more; the guard x = 1 fails on every name, so b.json need not hold the
+# hashed head
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"forall x . EmpAcme(x) & {nested_hash(DSL_NESTING)} != x -> Emp(x)",
+        f"forall x . EmpAcme(x) & x = 1 -> Emp({nested_hash(DSL_NESTING - 1)})",
+    ],
+    ids=["comparison", "atom"],
+)
+def test_nesting_up_to_the_bound_runs_and_one_more_level_is_an_input_error(
+    capsys, tmp_path, text
+):
+    project = copy_example1(tmp_path)
+    mapping = tmp_path / "m_ab.map"
+    common = ["--project", str(project), "--mapping", "m_ab"]
+    it = ["--interp", str(tmp_path / "interp_ab.json")]
+    commands = [
+        ["compile", *common],
+        ["eval", *common, *it, "--verbose"],
+        ["saturate", *common, *it],
+        ["flux", *common, *it],
+        ["equal", *common, *it],
+        ["pfunction", *common, *it, "--op", "1"],
+    ]
+    mapping.write_text(text, encoding="utf-8")
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, (argv, err)
+
+    deeper = text.replace("hash(x)", "hash(hash(x))")
+    mapping.write_text(deeper, encoding="utf-8")
+    column = deeper.index("hash(x)") + 1
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: line 1, column {column}: argument lists nest deeper than {DSL_NESTING}\n"
+        )
 
 
 @pytest.mark.parametrize("where", ["entry file", "--project", "--interp", "--member", "--out"])

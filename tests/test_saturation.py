@@ -198,6 +198,35 @@ def test_constant_positions_cannot_be_reassigned():
     assert skip.reason == "head position 2 is not a skolem term and cannot be reassigned"
 
 
+@pytest.mark.parametrize(
+    "head, produced, reason",
+    [
+        (
+            "s3(f1(x), 5, f1(x))",
+            ("a", 5, "a"),
+            "head position 2 is not a skolem term and cannot be reassigned",
+        ),
+        (
+            "s3(f1(x), f1(x), 5)",
+            ("a", "a", 5),
+            "skolem f1 would need two values at one point",
+        ),
+    ],
+    ids=["constant-first", "skolem-first"],
+)
+def test_a_skip_names_the_first_position_that_does_not_fit(head, produced, reason):
+    # ("b", 6, "c") fails at positions 2 and 3 of either head
+    arrow, it = simple_setup(
+        f"exists f1 . forall x . r(x) -> {head}",
+        {"r": [(1,)]},
+        {"s3": [produced, ("b", 6, "c")]},
+        skolem={"f1": {(1,): "a"}},
+    )
+    sat = saturate(it, arrow)
+    assert sat.extras == ()
+    assert [(k.candidate, k.reason) for k in sat.skipped] == [(("b", 6, "c"), reason)]
+
+
 def test_saturate_requires_satisfaction(example4):
     arrow, it = arrow_and_interp(example4, "example4", "m_ab", "interp_bad.json")
     with pytest.raises(PreconditionError) as err:
