@@ -217,7 +217,11 @@ class _Parser:
         """One term inside ``depth`` open argument lists."""
         tok = self.next()
         if tok.kind == "number":
-            return _RawTerm("const", int(tok.value), line=tok.line, col=tok.col)
+            try:
+                value = int(tok.value)
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise ParseError("number has too many digits", tok.line, tok.col) from None
+            return _RawTerm("const", value, line=tok.line, col=tok.col)
         if tok.kind == "string":
             return _RawTerm("const", tok.value, line=tok.line, col=tok.col)
         if tok.kind == "ident":

@@ -8,14 +8,14 @@ whose head terms may apply those symbols.
 
 This module also implements the transformations that feed the operad
 compiler: Skolemization of tgd sets, constant hoisting, normalization into
-single-head implications, tgd classification, and brute-force constraint
-validation of finite instances.
+single-head implications, tgd classification, and constraint validation of
+finite instances, which matches atoms against indexed rows and lets only
+the variables that no atom binds range over the domain.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -28,6 +28,7 @@ from .model import (
     DomainValue,
     Instance,
     active_domain,
+    group_rows,
     value_key,
 )
 
@@ -199,7 +200,7 @@ class Tgd:
         for atom in self.rhs:
             if atom.negated:
                 raise SafetyError("negation is not allowed in a tgd head")
-            for v in term_variables_of_atoms((atom,)):
+            for v in literal_variables(atom):
                 if v not in head_bound:
                     raise SafetyError(f"head variable {v} is not bound")
 
@@ -220,7 +221,7 @@ class Egd:
         for atom in self.lhs:
             if not isinstance(atom, RelAtom) or atom.negated:
                 raise SafetyError("an egd lhs is a conjunction of positive relational atoms")
-            lhs_vars.update(term_variables_of_atoms((atom,)))
+            lhs_vars.update(literal_variables(atom))
         for y, z in self.equalities:
             for v in (y, z):
                 if v not in lhs_vars:
@@ -228,12 +229,6 @@ class Egd:
 
 
 Dependency = Union[Tgd, Egd]
-
-
-def term_variables_of_atoms(atoms: Iterable[RelAtom]) -> Iterator[str]:
-    for atom in atoms:
-        for t in atom.terms:
-            yield from term_variables(t)
 
 
 @dataclass(frozen=True)
@@ -341,9 +336,9 @@ def _substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
 
 def check_conjunct_safety(conj: SOtgdConjunct) -> None:
     # every universal must occur in some lhs relational atom
-    atom_vars = set(
-        term_variables_of_atoms(l for l in conj.lhs if isinstance(l, RelAtom))
-    )
+    atom_vars = {
+        v for l in conj.lhs if isinstance(l, RelAtom) for v in literal_variables(l)
+    }
     for v in conj.universals:
         if v not in atom_vars:
             raise SafetyError(f"unsafe dependency: variable {v} occurs in no lhs relational atom")
@@ -399,7 +394,7 @@ def hoist_constants(impl: NormalizedImplication) -> NormalizedImplication:
     taken = set(impl.universals)
     for lit in impl.lhs:
         taken.update(literal_variables(lit))
-    taken.update(term_variables_of_atoms((impl.head,)))
+    taken.update(literal_variables(impl.head))
     guards: list[Comparison] = []
     new_lhs: list[Literal] = []
     new_universals = list(impl.universals)
@@ -471,7 +466,7 @@ def eval_comparison(op: str, a: DomainValue, b: DomainValue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force instance validation
+# instance validation
 
 
 @dataclass(frozen=True)
@@ -532,53 +527,49 @@ def _holds(
     return holds != lit.negated
 
 
-def _match_atoms(
-    atoms: Sequence[RelAtom],
-    inst: Instance,
-    g: dict,
-    idx: int,
-) -> Iterator[dict]:
-    if idx == len(atoms):
-        yield dict(g)
-        return
-    atom = atoms[idx]
-    rel = inst.relation(atom.relation)
-    for row in rel.sorted_rows():
-        bound = dict(g)
-        ok = True
-        for t, v in zip(atom.terms, row):
-            if isinstance(t, Var):
-                if t.name in bound and bound[t.name] != v:
-                    ok = False
-                    break
-                bound[t.name] = v
-            elif isinstance(t, Const):
-                want = 1 if t.value is TRUTH else t.value
-                if want != v:
-                    ok = False
-                    break
-            else:  # function terms are not matchable patterns
-                raise SafetyError(
-                    "function terms in constraint lhs atoms are not supported by the validator"
-                )
-        if ok:
-            yield from _match_atoms(atoms, inst, bound, idx + 1)
-
-
 def _extensions(
     g: Mapping[str, DomainValue],
     names: Sequence[str],
-    literals: Sequence[Literal],
+    atoms: Sequence[RelAtom],
+    tests: Sequence[Literal],
     inst: Instance,
     domain: Sequence[DomainValue],
+    index: dict,
 ) -> Iterator[dict]:
-    """Every extension of ``g`` by domain values for ``names`` under which
-    all ``literals`` hold."""
-    for combo in itertools.product(domain, repeat=len(names)):
-        full = dict(g)
-        full.update(zip(names, combo))
-        if all(_holds(l, full, inst, None) for l in literals):
-            yield full
+    """Every extension of ``g`` under which all ``atoms`` and ``tests`` hold.
+    Each atom binds its variables from the ``index`` rows that agree with it
+    at its constants and bound variables up to its first function term,
+    which no row may reach; the other ``names`` range over ``domain``."""
+    if not atoms:
+        free = [v for v in names if v not in g]
+        if free:
+            for value in domain:
+                yield from _extensions({**g, free[0]: value}, names, (), tests, inst, domain, index)
+        elif all(_holds(l, g, inst, None) for l in tests):
+            yield g
+        return
+    atom = atoms[0]
+    positions, values = [], []
+    for j, t in enumerate(atom.terms):
+        if isinstance(t, App):
+            break
+        if isinstance(t, Const) or t.name in g:
+            positions.append(j)
+            values.append(_term_value(t, g, None))
+    key = (atom.relation, tuple(positions))
+    if key not in index:
+        index[key] = group_rows(inst.rows(atom.relation), positions)
+    for row in index[key].get(tuple(values), ()):
+        bound = dict(g)
+        for t, v in zip(atom.terms, row):
+            if isinstance(t, App):
+                raise SafetyError(
+                    "function terms in constraint lhs atoms are not supported by the validator"
+                )
+            if isinstance(t, Var) and bound.setdefault(t.name, v) != v:
+                break
+        else:
+            yield from _extensions(bound, names, atoms[1:], tests, inst, domain, index)
 
 
 def validate_instance(
@@ -586,38 +577,40 @@ def validate_instance(
     constraints: Sequence[Dependency] | None = None,
     domain: Iterable[DomainValue] = (),
 ) -> ValidationReport:
-    """Brute-force check of every tgd and egd over the active domain plus the
-    declared constants.  Incomplete by construction for witnesses outside
-    that domain; violations are data, not errors."""
+    """Check every tgd and egd by matching atoms against indexed rows; only
+    the variables that no atom binds range over the active domain plus the
+    declared constants, so witnesses outside that domain go unseen.
+    Violations are data, not errors; a function term in a positive lhs atom
+    is a SafetyError once a row reaches it."""
     if constraints is None:
         constraints = inst.schema.constraints
     base: set = set(active_domain(inst)) | set(domain)
     for dep in constraints:
-        lits = list(dep.lhs) + (list(dep.rhs) if isinstance(dep, Tgd) else [])
-        for lit in lits:
+        for lit in dep.lhs + (dep.rhs if isinstance(dep, Tgd) else ()):
             for t in literal_terms(lit):
                 if isinstance(t, Const) and t.value is not TRUTH:
                     base.add(t.value)
     dom = sorted(base, key=value_key)
     # (constraint, witness) -> None, in the order the violations are found
     found: dict = {}
+    # (relation, positions) -> grouped rows, shared by every constraint
+    index: dict = {}
     for dep in constraints:
-        is_tgd = isinstance(dep, Tgd)
-        # positive atoms are matched against rows; the other variables range
-        # over the domain
-        positive = [l for l in dep.lhs if isinstance(l, RelAtom) and not l.negated]
-        rest = [l for l in dep.lhs if not (isinstance(l, RelAtom) and not l.negated)]
-        names = list(dep.universals) + (list(dep.lhs_exists) if is_tgd else [])
-        for match in _match_atoms(positive, inst, {}, 0):
-            free = [v for v in names if v not in match]
-            for g in _extensions(match, free, rest, inst, dom):
-                if is_tgd:
-                    head = {v: g[v] for v in dep.universals}
-                    witnesses = _extensions(head, dep.rhs_exists, dep.rhs, inst, dom)
-                    # the empty assignment is a witness too, though falsy
-                    holds = next(witnesses, None) is not None
-                else:
-                    holds = all(eval_comparison("=", g[y], g[z]) for y, z in dep.equalities)
-                if not holds:
-                    found[dep, tuple(sorted((v, g[v]) for v in dep.universals))] = None
+        atoms = [l for l in dep.lhs if isinstance(l, RelAtom) and not l.negated]
+        tests = [l for l in dep.lhs if l not in atoms]
+        # the head is checked by a witness search; in a tgd, a head atom
+        # with a function term is evaluated, not matched
+        if isinstance(dep, Tgd):
+            names, exists = dep.universals + dep.lhs_exists, dep.rhs_exists
+            head_tests = [a for a in dep.rhs if any(isinstance(t, App) for t in a.terms)]
+            head_atoms = [a for a in dep.rhs if a not in head_tests]
+        else:
+            names, exists, head_atoms = dep.universals, (), ()
+            head_tests = [Comparison(Var(y), "=", Var(z)) for y, z in dep.equalities]
+        for g in _extensions({}, names, atoms, tests, inst, dom, index):
+            head = {v: g[v] for v in dep.universals} if isinstance(dep, Tgd) else g
+            witnesses = _extensions(head, exists, head_atoms, head_tests, inst, dom, index)
+            # the empty assignment is a witness too, though falsy
+            if next(witnesses, None) is None:
+                found[dep, tuple(sorted((v, g[v]) for v in dep.universals))] = None
     return ValidationReport(tuple(Violation(dep, witness) for dep, witness in found))

@@ -37,6 +37,7 @@ __all__ = [
     "value_key",
     "row_key",
     "sort_rows",
+    "group_rows",
 ]
 
 
@@ -98,6 +99,15 @@ def sort_rows(rows: Iterable[Row]) -> list[Row]:
     return sorted(rows, key=row_key)
 
 
+def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
+    """Rows grouped by their values at ``positions`` (0-based), each group
+    sorted; hashing domain values agrees with their equality."""
+    groups: dict = {}
+    for row in sort_rows(rows):
+        groups.setdefault(tuple(row[j] for j in positions), []).append(row)
+    return groups
+
+
 def _check_value(v: object) -> DomainValue:
     if v is NULL or v is TRUTH:
         return v
@@ -144,9 +154,6 @@ class Relation:
                 raise SchemaError(
                     f"row {row!r} has {len(row)} values; {self.symbol.name} has arity {self.symbol.arity}"
                 )
-
-    def sorted_rows(self) -> list[Row]:
-        return sort_rows(self.rows)
 
     def values(self) -> frozenset:
         return frozenset(v for row in self.rows for v in row)

@@ -187,9 +187,10 @@ def _read_text(path: Path) -> str:
 
 def _read_json(path: Path):
     """Parse one JSON input file; malformed JSON is an input error located
-    by path, line and column, and JSON nested past the recursion limit one
-    naming the file.  A ``\\u`` escape of an unpaired surrogate,
-    which no UTF-8 output can carry, is an input error naming the file."""
+    by path, line and column, and JSON nested past the recursion limit, or
+    an integer with more digits than ``int`` converts, one naming the file.
+    A ``\\u`` escape of an unpaired surrogate, which no UTF-8 output can
+    carry, is an input error naming the file."""
     text = _read_text(path)
     try:
         data = json.loads(text)
@@ -197,6 +198,8 @@ def _read_json(path: Path):
         raise ParseError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from None
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ParseError(f"{path}: an integer has too many digits") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nests too deeply") from None
     if "\\u" in text:
@@ -214,10 +217,17 @@ def load_instance_file(path, schema: "Schema | None" = None) -> Instance:
 
 
 def load_member_file(path) -> frozenset:
-    """A relation to test for flux membership: a JSON array of rows."""
+    """A relation to test for flux membership: a JSON array of rows, all of
+    one width, since no view derives rows of two."""
     path = Path(path)
     rows = _typed(_read_json(path), list, f"{path}: the top level")
-    return frozenset(_row_from_json(row, f"{path}: member row") for row in rows)
+    member = frozenset(_row_from_json(row, f"{path}: member row") for row in rows)
+    widths = sorted({len(row) for row in member})
+    if len(widths) > 1:
+        raise SchemaError(
+            f"{path}: member rows differ in width: {widths[0]} and {widths[1]} values"
+        )
+    return member
 
 
 @dataclass(frozen=True)

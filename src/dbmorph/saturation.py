@@ -31,7 +31,7 @@ from .interp import (
     satisfies,
 )
 from .logic import App, FuncKind, term_functions
-from .model import Instance, Relation, Row, row_key, sort_rows
+from .model import Instance, Relation, Row, group_rows, row_key
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
 __all__ = [
@@ -60,13 +60,10 @@ def _head_skolems(op: OperadOperation) -> frozenset:
 def _selector(it: TarskiInterpretation, op: OperadOperation):
     """Index the target relation once by its values at the simple-variable
     head positions; the returned lookup gives, for an assignment, the rows
-    agreeing with it there, sorted.  Hashing int, str, NULL and TRUTH agrees
-    with the ``==`` of the join guard."""
+    agreeing with it there, sorted."""
     positions = sorted(simple_var_positions(op))
     names = [op.target_terms[j - 1].name for j in positions]
-    index: dict = {}
-    for row in sort_rows(it.target.rows(op.target)):
-        index.setdefault(tuple(row[j - 1] for j in positions), []).append(row)
+    index = group_rows(it.target.rows(op.target), [j - 1 for j in positions])
     return lambda g: index.get(tuple(g[name] for name in names), ())
 
 

@@ -8,6 +8,11 @@ every extra with its base at every argument tuple and projects every
 image again per extra; ``validate_instance`` scans the violations found so
 far for a duplicate and extends assignments in two separate loops.
 
+``_match_atoms`` is the validator's row matcher as it stood before
+validation came to look rows up in an index: it scans and sorts a whole
+relation for every partial match.  It is verbatim but for one call:
+``Relation.sorted_rows()``, since deleted, is spelt out as ``sort_rows``.
+
 ``_eval_constraint_term`` and ``_literal_holds`` are the constraint-side
 term and literal evaluators as they stood before mappings and constraints
 came to share one evaluator: the oracle validation runs on them, and
@@ -33,7 +38,6 @@ from dbmorph.logic import (
     ValidationReport,
     Var,
     Violation,
-    _match_atoms,
     eval_comparison,
     literal_terms,
 )
@@ -119,6 +123,39 @@ def _literal_holds(lit: Literal, g: Mapping[str, DomainValue], inst: Instance) -
     else:
         holds = _eval_constraint_term(lit.term, g, inst) is not NULL
     return holds != lit.negated
+
+
+def _match_atoms(
+    atoms: Sequence[RelAtom],
+    inst: Instance,
+    g: dict,
+    idx: int,
+) -> Iterator[dict]:
+    if idx == len(atoms):
+        yield dict(g)
+        return
+    atom = atoms[idx]
+    rel = inst.relation(atom.relation)
+    for row in sort_rows(rel.rows):
+        bound = dict(g)
+        ok = True
+        for t, v in zip(atom.terms, row):
+            if isinstance(t, Var):
+                if t.name in bound and bound[t.name] != v:
+                    ok = False
+                    break
+                bound[t.name] = v
+            elif isinstance(t, Const):
+                want = 1 if t.value is TRUTH else t.value
+                if want != v:
+                    ok = False
+                    break
+            else:  # function terms are not matchable patterns
+                raise SafetyError(
+                    "function terms in constraint lhs atoms are not supported by the validator"
+                )
+        if ok:
+            yield from _match_atoms(atoms, inst, bound, idx + 1)
 
 
 def _lhs_assignments(

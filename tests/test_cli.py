@@ -586,6 +586,20 @@ def flux_on_unknown_fixture(capsys, tmp_path, breaking):
             "project.json: JSON nests too deeply",
             id="project.json-deep",
         ),
+        # an integer past the interpreter's limit on digits (4300 by default)
+        pytest.param(
+            "a.json",
+            '{"schema": "A", "relations": {"p": {"columns": ["c1"], "rows": [[1], [%s]]}}}'
+            % ("9" * 5000),
+            "a.json: an integer has too many digits",
+            id="a.json-long-integer",
+        ),
+        pytest.param(
+            "member.json",
+            "[[-%s]]" % ("9" * 5000),
+            "member.json: an integer has too many digits",
+            id="member.json-long-integer",
+        ),
     ],
 )
 def test_malformed_json_is_a_located_input_error(capsys, tmp_path, name, text, where):
@@ -621,6 +635,22 @@ def test_wrongly_typed_member_file_is_an_input_error(capsys, tmp_path, text, whe
         capsys, tmp_path, lambda d: (d / "member.json").write_text(text, encoding="utf-8")
     )
     assert where in err
+
+
+@pytest.mark.parametrize(
+    "text, widths",
+    [
+        ('[["e1"], ["e1", "e2"]]', "1 and 2"),
+        ('[[], ["e1"]]', "0 and 1"),
+        ("[[1], [], [1, 2]]", "0 and 1"),
+    ],
+)
+def test_member_rows_of_different_widths_are_an_input_error(capsys, tmp_path, text, widths):
+    # no view derives such a set, so the closure search is not run
+    err = flux_on_unknown_fixture(
+        capsys, tmp_path, lambda d: (d / "member.json").write_text(text, encoding="utf-8")
+    )
+    assert f"member.json: member rows differ in width: {widths} values" in err
 
 
 def edit_project(tmp_path, edit):
@@ -737,6 +767,20 @@ def test_non_decimal_digits_are_unexpected_characters(capsys, tmp_path, where):
     code, out, err = run(capsys, "compile", "--project", str(project), "--mapping", "m_ab")
     assert code == 3 and out == ""
     assert "unexpected character '²'" in err
+
+
+@pytest.mark.parametrize("where", ["mapping", "constraints"])
+def test_too_long_numbers_are_located_parse_errors(capsys, tmp_path, where):
+    # past the interpreter's limit on integer digits (4300 by default)
+    project = copy_example1(tmp_path)
+    text = "forall x . EmpAcme(x) & x = %s -> Emp(x)" % ("9" * 5000)
+    if where == "mapping":
+        (tmp_path / "m_ab.map").write_text(text, encoding="utf-8")
+    else:
+        edit_project(tmp_path, lambda data: data["schemas"]["A"].update(constraints=text))
+    code, out, err = run(capsys, "compile", "--project", str(project), "--mapping", "m_ab")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert "line 1, column 29: number has too many digits" in err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbmorph import saturation
+from dbmorph import logic, model, saturation
 from dbmorph.errors import DbmorphError, SafetyError
 from dbmorph.interp import (
     ComponentFunction,
@@ -172,11 +172,17 @@ CONSTRAINTS = (
     Tgd((), (atom(Q, y, z),), (atom(P, Const(0)),), lhs_exists=("y", "z")),
     # an egd
     Egd(("x", "y", "z"), (atom(Q, x, y), atom(Q, x, z)), (("y", "z"),)),
+    # a hash head over an rhs existential, which ranges over the domain
+    Tgd(("x",), (atom(P, x),), (atom(Q, x, App(hash_symbol(), (z,))),), rhs_exists=("z",)),
+    # a repeated variable
+    Tgd(("x",), (atom(Q, x, x),), (atom(P, x),)),
 )
 # constraints no validator can decide: both must raise alike
 UNDECIDABLE = (
     Tgd(("x",), (atom(P, x),), (atom(P, App(SKOLEM, (x,))),)),
     Tgd(("x",), (atom(P, App(hash_symbol(), (x,))),), (atom(P, x),)),
+    # the function term is reached only through a row that agrees at x
+    Tgd(("x",), (atom(P, x), atom(Q, x, App(hash_symbol(), (x,)))), (atom(P, x),)),
 )
 
 
@@ -226,6 +232,46 @@ def test_the_validation_cases_reach_every_shape():
     for constraint in UNDECIDABLE:
         assert outcome(validate_instance, inst, [constraint], ()) is SafetyError
         assert outcome(oracle.validate_instance, inst, [constraint], ()) is SafetyError
+
+
+def test_the_key_egd_sorts_its_relation_twice(monkeypatch):
+    # one index per (relation, positions): the first atom reads K whole,
+    # the second by x1; sorting K per partial match would take 201 sorts
+    k = RelationSymbol("K", ("a", "b"))
+    inst = Instance.build(Schema("S", [k]), {"K": [(i, i) for i in range(200)]})
+    key = Egd(("x", "y", "z"), (atom("K", x, y), atom("K", x, z)), (("y", "z"),))
+    sorts = Counter()
+    sort_rows = model.sort_rows
+
+    def counting_sort_rows(rows):
+        sorts["sort_rows"] += 1
+        return sort_rows(rows)
+
+    monkeypatch.setattr(model, "sort_rows", counting_sort_rows)
+    assert validate_instance(inst, [key]).ok
+    assert sorts["sort_rows"] <= 2
+
+
+def test_head_atoms_are_matched_not_tested(monkeypatch):
+    # a search of the head's existentials through the domain would test
+    # Q(x, y, z) at every pair of domain values
+    schema = Schema("S", [RelationSymbol(P, ("a",)), RelationSymbol("Q3", ("a", "b", "c"))])
+    inst = Instance.build(
+        schema, {P: [(i,) for i in range(30)], "Q3": [(i, i, i) for i in range(0, 30, 2)]}
+    )
+    head = atom("Q3", x, y, z)
+    tgd = Tgd(("x",), (atom(P, x),), (head,), rhs_exists=("y", "z"))
+    tested = Counter()
+    holds = logic._holds
+
+    def counting_holds(lit, g, inst, skolem_value):
+        tested[lit] += 1
+        return holds(lit, g, inst, skolem_value)
+
+    monkeypatch.setattr(logic, "_holds", counting_holds)
+    report = validate_instance(inst, [tgd])
+    assert [v.witness for v in report.violations] == [(("x", i),) for i in range(1, 30, 2)]
+    assert tested[head] == 0
 
 
 # ---------------------------------------------------------------------------
