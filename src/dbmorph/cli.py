@@ -23,7 +23,7 @@ from .flux import (
     in_closure,
     require_shared_endpoints,
 )
-from .interp import InstanceMorphism, alpha_star, satisfies
+from .interp import InstanceMorphism, alpha_star, component_assignment, satisfies
 from .irdb import parse_database
 from .logic import validate_instance
 from .model import NULL, Schema
@@ -74,22 +74,28 @@ def _bounds(spec: "str | None") -> ClosureBounds:
 
 def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
     """Print each component's evaluation as it runs: the equal-variable
-    set, then per argument tuple the assignment, the guard outcomes up to
-    the first failure, and the head value."""
+    set, then per tuple of the argument product either the failed join
+    guard or the assignment, the guard outcomes up to the first failure,
+    and the head value.  The joined tuples come from ``evaluations()`` in
+    product order, each evaluated when the product walk reaches it."""
     for component in morphism.components:
         op = component.op
         rendered = sorted(sorted(group) for group in build_equal_var_set(op))
         print(f"{op.name}: S = {rendered}", file=stream)
-        for args, g, checks, out in component.evaluations():
+        evaluated = component.evaluations()
+        for args in component.domain_product():
             shown = ", ".join("<" + ", ".join(map(_show, t)) + ">" for t in args)
-            if g is None:
+            if component_assignment(op, args) is None:
                 print(f"  ({shown}) join guard failed -> <>", file=stream)
                 continue
+            _, g, checks, out = next(evaluated)
             bound = ", ".join(f"{k}={_show(v)}" for k, v in g.items())
             marks = " ".join("[ok]" if holds else "[fail]" for holds in checks)
             suffix = f" guards {marks}" if checks else ""
             shown_out = "<" + ", ".join(map(_show, out)) + ">"
             print(f"  ({shown}) g: {bound}{suffix} -> {shown_out}", file=stream)
+        # running the evaluations to their end fills the graph
+        next(evaluated, None)
 
 
 def cmd_compile(args) -> int:

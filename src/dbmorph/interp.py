@@ -9,6 +9,11 @@ domain when the place is negated), and an argument tuple maps to the
 evaluated head tuple when the equal-variable join guard and every built-in
 guard hold, to the empty tuple otherwise.
 
+A component evaluates only the argument tuples that pass the join guard:
+its graph holds those, each mapped to its head value or to the empty tuple
+when a built-in guard fails, and every other tuple of the product maps to
+the empty tuple.
+
 The interpretation satisfies the arrow exactly when every component's image
 is contained in the target relation it points at.
 """
@@ -16,6 +21,7 @@ is contained in the target relation it points at.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,6 +35,7 @@ from .model import (
     RelationSymbol,
     Row,
     active_domain,
+    group_rows,
     sort_rows,
 )
 from .operads import OperadArrow, OperadOperation, Place
@@ -142,26 +149,23 @@ def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
     return g
 
 
-def _evaluate(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> tuple:
-    """Join guard, built-in guards up to the first failure, head terms:
-    the assignment (None if the join fails), the guard outcomes, the output."""
-    g = component_assignment(op, args)
-    if g is None:
-        return None, (), ()
-    skolem_value = it.skolem_value
+def _evaluate_head(op: OperadOperation, g: dict, skolem_value) -> tuple:
+    """Built-in guards up to the first failure, then the head terms: the
+    guard outcomes and the output (the empty tuple when a guard fails)."""
     checks = []
     for lit in op.guards:
         holds = _holds(lit, g, None, skolem_value)
         checks.append(holds)
         if not holds:
-            return g, checks, ()
-    return g, checks, tuple(_term_value(t, g, skolem_value) for t in op.target_terms)
+            return checks, ()
+    return checks, tuple(_term_value(t, g, skolem_value) for t in op.target_terms)
 
 
 def apply_component(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> Row:
     """Evaluate one argument tuple: join guard, then built-in guards, then
     the head terms.  Returns the empty tuple when any guard fails."""
-    return _evaluate(it, op, args)[2]
+    g = component_assignment(op, args)
+    return () if g is None else _evaluate_head(op, g, it.skolem_value)[1]
 
 
 def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
@@ -181,6 +185,7 @@ class ComponentFunction:
         self.it = it
         self.op = op
         self.codomain = it.target.relation(op.target)
+        self._members: "tuple | None" = None
         self._domains: "tuple | None" = None
         self._graph: "dict | None" = None
         self._counts: "Counter | None" = None
@@ -188,54 +193,105 @@ class ComponentFunction:
 
     @property
     def domains(self) -> tuple:
+        """Each place's domain, sorted."""
         if self._domains is None:
-            self._domains = tuple(
-                tuple(sort_rows(place_domain(self.it, p))) for p in self.op.places
-            )
+            self._members = tuple(place_domain(self.it, p) for p in self.op.places)
+            self._domains = tuple(tuple(sort_rows(rows)) for rows in self._members)
         return self._domains
 
     def domain_product(self):
         return itertools.product(*self.domains)
 
+    def _joined(self) -> list:
+        """(args, assignment) for every argument tuple that passes the
+        equal-variable join guard, in product order.  The places are joined
+        left to right; each place's rows are those of its sorted domain
+        that agree with the assignment at the positions an earlier place
+        bound, so a fully bound place is a membership test (an anti-join
+        for a negated one) and a place with nothing bound is a scan."""
+        op, domains = self.op, self.domains
+        if not all(domains):
+            return []
+        for place, rows in zip(op.places, domains):
+            # every row of one domain has the same width
+            if len(rows[0]) != place.arity:
+                raise SchemaError(
+                    f"operation {op.name}: tuple {rows[0]!r} does not fit atom "
+                    f"{place.symbol}/{place.arity}"
+                )
+        partial = [((), {})]
+        bound: set = set()
+        for place, rows, members in zip(op.places, domains, self._members):
+            names = place.variables
+            key = [i for i, v in enumerate(names) if v in bound]
+            fresh = [(i, v) for i, v in enumerate(names) if v not in bound]
+            bound.update(names)
+            if not fresh:
+                partial = [
+                    (args + (row,), g)
+                    for args, g in partial
+                    if (row := tuple(g[v] for v in names)) in members
+                ]
+                continue
+            index = group_rows(rows, key) if key else {(): rows}
+            extended = []
+            for args, g in partial:
+                for row in index.get(tuple(g[names[i]] for i in key), ()):
+                    h = dict(g)
+                    for i, v in fresh:
+                        if h.setdefault(v, row[i]) != row[i]:
+                            break
+                    else:
+                        extended.append((args + (row,), h))
+            partial = extended
+        return partial
+
     def evaluations(self):
-        """Evaluate each argument tuple once, yielding it with what
-        ``_evaluate`` returns; running to the end fills the graph."""
+        """Evaluate each joined argument tuple once, yielding it with its
+        assignment, the guard outcomes and the output; running to the end
+        fills the graph."""
         graph = {}
-        for args in self.domain_product():
-            g, checks, out = _evaluate(self.it, self.op, args)
+        skolem_value = self.it.skolem_value
+        for args, g in self._joined():
+            checks, out = _evaluate_head(self.op, g, skolem_value)
             graph[args] = out
             yield args, g, checks, out
         self._graph = graph
 
     def graph(self) -> dict:
+        """The joined argument tuples and their outputs."""
         if self._graph is None:
             for _ in self.evaluations():
                 pass
         return self._graph
 
     def apply(self, args: tuple) -> Row:
-        graph = self.graph()
-        try:
-            return graph[args]
-        except KeyError:
-            raise SchemaError(
-                f"arguments {args!r} lie outside the domain of {self.op.name}"
-            ) from None
+        out = self.graph().get(args)
+        if out is not None:
+            return out
+        if len(args) == len(self._members) and all(
+            t in rows for t, rows in zip(args, self._members)
+        ):
+            return ()
+        raise SchemaError(f"arguments {args!r} lie outside the domain of {self.op.name}")
 
     def preimage_counts(self) -> Counter:
         """Output -> number of argument tuples mapped to it, () included."""
         if self._counts is None:
-            self._counts = Counter(self.graph().values())
+            graph = self.graph()
+            self._counts = Counter(graph.values())
+            self._counts[()] += math.prod(map(len, self.domains)) - len(graph)
         return self._counts
 
     def image(self) -> frozenset:
-        # the identity targets r_∅, whose only row IS the empty tuple; for
-        # every other operation () is the failure sentinel
         if self._image is None:
             outputs = self.graph().values()
             if self.op.target == EMPTY_NAME:
-                self._image = frozenset(outputs)
+                # r_∅'s only row IS the empty tuple, and every tuple of the
+                # product maps to it
+                self._image = frozenset({()}) if all(self.domains) else frozenset()
             else:
+                # for every other operation () is the failure sentinel
                 self._image = frozenset(out for out in outputs if out != ())
         return self._image
 

@@ -29,6 +29,7 @@ from .model import (
     Instance,
     active_domain,
     group_rows,
+    sort_rows,
     value_key,
 )
 
@@ -558,7 +559,7 @@ def _extensions(
             values.append(_term_value(t, g, None))
     key = (atom.relation, tuple(positions))
     if key not in index:
-        index[key] = group_rows(inst.rows(atom.relation), positions)
+        index[key] = group_rows(sort_rows(inst.rows(atom.relation)), positions)
     for row in index[key].get(tuple(values), ()):
         bound = dict(g)
         for t, v in zip(atom.terms, row):

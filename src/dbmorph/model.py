@@ -101,9 +101,10 @@ def sort_rows(rows: Iterable[Row]) -> list[Row]:
 
 def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
     """Rows grouped by their values at ``positions`` (0-based), each group
-    sorted; hashing domain values agrees with their equality."""
+    in the order of ``rows``; hashing domain values agrees with their
+    equality."""
     groups: dict = {}
-    for row in sort_rows(rows):
+    for row in rows:
         groups.setdefault(tuple(row[j] for j in positions), []).append(row)
     return groups
 

@@ -31,7 +31,7 @@ from .interp import (
     satisfies,
 )
 from .logic import App, FuncKind, term_functions
-from .model import Instance, Relation, Row, group_rows, row_key
+from .model import Instance, Relation, Row, group_rows, row_key, sort_rows
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
 __all__ = [
@@ -63,7 +63,7 @@ def _selector(it: TarskiInterpretation, op: OperadOperation):
     agreeing with it there, sorted."""
     positions = sorted(simple_var_positions(op))
     names = [op.target_terms[j - 1].name for j in positions]
-    index = group_rows(it.target.rows(op.target), [j - 1 for j in positions])
+    index = group_rows(sort_rows(it.target.rows(op.target)), [j - 1 for j in positions])
     return lambda g: index.get(tuple(g[name] for name in names), ())
 
 
@@ -272,9 +272,10 @@ def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
         if (_domain_descriptor(op), op.target) == key:
             deviations.setdefault(extra.trigger, set()).add(extra.output)
 
+    # the product is listed; a tuple outside a member's graph maps to ()
     graph = []
-    for args in sat.base.component(chosen.name).graph():
-        outputs = {g[args] for g in graphs}
+    for args in sat.base.component(chosen.name).domain_product():
+        outputs = {g.get(args, ()) for g in graphs}
         outputs.update(deviations.get(args, ()))
         outputs.discard(())
         graph.append((args, frozenset(outputs)))

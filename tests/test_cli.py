@@ -19,7 +19,11 @@ from dbmorph import project as project_module
 from dbmorph.cli import main
 from dbmorph.dsl import _MAX_NESTING as DSL_NESTING
 from dbmorph.interp import ComponentFunction
-from dbmorph.project import compile_project_mapping, load_project
+from dbmorph.project import (
+    compile_project_mapping,
+    load_interpretation_file,
+    load_project,
+)
 
 from conftest import FIXTURES
 
@@ -935,6 +939,13 @@ def test_mutated_input_files_exit_with_a_code(name, edits):
             with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
                 code = main(project_argv(d, cmd, *rest))
             assert code in (0, 1, 2, 3), err.getvalue()
+            if code == 1:
+                # exit 1 is a verdict, never an input error in disguise:
+                # every file the verdict rests on loads
+                loaded = load_project(d / "project.json")
+                load_interpretation_file(d / "interp_ab.json", loaded)
+                for instance in loaded.instances:
+                    loaded.instance(instance)
             if name in UNREAD:
                 assert (code, out.getvalue()) == unmutated_run(cmd)
 
@@ -998,19 +1009,21 @@ def test_each_component_graph_is_built_once(monkeypatch, capsys, argv):
     assert sorted(built) == sorted(expected)
 
 
-def test_eval_verbose_evaluates_each_argument_tuple_once(monkeypatch, capsys):
+def test_eval_verbose_evaluates_each_joined_tuple_once(monkeypatch, capsys):
     evaluated = Counter()
-    evaluate = interp_module._evaluate
+    evaluate = interp_module._evaluate_head
 
-    def counting_evaluate(it, op, args):
-        evaluated[op.name, args] += 1
-        return evaluate(it, op, args)
+    def counting_evaluate(op, g, skolem_value):
+        evaluated[op.name, tuple(g.items())] += 1
+        return evaluate(op, g, skolem_value)
 
-    monkeypatch.setattr(interp_module, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(interp_module, "_evaluate_head", counting_evaluate)
     code, _, trace = run(capsys, "eval", *E1_BC, "--verbose")
     assert code == 0
-    traced = sum(1 for line in trace.splitlines() if line.startswith("  ("))
-    assert traced == len(evaluated) > 0
+    lines = [line for line in trace.splitlines() if line.startswith("  (")]
+    joined = [line for line in lines if "join guard failed" not in line]
+    # the trace lists the whole product and evaluates only the joined tuples
+    assert len(lines) > len(joined) == len(evaluated) > 0
     assert set(evaluated.values()) == {1}
 
 

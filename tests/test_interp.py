@@ -1,7 +1,11 @@
 """Evaluation of compiled operations over fixed instances."""
 
+import io
+import itertools
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dbmorph import (
     App,
@@ -31,12 +35,14 @@ from dbmorph import (
     make_operads,
     satisfies,
 )
+from dbmorph.cli import _trace_morphism
 from dbmorph.interp import component_assignment, eval_guard, place_domain
 from dbmorph.irdb import hash_tuple
 from dbmorph.logic import NotNull, hash_symbol
 from dbmorph.model import EMPTY_NAME
 from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order, cmp
 
+import interp_oracle
 from conftest import arrow_and_interp
 
 
@@ -266,11 +272,16 @@ def test_char_places_resolve_target_then_extras_then_source(example1):
 
 
 def test_component_graph_is_total(example1):
+    """``apply`` is total on the product; the graph holds the joined tuples."""
     arrow, it = plain_interp(example1)
-    comp = ComponentFunction(it, arrow.operation("q_1"))
+    op = arrow.operation("q_1")
+    comp, oracle = ComponentFunction(it, op), interp_oracle.ComponentFunction(it, op)
     sizes = [len(d) for d in comp.domains]
     assert sizes == [3, 2]
-    assert len(comp.graph()) == 6
+    product = list(comp.domain_product())
+    assert len(product) == 6
+    assert [comp.apply(args) for args in product] == [oracle.apply(args) for args in product]
+    assert comp.graph() == {(("e1",), ("e1",)): ("e1", "o1"), (("e3",), ("e3",)): ("e3", "o2")}
     assert comp.apply((("e3",), ("e3",))) == ("e3", "o2")
     with pytest.raises(SchemaError):
         comp.apply((("e9",), ("e9",)))
@@ -350,3 +361,142 @@ def test_op_images_iterates_ordinary_components(example1):
     images = {op.name: img for op, img in morphism.op_images()}
     assert images["q_1"] == frozenset({("e1", "o1"), ("e3", "o2")})
     assert images["q_2"] == frozenset({("e2",), ("e3",)})
+
+
+# ---------------------------------------------------------------------------
+# the join against the product evaluator
+
+JOIN_VALUES = (0, 1, "a", NULL)
+JOIN_SOURCE = Schema(
+    "A",
+    [
+        RelationSymbol("r1", ("c1",)),
+        RelationSymbol("r2", ("c1", "c2")),
+        RelationSymbol("r3", ("c1", "c2")),
+    ],
+)
+JOIN_TARGET = Schema("B", [RelationSymbol("t1", ("c1",)), RelationSymbol("s", ("c1", "c2"))])
+
+
+def _rows(draw, arity, min_size=1):
+    universe = list(itertools.product(JOIN_VALUES, repeat=arity))
+    return draw(st.sets(st.sampled_from(universe), min_size=min_size, max_size=5))
+
+
+@st.composite
+def join_cases(draw):
+    """An interpretation over small relations and one operation whose places
+    may be negated, characteristic, repeat a variable, miss their
+    relation's arity or range over an empty relation; guards may fail, the
+    head may apply a skolem function that misses some arguments, and the
+    target may be r_∅."""
+    # r3 may be empty
+    source = Instance.build(
+        JOIN_SOURCE,
+        {
+            sym.name: _rows(draw, sym.arity, min_size=0 if sym.name == "r3" else 1)
+            for sym in JOIN_SOURCE.ordinary_symbols()
+        },
+    )
+    target = Instance.build(JOIN_TARGET, {"t1": _rows(draw, 1), "s": _rows(draw, 2)})
+    domain = draw(st.none() | st.frozensets(st.sampled_from(JOIN_VALUES), max_size=3))
+    # f has no default, so a head that applies it to a missing value raises
+    entries = {(v,): v for v in draw(st.sets(st.sampled_from(JOIN_VALUES)))}
+    it = TarskiInterpretation(source, target, {"f": FunctionTable("f", entries)}, domain=domain)
+    arities = {"r1": 1, "r2": 2, "r3": 2, "t1": 1}
+    places = []
+    # one case in ten has no places, like the identity operation
+    for _ in range(0 if draw(st.integers(0, 9)) == 9 else draw(st.integers(1, 3))):
+        symbol = draw(st.sampled_from(sorted(arities)))
+        width = arities[symbol]
+        if draw(st.integers(0, 9)) == 0:
+            width = 3 - width
+        variables = tuple(draw(st.sampled_from("xyz")) for _ in range(width))
+        negated = symbol != "t1" and draw(st.booleans())
+        places.append(Place(symbol, variables, negated=negated, char=symbol == "t1"))
+    names = sorted({v for place in places for v in place.variables})
+    guards = []
+    if names:
+        for _ in range(draw(st.integers(0, 2))):
+            right = draw(st.sampled_from(names).map(Var) | st.sampled_from(JOIN_VALUES[:3]).map(Const))
+            guards.append(
+                Comparison(Var(draw(st.sampled_from(names))), draw(st.sampled_from(("=", "!=", "<"))), right)
+            )
+    if names and draw(st.integers(0, 3)):
+        target_name = "s"
+        var = st.sampled_from(names).map(Var)
+        f = FuncSymbol("f", FuncKind.SKOLEM)
+        terms = tuple(
+            draw(var | st.just(Const(1)) | var.map(lambda v: App(f, (v,)))) for _ in range(2)
+        )
+    else:
+        target_name, terms = EMPTY_NAME, ()
+    op = OperadOperation(
+        name="q_1",
+        body=tuple(places) + tuple(guards),
+        target=target_name,
+        target_columns=tuple(f"c{j}" for j in range(1, len(terms) + 1)),
+        target_terms=terms,
+        variable_order=build_variable_order(places),
+        rq_name="r_q1",
+    )
+    return it, op
+
+
+def outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (SchemaError, IncompleteInterpretationError) as exc:
+        return "error", str(exc)
+
+
+def trace_text(trace, component) -> tuple:
+    """The trace printed, up to the error if one is raised, and the error."""
+    stream = io.StringIO()
+    error = outcome(trace, SimpleNamespace(components=[component]), stream)
+    return stream.getvalue(), error
+
+
+@settings(max_examples=250, deadline=None)
+@given(join_cases())
+def test_join_matches_the_product_evaluator(case):
+    it, op = case
+    assert trace_text(_trace_morphism, ComponentFunction(it, op)) == trace_text(
+        interp_oracle.trace_morphism, interp_oracle.ComponentFunction(it, op)
+    )
+    comp, oracle = ComponentFunction(it, op), interp_oracle.ComponentFunction(it, op)
+    got, want = outcome(comp.graph), outcome(oracle.graph)
+    if want[0] == "error":
+        assert got == want
+        return
+    joined = [
+        (args, out)
+        for args, out in want[1].items()
+        if interp_oracle.component_assignment(op, args) is not None
+    ]
+    assert list(got[1].items()) == joined
+    assert comp.image() == oracle.image()
+    assert comp.preimage_counts() == oracle.preimage_counts()
+    product = list(oracle.domain_product())
+    assert list(comp.domain_product()) == product
+    outside = (("zz",),) + (product[0][1:] if product else ())
+    for args in product + [outside]:
+        assert outcome(comp.apply, args) == outcome(oracle.apply, args)
+
+
+def test_component_graph_holds_only_the_joined_tuples():
+    a = Schema("A", [RelationSymbol("R", ("x", "y")), RelationSymbol("S", ("y", "z"))])
+    b = Schema("B", [RelationSymbol("T", ("x", "z"))])
+    impl = NormalizedImplication(
+        ("x", "y", "z"),
+        (RelAtom("R", (Var("x"), Var("y"))), RelAtom("S", (Var("y"), Var("z")))),
+        RelAtom("T", (Var("x"), Var("z"))),
+    )
+    (op,) = make_operads([impl], a, b).operations
+    R = [(x, x % 4) for x in range(40)]
+    S = [(z % 5, 100 + z) for z in range(40)]
+    it = TarskiInterpretation(Instance.build(a, {"R": R, "S": S}), Instance.build(b, {}), {})
+    comp = ComponentFunction(it, op)
+    hash_join = sum(1 for _, y in R for y2, _ in S if y == y2)
+    assert len(comp.graph()) == hash_join < len(R) * len(S)
+    assert comp.preimage_counts()[()] == len(R) * len(S) - hash_join
