@@ -22,7 +22,6 @@ from .model import (
     EMPTY_NAME,
     EMPTY_SYMBOL,
     NULL,
-    TRUTH,
     Instance,
     Relation,
     RelationSymbol,

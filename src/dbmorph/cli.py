@@ -12,12 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
+from .dsl import pretty_term
 from .errors import DbmorphError, PreconditionError
 from .flux import (
     EQUAL,
     UNEQUAL,
     ClosureBounds,
-    _show,
     flux_equal,
     flux_kernel,
     in_closure,
@@ -25,7 +25,7 @@ from .flux import (
 )
 from .interp import InstanceMorphism, alpha_star, component_assignment, satisfies
 from .irdb import parse_database
-from .logic import validate_instance
+from .logic import Const, validate_instance
 from .model import NULL, Schema
 from .operads import build_equal_var_set
 from .project import (
@@ -77,23 +77,27 @@ def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
     set, then per tuple of the argument product either the failed join
     guard or the assignment, the guard outcomes up to the first failure,
     and the head value.  The joined tuples come from ``evaluations()`` in
-    product order, each evaluated when the product walk reaches it."""
+    product order, each evaluated when the product walk reaches it.
+    Constants print as the DSL writes them."""
+
+    def show(row) -> str:
+        return "<" + ", ".join(pretty_term(Const(v)) for v in row) + ">"
+
     for component in morphism.components:
         op = component.op
         rendered = sorted(sorted(group) for group in build_equal_var_set(op))
         print(f"{op.name}: S = {rendered}", file=stream)
         evaluated = component.evaluations()
         for args in component.domain_product():
-            shown = ", ".join("<" + ", ".join(map(_show, t)) + ">" for t in args)
+            shown = ", ".join(map(show, args))
             if component_assignment(op, args) is None:
                 print(f"  ({shown}) join guard failed -> <>", file=stream)
                 continue
             _, g, checks, out = next(evaluated)
-            bound = ", ".join(f"{k}={_show(v)}" for k, v in g.items())
+            bound = ", ".join(f"{k}={pretty_term(Const(v))}" for k, v in g.items())
             marks = " ".join("[ok]" if holds else "[fail]" for holds in checks)
             suffix = f" guards {marks}" if checks else ""
-            shown_out = "<" + ", ".join(map(_show, out)) + ">"
-            print(f"  ({shown}) g: {bound}{suffix} -> {shown_out}", file=stream)
+            print(f"  ({shown}) g: {bound}{suffix} -> {show(out)}", file=stream)
         # running the evaluations to their end fills the graph
         next(evaluated, None)
 
@@ -305,10 +309,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DbmorphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DbmorphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

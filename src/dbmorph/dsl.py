@@ -62,7 +62,7 @@ from .logic import (
     Var,
     hash_symbol,
 )
-from .model import NULL, TRUTH
+from .model import NULL
 
 __all__ = [
     "parse_mapping",
@@ -448,8 +448,6 @@ def pretty_term(term: Term) -> str:
         v = term.value
         if v is NULL:
             return "null"
-        if v is TRUTH:
-            return "1"
         if isinstance(v, int):
             return str(v)
         return _quote(v)

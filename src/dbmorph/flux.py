@@ -22,9 +22,10 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .dsl import pretty_term
 from .errors import PreconditionError
-from .logic import Var, eval_comparison
-from .model import NULL, TRUTH, row_key, value_key
+from .logic import Const, Var, eval_comparison
+from .model import row_key, value_key
 from .operads import OperadOperation
 
 __all__ = [
@@ -153,16 +154,6 @@ def _kernel_member(op: OperadOperation, image) -> "frozenset | None":
     return frozenset(tuple(row[j - 1] for j in pos) for row in image)
 
 
-def _show(value) -> str:
-    if value is NULL:
-        return "null"
-    if value is TRUTH:
-        return "1"
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ClosureResult:
     """Everything the bounded enumeration produced: row-set -> witnessing
@@ -204,7 +195,7 @@ def closure_set(
         else:
             counter += 1
             members.setdefault(member, f"g{counter}")
-    constants = [(c, _show(c)) for c in sorted(kernel.values(), key=value_key)]
+    constants = [(c, pretty_term(Const(c))) for c in sorted(kernel.values(), key=value_key)]
 
     remaining = set(targets or ()) - set(members)
     views = iter(())
@@ -224,20 +215,20 @@ def closure_set(
             return ClosureResult(members, True, False)
         else:
             rows, witness = view
-            members[rows] = witness()
+            members[rows] = witness
             remaining.discard(rows)
     return ClosureResult(members, False, False)
 
 
 def _views(members: dict, start: int, constants: list, max_arity: int):
     """One depth of the search: each view result not yet in ``members``,
-    with a thunk that formats its witness.
+    with its witness text.
 
     The unary views apply to the frontier, the members from ``start`` on;
     products and unions take, in the order of the full pair product, only
     the pairs that hold a frontier member.  The caller admits or refuses a
     proposal before resuming, so the duplicate test sees every member
-    admitted so far and the thunk still sees the loop variables it reads.
+    admitted so far.
     """
     items = [(m, e, len(next(iter(m))) if m else 0) for m, e in members.items()]
     frontier = items[start:]
@@ -249,13 +240,13 @@ def _views(members: dict, start: int, constants: list, max_arity: int):
             for const, shown in constants:
                 rows = frozenset(r for r in member if eval_comparison("=", r[col - 1], const))
                 if rows not in members:
-                    yield rows, lambda: f"select[{col}={shown}]({expr})"
+                    yield rows, f"select[{col}={shown}]({expr})"
             for col2 in range(col + 1, n + 1):
                 rows = frozenset(
                     r for r in member if eval_comparison("=", r[col - 1], r[col2 - 1])
                 )
                 if rows not in members:
-                    yield rows, lambda: f"select[{col}={col2}]({expr})"
+                    yield rows, f"select[{col}={col2}]({expr})"
         for k in range(1, min(n, max_arity) + 1):
             for seq in itertools.permutations(range(n), k):
                 if k == 1:  # a slice keeps the projected rows tuples
@@ -264,18 +255,18 @@ def _views(members: dict, start: int, constants: list, max_arity: int):
                     get = itemgetter(*seq)
                 rows = frozenset(map(get, member))
                 if rows not in members:
-                    yield rows, lambda: f"project[{_positions(seq)}]({expr})"
+                    yield rows, f"project[{_positions(seq)}]({expr})"
 
     for i, (m1, e1, n1) in enumerate(items):
         for m2, e2, n2 in items if i >= start else frontier:
             if m1 and m2 and n1 + n2 <= max_arity:
                 rows = frozenset(a + b for a in m1 for b in m2)
                 if rows not in members:
-                    yield rows, lambda: f"({e1} x {e2})"
+                    yield rows, f"({e1} x {e2})"
             if (not m1 or not m2 or n1 == n2) and m1 != m2:
                 rows = m1 | m2
                 if rows not in members:
-                    yield rows, lambda: f"({e1} u {e2})"
+                    yield rows, f"({e1} u {e2})"
 
 
 @dataclass(frozen=True)

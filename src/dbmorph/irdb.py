@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .model import (
     NULL,
-    TRUTH,
     DomainValue,
     Instance,
     Relation,
@@ -48,8 +47,6 @@ _NULL_BYTES = b"NUL0"
 def _render(value: DomainValue) -> bytes:
     if value is NULL:
         return _NULL_BYTES
-    if value is TRUTH:
-        return b"1"
     return str(value).encode("utf-8")
 
 

@@ -24,7 +24,6 @@ from .irdb import hash_tuple
 from .model import (
     EMPTY_NAME,
     NULL,
-    TRUTH,
     DomainValue,
     Instance,
     active_domain,
@@ -447,10 +446,6 @@ def eval_comparison(op: str, a: DomainValue, b: DomainValue) -> bool:
     between two integers and are false otherwise; =/!= are syntactic."""
     if a is NULL or b is NULL:
         return False
-    if a is TRUTH:
-        a = 1
-    if b is TRUTH:
-        b = 1
     if op == "=":
         return a == b
     if op == "!=":
@@ -498,7 +493,7 @@ def _term_value(term: Term, g: Mapping[str, DomainValue], skolem_value) -> Domai
         except KeyError:
             raise SchemaError(f"variable {term.name} has no value under the assignment") from None
     if isinstance(term, Const):
-        return 1 if term.value is TRUTH else term.value
+        return term.value
     if term.func.kind is FuncKind.SKOLEM and skolem_value is None:
         raise SafetyError(
             f"function {term.func.name} has no fixed interpretation inside a schema constraint"
@@ -589,7 +584,7 @@ def validate_instance(
     for dep in constraints:
         for lit in dep.lhs + (dep.rhs if isinstance(dep, Tgd) else ()):
             for t in literal_terms(lit):
-                if isinstance(t, Const) and t.value is not TRUTH:
+                if isinstance(t, Const):
                     base.add(t.value)
     dom = sorted(base, key=value_key)
     # (constraint, witness) -> None, in the order the violations are found

@@ -1,9 +1,8 @@
 """Relational core: domain values, rows, relations, schemas, instances.
 
-Domain values are opaque printable constants (``str`` or ``int``), the
-missing-value marker ``NULL``, and the internal truth constant ``TRUTH``
-(which evaluates to the integer 1 and is never serialized).  Value equality
-is syntactic: no coercion happens between integer and string renderings.
+Domain values are opaque printable constants (``str`` or ``int``) and the
+missing-value marker ``NULL``.  Value equality is syntactic: no coercion
+happens between integer and string renderings.
 
 Every schema implicitly contains the distinguished nullary symbol ``r_∅``;
 every instance maps it to the unit relation ``⊥ = {()}``.  Ordinary symbols
@@ -22,7 +21,6 @@ if TYPE_CHECKING:  # constraint objects live in .logic; imported for typing only
 
 __all__ = [
     "NULL",
-    "TRUTH",
     "DomainValue",
     "Row",
     "EMPTY_NAME",
@@ -56,25 +54,9 @@ class _Null:
         return "NULL"
 
 
-class _Truth:
-    """Singleton truth constant; internal only, evaluates to the integer 1."""
-
-    _instance: "_Truth | None" = None
-    __slots__ = ()
-
-    def __new__(cls) -> "_Truth":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TRUTH"
-
-
 NULL = _Null()
-TRUTH = _Truth()
 
-DomainValue = Union[int, str, _Null, _Truth]
+DomainValue = Union[int, str, _Null]
 Row = tuple  # tuple[DomainValue, ...]
 
 EMPTY_NAME = "r_∅"
@@ -84,11 +66,9 @@ def value_key(v: DomainValue) -> tuple:
     """Total order key over domain values: NULL < ints < strings."""
     if v is NULL:
         return (0, 0)
-    if v is TRUTH:
-        return (1, 1)
     if isinstance(v, int):
-        return (2, v)
-    return (3, v)
+        return (1, v)
+    return (2, v)
 
 
 def row_key(row: Row) -> tuple:
@@ -110,7 +90,7 @@ def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
 
 
 def _check_value(v: object) -> DomainValue:
-    if v is NULL or v is TRUTH:
+    if v is NULL:
         return v
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise SchemaError(f"invalid domain value {v!r}: expected str, int, or NULL")

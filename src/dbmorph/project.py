@@ -23,7 +23,6 @@ from .interp import FunctionTable, InstanceMorphism, SatisfactionReport, TarskiI
 from .logic import RelAtom, SOtgd, ValidationReport
 from .model import (
     NULL,
-    TRUTH,
     DomainValue,
     Instance,
     RelationSymbol,
@@ -69,8 +68,6 @@ __all__ = [
 def value_to_json(value: DomainValue):
     if value is NULL:
         return None
-    if value is TRUTH:
-        raise SchemaError("the truth constant does not belong in stored rows")
     return value
 
 

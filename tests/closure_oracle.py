@@ -9,15 +9,15 @@ candidate and keeps enumerating after the relation cap refuses one.
 
 import itertools
 
+from dbmorph.dsl import pretty_term
 from dbmorph.flux import (
     BOTTOM_MEMBER,
     DEFAULT_BOUNDS,
     ClosureBounds,
     ClosureResult,
     FluxKernel,
-    _show,
 )
-from dbmorph.logic import eval_comparison
+from dbmorph.logic import Const, eval_comparison
 from dbmorph.model import value_key
 
 
@@ -79,7 +79,7 @@ def closure_set(
                     rows = frozenset(
                         r for r in member if eval_comparison("=", r[col - 1], const)
                     )
-                    if add(rows, f"select[{col}={_show(const)}]({expr})"):
+                    if add(rows, f"select[{col}={pretty_term(Const(const))}]({expr})"):
                         return ClosureResult({**members, **new}, capped, False)
                 for col2 in range(col + 1, n + 1):
                     rows = frozenset(

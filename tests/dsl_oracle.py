@@ -60,7 +60,7 @@ from dbmorph.logic import (
     literal_variables,
     term_variables,
 )
-from dbmorph.model import NULL, TRUTH
+from dbmorph.model import NULL
 
 __all__ = [
     "parse_mapping",
@@ -491,8 +491,6 @@ def pretty_term(term: Term) -> str:
         v = term.value
         if v is NULL:
             return "null"
-        if v is TRUTH:
-            return "1"
         if isinstance(v, int):
             return str(v)
         return _quote(v)

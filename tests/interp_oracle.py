@@ -11,10 +11,10 @@ holds the whole product, each tuple mapped to its head value or to ``()``.
 import itertools
 from collections import Counter
 
+from dbmorph.dsl import pretty_term
 from dbmorph.errors import SchemaError
-from dbmorph.flux import _show
 from dbmorph.interp import TarskiInterpretation, place_domain
-from dbmorph.logic import _holds, _term_value
+from dbmorph.logic import Const, _holds, _term_value
 from dbmorph.model import EMPTY_NAME, Row, sort_rows
 from dbmorph.operads import OperadOperation, build_equal_var_set
 
@@ -120,6 +120,10 @@ class ComponentFunction:
             else:
                 self._image = frozenset(out for out in outputs if out != ())
         return self._image
+
+
+def _show(value) -> str:
+    return pretty_term(Const(value))
 
 
 def trace_morphism(morphism, stream) -> None:

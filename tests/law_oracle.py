@@ -41,7 +41,7 @@ from dbmorph.logic import (
     eval_comparison,
     literal_terms,
 )
-from dbmorph.model import NULL, TRUTH, DomainValue, Instance, sort_rows, value_key
+from dbmorph.model import NULL, DomainValue, Instance, sort_rows, value_key
 from dbmorph.operads import OperadArrow, simple_var_positions
 from dbmorph.saturation import FluxInvarianceReport, saturate
 
@@ -102,7 +102,7 @@ def _eval_constraint_term(term: Term, g: Mapping[str, DomainValue], inst: Instan
     if isinstance(term, Var):
         return g[term.name]
     if isinstance(term, Const):
-        return 1 if term.value is TRUTH else term.value
+        return term.value
     if term.func.kind is FuncKind.HASH:
         return hash_tuple(tuple(_eval_constraint_term(a, g, inst) for a in term.args))
     raise SafetyError(
@@ -146,8 +146,7 @@ def _match_atoms(
                     break
                 bound[t.name] = v
             elif isinstance(t, Const):
-                want = 1 if t.value is TRUTH else t.value
-                if want != v:
+                if t.value != v:
                     ok = False
                     break
             else:  # function terms are not matchable patterns
@@ -194,7 +193,7 @@ def validate_instance(
         lits = list(dep.lhs) + (list(dep.rhs) if isinstance(dep, Tgd) else [])
         for lit in lits:
             for t in literal_terms(lit):
-                if isinstance(t, Const) and t.value is not TRUTH:
+                if isinstance(t, Const):
                     base.add(t.value)
     dom = sorted(base, key=value_key)
     violations: list[Violation] = []

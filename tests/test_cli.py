@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from dbmorph import cli, interp as interp_module
 from dbmorph import project as project_module
 from dbmorph.cli import main
-from dbmorph.dsl import _MAX_NESTING as DSL_NESTING
+from dbmorph.dsl import _MAX_NESTING as DSL_NESTING, parse_mapping
 from dbmorph.interp import ComponentFunction
 from dbmorph.project import (
     compile_project_mapping,
@@ -182,6 +182,66 @@ def test_eval_verbose_traces_the_short_circuit_evaluation(capsys, tmp_path):
         "  (<1, 2>) g: x=1, y=2 guards [ok] [ok] -> <1>",
         "  (<3, 4>) g: x=3, y=4 guards [fail] -> <>",
     ]
+
+
+def control_character_fixture(tmp_path):
+    """R and T both hold a string with a newline and one with a tab, and
+    the mapping copies R into T."""
+    rows = [["a\nb"], ["c\td"]]
+    files = {
+        "a.json": {"schema": "A", "relations": {"R": {"columns": ["c1"], "rows": rows}}},
+        "b.json": {"schema": "B", "relations": {"T": {"columns": ["c1"], "rows": rows}}},
+        "interp.json": {"source": "a", "target": "b"},
+        "project.json": {
+            "schemas": {"A": {"relations": {"R": ["c1"]}}, "B": {"relations": {"T": ["c1"]}}},
+            "instances": {
+                "a": {"schema": "A", "file": "a.json"},
+                "b": {"schema": "B", "file": "b.json"},
+            },
+            "mappings": {"m": {"source": "A", "target": "B", "file": "m.map"}},
+        },
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    (tmp_path / "m.map").write_text("forall x . R(x) -> T(x)", encoding="utf-8")
+    return str(tmp_path / "project.json"), str(tmp_path / "interp.json")
+
+
+def test_eval_verbose_escapes_control_characters_as_the_dsl_does(capsys, tmp_path):
+    project, it = control_character_fixture(tmp_path)
+    code, _, trace = run(
+        capsys, "eval", "--project", project, "--mapping", "m", "--interp", it, "--verbose"
+    )
+    assert code == 0
+    assert trace.splitlines() == [
+        "q_1: S = []",
+        '  (<"a\\nb">) g: x="a\\nb" -> <"a\\nb">',
+        '  (<"c\\td">) g: x="c\\td" -> <"c\\td">',
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, witness",
+    [("a\nb", 'select[1="a\\nb"](g1)'), ("c\td", 'select[1="c\\td"](g1)')],
+)
+def test_flux_witness_escapes_control_characters_as_the_dsl_does(
+    capsys, tmp_path, value, witness
+):
+    project, it = control_character_fixture(tmp_path)
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps([[value]]), encoding="utf-8")
+    code, out, _ = run(
+        capsys,
+        "flux", "--project", project, "--mapping", "m", "--interp", it,
+        "--member", str(member),
+    )
+    assert code == 0
+    found = payload(out)["member"]["witness"]
+    assert found == witness and "\n" not in found and "\t" not in found
+    # the constant reads back through the DSL as the member's value
+    constant = found.removeprefix("select[1=").removesuffix("](g1)")
+    (tgd,) = parse_mapping(f"forall x . R(x) & x = {constant} -> T(x)")
+    assert tgd.lhs[1].right.value == value
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dbmorph import (
     Schema,
     SchemaError,
     TarskiInterpretation,
-    TRUTH,
     Var,
     alpha_star,
     apply_component,
@@ -83,7 +82,6 @@ def test_eval_term_variables_constants_and_hash(example1):
     g = {"x": "e1"}
     assert eval_term(g, Var("x"), it) == "e1"
     assert eval_term(g, Const(5), it) == 5
-    assert eval_term(g, Const(TRUTH), it) == 1
     h = App(hash_symbol(), (Var("x"),))
     assert eval_term(g, h, it) == hash_tuple(("e1",))
 

@@ -5,7 +5,6 @@ from dbmorph import (
     NULL,
     RelationSymbol,
     Schema,
-    TRUTH,
     classify_tgd,
     hash_tuple,
     opposite_mapping,
@@ -43,10 +42,6 @@ def test_null_renders_as_its_marker():
 def test_numbers_and_their_digit_strings_render_identically():
     assert hash_tuple((132,)) == "4572cb18182509fd"
     assert hash_tuple(("132",)) == "4572cb18182509fd"
-
-
-def test_truth_renders_as_one():
-    assert hash_tuple((TRUTH,)) == hash_tuple((1,)) == hash_tuple(("1",))
 
 
 def test_the_separator_keeps_adjacent_values_apart():

@@ -20,7 +20,6 @@ from dbmorph import (
     SOtgd,
     SOtgdConjunct,
     Tgd,
-    TRUTH,
     Var,
     classify_tgd,
     eval_comparison,
@@ -306,13 +305,6 @@ def test_null_satisfies_no_comparison(op):
     assert eval_comparison(op, "a", NULL) is False
 
 
-def test_truth_compares_as_one():
-    assert eval_comparison("=", TRUTH, 1)
-    assert eval_comparison("=", 1, TRUTH)
-    assert eval_comparison("<", TRUTH, 2)
-    assert not eval_comparison("=", TRUTH, "1")
-
-
 def test_equality_is_syntactic():
     assert eval_comparison("=", "a", "a")
     assert not eval_comparison("=", 1, "1")
@@ -513,9 +505,9 @@ def test_truth_constants_match_the_integer_one():
     inst = Instance.build(schema, {"p": [(1,)], "q": [(1, 2)]})
     dep = Tgd(
         ("y",),
-        (RelAtom("p", (Const(TRUTH),)), atom("q", "y", "y", negated=True), atom("p", "y")),
+        (RelAtom("p", (Const(1),)), atom("q", "y", "y", negated=True), atom("p", "y")),
         (atom("q", "y", "y"),),
     )
-    # Const(TRUTH) matches the stored integer 1, so the lhs fires for y=1
+    # Const(1) matches the stored integer 1, so the lhs fires for y=1
     report = validate_instance(inst, [dep])
     assert [v.witness_dict() for v in report.violations] == [{"y": 1}]

@@ -7,7 +7,6 @@ from dbmorph import (
     BOTTOM,
     EMPTY_NAME,
     NULL,
-    TRUTH,
     Instance,
     Relation,
     RelationSymbol,
@@ -18,19 +17,17 @@ from dbmorph import (
 from dbmorph.model import BOTTOM_ROWS, project, row_key, sort_rows, value_key
 
 
-def test_null_and_truth_are_singletons():
-    from dbmorph.model import _Null, _Truth
+def test_null_is_a_singleton():
+    from dbmorph.model import _Null
 
     assert _Null() is NULL
-    assert _Truth() is TRUTH
     assert repr(NULL) == "NULL"
-    assert NULL is not TRUTH
 
 
 def test_value_key_orders_null_before_ints_before_strings():
-    values = ["b", 5, NULL, "a", -3, TRUTH]
+    values = ["b", 5, NULL, "a", -3]
     ordered = sorted(values, key=value_key)
-    assert ordered == [NULL, TRUTH, -3, 5, "a", "b"]
+    assert ordered == [NULL, -3, 5, "a", "b"]
 
 
 def test_value_key_does_not_coerce_int_and_string():

@@ -1,7 +1,9 @@
 """The package is stdlib-only: each of its modules imports nothing but the
-standard library and dbmorph itself, and uses every name it imports."""
+standard library and dbmorph itself, uses every name it imports, and
+defines every name it exports."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -77,3 +79,13 @@ def test_modules_use_every_name_they_import(path):
                 if name not in used:
                     unused.append(name)
     assert not unused, f"{path.name} imports {', '.join(unused)} without using them"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    # tools that wrap a module's API look each ``__all__`` entry up by name
+    name = "dbmorph" if path.stem == "__init__" else f"dbmorph.{path.stem}"
+    module = importlib.import_module(name)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    missing = sorted(n for n in _exported_names(tree) if not hasattr(module, n))
+    assert not missing, f"{path.name} exports {', '.join(missing)}, which it does not define"

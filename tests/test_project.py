@@ -8,7 +8,6 @@ from dbmorph import (
     FluxKernel,
     NULL,
     SchemaError,
-    TRUTH,
     alpha_star,
     satisfies,
     saturate,
@@ -55,11 +54,6 @@ def test_value_from_json_rejects_non_domain_values():
         value_from_json(1.5)
     with pytest.raises(SchemaError):
         value_from_json([1])
-
-
-def test_truth_never_serializes():
-    with pytest.raises(SchemaError):
-        value_to_json(TRUTH)
 
 
 def test_rows_serialize_sorted():

@@ -1,61 +1,22 @@
 """The paper's theorem end to end: a morphism can be replaced by its
-saturation.  Each generated case of the saturation oracle test, over the
-values a JSON file can hold, is written out as a project directory and run
-through ``cli.main``; ``equal`` of a mapping against its saturation may say
-"equal" or "unknown within bounds", never "unequal"."""
+saturation.  Each generated case of the saturation oracle test is written
+out as a project directory and run through ``cli.main``; ``equal`` of a
+mapping against its saturation may say "equal" or "unknown within bounds",
+never "unequal"."""
 
 import io
-import itertools
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from dbmorph import alpha_star, check_flux_invariance, saturate
+from dbmorph import check_flux_invariance, saturate
 from dbmorph.cli import main
-from dbmorph.model import NULL
 from dbmorph.project import instance_to_json, value_to_json
 
-from test_saturation import ORACLE_CLAUSES, simple_setup
-
-JSON_VALUES = (0, 1, "a", NULL)
-
-
-@st.composite
-def json_cases(draw):
-    """As ``test_saturation.oracle_cases``, without TRUTH: the mapping text,
-    its arrow and a satisfying interpretation whose skolem tables are total
-    over ``JSON_VALUES``."""
-    values = st.sampled_from(JSON_VALUES)
-    clauses = draw(
-        st.lists(st.integers(0, len(ORACLE_CLAUSES) - 1), min_size=1, max_size=5, unique=True)
-    )
-    used = [ORACLE_CLAUSES[i] for i in sorted(clauses)]
-    names = [f for _, f, _ in used if f]
-    text = " && ".join(clause for clause, _, _ in used)
-    if names:
-        text = f"exists {', '.join(names)} . {text}"
-    skolem = {
-        f: {args: draw(values) for args in itertools.product(JSON_VALUES, repeat=k)}
-        for _, f, k in used
-        if f
-    }
-    source_rows = {
-        "r": draw(st.frozensets(st.tuples(values), max_size=3)),
-        "r2": draw(st.frozensets(st.tuples(values, values), max_size=6)),
-    }
-    noise = {
-        "s": draw(st.frozensets(st.tuples(values), max_size=2)),
-        "s2": draw(st.frozensets(st.tuples(values, values), max_size=8)),
-        "s3": draw(st.frozensets(st.tuples(values, values, values), max_size=6)),
-    }
-    arrow, probe = simple_setup(text, source_rows, noise, skolem)
-    target = {name: set(rows) for name, rows in noise.items()}
-    for component in alpha_star(probe, arrow).components:
-        target.setdefault(component.op.target, set()).update(component.image())
-    return (text, *simple_setup(text, source_rows, target, skolem))
+from test_saturation import oracle_cases
 
 
 def write_project(d: Path, text: str, it) -> Path:
@@ -104,7 +65,7 @@ def run(*argv) -> tuple:
 
 
 @settings(max_examples=50, deadline=None)
-@given(json_cases())
+@given(oracle_cases())
 def test_saturation_stands_in_for_the_morphism(case):
     text, arrow, it = case
     assert check_flux_invariance(it, arrow).ok
