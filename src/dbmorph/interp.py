@@ -9,10 +9,11 @@ domain when the place is negated), and an argument tuple maps to the
 evaluated head tuple when the equal-variable join guard and every built-in
 guard hold, to the empty tuple otherwise.
 
-A component evaluates only the argument tuples that pass the join guard:
-its graph holds those, each mapped to its head value or to the empty tuple
-when a built-in guard fails, and every other tuple of the product maps to
-the empty tuple.
+A component evaluates only the argument tuples that pass the join guard,
+found by the join that validates constraints (``logic._join``): its graph
+holds those, each mapped to its head value or to the empty tuple when a
+built-in guard fails, and every other tuple of the product maps to the
+empty tuple.
 
 The interpretation satisfies the arrow exactly when every component's image
 is contained in the target relation it points at.
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
-from .logic import Comparison, Literal, NotNull, Term, _holds, _term_value
+from .logic import Comparison, Literal, NotNull, RelAtom, Term, Var, _holds, _join, _term_value
 from .model import (
     EMPTY_NAME,
     DomainValue,
@@ -35,7 +36,6 @@ from .model import (
     RelationSymbol,
     Row,
     active_domain,
-    group_rows,
     sort_rows,
 )
 from .operads import OperadArrow, OperadOperation, Place
@@ -202,13 +202,9 @@ class ComponentFunction:
     def domain_product(self):
         return itertools.product(*self.domains)
 
-    def _joined(self) -> list:
+    def _joined(self):
         """(args, assignment) for every argument tuple that passes the
-        equal-variable join guard, in product order.  The places are joined
-        left to right; each place's rows are those of its sorted domain
-        that agree with the assignment at the positions an earlier place
-        bound, so a fully bound place is a membership test (an anti-join
-        for a negated one) and a place with nothing bound is a scan."""
+        equal-variable join guard, in product order."""
         op, domains = self.op, self.domains
         if not all(domains):
             return []
@@ -219,32 +215,10 @@ class ComponentFunction:
                     f"operation {op.name}: tuple {rows[0]!r} does not fit atom "
                     f"{place.symbol}/{place.arity}"
                 )
-        partial = [((), {})]
-        bound: set = set()
-        for place, rows, members in zip(op.places, domains, self._members):
-            names = place.variables
-            key = [i for i, v in enumerate(names) if v in bound]
-            fresh = [(i, v) for i, v in enumerate(names) if v not in bound]
-            bound.update(names)
-            if not fresh:
-                partial = [
-                    (args + (row,), g)
-                    for args, g in partial
-                    if (row := tuple(g[v] for v in names)) in members
-                ]
-                continue
-            index = group_rows(rows, key) if key else {(): rows}
-            extended = []
-            for args, g in partial:
-                for row in index.get(tuple(g[names[i]] for i in key), ()):
-                    h = dict(g)
-                    for i, v in fresh:
-                        if h.setdefault(v, row[i]) != row[i]:
-                            break
-                    else:
-                        extended.append((args + (row,), h))
-            partial = extended
-        return partial
+        # an atom names its place by position, since two places over one
+        # symbol can range over different domains
+        atoms = [RelAtom(j, tuple(map(Var, p.variables))) for j, p in enumerate(op.places)]
+        return _join(atoms, domains.__getitem__, {}, {})
 
     def evaluations(self):
         """Evaluate each joined argument tuple once, yielding it with its

@@ -9,13 +9,16 @@ whose head terms may apply those symbols.
 This module also implements the transformations that feed the operad
 compiler: Skolemization of tgd sets, constant hoisting, normalization into
 single-head implications, tgd classification, and constraint validation of
-finite instances, which matches atoms against indexed rows and lets only
-the variables that no atom binds range over the domain.
+finite instances.  ``_join``, the left-to-right join of atoms against
+indexed rows, serves validation and the evaluation of components in
+``interp``; a function term in a body atom is a SafetyError once a row
+agrees with the atom at every position before it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -523,49 +526,53 @@ def _holds(
     return holds != lit.negated
 
 
-def _extensions(
-    g: Mapping[str, DomainValue],
-    names: Sequence[str],
-    atoms: Sequence[RelAtom],
-    tests: Sequence[Literal],
-    inst: Instance,
-    domain: Sequence[DomainValue],
-    index: dict,
-) -> Iterator[dict]:
-    """Every extension of ``g`` under which all ``atoms`` and ``tests`` hold.
-    Each atom binds its variables from the ``index`` rows that agree with it
-    at its constants and bound variables up to its first function term,
-    which no row may reach; the other ``names`` range over ``domain``."""
-    if not atoms:
-        free = [v for v in names if v not in g]
-        if free:
-            for value in domain:
-                yield from _extensions({**g, free[0]: value}, names, (), tests, inst, domain, index)
-        elif all(_holds(l, g, inst, None) for l in tests):
-            yield g
-        return
-    atom = atoms[0]
-    positions, values = [], []
-    for j, t in enumerate(atom.terms):
-        if isinstance(t, App):
-            break
-        if isinstance(t, Const) or t.name in g:
-            positions.append(j)
-            values.append(_term_value(t, g, None))
-    key = (atom.relation, tuple(positions))
-    if key not in index:
-        index[key] = group_rows(sort_rows(inst.rows(atom.relation)), positions)
-    for row in index[key].get(tuple(values), ()):
-        bound = dict(g)
-        for t, v in zip(atom.terms, row):
+def _join(atoms: Sequence[RelAtom], rows, index: dict, g: Mapping) -> Iterator[tuple]:
+    """(matched rows, assignment) for every extension of ``g`` that matches
+    ``atoms`` left to right, in product order.  An atom takes, from the
+    ``model.group_rows`` index of ``rows(relation)`` held in ``index`` under
+    (relation, positions), the rows that agree with it at its constants and
+    bound variables before its first function term, and binds its other
+    variables; a row that agrees at every position before a function term
+    is a SafetyError.  The last atom's matches come as they are asked for,
+    so a search for one witness stops at the first."""
+    partial = iter([((), g)])
+    bound = set(g)
+    for atom in atoms:
+        positions, keyed, fresh = [], [], []
+        for j, t in enumerate(atom.terms):
             if isinstance(t, App):
-                raise SafetyError(
-                    "function terms in constraint lhs atoms are not supported by the validator"
-                )
-            if isinstance(t, Var) and bound.setdefault(t.name, v) != v:
                 break
-        else:
-            yield from _extensions(bound, names, atoms[1:], tests, inst, domain, index)
+            if isinstance(t, Var) and t.name not in bound:
+                fresh.append((j, t.name))
+            else:
+                positions.append(j)
+                keyed.append(t)
+        key = (atom.relation, tuple(positions))
+        if key not in index:
+            index[key] = group_rows(rows(atom.relation), positions)
+        unmatchable = len(positions) + len(fresh) < len(atom.terms)
+        partial = _matches(list(partial), index[key], keyed, fresh, unmatchable)
+        bound.update(v for _, v in fresh)
+    return partial
+
+
+def _matches(partial, groups: dict, keyed: list, fresh: list, unmatchable: bool):
+    """One join step: each partial match extended by each row of ``groups``
+    that agrees with it at the ``keyed`` terms and binds the ``fresh`` ones."""
+    for matched, h in partial:
+        values = tuple(h[t.name] if isinstance(t, Var) else t.value for t in keyed)
+        for row in groups.get(values, ()):
+            bind = dict(h) if fresh else h
+            for j, v in fresh:
+                if bind.setdefault(v, row[j]) != row[j]:
+                    break
+            else:
+                if unmatchable:
+                    raise SafetyError(
+                        "function terms in constraint lhs atoms are not supported "
+                        "by the validator"
+                    )
+                yield matched + (row,), bind
 
 
 def validate_instance(
@@ -577,7 +584,8 @@ def validate_instance(
     the variables that no atom binds range over the active domain plus the
     declared constants, so witnesses outside that domain go unseen.
     Violations are data, not errors; a function term in a positive lhs atom
-    is a SafetyError once a row reaches it."""
+    is a SafetyError once a row agrees with the atom at every position
+    before it."""
     if constraints is None:
         constraints = inst.schema.constraints
     base: set = set(active_domain(inst)) | set(domain)
@@ -591,6 +599,18 @@ def validate_instance(
     found: dict = {}
     # (relation, positions) -> grouped rows, shared by every constraint
     index: dict = {}
+
+    def extensions(g: Mapping, names: Sequence[str], atoms: list, tests: list) -> Iterator[dict]:
+        """Every extension of ``g`` under which ``atoms`` and ``tests`` hold:
+        the atoms are joined, then the ``names`` that no atom binds range
+        over the domain one at a time, lazily, and the tests run."""
+        for _, h in _join(atoms, lambda relation: sort_rows(inst.rows(relation)), index, g):
+            free = [v for v in names if v not in h]
+            for values in itertools.product(dom, repeat=len(free)):
+                full = {**h, **dict(zip(free, values))} if free else h
+                if all(_holds(l, full, inst, None) for l in tests):
+                    yield full
+
     for dep in constraints:
         atoms = [l for l in dep.lhs if isinstance(l, RelAtom) and not l.negated]
         tests = [l for l in dep.lhs if l not in atoms]
@@ -603,9 +623,9 @@ def validate_instance(
         else:
             names, exists, head_atoms = dep.universals, (), ()
             head_tests = [Comparison(Var(y), "=", Var(z)) for y, z in dep.equalities]
-        for g in _extensions({}, names, atoms, tests, inst, dom, index):
+        for g in extensions({}, names, atoms, tests):
             head = {v: g[v] for v in dep.universals} if isinstance(dep, Tgd) else g
-            witnesses = _extensions(head, exists, head_atoms, head_tests, inst, dom, index)
+            witnesses = extensions(head, exists, head_atoms, head_tests)
             # the empty assignment is a witness too, though falsy
             if next(witnesses, None) is None:
                 found[dep, tuple(sorted((v, g[v]) for v in dep.universals))] = None

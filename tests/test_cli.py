@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbmorph import cli, interp as interp_module
+from dbmorph import cli, interp as interp_module, logic
 from dbmorph import project as project_module
 from dbmorph.cli import main
 from dbmorph.dsl import _MAX_NESTING as DSL_NESTING, parse_mapping
@@ -538,6 +538,40 @@ def test_validate_violation_exits_one(capsys):
     data = payload(out)
     assert data["valid"] is False
     assert len(data["violations"]) == 2
+
+
+@pytest.mark.parametrize(
+    "row, code", [((1, 2, 3), 0), ((1, 1, 3), 3)], ids=["disagrees", "agrees"]
+)
+def test_validate_exits_three_once_a_row_agrees_before_a_function_term(
+    capsys, tmp_path, row, code
+):
+    # the row (1, 2, 3) fails the repeated x before it reaches hash(x)
+    relations = {"P": ["a", "b", "c"], "Q": ["a"]}
+    project = {
+        "schemas": {
+            "A": {"relations": relations, "constraints": "forall x . P(x, x, hash(x)) -> Q(x)"}
+        },
+        "instances": {"a": {"schema": "A", "file": "a.json"}},
+        "mappings": {},
+    }
+    instance = {
+        "schema": "A",
+        "relations": {
+            "P": {"columns": relations["P"], "rows": [list(row)]},
+            "Q": {"columns": relations["Q"], "rows": []},
+        },
+    }
+    (tmp_path / "project.json").write_text(json.dumps(project), encoding="utf-8")
+    (tmp_path / "a.json").write_text(json.dumps(instance), encoding="utf-8")
+    got, out, err = run(
+        capsys, "validate", "--project", str(tmp_path / "project.json"), "--instance", "a"
+    )
+    assert got == code
+    if code == 0:
+        assert payload(out) == {"valid": True, "violations": []}
+    else:
+        assert out == "" and "function terms" in err
 
 
 # ---------------------------------------------------------------------------
@@ -1085,6 +1119,37 @@ def test_eval_verbose_evaluates_each_joined_tuple_once(monkeypatch, capsys):
     # the trace lists the whole product and evaluates only the joined tuples
     assert len(lines) > len(joined) == len(evaluated) > 0
     assert set(evaluated.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--project", P3, "--mapping", "m_ab", "--interp", interp("example3")),
+        ("validate", "--project", P4, "--instance", "a_dup"),
+    ],
+    ids=["eval", "validate"],
+)
+def test_eval_and_validate_run_the_one_join(monkeypatch, capsys, argv):
+    # a component's argument tuples and a constraint's matches both come
+    # from logic._join, so a second join loop in either cannot come back
+    joined = Counter()
+    join = logic._join
+
+    def counting_join(atoms, rows, index, g):
+        joined[tuple(atom.relation for atom in atoms)] += 1
+        return join(atoms, rows, index, g)
+
+    for module in (logic, interp_module):
+        monkeypatch.setattr(module, "_join", counting_join)
+    code, _, err = run(capsys, *argv)
+    assert code == (0 if argv[0] == "eval" else 1) and err == ""
+    if argv[0] == "eval":
+        # one join per component, over its places
+        ops = compile_project_mapping(load_project(P3), "m_ab").operations
+        assert joined == Counter(tuple(range(len(op.places))) for op in ops)
+    else:
+        # the key egd matches its two Contacts atoms
+        assert joined[("Contacts", "Contacts")] == 1
 
 
 # ---------------------------------------------------------------------------

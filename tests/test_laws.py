@@ -236,6 +236,19 @@ def test_the_validation_cases_reach_every_shape():
         assert outcome(oracle.validate_instance, inst, [constraint], ()) is SafetyError
 
 
+@pytest.mark.parametrize(
+    "row, expected", [((1, 2, 3), logic.ValidationReport(())), ((1, 1, 3), SafetyError)]
+)
+def test_a_body_function_term_raises_once_a_row_agrees_before_it(row, expected):
+    # forall x . P(x, x, hash(x)) -> Q(x): a row raises only when it agrees
+    # with the atom at every position before the function term
+    schema = Schema("S", [RelationSymbol(P, ("a", "b", "c")), RelationSymbol(Q, ("a",))])
+    inst = Instance.build(schema, {P: [row], Q: []})
+    tgd = Tgd(("x",), (atom(P, x, x, App(hash_symbol(), (x,))),), (atom(Q, x),))
+    for validate in (validate_instance, oracle.validate_instance):
+        assert outcome(validate, inst, [tgd], ()) == expected
+
+
 def test_the_key_egd_sorts_its_relation_twice(monkeypatch):
     # one index per (relation, positions): the first atom reads K whole,
     # the second by x1; sorting K per partial match would take 201 sorts
