@@ -17,10 +17,13 @@ The mapping language::
 
 An IDENT starts with a letter or ``_`` and continues with letters, digits,
 ``_`` or ``'``; a NUMBER is a run of decimal digits of any script; a STRING
-is double-quoted, holds no raw newline, and escapes only ``\\n``, ``\\t``,
-``\\"`` and ``\\\\``.  Space, tab, carriage return and line feed separate
-tokens; any other character is an error.  A literal holds at most
-``_MAX_NESTING`` argument lists open at once, an atom's own included.
+is double-quoted, holds no raw newline, and has the escapes ``\\n``,
+``\\t``, ``\\r``, ``\\"``, ``\\\\`` and ``\\xHH`` (two hex digits, the
+character of that code point); the printer writes every other control
+character (Unicode category Cc) as ``\\xHH``.  Space, tab, carriage return
+and line feed separate tokens; any other character is an error.  A literal
+holds at most ``_MAX_NESTING`` argument lists open at once, an atom's own
+included.
 
 With an ``exists`` prefix the mapping is a single SOtgd whose prefix names
 are skolem function symbols; every variable must then be bound by its
@@ -84,7 +87,7 @@ _MAX_NESTING = 100
 # character matches one of them.  ``\d`` is exactly ``str.isdecimal`` and
 # ``[\w']`` exactly ``str.isalnum`` or ``_'``; ``ident`` may start with a
 # numeric non-decimal such as ``²``, which ``_tokenize`` rejects.
-_OPEN_STRING = re.compile(r'"(?:[^"\\\n]|\\[nt"\\])*')
+_OPEN_STRING = re.compile(r'"(?:[^"\\\n]|\\[ntr"\\]|\\x[0-9a-fA-F]{2})*')
 _TOKEN = re.compile(
     rf"""(?P<newline>\n)
       | (?P<blank>[ \t\r]+)
@@ -95,8 +98,8 @@ _TOKEN = re.compile(
       | (?P<bad>.)""",
     re.VERBOSE,
 )
-_ESCAPE = re.compile(r"\\(.)")
-_UNESCAPE = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(x..|.)")
+_UNESCAPE = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
 class _Token(NamedTuple):
@@ -119,7 +122,7 @@ def _tokenize(text: str) -> list[_Token]:
         value = m.group()
         col = m.start() - line_start + 1
         if kind == "string":
-            value = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], value[1:-1])
+            value = _ESCAPE.sub(_unescape, value[1:-1])
         elif kind == "bad" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
             if value == '"':
                 _string_error(text, m.start(), line, col)
@@ -127,6 +130,11 @@ def _tokenize(text: str) -> list[_Token]:
         tokens.append(_Token(kind, value, line, col))
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _unescape(escape: re.Match) -> str:
+    code = escape[1]
+    return chr(int(code[1:], 16)) if code[0] == "x" else _UNESCAPE[code]
 
 
 def _string_error(text: str, start: int, line: int, col: int) -> None:
@@ -436,8 +444,14 @@ def _check_distinct(toks: Sequence[_Token]) -> None:
 # pretty-printing
 
 
+# what ``_quote`` escapes: the quote, the backslash and every control
+# character (Unicode category Cc, U+0000-U+001F and U+007F-U+009F)
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f-\x9f]')
+_ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+
+
 def _quote(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
+    out = _NEEDS_ESCAPE.sub(lambda c: _ESCAPES.get(c[0]) or f"\\x{ord(c[0]):02x}", s)
     return f'"{out}"'
 
 

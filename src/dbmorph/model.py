@@ -89,6 +89,9 @@ def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
     return groups
 
 
+_VALUE_CLASSES = frozenset({int, str, _Null})
+
+
 def _check_value(v: object) -> DomainValue:
     if v is NULL:
         return v
@@ -128,13 +131,19 @@ class Relation:
     rows: frozenset
 
     def __post_init__(self) -> None:
-        normalized = frozenset(tuple(_check_value(v) for v in row) for row in self.rows)
+        # ``rows`` may be any iterable of rows: it is read once, and no row
+        # is hashed before its values are checked
+        rows = list(map(tuple, self.rows))
+        if {v.__class__ for row in rows for v in row} <= _VALUE_CLASSES:
+            normalized = frozenset(rows)
+        else:
+            normalized = frozenset(tuple(_check_value(v) for v in row) for row in rows)
         object.__setattr__(self, "rows", normalized)
-        for row in normalized:
-            if len(row) != self.symbol.arity:
-                raise SchemaError(
-                    f"row {row!r} has {len(row)} values; {self.symbol.name} has arity {self.symbol.arity}"
-                )
+        if {len(row) for row in normalized} - {self.symbol.arity}:
+            row = next(row for row in normalized if len(row) != self.symbol.arity)
+            raise SchemaError(
+                f"row {row!r} has {len(row)} values; {self.symbol.name} has arity {self.symbol.arity}"
+            )
 
     def values(self) -> frozenset:
         return frozenset(v for row in self.rows for v in row)
@@ -222,7 +231,7 @@ class Instance:
         rels = {}
         for name, rws in rows.items():
             sym = schema.symbol(name)
-            rels[name] = Relation(sym, frozenset(tuple(r) for r in rws))
+            rels[name] = Relation(sym, rws)
         return cls(schema, rels)
 
     def relation(self, name: str) -> Relation:

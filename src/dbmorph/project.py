@@ -7,7 +7,15 @@ project file.
 
 Every serializer here is canonical: keys sorted, rows sorted, no
 environment-dependent content, so two runs over the same inputs produce
-byte-identical files.
+byte-identical files.  ``canonical_json`` writes the bytes of
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
+with its own emitter, which writes a list of scalars, such as a row, as one
+string.
+
+A row list read from JSON is checked in bulk: one pass over the classes of
+its rows and of their values, one set of row widths.  Only a list that
+fails the check goes through ``value_from_json`` value by value, which
+raises the located message of its first bad row or value.
 """
 
 from __future__ import annotations
@@ -95,6 +103,23 @@ def _row_from_json(row, where: str) -> Row:
     return tuple(value_from_json(v, where) for v in row)
 
 
+_PLAIN = frozenset({int, str, type(None)})
+
+
+def _rows_from_json(rows: list, where: str) -> list:
+    """The rows of a JSON array of rows as tuples of domain values.  When
+    a row is not an array, or a value is not an int, a string or null, the
+    rows go through ``_row_from_json`` one by one, which raises the error
+    of the first bad one, located by ``where``."""
+    if {row.__class__ for row in rows} <= {list}:
+        kinds = {v.__class__ for row in rows for v in row}
+        if kinds <= _PLAIN:
+            if type(None) in kinds:
+                return [tuple([NULL if v is None else v for v in row]) for row in rows]
+            return list(map(tuple, rows))
+    return [_row_from_json(row, where) for row in rows]
+
+
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
@@ -146,13 +171,13 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
         columns = _columns(body["columns"], f"{where}: relation {name}: 'columns'")
         rows = _typed(body["rows"], list, f"{where}: relation {name}: 'rows'")
         symbols[name] = RelationSymbol(name, columns)
-        rows_by_name[name] = [_row_from_json(r, f"{where}: {name}") for r in rows]
-        for row in rows_by_name[name]:
-            if len(row) != len(columns):
-                raise SchemaError(
-                    f"{where}: relation {name}: row {row!r} has {len(row)} values; "
-                    f"{name} has arity {len(columns)}"
-                )
+        rows = rows_by_name[name] = _rows_from_json(rows, f"{where}: {name}")
+        if {len(row) for row in rows} - {len(columns)}:
+            row = next(row for row in rows if len(row) != len(columns))
+            raise SchemaError(
+                f"{where}: relation {name}: row {row!r} has {len(row)} values; "
+                f"{name} has arity {len(columns)}"
+            )
 
     if schema is None:
         schema = Schema(str(data.get("schema", "S")), symbols.values())
@@ -218,7 +243,7 @@ def load_member_file(path) -> frozenset:
     one width, since no view derives rows of two."""
     path = Path(path)
     rows = _typed(_read_json(path), list, f"{path}: the top level")
-    member = frozenset(_row_from_json(row, f"{path}: member row") for row in rows)
+    member = frozenset(_rows_from_json(rows, f"{path}: member row"))
     widths = sorted({len(row) for row in member})
     if len(widths) > 1:
         raise SchemaError(
@@ -306,9 +331,7 @@ def load_project(path) -> Project:
     data = _typed(_read_json(path), dict, f"{path}: the top level")
     base = path.parent
 
-    domain = tuple(
-        value_from_json(v, f"{path}: 'domain'") for v in _section(data, "domain", list, path)
-    )
+    (domain,) = _rows_from_json([_section(data, "domain", list, path)], f"{path}: 'domain'")
 
     schemas = {}
     for name, body in sorted(_section(data, "schemas", dict, path).items()):
@@ -388,14 +411,20 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
     tables = {}
     for fname, body in sorted(_section(data, "skolem", dict, path).items()):
         where = f"{path}: skolem {fname}"
-        entries = {}
-        for pair in _section(_typed(body, dict, where), "entries", list, where):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{path}: {fname}: entries are [args, value] pairs")
-            args, value = pair
-            entries[_row_from_json(args, f"{path}: {fname}")] = value_from_json(
-                value, f"{path}: {fname}"
+        pairs = _section(_typed(body, dict, where), "entries", list, where)
+        good = len(pairs)  # the pairs before the first that is no [args, value] pair
+        if not ({p.__class__ for p in pairs} <= {list} and {len(p) for p in pairs} <= {2}):
+            good = next(
+                i for i, pair in enumerate(pairs) if not isinstance(pair, list) or len(pair) != 2
             )
+        # each good pair gives two rows, [value] and args: the first fault in
+        # file order raises, a pair's value before its args
+        rows = _rows_from_json(
+            [part for pair in pairs[:good] for part in (pair[1:], pair[0])], f"{path}: {fname}"
+        )
+        if good < len(pairs):
+            raise SchemaError(f"{path}: {fname}: entries are [args, value] pairs")
+        entries = dict(zip(rows[1::2], [value for (value,) in rows[::2]]))
         default = None
         if "default" in body:
             default = value_from_json(body["default"], f"{path}: {fname} default")
@@ -403,15 +432,76 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
 
     domain = None
     if "domain" in data:
-        domain = frozenset(
-            value_from_json(v, f"{path}: domain")
-            for v in _section(data, "domain", list, path)
-        )
+        (values,) = _rows_from_json([_section(data, "domain", list, path)], f"{path}: domain")
+        domain = frozenset(values)
     return TarskiInterpretation(source, target, tables, extras, domain)
 
 
+_encode_str = json.encoder.encode_basestring
+# the text of each scalar, by its exact class; other classes take the
+# ``isinstance`` path of ``_write_json``
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value, indent: str, chunks: list) -> None:
+    """Append the text of ``value`` to ``chunks``: a container opens on the
+    current line, and its items sit on lines of their own, indented by
+    ``indent`` and two spaces more."""
+    scalar = _SCALARS.get(value.__class__)
+    if scalar is not None:
+        chunks.append(scalar(value))
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        sep = "{\n" + inner
+        for key in sorted(value):
+            chunks.append(sep + _encode_str(key) + ": ")
+            _write_json(value[key], inner, chunks)
+            sep = ",\n" + inner
+        chunks.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        if value[0].__class__ in _SCALARS:  # a list of scalars, such as a row, is one string
+            try:
+                items = (",\n" + inner).join([_SCALARS[v.__class__](v) for v in value])
+            except KeyError:  # a container after the first item
+                pass
+            else:
+                chunks.append("[\n" + inner + items + "\n" + indent + "]")
+                return
+        sep = "[\n" + inner
+        for item in value:
+            chunks.append(sep)
+            _write_json(item, inner, chunks)
+            sep = ",\n" + inner
+        chunks.append("\n" + indent + "]")
+    elif isinstance(value, str):
+        chunks.append(_encode_str(value))
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"`` for a payload of dicts with string keys,
+    lists, tuples, strings, ints, booleans and None, built as a list of
+    chunks and joined once."""
+    chunks: list = []
+    _write_json(obj, "", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _equal_set_to_json(op: OperadOperation) -> list:

@@ -1,6 +1,9 @@
 # The mapping DSL module as it stood before its tokenizer became one regular
 # expression, kept verbatim apart from its imports as the oracle that the
-# differential test in test_dsl.py compares dbmorph.dsl against.
+# differential test in test_dsl.py compares dbmorph.dsl against.  Its string
+# escapes follow the language as it grew since: the reader also takes \r and
+# \xHH, and the printer writes \r and every other control character
+# (category Cc) but newline and tab as \xHH.
 """Text syntax for dependencies: a parser and a pretty-printer.
 
 The mapping language::
@@ -33,6 +36,7 @@ on ASTs.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -117,6 +121,14 @@ def _tokenize(text: str) -> list[_Token]:
                         buf.append("\t")
                     elif esc in ('"', "\\"):
                         buf.append(esc)
+                    elif esc == "r":
+                        buf.append("\r")
+                    elif esc == "x" and len(text[i + 2 : i + 4]) == 2 and all(
+                        h in "0123456789abcdefABCDEF" for h in text[i + 2 : i + 4]
+                    ):
+                        buf.append(chr(int(text[i + 2 : i + 4], 16)))
+                        i += 2
+                        col += 2
                     else:
                         raise ParseError(f"unknown escape \\{esc}", line, col)
                     i += 2
@@ -480,8 +492,17 @@ def _check_distinct(toks: Sequence[_Token]) -> None:
 
 
 def _quote(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{out}"'
+    out = []
+    for c in s:
+        if c in '"\\':
+            out.append("\\" + c)
+        elif c in "\n\t\r":
+            out.append({"\n": "\\n", "\t": "\\t", "\r": "\\r"}[c])
+        elif unicodedata.category(c) == "Cc":
+            out.append(f"\\x{ord(c):02x}")
+        else:
+            out.append(c)
+    return '"' + "".join(out) + '"'
 
 
 def pretty_term(term: Term) -> str:

@@ -34,3 +34,28 @@ def test_wins_follow_the_better_direction_and_ties_count_for_neither():
 def test_summary_gives_the_median_and_quartiles():
     assert bench_pairs.summary([1, 2, 3, 4, 5]) == {"median": 3, "q1": 2, "q3": 4}
     assert bench_pairs.summary([7]) == {"median": 7, "q1": 7, "q3": 7}
+
+
+END_TO_END = [
+    {"name": "ops", "better": "higher", "bound": 0.2},
+    {"name": "ms", "better": "lower", "bound": 0.25},
+    {"name": "absent", "better": "lower", "bound": 0.25},
+]
+
+
+def test_summary_lines_give_medians_change_wins_and_the_bound():
+    runs = {
+        "base": side([{"ops": 10, "ms": 4, "x": 1}, {"ops": 10, "ms": 4, "x": 1}]),
+        "change": side([{"ops": 7, "ms": 5, "x": 0}, {"ops": 12, "ms": 5, "x": 0}]),
+    }
+    result = bench_pairs.compare("join", 7193, runs, {"ops": "higher", "ms": "lower"})
+    assert bench_pairs.summary_lines(result, END_TO_END) == [
+        "join seed 7193 ops: 10 [10-10] -> 9.5 -5.0% 1/2 wins",
+        "join seed 7193 ms: 4 [4-4] -> 5 +25.0% 0/2 wins",
+    ]
+    runs["change"] = side([{"ops": 7, "ms": 5.2, "x": 0}, {"ops": 8.9, "ms": 5.2, "x": 0}])
+    result = bench_pairs.compare("join", 7193, runs, {"ops": "higher", "ms": "lower"})
+    assert bench_pairs.summary_lines(result, END_TO_END) == [
+        "join seed 7193 ops: 10 [10-10] -> 7.95 -20.5% 0/2 wins OVER BOUND",
+        "join seed 7193 ms: 4 [4-4] -> 5.2 +30.0% 0/2 wins OVER BOUND",
+    ]

@@ -86,6 +86,35 @@ def test_out_writes_the_file_instead_of_stdout(capsys, tmp_path):
     assert data["name"] == "m_ab"
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("compile", []),
+        ("eval", ["--interp", "interp_ab.json"]),
+        ("saturate", ["--interp", "interp_ab.json"]),
+        ("pfunction", ["--interp", "interp_ab.json", "--op", "1"]),
+        ("flux", ["--interp", "interp_ab.json"]),
+        ("equal", ["--interp", "interp_ab.json"]),
+        ("parse", []),
+        ("validate", []),
+    ],
+)
+def test_out_file_holds_the_bytes_of_stdout(capsys, tmp_path, command, extra):
+    project = copy_example1(tmp_path)
+    for name in ("a.json", "b.json"):  # non-ASCII text and escapes in every value shown
+        path = tmp_path / name
+        text = path.read_text(encoding="utf-8").replace('"e1"', '"é\\u2028\\n\\""')
+        path.write_text(text, encoding="utf-8")
+    target = "--instance" if command in ("parse", "validate") else "--mapping"
+    argv = [command, "--project", str(project), target, "a" if target == "--instance" else "m_ab"]
+    argv += [str(tmp_path / a) if a.endswith(".json") else a for a in extra]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and out.startswith("{"), err
+    out_file = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(out_file)) == (code, "", "")
+    assert out_file.read_bytes() == out.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # eval
 

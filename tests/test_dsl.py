@@ -1,6 +1,7 @@
 """Mapping DSL: parser, pretty-printer, and their round trip."""
 
 import functools
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,31 @@ def test_string_escapes_round_trip():
     (dep,) = parse_mapping(text)
     assert dep.lhs[0].terms[1] == Const('a"b\\c\nd\te')
     assert parse_mapping(pretty_mapping([dep])) == [dep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("a\rb\x1b[0m\x7f\x85")
+def test_printed_strings_hold_no_control_character_and_parse_back(text):
+    printed = dsl.pretty_term(Const(text))
+    assert not any(unicodedata.category(c) == "Cc" for c in printed)
+    (dep,) = parse_mapping(f"forall x . p(x, {printed}) -> q(x)")
+    assert dep.lhs[0].terms[1] == Const(text)
+
+
+def test_control_characters_print_as_escapes():
+    assert dsl.pretty_term(Const("a\rb\x00\x1b\x7f\x85\x9f\n\t")) == (
+        '"a\\rb\\x00\\x1b\\x7f\\x85\\x9f\\n\\t"'
+    )
+    (dep,) = parse_mapping('forall x . p(x, "\\x41\\x7F\\r") -> q(x)')
+    assert dep.lhs[0].terms[1] == Const("A\x7f\r")
+
+
+@pytest.mark.parametrize("bad", ['"\\x4"', '"\\xg0"', '"\\x"', '"\\X41"'])
+def test_hex_escape_needs_two_hex_digits(bad):
+    with pytest.raises(ParseError, match=f"unknown escape \\\\{bad[2]}") as err:
+        parse_mapping(f"forall x . p(x, {bad}) -> q(x)")
+    assert (err.value.line, err.value.column) == (1, 18)
 
 
 def test_identifiers_may_carry_apostrophes():
@@ -405,8 +431,9 @@ def outcome(module, text):
     return tokens, parsed, module.pretty_mapping(parsed)
 
 
-HOSTILE = list("afpxy_'²½٤٢019é \"\\\n\r\t()(),.&-<>=!;\f\x00\udcff") + [
+HOSTILE = list("afpxy_'²½٤٢019é \"\\\n\r\t()(),.&-<>=!;\f\x00\x1b\x85\udcff") + [
     "forall ", "exists ", "not ", "null", "taut", "notnull", "hash", "->", "&&", "\\n", "f1",
+    "\\r", "\\x", "\\x1",
 ]
 FIXTURE_BYTES = [path.read_bytes() for path in ALL_MAPPING_FILES]
 
@@ -430,6 +457,7 @@ def mutated_fixtures(draw):
 @example("forall ²x . p(x) -> q(x)")
 @example("forall x . p(x, ٤٢) -> q(x)")
 @example('forall x . p(x, "a\nb") -> q(x)')
+@example('forall x . p(x, "a\r\x1b\\r\\x1B\\x4") -> q(x)')
 @example('forall x . p(x, "a\\')
 @example('forall x . p(x, "a\\\nb") -> q(x)')
 @example("forall x .\r\n p(x, y)\r\n -> q(y) ;")

@@ -65,12 +65,21 @@ def test_relation_checks_arity():
 
 
 def test_relation_rejects_bools_and_floats():
-    # bool is an int subclass; it must still be rejected
+    # bool is an int subclass; it must still be rejected, and an unhashable
+    # value is reported before any row is hashed
     sym = RelationSymbol("r", ("a",))
     with pytest.raises(SchemaError):
         Relation(sym, frozenset({(True,)}))
     with pytest.raises(SchemaError):
         Relation(sym, frozenset({(1.5,)}))
+    with pytest.raises(SchemaError, match=r"invalid domain value \[2\]"):
+        Relation(sym, [(1,), ([2],)])
+
+
+def test_relation_reads_a_one_shot_iterator_of_rows_once():
+    sym = RelationSymbol("r", ("a", "b"))
+    rel = Relation(sym, iter([(1, "x"), [2, NULL], (1, "x")]))
+    assert rel.rows == frozenset({(1, "x"), (2, NULL)})
 
 
 def test_relation_accepts_null_values():

@@ -1,8 +1,11 @@
 """Project files, instance files, and canonical serialization."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dbmorph import (
     FluxKernel,
@@ -13,7 +16,7 @@ from dbmorph import (
     saturate,
 )
 from dbmorph.dsl import parse_mapping
-from dbmorph.model import RelationSymbol, Schema
+from dbmorph.model import Relation, RelationSymbol, Schema
 from dbmorph.project import (
     arrow_to_json,
     canonical_json,
@@ -23,6 +26,7 @@ from dbmorph.project import (
     load_instance,
     load_instance_file,
     load_interpretation_file,
+    load_member_file,
     load_project,
     morphism_to_json,
     rows_to_json,
@@ -33,6 +37,7 @@ from dbmorph.project import (
 )
 from dbmorph.logic import validate_instance
 
+import project_oracle
 from conftest import FIXTURES, arrow_and_interp
 
 
@@ -164,6 +169,36 @@ def test_canonical_json_is_stable_and_readable():
     out = canonical_json({"b": 1, "a": [2, 1], "s": "héllo"})
     assert out == '{\n  "a": [\n    2,\n    1\n  ],\n  "b": 1,\n  "s": "héllo"\n}\n'
     assert canonical_json({"b": 1, "a": [2, 1], "s": "héllo"}) == out
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_documents)
+@example({"é": ["a\"\\\n\x00\x7f\u2028", "ü"], "": [], "z": {}, "n": [[], [{}], ()]})
+@example([True, 1, False, 0, None, -(10**40)])
+@example(())
+@example(True)
+@example("\ud800é")
+def test_canonical_json_is_json_dumps(document):
+    want = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(document) == want
+
+
+def test_canonical_json_refuses_what_json_cannot_carry():
+    for bad in (1.5, {1}, object()):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json({"a": [bad]})
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +424,139 @@ def test_validation_serialization_orders_mixed_witness_values():
         {"k": 0, "v": 1, "w": "a"},
         {"k": 0, "v": "a", "w": 1},
     ]
+
+
+# ---------------------------------------------------------------------------
+# bulk loading against the per-value loaders (tests/project_oracle.py)
+
+BAD_VALUES = [True, False, 1.5, {}, {"a": 1}, [1], []]
+NOT_ROWS = ["oops", 3, None, True, {"a": [1]}]
+plain_values = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from(["x", "é", ""]))
+
+
+def rows_of(width):
+    return st.lists(st.lists(plain_values, min_size=width, max_size=width), max_size=5)
+
+
+@st.composite
+def planted(draw, rows, width_matters=True):
+    """``rows`` (a list of JSON rows) with up to two faults planted at
+    random places: a value that is no domain value, a row of another width,
+    or a row that is no array."""
+    rows = [list(row) for row in rows]
+    kinds = ["value", "row"] + (["width"] if width_matters else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        at = draw(st.integers(0, len(rows)))
+        if kind == "row":
+            rows.insert(at, draw(st.sampled_from(NOT_ROWS)))
+            continue
+        if at == len(rows) or not isinstance(rows[at], list):
+            rows.insert(at, [draw(plain_values)])
+        row = rows[at]
+        if kind == "value" or not row:
+            row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(BAD_VALUES)))
+        elif draw(st.booleans()):
+            row.append(draw(plain_values))
+        else:
+            del row[draw(st.integers(0, len(row) - 1))]
+    return rows
+
+
+def outcome(load, *args):
+    """What ``load(*args)`` returns, or the type and message of its error."""
+    try:
+        return load(*args)
+    except SchemaError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def instance_documents(draw):
+    relations = {}
+    for name, width in (("p", 1), ("q", 2)):
+        if draw(st.booleans()):
+            relations[name] = {
+                "columns": [f"c{i}" for i in range(1, width + 1)],
+                "rows": draw(planted(draw(rows_of(width)))),
+            }
+    return {"schema": "A", "relations": relations}
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_documents(), st.booleans())
+def test_bulk_instance_loading_is_the_per_value_loader(data, with_schema):
+    schema = sample_schema() if with_schema else None
+    got = outcome(load_instance, data, schema, "a.json")
+    want = outcome(project_oracle.load_instance, data, schema, "a.json")
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.schema.name, got.relations) == (want.schema.name, want.relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bulk_relation_check_is_the_per_value_check(data):
+    sym = RelationSymbol("q", ("c1", "c2"))
+    rows = data.draw(planted(data.draw(rows_of(2))))
+    rows = [row for row in rows if isinstance(row, list)]
+    rows = [tuple(NULL if v is None else v for v in row) for row in rows]
+    got = outcome(lambda: Relation(sym, rows).rows)
+    assert got == outcome(project_oracle.relation_rows, sym, rows)
+
+
+def write_json(directory, name, data) -> Path:
+    path = Path(directory) / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bulk_member_loading_is_the_per_value_loader(data):
+    rows = data.draw(planted(data.draw(rows_of(data.draw(st.integers(0, 3)))), width_matters=False))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(tmp, "member.json", rows)
+        assert outcome(load_member_file, path) == outcome(project_oracle.load_member_file, path)
+
+
+PAIR_FAULTS = [[["e1"]], [["e1"], "o1", "o2"], "pair", None, {"a": 1}]
+
+
+@st.composite
+def interpretation_documents(draw):
+    """An interpretation of example1 whose skolem entries and domain hold
+    up to two faults: args that are no row, a value or an argument that is
+    no domain value, or an entry that is no [args, value] pair."""
+    pairs = st.tuples(st.lists(plain_values, max_size=2), plain_values).map(list)
+    entries = draw(st.lists(pairs, max_size=5))
+    for fault in draw(st.lists(st.sampled_from(["args", "value", "pair"]), max_size=2)):
+        at = draw(st.integers(0, len(entries)))
+        if fault == "pair" or at == len(entries) or entries[at] in PAIR_FAULTS:
+            entries.insert(at, json.loads(json.dumps(draw(st.sampled_from(PAIR_FAULTS)))))
+        elif fault == "args":
+            args, bad = entries[at][0], draw(st.sampled_from(NOT_ROWS + BAD_VALUES))
+            entries[at][0] = [*args, bad] if isinstance(args, list) and bad not in NOT_ROWS else bad
+        else:
+            entries[at][-1] = draw(st.sampled_from(BAD_VALUES))
+    data = {"source": "a", "target": "b", "skolem": {"f1": {"entries": entries, "default": "o9"}}}
+    if draw(st.booleans()):
+        data["domain"] = draw(planted([draw(st.lists(plain_values, max_size=4))]))[0]
+    return data
+
+
+def skolem_tables(it):
+    return {name: (t.entries, t.default) for name, t in it.skolem.items()}, it.domain
+
+
+@settings(max_examples=300, deadline=None)
+@given(interpretation_documents())
+def test_bulk_interpretation_loading_is_the_per_value_loader(example1, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(tmp, "interp.json", data)
+        got = outcome(load_interpretation_file, path, example1)
+        want = outcome(project_oracle.load_interpretation_file, path, example1)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert skolem_tables(got) == skolem_tables(want)

@@ -14,8 +14,12 @@ each end-to-end metric's median and quartiles on each side, the number of
 pairs the working tree won (by the metric's ``better`` direction in
 ``BENCHMARK.json``), the failed-request counts, and the calibration
 medians.  Runs an earlier invocation wrote there against the same base,
-for other workloads or seeds, are kept.  Standard library only; nothing
-under ``perfbench/`` is changed.
+for other workloads or seeds, are kept.  Then prints one line per workload,
+seed and end-to-end metric of this invocation: the base median and
+quartiles, the working tree's median, the signed change and the pairs won,
+marked ``OVER BOUND`` where the working tree's median is worse than the
+base's by more than the metric's bound in ``BENCHMARK.json``.  Standard
+library only; nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -101,6 +105,27 @@ def compare(workload: str, seed: int, runs: dict, directions: dict) -> dict:
     }
 
 
+def summary_lines(result: dict, end_to_end: list) -> list:
+    """One line per end-to-end metric of one workload and seed, such as
+    ``join seed 7193 throughput_ops_s: 60.1 [59.1-61.6] -> 77.8 +29.5% 10/10
+    wins``; ``end_to_end`` is the list of that name in ``BENCHMARK.json``."""
+    lines = []
+    for spec in end_to_end:
+        entry = result["metrics"].get(spec["name"])
+        if entry is None:
+            continue
+        base, change = entry["base"], entry["change"]
+        delta = (change["median"] - base["median"]) / base["median"]
+        worse = delta if spec["better"] == "lower" else -delta
+        lines.append(
+            f"{result['workload']} seed {result['seed']} {spec['name']}: "
+            f"{base['median']:.4g} [{base['q1']:.4g}-{base['q3']:.4g}] -> "
+            f"{change['median']:.4g} {delta:+.1%} {entry['change_wins']}/{result['pairs']} wins"
+            + (" OVER BOUND" if worse > spec["bound"] else "")
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
@@ -147,6 +172,8 @@ def main(argv=None) -> int:
         ] + results
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(out)
+    for result in results:
+        print("\n".join(summary_lines(result, benchmark["end_to_end"])))
     return 0
 
 
