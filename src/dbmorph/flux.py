@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .dsl import pretty_term
@@ -164,9 +165,31 @@ class ClosureResult:
     fixpoint: bool
 
 
-def _positions(seq: tuple) -> str:
-    """The 1-based column list of a projection witness."""
-    return ",".join(str(j + 1) for j in seq)
+@lru_cache(maxsize=16)
+def _projections(n: int, max_arity: int) -> tuple:
+    """(getter, witness column list) of every projection of an arity-n
+    member onto an injective position sequence of at most ``max_arity``."""
+    out = []
+    for k in range(1, min(n, max_arity) + 1):
+        for seq in itertools.permutations(range(n), k):
+            if k == 1:  # a slice keeps the projected rows tuples
+                get = itemgetter(slice(seq[0], seq[0] + 1))
+            else:
+                get = itemgetter(*seq)
+            out.append((get, ",".join(str(j + 1) for j in seq)))
+    return tuple(out)
+
+
+def _mask(rows: frozenset, bits: dict) -> int:
+    """The row-set bitmask of ``rows``; a row gets the next free bit the
+    first time a mask holds it, so masks map one-to-one onto row sets."""
+    mask = 0
+    for row in rows:
+        bit = bits.get(row)
+        if bit is None:
+            bit = bits[row] = 1 << len(bits)
+        mask |= bit
+    return mask
 
 
 def closure_set(
@@ -185,7 +208,10 @@ def closure_set(
 
     The search is semi-naive: each depth's frontier is the tail of
     ``members`` that the depth before added (see ``_views``).  One loop
-    admits every new relation.
+    admits every new relation.  Each member's row-set mask is made once: a
+    union's comes with it, and any other member's when the next depth
+    starts, since only then can it be paired; the last depth of a bounded
+    search adds most members and pairs none of them.
     """
     members: dict = {}
     counter = 0
@@ -196,6 +222,9 @@ def closure_set(
             counter += 1
             members.setdefault(member, f"g{counter}")
     constants = [(c, pretty_term(Const(c))) for c in sorted(kernel.values(), key=value_key)]
+    bits: dict = {}
+    masks: list = [None] * len(members)  # in the order of ``members``; None until made
+    known: set = set()
 
     remaining = set(targets or ()) - set(members)
     views = iter(())
@@ -209,64 +238,82 @@ def closure_set(
                 return ClosureResult(members, False, True)
             if bounds.max_depth is not None and depth >= bounds.max_depth:
                 break
-            views = _views(members, start, constants, bounds.max_arity)
+            for i, member in enumerate(itertools.islice(members, start, None), start):
+                if masks[i] is None:
+                    masks[i] = _mask(member, bits)
+                    known.add(masks[i])
+            views = _views(members, masks, known, start, constants, bounds.max_arity)
             start, depth = len(members), depth + 1
         elif len(members) >= bounds.max_relations:
             return ClosureResult(members, True, False)
         else:
-            rows, witness = view
+            rows, witness, mask = view
             members[rows] = witness
+            masks.append(mask)
+            if mask is not None:
+                known.add(mask)
             remaining.discard(rows)
     return ClosureResult(members, False, False)
 
 
-def _views(members: dict, start: int, constants: list, max_arity: int):
+def _views(members: dict, masks: list, known: set, start: int, constants: list, max_arity: int):
     """One depth of the search: each view result not yet in ``members``,
-    with its witness text.
+    with its witness text and, for a union, its row-set mask.
 
     The unary views apply to the frontier, the members from ``start`` on;
     products and unions take, in the order of the full pair product, only
     the pairs that hold a frontier member.  The caller admits or refuses a
     proposal before resuming, so the duplicate test sees every member
-    admitted so far.
+    admitted so far.  Every member from before this depth has its mask in
+    ``masks`` and ``known``, and so has every union admitted since; a union
+    whose mask is in ``known`` is a duplicate (a member's own mask is, so
+    the diagonal never proposes), and that test comes before any row set
+    is built.  Each outer member first keeps only the partners that could
+    propose a product or such a union.  A product or union with ⊥ or the
+    empty row set gives back one of its operands, so none is tried.
     """
-    items = [(m, e, len(next(iter(m))) if m else 0) for m, e in members.items()]
+    items = [
+        (m, e, len(next(iter(m))) if m else 0, k) for (m, e), k in zip(members.items(), masks)
+    ]
     frontier = items[start:]
 
-    for member, expr, n in frontier:
+    for member, expr, n, _ in frontier:
         if not member:
             continue
         for col in range(1, n + 1):
             for const, shown in constants:
                 rows = frozenset(r for r in member if eval_comparison("=", r[col - 1], const))
                 if rows not in members:
-                    yield rows, f"select[{col}={shown}]({expr})"
+                    yield rows, f"select[{col}={shown}]({expr})", None
             for col2 in range(col + 1, n + 1):
                 rows = frozenset(
                     r for r in member if eval_comparison("=", r[col - 1], r[col2 - 1])
                 )
                 if rows not in members:
-                    yield rows, f"select[{col}={col2}]({expr})"
-        for k in range(1, min(n, max_arity) + 1):
-            for seq in itertools.permutations(range(n), k):
-                if k == 1:  # a slice keeps the projected rows tuples
-                    get = itemgetter(slice(seq[0], seq[0] + 1))
-                else:
-                    get = itemgetter(*seq)
-                rows = frozenset(map(get, member))
-                if rows not in members:
-                    yield rows, f"project[{_positions(seq)}]({expr})"
+                    yield rows, f"select[{col}={col2}]({expr})", None
+        for get, columns in _projections(n, max_arity):
+            rows = frozenset(map(get, member))
+            if rows not in members:
+                yield rows, f"project[{columns}]({expr})", None
 
-    for i, (m1, e1, n1) in enumerate(items):
-        for m2, e2, n2 in items if i >= start else frontier:
-            if m1 and m2 and n1 + n2 <= max_arity:
+    for i, (m1, e1, n1, k1) in enumerate(items):
+        room = max_arity - n1 if n1 else 0  # the widest product partner
+        partners = [
+            p for p in (items if i >= start else frontier)
+            if 0 < p[2] <= room or (p[2] == n1 and k1 | p[3] not in known)
+        ]
+        for m2, e2, n2, k2 in partners:
+            if 0 < n2 <= room:
                 rows = frozenset(a + b for a in m1 for b in m2)
                 if rows not in members:
-                    yield rows, f"({e1} x {e2})"
-            if (not m1 or not m2 or n1 == n2) and m1 != m2:
+                    yield rows, f"({e1} x {e2})", None
+            # a member admitted since the partners were kept can make the
+            # union a duplicate: a union has its mask in ``known`` by now,
+            # any other member of this depth only its rows in ``members``
+            if n2 == n1 and k1 | k2 not in known:
                 rows = m1 | m2
                 if rows not in members:
-                    yield rows, f"({e1} u {e2})"
+                    yield rows, f"({e1} u {e2})", k1 | k2
 
 
 @dataclass(frozen=True)

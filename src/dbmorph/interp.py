@@ -60,15 +60,12 @@ __all__ = [
 
 @dataclass
 class FunctionTable:
-    """Finite graph of one skolem symbol; ``default`` of None means missing
-    arguments are an error."""
+    """Finite graph of one skolem symbol, keyed by argument tuples;
+    ``default`` of None means missing arguments are an error."""
 
     name: str
     entries: dict
     default: "DomainValue | None" = None
-
-    def __post_init__(self) -> None:
-        self.entries = {tuple(k): v for k, v in self.entries.items()}
 
     def lookup(self, args: Row) -> DomainValue:
         if args in self.entries:

@@ -93,8 +93,14 @@ def value_from_json(value, where: str = "value"):
     raise SchemaError(f"{where}: {value!r} is not a domain value")
 
 
+def _row_arrays(rows) -> list:
+    """Rows as JSON arrays, in their order; a row that holds no NULL is
+    copied whole."""
+    return [[value_to_json(v) for v in row] if NULL in row else list(row) for row in rows]
+
+
 def rows_to_json(rows) -> list:
-    return [[value_to_json(v) for v in row] for row in sort_rows(rows)]
+    return _row_arrays(sort_rows(rows))
 
 
 def _row_from_json(row, where: str) -> Row:
@@ -570,10 +576,6 @@ def kernel_to_json(kernel: FluxKernel) -> dict:
     return {"members": [rows_to_json(m) for m in kernel.sorted_members()]}
 
 
-def _args_to_json(args: tuple) -> list:
-    return [[value_to_json(v) for v in row] for row in args]
-
-
 def saturation_to_json(sat: SaturatedMorphism) -> dict:
     return {
         "arrow": sat.arrow.name,
@@ -581,7 +583,7 @@ def saturation_to_json(sat: SaturatedMorphism) -> dict:
             {
                 "op": e.op_name,
                 "opIndex": e.op_index,
-                "args": _args_to_json(e.trigger),
+                "args": _row_arrays(e.trigger),
                 "b": [value_to_json(v) for v in e.output],
                 "perturbation": [
                     {
@@ -598,7 +600,7 @@ def saturation_to_json(sat: SaturatedMorphism) -> dict:
             {
                 "op": s.op_name,
                 "opIndex": s.op_index,
-                "args": _args_to_json(s.trigger),
+                "args": _row_arrays(s.trigger),
                 "b": [value_to_json(v) for v in s.candidate],
                 "reason": s.reason,
             }
@@ -616,7 +618,7 @@ def pfunction_to_json(pf: PFunction) -> dict:
             {"symbol": s, "negated": neg, "char": char} for s, neg, char in pf.domain
         ],
         "graph": [
-            {"args": _args_to_json(args), "rows": rows_to_json(rows)}
+            {"args": _row_arrays(args), "rows": rows_to_json(rows)}
             for args, rows in pf.graph
         ],
     }

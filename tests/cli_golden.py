@@ -11,7 +11,10 @@ invocation the exit code and the sha256 of stdout and of stderr in
   of its project;
 - ``equal --mapping2 --interp2`` of every ordered pair of those
   (mapping, interpretation) choices;
-- ``parse``, ``parse --roundtrip`` and ``validate`` of every instance.
+- ``parse``, ``parse --roundtrip`` and ``validate`` of every instance;
+- ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
+  and 3, a fixpoint search that cannot find a foreign value, and a cap hit
+  in each bounds regime.
 
 Usage (stdlib only):
 
@@ -35,6 +38,14 @@ FIXTURES = HERE / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 EXAMPLES = ("example1", "example3", "example4", "example5")
 PFUNCTION_OPS = range(13)
+# (mapping, interpretation, member file, --bounds or None), all of example1
+FLUX_MEMBERS = (
+    ("m_ac", "interp_ac", "member_rect.json", None),
+    ("m_ab", "interp_ab", "member_pairs.json", "none,2,4000"),
+    ("m_ac", "interp_ac", "member_foreign.json", "none,2,4000"),
+    ("m_ab", "interp_ab", "member_pairs.json", "none,2,40"),
+    ("m_ab", "interp_ab", "member_foreign.json", "3,6,200"),
+)
 
 sys.path.insert(0, str(HERE.parent / "src"))
 
@@ -62,6 +73,10 @@ def invocations() -> list:
         for instance in project["instances"]:
             base = ["--project", proj, "--instance", instance]
             out.extend([["parse", *base], ["parse", *base, "--roundtrip"], ["validate", *base]])
+    for mapping, interp, member, bounds in FLUX_MEMBERS:
+        argv = ["flux", "--project", "example1/project.json", "--mapping", mapping,
+                "--interp", f"example1/{interp}.json", "--member", f"example1/{member}"]
+        out.append(argv + ["--bounds", bounds] if bounds else argv)
     return out
 
 

@@ -59,3 +59,14 @@ def test_summary_lines_give_medians_change_wins_and_the_bound():
         "join seed 7193 ops: 10 [10-10] -> 7.95 -20.5% 0/2 wins OVER BOUND",
         "join seed 7193 ms: 4 [4-4] -> 5.2 +30.0% 0/2 wins OVER BOUND",
     ]
+
+
+def test_summary_lines_flag_more_failed_requests_in_the_working_tree():
+    runs = {name: side([{"ops": 10, "ms": 4}] * 2, failed=1) for name in ("base", "change")}
+    result = bench_pairs.compare("closure", 101, runs, {"ops": "higher", "ms": "lower"})
+    assert not any("FAILED" in line for line in bench_pairs.summary_lines(result, END_TO_END))
+    runs["change"][1]["failed"] = 3
+    result = bench_pairs.compare("closure", 101, runs, {"ops": "higher", "ms": "lower"})
+    assert bench_pairs.summary_lines(result, END_TO_END)[-1] == (
+        "closure seed 101 failed requests: 2 -> 4 MORE FAILED"
+    )

@@ -387,11 +387,43 @@ def closure_cases(draw):
     return kernel, bounds, frozenset({target})
 
 
-@settings(max_examples=150, deadline=None)
-@given(closure_cases())
-def test_closure_matches_the_full_pair_product(case):
-    kernel, bounds, targets = case
+def assert_matches_the_oracle(kernel, bounds, targets):
+    """Same members in the same order, same witnesses, same ``capped`` and
+    ``fixpoint`` as the full pair product; returns the result."""
     expected = oracle_closure_set(kernel, bounds, targets)
     result = closure_set(kernel, bounds, targets)
     assert list(result.members.items()) == list(expected.members.items())
     assert (result.capped, result.fixpoint) == (expected.capped, expected.fixpoint)
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_cases())
+def test_closure_matches_the_full_pair_product(case):
+    assert_matches_the_oracle(*case)
+
+
+# the two regimes the row-set masks serve: a fixpoint search over a power
+# set, where nearly every union is a duplicate, and a bounded search that
+# the relation cap stops in the middle of a depth
+MASK_REGIMES = [
+    pytest.param(
+        FluxKernel([member((0, 0), (1, 0), ("a", "a"))]),
+        ClosureBounds(None, 2, 4000),
+        520,
+        id="power-set-fixpoint",
+    ),
+    pytest.param(
+        FluxKernel([member((0, 0), (1, 1), ("a", "a")), member((1,))]),
+        ClosureBounds(3, 6, 1500),
+        1500,
+        id="cap-mid-depth",
+    ),
+]
+
+
+@pytest.mark.parametrize("kernel, bounds, size", MASK_REGIMES)
+def test_closure_matches_the_full_pair_product_on_large_searches(kernel, bounds, size):
+    result = assert_matches_the_oracle(kernel, bounds, frozenset({member(("zz",))}))
+    assert len(result.members) == size
+    assert result.capped == (bounds.max_depth is not None)

@@ -18,8 +18,10 @@ for other workloads or seeds, are kept.  Then prints one line per workload,
 seed and end-to-end metric of this invocation: the base median and
 quartiles, the working tree's median, the signed change and the pairs won,
 marked ``OVER BOUND`` where the working tree's median is worse than the
-base's by more than the metric's bound in ``BENCHMARK.json``.  Standard
-library only; nothing under ``perfbench/`` is changed.
+base's by more than the metric's bound in ``BENCHMARK.json``, and one
+``MORE FAILED`` line per workload and seed where the working tree's runs
+failed more requests in total than the base's.  Standard library only;
+nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ def compare(workload: str, seed: int, runs: dict, directions: dict) -> dict:
 def summary_lines(result: dict, end_to_end: list) -> list:
     """One line per end-to-end metric of one workload and seed, such as
     ``join seed 7193 throughput_ops_s: 60.1 [59.1-61.6] -> 77.8 +29.5% 10/10
-    wins``; ``end_to_end`` is the list of that name in ``BENCHMARK.json``."""
+    wins``; ``end_to_end`` is the list of that name in ``BENCHMARK.json``.
+    A last line such as ``join seed 7193 failed requests: 0 -> 3 MORE
+    FAILED`` follows when the working tree's runs failed more requests in
+    total than the base's."""
     lines = []
     for spec in end_to_end:
         entry = result["metrics"].get(spec["name"])
@@ -122,6 +127,12 @@ def summary_lines(result: dict, end_to_end: list) -> list:
             f"{base['median']:.4g} [{base['q1']:.4g}-{base['q3']:.4g}] -> "
             f"{change['median']:.4g} {delta:+.1%} {entry['change_wins']}/{result['pairs']} wins"
             + (" OVER BOUND" if worse > spec["bound"] else "")
+        )
+    base_failed, change_failed = sum(result["failed"]["base"]), sum(result["failed"]["change"])
+    if change_failed > base_failed:
+        lines.append(
+            f"{result['workload']} seed {result['seed']} failed requests: "
+            f"{base_failed} -> {change_failed} MORE FAILED"
         )
     return lines
 
