@@ -13,6 +13,17 @@ comes with a witnessing view expression, ``unequal`` only from the
 active-domain refutation (views cannot invent values), and everything else
 is ``unknown-within-bounds``.
 
+Under fixpoint bounds (``max_depth`` None) the closure of a NULL-free
+kernel has a closed form.  Selection by an active-domain constant,
+projection, product and union reach every nonempty relation over the
+kernel's values up to ``max_arity``; a wider member is a nonempty subset
+of the kernel rows of its width; the empty relation is reached when the
+kernel has two values or holds it.  A target outside that set is not
+found by any search, so it is answered without one, with the ``capped``
+the search would report: the cap refuses a relation iff the closure has
+more members than both the cap and the kernel.  Targets the search can
+find still get its witness.
+
 Kernel members are anonymous row-sets; column names play no role here.
 """
 
@@ -21,12 +32,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .dsl import pretty_term
 from .errors import PreconditionError
-from .logic import Const, Var, eval_comparison
-from .model import row_key, value_key
+from .logic import Const, Var
+from .model import NULL, row_key, value_key
 from .operads import OperadOperation
 
 __all__ = [
@@ -281,14 +292,14 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
         if not member:
             continue
         for col in range(1, n + 1):
+            c = col - 1
             for const, shown in constants:
-                rows = frozenset(r for r in member if eval_comparison("=", r[col - 1], const))
+                rows = frozenset(r for r in member if r[c] is not NULL and r[c] == const)
                 if rows not in members:
                     yield rows, f"select[{col}={shown}]({expr})", None
             for col2 in range(col + 1, n + 1):
-                rows = frozenset(
-                    r for r in member if eval_comparison("=", r[col - 1], r[col2 - 1])
-                )
+                c2 = col2 - 1
+                rows = frozenset(r for r in member if r[c] is not NULL and r[c] == r[c2])
                 if rows not in members:
                     yield rows, f"select[{col}={col2}]({expr})", None
         for get, columns in _projections(n, max_arity):
@@ -328,12 +339,85 @@ def _as_member(relation) -> frozenset:
     return frozenset(tuple(r) for r in rows)
 
 
+def _closed_form(kernel: FluxKernel, bounds: ClosureBounds, target: frozenset) -> "bool | None":
+    """The ``capped`` of a fixpoint search of ``kernel`` for ``target``
+    when the closed form of the closure leaves ``target`` out, so that no
+    search finds it.  None when the target lies in the closure or the
+    closed form does not apply (bounded depth, a kernel that holds NULL or
+    a member of mixed widths)."""
+    if bounds.max_depth is not None:
+        return None
+    values: set = set()
+    wide: dict = {}  # each width above max_arity -> the kernel rows of that width
+    for member in kernel.members:
+        if len({len(row) for row in member}) > 1:
+            return None
+        for row in member:
+            values.update(row)
+            if len(row) > bounds.max_arity:
+                wide.setdefault(len(row), set()).add(row)
+    if NULL in values:
+        return None
+    empty = len(values) >= 2 or frozenset() in kernel.members
+    if _reachable(target, values, wide, bounds.max_arity, empty):
+        return None
+    return _fixpoint_capped(len(values), wide, empty, len(kernel), bounds)
+
+
+def _reachable(target: frozenset, values: set, wide: dict, max_arity: int, empty: bool) -> bool:
+    """Whether the fixpoint closure of a NULL-free kernel holds ``target``:
+    the empty relation when ``empty``, any other relation of one width up
+    to ``max_arity`` over the kernel's values, and a nonempty subset of
+    the kernel rows of a wider width."""
+    if not target:
+        return empty
+    widths = {len(row) for row in target}
+    if len(widths) > 1:
+        return False
+    (n,) = widths
+    if n > max_arity:
+        return target <= wide.get(n, set())
+    return _member_values(target) <= values
+
+
+def _fixpoint_capped(
+    a: int, wide: dict, empty: bool, kernel_size: int, bounds: ClosureBounds
+) -> bool:
+    """Whether the cap stops a fixpoint search of a NULL-free kernel with
+    ``a`` values: whether the closure, of ``1 + Σ_{j=1..max_arity}
+    (2^(a^j) − 1) + Σ_wide (2^|rows| − 1) + [empty]`` members, outnumbers
+    both the cap and the kernel (the cap refuses only new relations).  The
+    sum stops once the answer is settled, and a term 2^e whose exponent
+    exceeds the limit's bit length, and so the limit on its own, is never
+    built."""
+    limit = max(bounds.max_relations, kernel_size)
+    size = 1 + empty
+    if a < 2:  # 2^(a^j) − 1 = a for every j
+        size += a * bounds.max_arity
+        exponents = iter(())
+    else:
+        exponents = itertools.accumulate(itertools.repeat(a, bounds.max_arity), mul)
+    for e in itertools.chain(exponents, map(len, wide.values())):
+        if e > limit.bit_length():
+            return True
+        size += (1 << e) - 1
+        if size > limit:
+            return True
+    return size > limit
+
+
 def in_closure(
     relation, kernel: FluxKernel, bounds: ClosureBounds = DEFAULT_BOUNDS
 ) -> ClosureVerdict:
     """Semi-decision: a positive answer carries the view expression; a
-    negative one only means not found within the bounds."""
+    negative one only means not found within the bounds.  Under fixpoint
+    bounds a target that the closed form puts outside the closure of a
+    NULL-free kernel is answered without a search, with the ``capped`` of
+    the search it skips (see the module docstring)."""
     target = _as_member(relation)
+    capped = _closed_form(kernel, bounds, target)
+    if capped is not None:
+        return ClosureVerdict(False, None, capped)
     result = closure_set(kernel, bounds, targets=frozenset({target}))
     if target in result.members:
         return ClosureVerdict(True, result.members[target], result.capped)

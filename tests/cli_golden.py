@@ -13,8 +13,9 @@ invocation the exit code and the sha256 of stdout and of stderr in
   (mapping, interpretation) choices;
 - ``parse``, ``parse --roundtrip`` and ``validate`` of every instance;
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
-  and 3, a fixpoint search that cannot find a foreign value, and a cap hit
-  in each bounds regime.
+  and 3, fixpoint searches that cannot find a foreign, a too-wide or a
+  NULL-bearing probe, a cap hit in each bounds regime, and the caps just
+  under and at the size of a fixpoint.
 
 Usage (stdlib only):
 
@@ -45,6 +46,11 @@ FLUX_MEMBERS = (
     ("m_ac", "interp_ac", "member_foreign.json", "none,2,4000"),
     ("m_ab", "interp_ab", "member_pairs.json", "none,2,40"),
     ("m_ab", "interp_ab", "member_foreign.json", "3,6,200"),
+    ("m_ab", "interp_ab", "member_wide.json", "none,2,4000"),
+    ("m_ac", "interp_ac", "member_null.json", "none,2,4000"),
+    ("m_ab", "interp_ab", "member_foreign.json", "none,2,400"),
+    ("m_ac", "interp_ac", "member_foreign.json", "none,1,8"),
+    ("m_ac", "interp_ac", "member_foreign.json", "none,1,9"),
 )
 
 sys.path.insert(0, str(HERE.parent / "src"))

@@ -1,7 +1,10 @@
 """Flux kernels and the bounded view-closure comparison."""
 
+import itertools
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dbmorph import (
     ClosureBounds,
@@ -24,6 +27,7 @@ from dbmorph import (
     mapping_vars,
     morphism_equal,
 )
+from dbmorph import flux
 from dbmorph.flux import (
     BOTTOM_MEMBER,
     EQUAL,
@@ -32,7 +36,7 @@ from dbmorph.flux import (
     closure_set,
     flux_positions,
 )
-from dbmorph.model import row_key
+from dbmorph.model import row_key, value_key
 from dbmorph.project import compile_project_mapping
 
 from closure_oracle import closure_set as oracle_closure_set
@@ -427,3 +431,171 @@ def test_closure_matches_the_full_pair_product_on_large_searches(kernel, bounds,
     result = assert_matches_the_oracle(kernel, bounds, frozenset({member(("zz",))}))
     assert len(result.members) == size
     assert result.capped == (bounds.max_depth is not None)
+
+
+# ---------------------------------------------------------------------------
+# the closure in closed form under fixpoint bounds
+
+
+def characterized_closure(kernel, max_arity):
+    """The NULL-free members of the fixpoint closure as the law states
+    them: ⊥; every nonempty relation over the kernel's non-NULL values up
+    to ``max_arity``; every nonempty subset of the NULL-free kernel rows of
+    each wider width; and ∅ when the kernel has two non-NULL values, holds
+    NULL (which no selection by a constant matches) or holds ∅.  For a
+    NULL-free kernel these are all the members."""
+    values = sorted(kernel.values() - {NULL}, key=value_key)
+    wide = {r for m in kernel.members for r in m if len(r) > max_arity and NULL not in r}
+    rows_by_width = [list(itertools.product(values, repeat=j)) for j in range(1, max_arity + 1)]
+    for n in sorted({len(r) for r in wide}):
+        rows_by_width.append(sorted((r for r in wide if len(r) == n), key=row_key))
+    out = {BOTTOM_MEMBER}
+    for rows in rows_by_width:
+        for k in range(1, len(rows) + 1):
+            out.update(frozenset(c) for c in itertools.combinations(rows, k))
+    if len(values) >= 2 or NULL in kernel.values() or frozenset() in kernel:
+        out.add(frozenset())
+    return out
+
+
+def fixpoint_cases(values, max_members=3):
+    """A kernel of up to ``max_members`` members of arity 1 to 3 over
+    ``values``, and an arity bound of 1 or 2, so that some members are
+    wider; under arity bound 2 the pool loses the value 1, which keeps the
+    oracle quick."""
+
+    @st.composite
+    def cases(draw):
+        max_arity = draw(st.integers(min_value=1, max_value=2))
+        pool = values if max_arity == 1 else [v for v in values if v != 1]
+        members = []
+        for _ in range(draw(st.integers(min_value=0, max_value=max_members))):
+            arity = draw(st.integers(min_value=1, max_value=3))
+            rows = st.tuples(*([st.sampled_from(pool)] * arity))
+            members.append(draw(st.frozensets(rows, max_size=3)))
+        return FluxKernel(members), max_arity
+
+    return cases()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixpoint_cases([0, 1, "a"]))
+def test_the_fixpoint_closure_of_a_null_free_kernel_has_a_closed_form(case):
+    kernel, max_arity = case
+    result = oracle_closure_set(kernel, ClosureBounds(None, max_arity, 10_000))
+    assert result.fixpoint
+    assert set(result.members) == characterized_closure(kernel, max_arity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fixpoint_cases([0, 1, "a", NULL], max_members=2))
+def test_the_null_free_members_keep_the_closed_form_when_the_kernel_holds_null(case):
+    # a NULL never matches a selection, so members holding one have no such
+    # simple form
+    kernel, max_arity = case
+    result = oracle_closure_set(kernel, ClosureBounds(None, max_arity, 10_000))
+    assert result.fixpoint
+    null_free = {m for m in result.members if all(NULL not in r for r in m)}
+    assert null_free == characterized_closure(kernel, max_arity)
+
+
+@pytest.mark.parametrize(
+    "members, reached",
+    [
+        ([], False),
+        ([frozenset()], True),
+        ([member((1,))], False),
+        ([member((1,), (1,)), member((1, 1))], False),
+        ([member((1,)), frozenset()], True),
+        ([member((1,)), member((2,))], True),
+        ([member((1, 2))], True),
+        ([member((NULL,))], True),
+    ],
+)
+def test_the_empty_relation_needs_two_values_a_null_or_a_kernel_that_holds_it(members, reached):
+    kernel = FluxKernel(members)
+    for max_arity in (1, 2):
+        result = oracle_closure_set(kernel, ClosureBounds(None, max_arity, 10_000))
+        assert (frozenset() in result.members) == reached
+        null_free = {m for m in result.members if all(NULL not in r for r in m)}
+        assert null_free == characterized_closure(kernel, max_arity)
+
+
+def searched_verdict(target, kernel, bounds):
+    """``in_closure`` with the closed form switched off and the full pair
+    product as the enumerator: what the search alone answers."""
+    with mock.patch.object(flux, "_closed_form", lambda *a: None), \
+            mock.patch.object(flux, "closure_set", oracle_closure_set):
+        return in_closure(target, kernel, bounds)
+
+
+def closure_caps(kernel, max_arity):
+    """The caps where ``capped`` turns: the kernel's size, and one below,
+    at and above the size of its fixpoint closure."""
+    size = len(oracle_closure_set(kernel, ClosureBounds(None, max_arity, 10_000)).members)
+    return sorted({c for c in (len(kernel), size - 1, size, size + 1) if c >= 1})
+
+
+@st.composite
+def unreachable_cases(draw):
+    """A NULL-free kernel, an arity bound and a target no view reaches:
+    one with a foreign value or a NULL, one wider than the bound and not
+    within the kernel rows of its width, one of mixed widths, or ∅ over a
+    kernel of at most one value that does not hold it."""
+    kind = draw(st.sampled_from(["foreign", "null", "wide", "mixed", "empty"]))
+    if kind == "empty":
+        v = draw(st.sampled_from([0, 1, "a"]))
+        widths = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2))
+        return FluxKernel(member((v,) * n) for n in widths), draw(st.integers(1, 2)), frozenset()
+    kernel, max_arity = draw(fixpoint_cases([0, 1, "a"]))
+    value = st.sampled_from(sorted(kernel.values(), key=value_key) or [0])
+    if kind == "wide":
+        row = st.tuples(*([value] * draw(st.integers(min_value=max_arity + 1, max_value=3))))
+        target = draw(st.frozensets(row, min_size=1, max_size=3))
+        assume(not target <= {r for m in kernel.members for r in m})
+        return kernel, max_arity, target
+    row = draw(st.lists(value, min_size=1, max_size=2))
+    if kind == "mixed":
+        return kernel, max_arity, member(row, row + row[:1])
+    row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = (
+        "foreign" if kind == "foreign" else NULL
+    )
+    return kernel, max_arity, member(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unreachable_cases())
+def test_an_unreachable_target_is_answered_without_a_search(case):
+    kernel, max_arity, target = case
+    for cap in closure_caps(kernel, max_arity):
+        bounds = ClosureBounds(None, max_arity, cap)
+        with mock.patch.object(flux, "closure_set", side_effect=AssertionError("searched")):
+            verdict = in_closure(target, kernel, bounds)
+        assert verdict == searched_verdict(target, kernel, bounds)
+        assert not verdict.found and verdict.witness is None
+
+
+@st.composite
+def reachable_cases(draw):
+    """A NULL-free kernel, an arity bound and a target in the closed form
+    of its closure: half the time, where the kernel has members wider than
+    the bound, a subset of one such member's rows."""
+    kernel, max_arity = draw(fixpoint_cases([0, 1, "a"]))
+    wide = [m for m in kernel.sorted_members() if m and len(next(iter(m))) > max_arity]
+    if wide and draw(st.booleans()):
+        rows = sorted(draw(st.sampled_from(wide)), key=row_key)
+        return kernel, max_arity, frozenset(draw(st.lists(st.sampled_from(rows), min_size=1)))
+    closure = sorted(characterized_closure(kernel, max_arity), key=flux._member_key)
+    return kernel, max_arity, draw(st.sampled_from(closure))
+
+
+@settings(max_examples=40, deadline=None)
+@given(reachable_cases())
+def test_a_target_in_the_closure_is_still_searched_for(case):
+    kernel, max_arity, target = case
+    for cap in closure_caps(kernel, max_arity):
+        bounds = ClosureBounds(None, max_arity, cap)
+        verdict = in_closure(target, kernel, bounds)
+        assert verdict == searched_verdict(target, kernel, bounds)
+    # the last cap holds the whole closure
+    assert verdict.found and verdict.witness is not None
