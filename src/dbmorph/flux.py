@@ -176,13 +176,24 @@ class ClosureResult:
     fixpoint: bool
 
 
-@lru_cache(maxsize=16)
-def _projections(n: int, max_arity: int) -> tuple:
-    """(getter, witness column list) of every projection of an arity-n
-    member onto an injective position sequence of at most ``max_arity``."""
+@lru_cache(maxsize=256)
+def _projections(classes: tuple, max_arity: int) -> tuple:
+    """(getter, witness column list) of the projections of a member onto
+    its injective position sequences of at most ``max_arity``, keeping the
+    first sequence of each class pattern.  ``classes`` numbers the member's
+    distinct column vectors in order of first occurrence, one entry per
+    column; two sequences with the same pattern pick equal column vectors
+    and so give the same row set.  A member with repeated columns filters
+    the table of one with distinct columns, and shares its getters."""
+    distinct = tuple(range(len(classes)))
+    if classes != distinct:
+        first: dict = {}
+        for p in _projections(distinct, max_arity):
+            first.setdefault(p[0](classes), p)
+        return tuple(first.values())
     out = []
-    for k in range(1, min(n, max_arity) + 1):
-        for seq in itertools.permutations(range(n), k):
+    for k in range(1, min(len(classes), max_arity) + 1):
+        for seq in itertools.permutations(distinct, k):
             if k == 1:  # a slice keeps the projected rows tuples
                 get = itemgetter(slice(seq[0], seq[0] + 1))
             else:
@@ -223,6 +234,10 @@ def closure_set(
     union's comes with it, and any other member's when the next depth
     starts, since only then can it be paired; the last depth of a bounded
     search adds most members and pairs none of them.
+
+    Two kinds of projection are never built, because each gives a row set
+    that is in ``members`` by then (see ``_views``); skipping a view that
+    would not be proposed changes no member, witness, order or ``capped``.
     """
     members: dict = {}
     counter = 0
@@ -282,6 +297,18 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
     is built.  Each outer member first keeps only the partners that could
     propose a product or such a union.  A product or union with ⊥ or the
     empty row set gives back one of its operands, so none is tried.
+
+    Projections skip two kinds of duplicate before a row set is built:
+    - Of position sequences whose columns carry the same pattern of column
+      vectors, only the first is built (``_projections``): equal column
+      vectors give equal rows.  That first one is in ``members`` when a
+      later one would come, since it was known, or proposed and admitted,
+      or refused by the cap, which ends the search.
+    - A member whose witness is ``project[t](m)`` has no projection built.
+      It was admitted in the depth before, from ``m`` in that depth's
+      frontier, and ``project[s](project[t](m))`` is ``project[t∘s](m)``, a
+      projection of ``m`` onto at most ``max_arity`` positions; by the rule
+      above every such row set is in ``members`` once that depth completes.
     """
     items = [
         (m, e, len(next(iter(m))) if m else 0, k) for (m, e), k in zip(members.items(), masks)
@@ -302,7 +329,11 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
                 rows = frozenset(r for r in member if r[c] is not NULL and r[c] == r[c2])
                 if rows not in members:
                     yield rows, f"select[{col}={col2}]({expr})", None
-        for get, columns in _projections(n, max_arity):
+        if expr.startswith("project["):
+            continue  # its projections are projections of its operand
+        classes: dict = {}
+        key = tuple(classes.setdefault(col, len(classes)) for col in zip(*member))
+        for get, columns in _projections(key, max_arity):
             rows = frozenset(map(get, member))
             if rows not in members:
                 yield rows, f"project[{columns}]({expr})", None

@@ -1,7 +1,8 @@
-"""The paired benchmark script: each side's quartiles and the pairs the
-working tree wins."""
+"""The paired benchmark script: each side's quartiles, the pairs the
+working tree wins and the export of the working tree."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -70,3 +71,32 @@ def test_summary_lines_flag_more_failed_requests_in_the_working_tree():
     assert bench_pairs.summary_lines(result, END_TO_END)[-1] == (
         "closure seed 101 failed requests: 2 -> 4 MORE FAILED"
     )
+
+
+def git(root, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        cwd=root, check=True, capture_output=True,
+    )
+
+
+def test_the_working_tree_export_holds_edits_and_untracked_files_but_not_ignored_ones(tmp_path):
+    root, dest = tmp_path / "repo", tmp_path / "export"
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "kept.py").write_text("committed\n")
+    (root / "gone.py").write_text("committed\n")
+    (root / ".gitignore").write_text(".perfbench_work/\n")
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "base")
+    (root / "src" / "kept.py").write_text("edited\n")
+    (root / "src" / "new.py").write_text("untracked\n")
+    (root / "gone.py").unlink()
+    (root / ".perfbench_work").mkdir()
+    (root / ".perfbench_work" / "out.json").write_text("{}\n")
+
+    bench_pairs.export_worktree(dest, root)
+
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "kept.py").read_text() == "edited\n"

@@ -433,6 +433,39 @@ def test_closure_matches_the_full_pair_product_on_large_searches(kernel, bounds,
     assert result.capped == (bounds.max_depth is not None)
 
 
+@st.composite
+def projection_cases(draw):
+    """Bounded searches in which projections repeat one another: kernels
+    of one- or two-row members over three values, so that a member and its
+    products often hold equal column vectors, up to depth 3 and arity 6
+    under a small cap, probing for a projection of a product of two kernel
+    members or for a foreign row."""
+    members = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        rows = st.tuples(*[st.sampled_from([0, 1, "a"])] * draw(st.integers(1, 3)))
+        members.append(draw(st.frozensets(rows, min_size=1, max_size=2)))
+    kernel = FluxKernel(members)
+    bounds = ClosureBounds(
+        draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 150))
+    )
+    if draw(st.booleans()):
+        pool = kernel.sorted_members()[1:]  # ⊥ leads
+        left, right = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        product = [a + b for a in sorted(left, key=row_key) for b in sorted(right, key=row_key)]
+        width = len(product[0])
+        seq = draw(st.permutations(range(width)))[: draw(st.integers(1, width))]
+        target = frozenset(tuple(r[j] for j in seq) for r in product)
+    else:
+        target = member((draw(st.sampled_from(sorted(kernel.values(), key=value_key))), "foreign"))
+    return kernel, bounds, frozenset({target})
+
+
+@settings(max_examples=120, deadline=None)
+@given(projection_cases())
+def test_duplicate_projections_are_settled_as_the_full_pair_product_settles_them(case):
+    assert_matches_the_oracle(*case)
+
+
 # ---------------------------------------------------------------------------
 # the closure in closed form under fixpoint bounds
 

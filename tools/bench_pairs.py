@@ -3,9 +3,11 @@
     python3 tools/bench_pairs.py --pr N --base HEAD --workload join \
         --seed 7193 --pairs 10 --seconds 20
 
-Exports the base commit with ``git archive`` into a temporary directory,
-then runs ``perfbench/run.py --trace 0`` of each side alternately, one
-process at a time: pair i runs the base first when i is even and the
+Exports the base commit with ``git archive`` into one temporary directory
+and the working tree (tracked and untracked files, not ignored ones) into
+another, so that both sides start from a fresh copy without a bytecode
+cache, then runs ``perfbench/run.py --trace 0`` of each side alternately,
+one process at a time: pair i runs the base first when i is even and the
 working tree first when it is odd.  Each run is read from the JSON object
 on the last line of its stdout and from its ``calibration:`` line.
 
@@ -29,7 +31,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +56,21 @@ def export(ref: str, dest: Path) -> str:
         # the "data" filter where this Python has it
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return commit
+
+
+def export_worktree(dest: Path, root: Path = ROOT) -> None:
+    """Copy the files of the working tree at ``root`` into ``dest``: the
+    tracked ones as they are now, uncommitted edits included, and the
+    untracked ones that are not ignored."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        source = root / name
+        if source.is_file():  # a tracked file deleted in the tree is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,10 +169,11 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     results = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
-        commit = export(args.base, base_root)
-        sides = {"base": base_root, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_root:
+        commit = export(args.base, Path(base_root))
+        export_worktree(Path(change_root))
+        sides = {"base": Path(base_root), "change": Path(change_root)}
         for workload in args.workload:
             for seed in args.seed:
                 runs: dict = {"base": [], "change": []}
