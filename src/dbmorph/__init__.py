@@ -42,7 +42,6 @@ from .logic import (
     SOtgdConjunct,
     Tgd,
     Var,
-    classify_tgd,
     eval_comparison,
     hoist_constants,
     normalize,
@@ -67,9 +66,6 @@ from .interp import (
     InstanceMorphism,
     TarskiInterpretation,
     alpha_star,
-    apply_component,
-    apply_v,
-    component_image,
     eval_term,
     satisfies,
 )
@@ -80,15 +76,12 @@ from .flux import (
     flux_kernel,
     in_closure,
     in_composed_flux,
-    mapping_vars,
-    morphism_equal,
 )
 from .saturation import (
     PFunction,
     SaturatedMorphism,
     check_flux_invariance,
     derive_pfunction,
-    extension_relation,
     saturate,
 )
 from .irdb import (

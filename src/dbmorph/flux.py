@@ -46,7 +46,6 @@ __all__ = [
     "ClosureBounds",
     "DEFAULT_BOUNDS",
     "flux_positions",
-    "mapping_vars",
     "flux_kernel",
     "ClosureResult",
     "closure_set",
@@ -58,7 +57,6 @@ __all__ = [
     "FluxComparison",
     "flux_equal",
     "require_shared_endpoints",
-    "morphism_equal",
     "ComposedVerdict",
     "in_composed_flux",
 ]
@@ -138,15 +136,6 @@ def flux_positions(op: OperadOperation) -> tuple:
         for j, term in enumerate(op.target_terms, 1)
         if isinstance(term, Var) and term.name in source_vars
     )
-
-
-def mapping_vars(arrow) -> frozenset:
-    """Head variables that carry source information, over all operations."""
-    names: set = set()
-    for op in arrow.operations:
-        pos = flux_positions(op)
-        names.update(op.target_terms[j - 1].name for j in pos)
-    return frozenset(names)
 
 
 def flux_kernel(morphism) -> FluxKernel:
@@ -507,13 +496,6 @@ def require_shared_endpoints(m1, m2) -> None:
         raise PreconditionError(
             "morphism equality needs identical source and target instances"
         )
-
-
-def morphism_equal(m1, m2, bounds: ClosureBounds = DEFAULT_BOUNDS) -> FluxComparison:
-    """Arrow equality in the database category: same instances at both ends
-    and equal fluxes."""
-    require_shared_endpoints(m1, m2)
-    return flux_equal(flux_kernel(m1), flux_kernel(m2), bounds)
 
 
 @dataclass(frozen=True)

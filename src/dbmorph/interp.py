@@ -27,13 +27,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
-from .logic import Comparison, Literal, NotNull, RelAtom, Term, Var, _holds, _join, _term_value
+from .logic import RelAtom, Term, Var, _holds, _join, _term_value
 from .model import (
     EMPTY_NAME,
     DomainValue,
     Instance,
     Relation,
-    RelationSymbol,
     Row,
     active_domain,
     sort_rows,
@@ -44,13 +43,9 @@ __all__ = [
     "FunctionTable",
     "TarskiInterpretation",
     "eval_term",
-    "eval_guard",
     "component_assignment",
-    "apply_component",
     "place_domain",
     "ComponentFunction",
-    "component_image",
-    "apply_v",
     "InstanceMorphism",
     "alpha_star",
     "SatisfactionReport",
@@ -119,12 +114,6 @@ def eval_term(g: dict, term: Term, it: TarskiInterpretation) -> DomainValue:
     return _term_value(term, g, it.skolem_value)
 
 
-def eval_guard(g: dict, lit: Literal, it: TarskiInterpretation) -> bool:
-    if not isinstance(lit, (Comparison, NotNull)):
-        raise SchemaError("relational atoms are place symbols, not guards")
-    return _holds(lit, g, None, it.skolem_value)
-
-
 def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
     """The compacted assignment (keys in variable order) for an argument
     tuple, or None when the equal-variable join guard fails."""
@@ -156,13 +145,6 @@ def _evaluate_head(op: OperadOperation, g: dict, skolem_value) -> tuple:
         if not holds:
             return checks, ()
     return checks, tuple(_term_value(t, g, skolem_value) for t in op.target_terms)
-
-
-def apply_component(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> Row:
-    """Evaluate one argument tuple: join guard, then built-in guards, then
-    the head terms.  Returns the empty tuple when any guard fails."""
-    g = component_assignment(op, args)
-    return () if g is None else _evaluate_head(op, g, it.skolem_value)[1]
 
 
 def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
@@ -265,19 +247,6 @@ class ComponentFunction:
                 # for every other operation () is the failure sentinel
                 self._image = frozenset(out for out in outputs if out != ())
         return self._image
-
-
-def component_image(it: TarskiInterpretation, op: OperadOperation) -> Relation:
-    """The image relation, bound to the operation's fresh factorization
-    symbol (same columns as the target)."""
-    sym = RelationSymbol(op.rq_name, op.target_columns)
-    return Relation(sym, ComponentFunction(it, op).image())
-
-
-def apply_v(it: TarskiInterpretation, op: OperadOperation, b: Row) -> Row:
-    """The copy operation r_q → r_B: identity on rows of α(r_B), empty tuple
-    otherwise."""
-    return b if b in it.target.relation(op.target).rows else ()
 
 
 @dataclass

@@ -8,11 +8,11 @@ whose head terms may apply those symbols.
 
 This module also implements the transformations that feed the operad
 compiler: Skolemization of tgd sets, constant hoisting, normalization into
-single-head implications, tgd classification, and constraint validation of
-finite instances.  ``_join``, the left-to-right join of atoms against
-indexed rows, serves validation and the evaluation of components in
-``interp``; a function term in a body atom is a SafetyError once a row
-agrees with the atom at every position before it.
+single-head implications, and constraint validation of finite instances.
+``_join``, the left-to-right join of atoms against indexed rows, serves
+validation and the evaluation of components in ``interp``; a function
+term in a body atom is a SafetyError once a row agrees with the atom at
+every position before it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "term_functions",
     "literal_terms",
     "literal_variables",
-    "classify_tgd",
     "skolemize",
     "hoist_constants",
     "normalize",
@@ -296,24 +295,6 @@ def _is_taut_conjunct(conj: SOtgdConjunct) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-
-def classify_tgd(tgd: Tgd) -> str:
-    """"weakly-full" when the rhs has no existentials and each lhs existential
-    occurs at most once in the lhs; "general" otherwise."""
-    if tgd.rhs_exists:
-        return "general"
-    counts: dict = {}
-    for lit in tgd.lhs:
-        for v in literal_variables(lit):
-            counts[v] = counts.get(v, 0) + 1
-    if any(counts.get(v, 0) > 1 for v in tgd.lhs_exists):
-        return "general"
-    return "weakly-full"
-
-
-# ---------------------------------------------------------------------------
 # Skolemization
 
 
@@ -472,9 +453,6 @@ def eval_comparison(op: str, a: DomainValue, b: DomainValue) -> bool:
 class Violation:
     constraint: Dependency
     witness: tuple  # sorted (variable, value) pairs
-
-    def witness_dict(self) -> dict:
-        return dict(self.witness)
 
 
 @dataclass(frozen=True)

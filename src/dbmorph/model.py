@@ -31,7 +31,6 @@ __all__ = [
     "Schema",
     "Instance",
     "active_domain",
-    "project",
     "value_key",
     "row_key",
     "sort_rows",
@@ -252,21 +251,3 @@ def active_domain(inst: Instance) -> frozenset:
             values.update(rel.values())
     return frozenset(values)
 
-
-def project(rel: Relation, positions: Sequence[int]) -> Relation:
-    """Positional projection (1-based).  Output column names follow the
-    selected positions; they are renamed c1..ck when the selection repeats
-    a column."""
-    for p in positions:
-        if not 1 <= p <= rel.symbol.arity:
-            raise SchemaError(
-                f"projection position {p} out of range 1..{rel.symbol.arity} for {rel.symbol.name}"
-            )
-    picked = [rel.symbol.columns[p - 1] for p in positions]
-    if len(set(picked)) != len(picked):
-        picked = [f"c{i}" for i in range(1, len(positions) + 1)]
-    sym = RelationSymbol(
-        f"{rel.symbol.name}[{','.join(str(p) for p in positions)}]", tuple(picked)
-    )
-    rows = frozenset(tuple(row[p - 1] for p in positions) for row in rel.rows)
-    return Relation(sym, rows)

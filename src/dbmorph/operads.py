@@ -110,10 +110,6 @@ class OperadOperation:
             for i, v in enumerate(place.variables)
         )
 
-    @property
-    def target_arity(self) -> int:
-        return len(self.target_terms)
-
 
 IDENTITY_OP = OperadOperation(
     name=IDENTITY_NAME,
@@ -138,14 +134,6 @@ class OperadArrow:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "operations", tuple(self.operations))
-
-    def operation(self, name: str) -> OperadOperation:
-        if name == self.identity.name:
-            return self.identity
-        for op in self.operations:
-            if op.name == name:
-                return op
-        raise SchemaError(f"arrow {self.name} has no operation {name}")
 
 
 def build_variable_order(places: Sequence[Place]) -> tuple:

@@ -31,15 +31,13 @@ from .interp import (
     satisfies,
 )
 from .logic import App, FuncKind, term_functions
-from .model import Instance, Relation, Row, group_rows, row_key, sort_rows
+from .model import Instance, Row, group_rows, row_key, sort_rows
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
 __all__ = [
     "ExtraFunction",
     "SkippedCandidate",
     "SaturatedMorphism",
-    "extension_relation",
-    "agreement_selection",
     "saturate",
     "PFunction",
     "derive_pfunction",
@@ -65,22 +63,6 @@ def _selector(it: TarskiInterpretation, op: OperadOperation):
     names = [op.target_terms[j - 1].name for j in positions]
     index = group_rows(sort_rows(it.target.rows(op.target)), [j - 1 for j in positions])
     return lambda g: index.get(tuple(g[name] for name in names), ())
-
-
-def agreement_selection(it: TarskiInterpretation, op: OperadOperation, g: dict) -> Relation:
-    """The full positional-match selection, base output included."""
-    sym = it.target.schema.symbol(op.target)
-    return Relation(sym, frozenset(_selector(it, op)(g)))
-
-
-def extension_relation(
-    it: TarskiInterpretation, op: OperadOperation, g: dict
-) -> Relation:
-    """Alternative rows for one non-failing application: the positional-match
-    selection minus the output the base component actually produced."""
-    sym = it.target.schema.symbol(op.target)
-    produced = tuple(eval_term(g, t, it) for t in op.target_terms)
-    return Relation(sym, frozenset(_selector(it, op)(g)) - {produced})
 
 
 @dataclass(frozen=True)
@@ -184,12 +166,6 @@ class SaturatedMorphism:
         for extra in self.extras:
             yield extra.component.op, extra.image()
 
-    def family(self, op_name: str) -> tuple:
-        """The base component of an operation together with its extras."""
-        base = self.base.component(op_name)
-        return (base,) + tuple(e for e in self.extras if e.op_name == op_name)
-
-
 def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
     """Enumerate (operation, arguments, alternative row) deterministically.
 
@@ -238,13 +214,6 @@ class PFunction:
     domain: tuple
     codomain: str
     graph: tuple  # ((args, frozenset of rows), ...) sorted
-
-    def apply(self, args: tuple) -> frozenset:
-        for a, rows in self.graph:
-            if a == args:
-                return rows
-        raise SchemaError(f"{self.name} is not defined at {args!r}")
-
 
 def _domain_descriptor(op: OperadOperation) -> tuple:
     return tuple((p.symbol, p.negated, p.char) for p in op.places)

@@ -27,17 +27,14 @@ from dbmorph import (
     TarskiInterpretation,
     Var,
     alpha_star,
-    apply_component,
-    apply_v,
-    component_image,
     eval_term,
     make_operads,
     satisfies,
 )
 from dbmorph.cli import _trace_morphism
-from dbmorph.interp import component_assignment, eval_guard, place_domain
+from dbmorph.interp import component_assignment, place_domain
 from dbmorph.irdb import hash_tuple
-from dbmorph.logic import NotNull, hash_symbol
+from dbmorph.logic import NotNull, _holds, hash_symbol
 from dbmorph.model import EMPTY_NAME
 from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order, cmp
 
@@ -98,17 +95,11 @@ def test_eval_term_skolem_goes_through_the_table(example1):
     assert eval_term({"x": "e3"}, App(f1, (Var("x"),)), it) == "o2"
 
 
-def test_eval_guard_rejects_relational_atoms(example1):
-    _, it = plain_interp(example1)
-    with pytest.raises(SchemaError):
-        eval_guard({}, RelAtom("Emp", (Const("e1"),)), it)
-
-
 def test_eval_guard_notnull_and_negation(example1):
     _, it = plain_interp(example1)
-    assert eval_guard({"x": 1}, NotNull(Var("x")), it)
-    assert not eval_guard({"x": NULL}, NotNull(Var("x")), it)
-    assert eval_guard({"x": NULL}, NotNull(Var("x"), negated=True), it)
+    assert _holds(NotNull(Var("x")), {"x": 1}, None, it.skolem_value)
+    assert not _holds(NotNull(Var("x")), {"x": NULL}, None, it.skolem_value)
+    assert _holds(NotNull(Var("x"), negated=True), {"x": NULL}, None, it.skolem_value)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +108,21 @@ def test_eval_guard_notnull_and_negation(example1):
 
 def test_join_guard_requires_equal_values(example1):
     arrow, it = plain_interp(example1)
-    q1 = arrow.operation("q_1")
-    assert apply_component(it, q1, (("e1",), ("e1",))) == ("e1", "o1")
-    assert apply_component(it, q1, (("e1",), ("e3",))) == ()
+    q1 = ComponentFunction(it, arrow.operations[0])
+    assert q1.apply((("e1",), ("e1",))) == ("e1", "o1")
+    assert q1.apply((("e1",), ("e3",))) == ()
 
 
 def test_component_assignment_compacts_shared_variables(example1):
     arrow, _ = plain_interp(example1)
-    q1 = arrow.operation("q_1")
+    q1 = arrow.operations[0]
     assert component_assignment(q1, (("e1",), ("e1",))) == {"x": "e1"}
     assert component_assignment(q1, (("e1",), ("e2",))) is None
 
 
 def test_component_assignment_checks_arities(example1):
     arrow, _ = plain_interp(example1)
-    q1 = arrow.operation("q_1")
+    q1 = arrow.operations[0]
     with pytest.raises(SchemaError):
         component_assignment(q1, (("e1",),))
     with pytest.raises(SchemaError):
@@ -201,14 +192,14 @@ def test_null_joins_null_but_fails_comparisons():
         {},
     )
     # two NULL place values are syntactically one value, so the join passes
-    assert apply_component(it, op, ((NULL,), (NULL,))) == (NULL,)
+    assert ComponentFunction(it, op).apply(((NULL,), (NULL,))) == (NULL,)
     guarded = NormalizedImplication(
         ("x",),
         (RelAtom("r", (Var("x"),)), RelAtom("r2", (Var("x"),)), Comparison(Var("x"), "=", Var("x"))),
         RelAtom("s", (Var("x"),)),
     )
     (gop,) = make_operads([guarded], a, b).operations
-    assert apply_component(it, gop, ((NULL,), (NULL,))) == ()
+    assert ComponentFunction(it, gop).apply(((NULL,), (NULL,))) == ()
 
 
 def test_failed_guard_yields_the_empty_tuple():
@@ -223,8 +214,9 @@ def test_failed_guard_yields_the_empty_tuple():
     it = TarskiInterpretation(
         Instance.build(a, {"r": [(5,), (15,)]}), Instance.build(b, {}), {}
     )
-    assert apply_component(it, op, ((5,),)) == (5,)
-    assert apply_component(it, op, ((15,),)) == ()
+    comp = ComponentFunction(it, op)
+    assert comp.apply(((5,),)) == (5,)
+    assert comp.apply(((15,),)) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +248,7 @@ def test_explicit_domain_overrides_the_active_one(example1):
 
 def test_char_places_resolve_target_then_extras_then_source(example1):
     arrow, it = arrow_and_interp(example1, "example1", "m_ac", "interp_ac.json")
-    q3 = arrow.operation("q_3")
+    q3 = arrow.operations[2]
     over65 = q3.places[1]
     assert over65.char
     assert it.place_relation(over65).rows == frozenset({("e2",), ("e3",)})
@@ -272,7 +264,7 @@ def test_char_places_resolve_target_then_extras_then_source(example1):
 def test_component_graph_is_total(example1):
     """``apply`` is total on the product; the graph holds the joined tuples."""
     arrow, it = plain_interp(example1)
-    op = arrow.operation("q_1")
+    op = arrow.operations[0]
     comp, oracle = ComponentFunction(it, op), interp_oracle.ComponentFunction(it, op)
     sizes = [len(d) for d in comp.domains]
     assert sizes == [3, 2]
@@ -287,29 +279,14 @@ def test_component_graph_is_total(example1):
 
 def test_component_image_drops_the_failure_sentinel(example1):
     arrow, it = plain_interp(example1)
-    comp = ComponentFunction(it, arrow.operation("q_1"))
+    comp = ComponentFunction(it, arrow.operations[0])
     assert comp.image() == frozenset({("e1", "o1"), ("e3", "o2")})
-
-
-def test_component_image_relation_uses_the_factorization_name(example1):
-    arrow, it = plain_interp(example1)
-    rel = component_image(it, arrow.operation("q_1"))
-    assert rel.symbol.name == "r_q1"
-    assert rel.symbol.columns == ("employee", "office")
-    assert rel.rows == frozenset({("e1", "o1"), ("e3", "o2")})
 
 
 def test_identity_component_image_is_the_unit(example1):
     _, it = plain_interp(example1)
     comp = ComponentFunction(it, IDENTITY_OP)
     assert comp.image() == frozenset({()})
-
-
-def test_apply_v_copies_target_rows(example1):
-    arrow, it = plain_interp(example1)
-    q1 = arrow.operation("q_1")
-    assert apply_v(it, q1, ("e1", "o1")) == ("e1", "o1")
-    assert apply_v(it, q1, ("e1", "o9")) == ()
 
 
 # ---------------------------------------------------------------------------

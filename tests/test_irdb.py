@@ -5,7 +5,6 @@ from dbmorph import (
     NULL,
     RelationSymbol,
     Schema,
-    classify_tgd,
     hash_tuple,
     opposite_mapping,
     parse_database,
@@ -159,7 +158,6 @@ def test_opposite_tgd_shape(example5):
     assert isinstance(head.terms[1], App)
     assert head.terms[1].args == body.terms
     assert head.terms[3] == Var("x1")
-    assert classify_tgd(first) == "weakly-full"
 
 
 def test_opposite_mapping_round_trips_through_the_dsl(example5):

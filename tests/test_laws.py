@@ -14,7 +14,6 @@ from dbmorph.interp import (
     ComponentFunction,
     TarskiInterpretation,
     alpha_star,
-    eval_guard,
     eval_term,
     satisfies,
 )
@@ -338,4 +337,4 @@ def test_term_and_guard_evaluation_match_the_oracle(case):
     # hash arguments and comparisons
     for t in subterms(term):
         assert eval_term(g, t, it) == oracle._eval_constraint_term(t, g, empty)
-    assert eval_guard(g, guard, it) == oracle._literal_holds(guard, g, empty)
+    assert logic._holds(guard, g, None, it.skolem_value) == oracle._literal_holds(guard, g, empty)

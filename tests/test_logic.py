@@ -1,4 +1,4 @@
-"""Dependencies: classification, skolemization, normalization, validation."""
+"""Dependencies: construction, skolemization, normalization, validation."""
 
 import pytest
 
@@ -21,7 +21,6 @@ from dbmorph import (
     SOtgdConjunct,
     Tgd,
     Var,
-    classify_tgd,
     eval_comparison,
     hoist_constants,
     normalize,
@@ -40,35 +39,6 @@ from dbmorph.irdb import hash_tuple
 
 def atom(rel, *names, negated=False):
     return RelAtom(rel, tuple(Var(n) for n in names), negated)
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-def test_full_tgd_is_weakly_full():
-    t = Tgd(("x",), (atom("r", "x"),), (atom("s", "x"),))
-    assert classify_tgd(t) == "weakly-full"
-
-
-def test_rhs_existential_makes_general():
-    t = Tgd(("x",), (atom("r", "x"),), (atom("s", "x", "z"),), rhs_exists=("z",))
-    assert classify_tgd(t) == "general"
-
-
-def test_single_occurrence_lhs_existential_stays_weakly_full():
-    t = Tgd(("x",), (atom("r", "x", "w"),), (atom("s", "x"),), lhs_exists=("w",))
-    assert classify_tgd(t) == "weakly-full"
-
-
-def test_repeated_lhs_existential_makes_general():
-    t = Tgd(
-        ("x",),
-        (atom("r", "x", "w"), atom("r2", "w", "x")),
-        (atom("s", "x"),),
-        lhs_exists=("w",),
-    )
-    assert classify_tgd(t) == "general"
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +320,6 @@ def test_tgd_violation_carries_universal_witness():
     (v,) = report.violations
     assert v.constraint == dep
     assert v.witness == (("x", 2),)
-    assert v.witness_dict() == {"x": 2}
 
 
 def test_rhs_existential_witnessed_by_any_row():
@@ -458,7 +427,7 @@ def test_domain_parameter_feeds_unmatched_variables():
     # hash(1) lies only in the latter
     assert validate_instance(inst, [dep]).ok
     (v,) = validate_instance(inst, [dep], domain=(0, h)).violations
-    assert v.witness_dict() == {"b": h, "x": 1}
+    assert v.witness == (("b", h), ("x", 1))
 
 
 def test_hash_terms_evaluate_inside_constraints():
@@ -510,4 +479,4 @@ def test_truth_constants_match_the_integer_one():
     )
     # Const(1) matches the stored integer 1, so the lhs fires for y=1
     report = validate_instance(inst, [dep])
-    assert [v.witness_dict() for v in report.violations] == [{"y": 1}]
+    assert [v.witness for v in report.violations] == [(("y", 1),)]

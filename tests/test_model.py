@@ -14,7 +14,7 @@ from dbmorph import (
     SchemaError,
     active_domain,
 )
-from dbmorph.model import BOTTOM_ROWS, project, row_key, sort_rows, value_key
+from dbmorph.model import BOTTOM_ROWS, row_key, sort_rows, value_key
 
 
 def test_null_is_a_singleton():
@@ -146,39 +146,3 @@ def test_active_domain_ignores_bottom():
     inst = Instance.build(schema, {"r": [(1, "x"), (2, NULL)]})
     assert active_domain(inst) == frozenset({1, 2, "x", NULL})
 
-
-def test_project_selects_and_reorders_positions():
-    sym = RelationSymbol("r", ("a", "b", "c"))
-    rel = Relation(sym, frozenset({(1, 2, 3), (4, 5, 6)}))
-    out = project(rel, (3, 1))
-    assert out.rows == frozenset({(3, 1), (6, 4)})
-    assert out.symbol.columns == ("c", "a")
-
-
-def test_project_renames_on_repeated_positions():
-    sym = RelationSymbol("r", ("a", "b"))
-    rel = Relation(sym, frozenset({(1, 2)}))
-    out = project(rel, (1, 1))
-    assert out.rows == frozenset({(1, 1)})
-    assert out.symbol.columns == ("c1", "c2")
-
-
-def test_project_rejects_out_of_range_positions():
-    sym = RelationSymbol("r", ("a",))
-    rel = Relation(sym, frozenset({(1,)}))
-    with pytest.raises(SchemaError):
-        project(rel, (2,))
-    with pytest.raises(SchemaError):
-        project(rel, (0,))
-
-
-@given(
-    st.sets(st.tuples(domain_values, domain_values, domain_values), max_size=6),
-    st.lists(st.integers(1, 3), min_size=1, max_size=4),
-)
-def test_project_row_count_never_grows(rows, positions):
-    sym = RelationSymbol("r", ("a", "b", "c"))
-    rel = Relation(sym, frozenset(rows))
-    out = project(rel, positions)
-    assert len(out) <= len(rel)
-    assert out.rows == frozenset(tuple(r[p - 1] for p in positions) for r in rows)

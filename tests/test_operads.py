@@ -95,7 +95,7 @@ def test_join_op_head_terms_and_simple_positions(join_op):
     assert isinstance(f2_term, App)
     assert f2_term.func.name == "f2" and f2_term.args == (Var("v"), z)
     assert simple_var_positions(join_op) == frozenset({1, 2, 3})
-    assert join_op.target_arity == 4
+    assert len(join_op.target_terms) == 4
 
 
 def test_cmp_compacts_to_variable_order(join_op):
@@ -266,10 +266,9 @@ def test_tautologies_compile_to_no_operation():
 
 def test_operation_lookup_covers_the_identity(example1):
     arrow = compile_project_mapping(example1, "m_ab")
-    assert arrow.operation("q_2").target == "Emp"
-    assert arrow.operation(IDENTITY_NAME) is IDENTITY_OP
-    with pytest.raises(SchemaError):
-        arrow.operation("q_99")
+    assert [op.name for op in arrow.operations] == ["q_1", "q_2", "q_3"]
+    assert arrow.operations[1].target == "Emp"
+    assert arrow.identity is IDENTITY_OP
 
 
 def test_identity_operation_shape():

@@ -1,6 +1,7 @@
 """The package is stdlib-only: each of its modules imports nothing but the
-standard library and dbmorph itself, uses every name it imports, and
-defines every name it exports."""
+standard library and dbmorph itself, uses every name it imports,
+defines every name it exports and refers to every function and class it
+defines; the README's library example runs."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 import dbmorph
 
 PACKAGE = Path(dbmorph.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
@@ -89,3 +91,106 @@ def test_every_exported_name_resolves(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = sorted(n for n in _exported_names(tree) if not hasattr(module, n))
     assert not missing, f"{path.name} exports {', '.join(missing)}, which it does not define"
+
+
+# Definitions kept although nothing in the package refers to them, by
+# module-qualified name, each with its reason.
+UNCALLED_KEPT = {
+    # the composed flux waits for the diagram law test (ROADMAP item 7)
+    "flux.in_composed_flux",
+    # the paper's law: saturation preserves the flux
+    "saturation.check_flux_invariance",
+    # the reference of the component assignment's join, checked in tests
+    "operads.cmp",
+    # generates the checked-in example5/mop.map
+    "irdb.opposite_mapping",
+    # tests/saturation_oracle.py applies an extra through it
+    "saturation.ExtraFunction.apply",
+}
+
+
+def _definitions(tree, stem):
+    """(qualified name, node, class name or None) of every function and
+    class in one module, nested ones included; a method's class is the
+    class whose body defines it."""
+    def walk(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{prefix}.{child.name}", child, owner
+                inner = child.name if isinstance(child, ast.ClassDef) else None
+                yield from walk(child, f"{prefix}.{child.name}", inner)
+            else:
+                yield from walk(child, prefix, owner)
+    yield from walk(tree, stem, None)
+
+
+def _field_classes(trees, classes):
+    """Field name -> class, for each class field that every class
+    declaring it annotates with the same package class."""
+    annotated: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        kind = ast.unparse(item.annotation).strip("'\"")
+                        annotated.setdefault(item.target.id, set()).add(kind)
+    return {f: kinds.pop() for f, kinds in annotated.items() if len(kinds) == 1 and kinds <= classes}
+
+
+def test_every_definition_is_referred_to_in_the_package():
+    # A module-level or nested definition is referred to by a name loaded in
+    # its own module or imported from it; a method by an attribute of its
+    # name, where ``x.field.name`` counts only for the class ``field`` is
+    # annotated with.  The ``__all__`` lists are strings and count for
+    # nothing, and ``__init__.py`` only re-exports.
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    definitions = [d for stem, tree in modules.items() for d in _definitions(tree, stem)]
+    methods = {(owner, node.name) for _, node, owner in definitions if owner}
+    classes = {node.name for _, node, _ in definitions if isinstance(node, ast.ClassDef)}
+    field_class = _field_classes(modules.values(), classes)
+    loaded = {stem: set() for stem in modules}
+    imported = set()
+    attributes = set()
+    for stem, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded[stem].add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                receiver = node.value
+                owner = field_class.get(receiver.attr) if isinstance(receiver, ast.Attribute) else None
+                attributes.add((owner, node.attr) if (owner, node.attr) in methods else node.attr)
+
+    def referred(qualified, name, owner):
+        if owner:
+            return name in attributes or (owner, name) in attributes
+        stem = qualified.split(".")[0]
+        return name in loaded[stem] or (stem, name) in imported
+
+    uncalled = {
+        qualified
+        for qualified, node, owner in definitions
+        if not referred(qualified, node.name, owner)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        # ``main`` dispatches the handlers by name
+        and not qualified.startswith("cli.cmd_")
+    }
+    stale = sorted(UNCALLED_KEPT - uncalled)
+    assert not stale, f"the package refers to {', '.join(stale)}, which need not be kept"
+    uncalled = sorted(uncalled - UNCALLED_KEPT)
+    assert not uncalled, f"nothing in the package refers to {', '.join(uncalled)}"
+
+
+def test_the_readme_library_example_runs(monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(README.parent)  # its paths are relative to the repository root
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["verdict"] == "equal"
