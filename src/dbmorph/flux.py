@@ -81,10 +81,16 @@ class FluxKernel:
     members: frozenset
 
     def __init__(self, members=()):
-        norm = frozenset(
-            frozenset(tuple(row) for row in member) for member in members
-        )
-        object.__setattr__(self, "members", norm | {BOTTOM_MEMBER})
+        # a member is normalized once however often it is listed: the
+        # extras of a saturated morphism mostly repeat their base's member
+        norm, seen = {BOTTOM_MEMBER}, set()
+        for member in members:
+            if member.__class__ is frozenset:
+                if member in seen:
+                    continue
+                seen.add(member)
+            norm.add(frozenset(tuple(row) for row in member))
+        object.__setattr__(self, "members", frozenset(norm))
 
     def sorted_members(self) -> list:
         return sorted(self.members, key=_member_key)
@@ -140,19 +146,31 @@ def flux_positions(op: OperadOperation) -> tuple:
 
 def flux_kernel(morphism) -> FluxKernel:
     """One member per operation with source-carrying head variables: the
-    projection of its image onto those positions.  ⊥ is adjoined; with no
+    projection of its image onto those positions, as
+    ``morphism.kernel_members()`` lists them.  ⊥ is adjoined; with no
     contributing operation the kernel is exactly ⊥⁰."""
-    members = (_kernel_member(op, image) for op, image in morphism.op_images())
-    return FluxKernel(m for m in members if m is not None)
+    return FluxKernel(m for m in morphism.kernel_members() if m is not None)
+
+
+def _projection(op: OperadOperation):
+    """The map of a row to its values at the operation's flux positions,
+    as a tuple, or None when there are none."""
+    pos = flux_positions(op)
+    if not pos:
+        return None
+    if len(pos) == 1:
+        j = pos[0] - 1
+        return lambda row: (row[j],)
+    return itemgetter(*[j - 1 for j in pos])
 
 
 def _kernel_member(op: OperadOperation, image) -> "frozenset | None":
     """The projection of an operation's image onto its flux positions, or
     None when the operation carries no source information."""
-    pos = flux_positions(op)
-    if not pos:
+    project = _projection(op)
+    if project is None:
         return None
-    return frozenset(tuple(row[j - 1] for j in pos) for row in image)
+    return frozenset(map(project, image))
 
 
 @dataclass(frozen=True)

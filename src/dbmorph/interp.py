@@ -13,7 +13,9 @@ A component evaluates only the argument tuples that pass the join guard,
 found by the join that validates constraints (``logic._join``): its graph
 holds those, each mapped to its head value or to the empty tuple when a
 built-in guard fails, and every other tuple of the product maps to the
-empty tuple.
+empty tuple.  The guards and head terms are compiled into one closure per
+component (``_compile_head``), so a joined tuple costs key lookups and
+skolem table lookups, not a walk of the term trees.
 
 The interpretation satisfies the arrow exactly when every component's image
 is contained in the target relation it points at.
@@ -27,7 +29,18 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
-from .logic import RelAtom, Term, Var, _holds, _join, _term_value
+from .flux import _kernel_member
+from .logic import (
+    RelAtom,
+    Term,
+    Var,
+    _compile_literal,
+    _compile_term,
+    _compile_terms,
+    _join,
+    _plan,
+    _unbound,
+)
 from .model import (
     EMPTY_NAME,
     DomainValue,
@@ -111,7 +124,11 @@ class TarskiInterpretation:
 
 
 def eval_term(g: dict, term: Term, it: TarskiInterpretation) -> DomainValue:
-    return _term_value(term, g, it.skolem_value)
+    """The value of ``term`` under ``g``, by the closure compiled from it."""
+    try:
+        return _compile_term(term, it.skolem_value)(g)
+    except KeyError as exc:
+        raise _unbound(exc) from None
 
 
 def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
@@ -135,16 +152,27 @@ def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
     return g
 
 
-def _evaluate_head(op: OperadOperation, g: dict, skolem_value) -> tuple:
-    """Built-in guards up to the first failure, then the head terms: the
-    guard outcomes and the output (the empty tuple when a guard fails)."""
-    checks = []
-    for lit in op.guards:
-        holds = _holds(lit, g, None, skolem_value)
-        checks.append(holds)
-        if not holds:
-            return checks, ()
-    return checks, tuple(_term_value(t, g, skolem_value) for t in op.target_terms)
+def _compile_head(op: OperadOperation, skolem_value):
+    """The built-in guards and head terms of ``op`` as one closure over an
+    assignment, compiled once per component: it gives the guard outcomes up
+    to the first failure and the output (the empty tuple when a guard
+    fails)."""
+    tests = [_compile_literal(lit, None, skolem_value) for lit in op.guards]
+    out = _compile_terms(op.target_terms, skolem_value)
+
+    def head(g):
+        checks = []
+        try:
+            for test in tests:
+                holds = test(g)
+                checks.append(holds)
+                if not holds:
+                    return checks, ()
+            return checks, out(g)
+        except KeyError as exc:
+            raise _unbound(exc) from None
+
+    return head
 
 
 def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
@@ -197,16 +225,16 @@ class ComponentFunction:
         # an atom names its place by position, since two places over one
         # symbol can range over different domains
         atoms = [RelAtom(j, tuple(map(Var, p.variables))) for j, p in enumerate(op.places)]
-        return _join(atoms, domains.__getitem__, {}, {})
+        return _join(_plan(atoms, ()), domains.__getitem__, {}, {})
 
     def evaluations(self):
-        """Evaluate each joined argument tuple once, yielding it with its
-        assignment, the guard outcomes and the output; running to the end
-        fills the graph."""
+        """Evaluate each joined argument tuple once by the compiled head,
+        yielding it with its assignment, the guard outcomes and the output;
+        running to the end fills the graph."""
         graph = {}
-        skolem_value = self.it.skolem_value
+        head = _compile_head(self.op, self.it.skolem_value)
         for args, g in self._joined():
-            checks, out = _evaluate_head(self.op, g, skolem_value)
+            checks, out = head(g)
             graph[args] = out
             yield args, g, checks, out
         self._graph = graph
@@ -277,6 +305,11 @@ class InstanceMorphism:
     def op_images(self):
         for c in self.components:
             yield c.op, c.image()
+
+    def kernel_members(self) -> list:
+        """Each component's flux kernel member, None where it carries no
+        source information."""
+        return [_kernel_member(op, image) for op, image in self.op_images()]
 
 
 def alpha_star(it: TarskiInterpretation, arrow: OperadArrow) -> InstanceMorphism:

@@ -12,7 +12,9 @@ single-head implications, and constraint validation of finite instances.
 ``_join``, the left-to-right join of atoms against indexed rows, serves
 validation and the evaluation of components in ``interp``; a function
 term in a body atom is a SafetyError once a row agrees with the atom at
-every position before it.
+every position before it.  Terms and literals are evaluated by closures
+compiled from them once (``_compile_term``, ``_compile_literal``), not by
+walking the term tree per assignment.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import SafetyError, SchemaError
 from .irdb import hash_tuple
@@ -464,57 +467,87 @@ class ValidationReport:
         return not self.violations
 
 
-def _term_value(term: Term, g: Mapping[str, DomainValue], skolem_value) -> DomainValue:
-    """The value of ``term`` under ``g``.  ``hash`` has its fixed meaning; a
-    skolem application takes ``skolem_value(name, args)``, and with
-    ``skolem_value`` None (a schema constraint) it is unsafe."""
+def _unbound(exc: KeyError) -> SchemaError:
+    return SchemaError(f"variable {exc.args[0]} has no value under the assignment")
+
+
+def _compile_term(term: Term, skolem_value):
+    """``term`` as a closure over an assignment ``g``.  A variable is a key
+    lookup; an unbound one raises KeyError, which an entry point that can
+    meet one reports through ``_unbound`` (safety leaves no variable of a
+    compiled operation or constraint unbound).  ``hash`` has its fixed
+    meaning; a skolem application takes ``skolem_value(name, args)``, and
+    with ``skolem_value`` None (a schema constraint) it is unsafe."""
     if isinstance(term, Var):
-        try:
-            return g[term.name]
-        except KeyError:
-            raise SchemaError(f"variable {term.name} has no value under the assignment") from None
+        return itemgetter(term.name)
     if isinstance(term, Const):
-        return term.value
+        value = term.value
+        return lambda g: value
+    name = term.func.name
     if term.func.kind is FuncKind.SKOLEM and skolem_value is None:
-        raise SafetyError(
-            f"function {term.func.name} has no fixed interpretation inside a schema constraint"
-        )
-    args = tuple(_term_value(a, g, skolem_value) for a in term.args)
+
+        def unsafe(g):
+            raise SafetyError(
+                f"function {name} has no fixed interpretation inside a schema constraint"
+            )
+
+        return unsafe
+    args = _compile_terms(term.args, skolem_value)
     if term.func.kind is FuncKind.HASH:
-        return hash_tuple(args)
-    return skolem_value(term.func.name, args)
+        return lambda g: hash_tuple(args(g))
+    return lambda g: skolem_value(name, args(g))
 
 
-def _holds(
-    lit: Literal, g: Mapping[str, DomainValue], inst: "Instance | None", skolem_value
-) -> bool:
-    """Whether ``lit`` holds under ``g``; a relational atom is looked up in
-    ``inst``."""
+def _compile_terms(terms: Sequence[Term], skolem_value):
+    """The tuple of the values of ``terms`` as one closure over ``g``;
+    variables alone are one tuple getter."""
+    names = [t.name for t in terms if isinstance(t, Var)]
+    if len(names) < len(terms):
+        parts = [_compile_term(t, skolem_value) for t in terms]
+        return lambda g: tuple([part(g) for part in parts])
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        name = names[0]
+        return lambda g: (g[name],)
+    return lambda g: ()
+
+
+def _compile_literal(lit: Literal, inst: "Instance | None", skolem_value):
+    """Whether ``lit`` holds under ``g``, as a closure over ``g``; a
+    relational atom is looked up in ``inst``."""
+    negated = lit.negated
     if isinstance(lit, RelAtom):
-        row = tuple(_term_value(t, g, skolem_value) for t in lit.terms)
-        holds = row in inst.relation(lit.relation).rows
-    elif isinstance(lit, Comparison):
-        holds = eval_comparison(
-            lit.op,
-            _term_value(lit.left, g, skolem_value),
-            _term_value(lit.right, g, skolem_value),
-        )
-    else:
-        holds = _term_value(lit.term, g, skolem_value) is not NULL
-    return holds != lit.negated
+        row, name = _compile_terms(lit.terms, skolem_value), lit.relation
+        return lambda g: (row(g) in inst.relation(name).rows) != negated
+    if isinstance(lit, Comparison):
+        op = lit.op
+        left = _compile_term(lit.left, skolem_value)
+        right = _compile_term(lit.right, skolem_value)
+        return lambda g: eval_comparison(op, left(g), right(g)) != negated
+    term = _compile_term(lit.term, skolem_value)
+    return lambda g: (term(g) is not NULL) != negated
 
 
-def _join(atoms: Sequence[RelAtom], rows, index: dict, g: Mapping) -> Iterator[tuple]:
-    """(matched rows, assignment) for every extension of ``g`` that matches
-    ``atoms`` left to right, in product order.  An atom takes, from the
-    ``model.group_rows`` index of ``rows(relation)`` held in ``index`` under
-    (relation, positions), the rows that agree with it at its constants and
-    bound variables before its first function term, and binds its other
-    variables; a row that agrees at every position before a function term
-    is a SafetyError.  The last atom's matches come as they are asked for,
-    so a search for one witness stops at the first."""
-    partial = iter([((), g)])
-    bound = set(g)
+class _JoinStep(NamedTuple):
+    """One atom of a join plan: the rows of ``relation`` grouped by their
+    values at ``positions``, looked up by ``key(g)``; the (position, name)
+    pairs of ``fresh`` bind variables, and ``unmatchable`` says that a
+    function term cut the positions short."""
+
+    relation: str
+    positions: tuple
+    key: object
+    fresh: tuple
+    unmatchable: bool
+
+
+def _plan(atoms: Sequence[RelAtom], bound: Iterable[str]) -> tuple:
+    """The join plan of ``atoms`` under an assignment of the ``bound``
+    names: an atom is keyed by its constants and bound variables before its
+    first function term, and binds its other variables there."""
+    bound = set(bound)
+    steps = []
     for atom in atoms:
         positions, keyed, fresh = [], [], []
         for j, t in enumerate(atom.terms):
@@ -525,21 +558,37 @@ def _join(atoms: Sequence[RelAtom], rows, index: dict, g: Mapping) -> Iterator[t
             else:
                 positions.append(j)
                 keyed.append(t)
-        key = (atom.relation, tuple(positions))
-        if key not in index:
-            index[key] = group_rows(rows(atom.relation), positions)
         unmatchable = len(positions) + len(fresh) < len(atom.terms)
-        partial = _matches(list(partial), index[key], keyed, fresh, unmatchable)
+        key = _compile_terms(keyed, None)
+        steps.append(_JoinStep(atom.relation, tuple(positions), key, tuple(fresh), unmatchable))
         bound.update(v for _, v in fresh)
+    return tuple(steps)
+
+
+def _join(plan: Sequence[_JoinStep], rows, index: dict, g: Mapping) -> Iterator[tuple]:
+    """(matched rows, assignment) for every extension of ``g`` that matches
+    the atoms of ``plan`` (``_plan`` of the names ``g`` binds) left to
+    right, in product order.  A step takes, from the ``model.group_rows``
+    index of ``rows(relation)`` held in ``index`` under (relation,
+    positions), the rows that agree with it at its key, and binds its fresh
+    variables; a row that agrees at every position before a function term
+    is a SafetyError.  The last atom's matches come as they are asked for,
+    so a search for one witness stops at the first."""
+    partial = iter([((), g)])
+    for step in plan:
+        key = (step.relation, step.positions)
+        if key not in index:
+            index[key] = group_rows(rows(step.relation), step.positions)
+        partial = _matches(list(partial), index[key], step)
     return partial
 
 
-def _matches(partial, groups: dict, keyed: list, fresh: list, unmatchable: bool):
+def _matches(partial, groups: dict, step: _JoinStep):
     """One join step: each partial match extended by each row of ``groups``
-    that agrees with it at the ``keyed`` terms and binds the ``fresh`` ones."""
+    that agrees with it at the step's key and binds its fresh variables."""
+    key, fresh, unmatchable = step.key, step.fresh, step.unmatchable
     for matched, h in partial:
-        values = tuple(h[t.name] if isinstance(t, Var) else t.value for t in keyed)
-        for row in groups.get(values, ()):
+        for row in groups.get(key(h), ()):
             bind = dict(h) if fresh else h
             for j, v in fresh:
                 if bind.setdefault(v, row[j]) != row[j]:
@@ -563,7 +612,8 @@ def validate_instance(
     declared constants, so witnesses outside that domain go unseen.
     Violations are data, not errors; a function term in a positive lhs atom
     is a SafetyError once a row agrees with the atom at every position
-    before it."""
+    before it.  Each constraint's join plans and literal tests are made
+    once, not once per match."""
     if constraints is None:
         constraints = inst.schema.constraints
     base: set = set(active_domain(inst)) | set(domain)
@@ -578,15 +628,16 @@ def validate_instance(
     # (relation, positions) -> grouped rows, shared by every constraint
     index: dict = {}
 
-    def extensions(g: Mapping, names: Sequence[str], atoms: list, tests: list) -> Iterator[dict]:
-        """Every extension of ``g`` under which ``atoms`` and ``tests`` hold:
-        the atoms are joined, then the ``names`` that no atom binds range
-        over the domain one at a time, lazily, and the tests run."""
-        for _, h in _join(atoms, lambda relation: sort_rows(inst.rows(relation)), index, g):
+    def extensions(g: Mapping, names: Sequence[str], plan: tuple, tests: list) -> Iterator[dict]:
+        """Every extension of ``g`` under which the atoms of ``plan`` and
+        the ``tests`` hold: the atoms are joined, then the ``names`` that no
+        atom binds range over the domain one at a time, lazily, and the
+        tests run."""
+        for _, h in _join(plan, lambda relation: sort_rows(inst.rows(relation)), index, g):
             free = [v for v in names if v not in h]
             for values in itertools.product(dom, repeat=len(free)):
                 full = {**h, **dict(zip(free, values))} if free else h
-                if all(_holds(l, full, inst, None) for l in tests):
+                if all(test(full) for test in tests):
                     yield full
 
     for dep in constraints:
@@ -601,9 +652,14 @@ def validate_instance(
         else:
             names, exists, head_atoms = dep.universals, (), ()
             head_tests = [Comparison(Var(y), "=", Var(z)) for y, z in dep.equalities]
-        for g in extensions({}, names, atoms, tests):
+        body = _plan(atoms, ())
+        # a tgd's head search starts from the universals; an egd's has no atoms
+        head_plan = _plan(head_atoms, dep.universals)
+        tests = [_compile_literal(l, inst, None) for l in tests]
+        head_tests = [_compile_literal(l, inst, None) for l in head_tests]
+        for g in extensions({}, names, body, tests):
             head = {v: g[v] for v in dep.universals} if isinstance(dep, Tgd) else g
-            witnesses = extensions(head, exists, head_atoms, head_tests)
+            witnesses = extensions(head, exists, head_plan, head_tests)
             # the empty assignment is a witness too, though falsy
             if next(witnesses, None) is None:
                 found[dep, tuple(sorted((v, g[v]) for v in dep.universals))] = None

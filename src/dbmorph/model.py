@@ -12,6 +12,7 @@ have arity >= 1 and relations over them are finite *sets* of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import SchemaError
@@ -74,8 +75,20 @@ def row_key(row: Row) -> tuple:
     return tuple(value_key(v) for v in row)
 
 
+_ONE_CLASS = ({int}, {str})
+
+
 def sort_rows(rows: Iterable[Row]) -> list[Row]:
-    return sorted(rows, key=row_key)
+    """The rows in ``row_key`` order.  When every value is an ``int``, or
+    every value a ``str``, the rows sort as plain tuples: ``value_key``
+    then maps each value v to (k, v) with one k, which orders as v does, so
+    the keys compare as the rows do, a shorter row before its extensions
+    included.  Any other mix, or a NULL, needs ``row_key``."""
+    rows = list(rows)
+    if len(rows) > 1:
+        one_class = set(map(type, chain.from_iterable(rows))) in _ONE_CLASS
+        rows.sort(key=None if one_class else row_key)
+    return rows
 
 
 def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .dsl import parse_mapping, pretty_literal, pretty_mapping, pretty_term
@@ -444,6 +446,8 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
 
 
 _encode_str = json.encoder.encode_basestring
+_ROW_CLASSES = frozenset({list, tuple})
+_INT_CLASS = {int}
 # the text of each scalar, by its exact class; other classes take the
 # ``isinstance`` path of ``_write_json``
 _SCALARS = {
@@ -452,6 +456,32 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+
+
+@lru_cache(maxsize=256)
+def _row_format(width: int, inner: str) -> str:
+    """The text of one row of ``width`` ints at item indent ``inner``, as a
+    ``%`` format."""
+    cell = ",\n" + inner + "  "
+    return "[\n" + inner + "  " + cell.join(["%d"] * width) + "\n" + inner + "]"
+
+
+def _int_rows(value, inner: str) -> "list | None":
+    """The text of each row of ``value``, at item indent ``inner``, when
+    ``value`` is a list of lists or tuples of one width >= 1 whose values
+    are all exactly ``int``; None otherwise.  Classes are tested exactly,
+    so that ``True`` does not pass for ``1``; the first row is tested
+    alone first, so that a list of other rows pays little."""
+    first = value[0]
+    if (
+        set(map(type, first)) == _INT_CLASS
+        and set(map(type, value)) <= _ROW_CLASSES
+        and len(set(map(len, value))) == 1
+        and set(map(type, chain.from_iterable(value))) == _INT_CLASS
+    ):
+        row = _row_format(len(first), inner)
+        return [row % tuple(r) for r in value]
+    return None
 
 
 def _write_json(value, indent: str, chunks: list) -> None:
@@ -484,6 +514,11 @@ def _write_json(value, indent: str, chunks: list) -> None:
                 pass
             else:
                 chunks.append("[\n" + inner + items + "\n" + indent + "]")
+                return
+        elif value[0].__class__ in _ROW_CLASSES and value[0] and value[0][0].__class__ is int:
+            rows = _int_rows(value, inner)
+            if rows is not None:  # a list of int rows is one format per row
+                chunks.append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]")
                 return
         sep = "[\n" + inner
         for item in value:

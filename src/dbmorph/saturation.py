@@ -17,10 +17,11 @@ p-function of the mapping.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, SchemaError
-from .flux import FluxKernel, _kernel_member
+from .flux import FluxKernel, _kernel_member, _projection
 from .interp import (
     ComponentFunction,
     InstanceMorphism,
@@ -160,11 +161,40 @@ class SaturatedMorphism:
         return self.base.target
 
     def op_images(self):
-        """Base images first, then each extra's deviated image; flux sees
-        the saturated morphism through these."""
+        """Base images first, then each extra's deviated image: the whole
+        images whose projections ``kernel_members`` computes by deltas."""
         yield from self.base.op_images()
         for extra in self.extras:
             yield extra.component.op, extra.image()
+
+    def kernel_members(self) -> list:
+        """The projections of the images ``op_images`` lists, computed by
+        deltas: an extra's image is its base image with one row swapped, so
+        its member is the base member without the projection of the
+        produced row, when that row and its projection both lose their last
+        preimage, and with the projection of the output.  No extra's image
+        is built; a count of the base image's projected rows is built once
+        per component, and only when an extra's output projects elsewhere
+        than its produced row."""
+        base = self.base.kernel_members()
+        member_of = dict(zip(self.base.components, base))
+        counts, members = {}, []
+        for extra in self.extras:
+            c = extra.component
+            member = member_of[c]
+            if member is not None:
+                project = _projection(c.op)
+                produced = c.graph()[extra.trigger]
+                gone, new = project(produced), project(extra.output)
+                if gone != new:
+                    if c not in counts:
+                        counts[c] = Counter(map(project, c.image()))
+                    if c.preimage_counts()[produced] == 1 and counts[c][gone] == 1:
+                        member = member - {gone}
+                    member = member | {new}
+            members.append(member)
+        return base + members
+
 
 def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
     """Enumerate (operation, arguments, alternative row) deterministically.

@@ -6,17 +6,73 @@ It evaluates every tuple of the product of the place domains: the arity
 check and the equal-variable join guard run once per tuple, and the graph
 holds the whole product, each tuple mapped to its head value or to ``()``.
 ``trace_morphism`` is ``cli._trace_morphism`` as it read that graph.
+
+``_term_value`` and ``_holds`` are ``logic``'s tree walk of terms and
+literals as it stood before heads and guards were compiled into closures,
+so that the product evaluator does not share the evaluator it checks.
 """
 
 import itertools
 from collections import Counter
+from typing import Mapping
 
 from dbmorph.dsl import pretty_term
-from dbmorph.errors import SchemaError
+from dbmorph.errors import SafetyError, SchemaError
 from dbmorph.interp import TarskiInterpretation, place_domain
-from dbmorph.logic import Const, _holds, _term_value
-from dbmorph.model import EMPTY_NAME, Row, sort_rows
+from dbmorph.irdb import hash_tuple
+from dbmorph.logic import (
+    Comparison,
+    Const,
+    FuncKind,
+    Literal,
+    RelAtom,
+    Term,
+    Var,
+    eval_comparison,
+)
+from dbmorph.model import EMPTY_NAME, NULL, DomainValue, Instance, Row, sort_rows
 from dbmorph.operads import OperadOperation, build_equal_var_set
+
+
+def _term_value(term: Term, g: Mapping[str, DomainValue], skolem_value) -> DomainValue:
+    """The value of ``term`` under ``g``.  ``hash`` has its fixed meaning; a
+    skolem application takes ``skolem_value(name, args)``, and with
+    ``skolem_value`` None (a schema constraint) it is unsafe."""
+    if isinstance(term, Var):
+        try:
+            return g[term.name]
+        except KeyError:
+            raise SchemaError(f"variable {term.name} has no value under the assignment") from None
+    if isinstance(term, Const):
+        return term.value
+    if term.func.kind is FuncKind.SKOLEM and skolem_value is None:
+        raise SafetyError(
+            f"function {term.func.name} has no fixed interpretation inside a schema constraint"
+        )
+    args = tuple(_term_value(a, g, skolem_value) for a in term.args)
+    if term.func.kind is FuncKind.HASH:
+        return hash_tuple(args)
+    return skolem_value(term.func.name, args)
+
+
+def _holds(
+    lit: Literal, g: Mapping[str, DomainValue], inst: "Instance | None", skolem_value
+) -> bool:
+    """Whether ``lit`` holds under ``g``; a relational atom is looked up in
+    ``inst``."""
+    if isinstance(lit, RelAtom):
+        row = tuple(_term_value(t, g, skolem_value) for t in lit.terms)
+        holds = row in inst.relation(lit.relation).rows
+    elif isinstance(lit, Comparison):
+        holds = eval_comparison(
+            lit.op,
+            _term_value(lit.left, g, skolem_value),
+            _term_value(lit.right, g, skolem_value),
+        )
+    else:
+        holds = _term_value(lit.term, g, skolem_value) is not NULL
+    return holds != lit.negated
+
 
 
 def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":

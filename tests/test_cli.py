@@ -1133,14 +1133,20 @@ def test_each_component_graph_is_built_once(monkeypatch, capsys, argv):
 
 
 def test_eval_verbose_evaluates_each_joined_tuple_once(monkeypatch, capsys):
+    # every evaluation goes through the head compiled once per component
     evaluated = Counter()
-    evaluate = interp_module._evaluate_head
+    compile_head = interp_module._compile_head
 
-    def counting_evaluate(op, g, skolem_value):
-        evaluated[op.name, tuple(g.items())] += 1
-        return evaluate(op, g, skolem_value)
+    def counting_compile(op, skolem_value):
+        head = compile_head(op, skolem_value)
 
-    monkeypatch.setattr(interp_module, "_evaluate_head", counting_evaluate)
+        def counting_head(g):
+            evaluated[op.name, tuple(g.items())] += 1
+            return head(g)
+
+        return counting_head
+
+    monkeypatch.setattr(interp_module, "_compile_head", counting_compile)
     code, _, trace = run(capsys, "eval", *E1_BC, "--verbose")
     assert code == 0
     lines = [line for line in trace.splitlines() if line.startswith("  (")]

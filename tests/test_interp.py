@@ -34,7 +34,7 @@ from dbmorph import (
 from dbmorph.cli import _trace_morphism
 from dbmorph.interp import component_assignment, place_domain
 from dbmorph.irdb import hash_tuple
-from dbmorph.logic import NotNull, _holds, hash_symbol
+from dbmorph.logic import NotNull, _compile_literal, hash_symbol
 from dbmorph.model import EMPTY_NAME
 from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order, cmp
 
@@ -97,9 +97,9 @@ def test_eval_term_skolem_goes_through_the_table(example1):
 
 def test_eval_guard_notnull_and_negation(example1):
     _, it = plain_interp(example1)
-    assert _holds(NotNull(Var("x")), {"x": 1}, None, it.skolem_value)
-    assert not _holds(NotNull(Var("x")), {"x": NULL}, None, it.skolem_value)
-    assert _holds(NotNull(Var("x"), negated=True), {"x": NULL}, None, it.skolem_value)
+    assert _compile_literal(NotNull(Var("x")), None, it.skolem_value)({"x": 1})
+    assert not _compile_literal(NotNull(Var("x")), None, it.skolem_value)({"x": NULL})
+    assert _compile_literal(NotNull(Var("x"), negated=True), None, it.skolem_value)({"x": NULL})
 
 
 # ---------------------------------------------------------------------------

@@ -276,13 +276,18 @@ def test_head_atoms_are_matched_not_tested(monkeypatch):
     head = atom("Q3", x, y, z)
     tgd = Tgd(("x",), (atom(P, x),), (head,), rhs_exists=("y", "z"))
     tested = Counter()
-    holds = logic._holds
+    compile_literal = logic._compile_literal
 
-    def counting_holds(lit, g, inst, skolem_value):
-        tested[lit] += 1
-        return holds(lit, g, inst, skolem_value)
+    def counting_compile(lit, inst, skolem_value):
+        holds = compile_literal(lit, inst, skolem_value)
 
-    monkeypatch.setattr(logic, "_holds", counting_holds)
+        def counting_holds(g):
+            tested[lit] += 1
+            return holds(g)
+
+        return counting_holds
+
+    monkeypatch.setattr(logic, "_compile_literal", counting_compile)
     report = validate_instance(inst, [tgd])
     assert [v.witness for v in report.violations] == [(("x", i),) for i in range(1, 30, 2)]
     assert tested[head] == 0
@@ -337,4 +342,5 @@ def test_term_and_guard_evaluation_match_the_oracle(case):
     # hash arguments and comparisons
     for t in subterms(term):
         assert eval_term(g, t, it) == oracle._eval_constraint_term(t, g, empty)
-    assert logic._holds(guard, g, None, it.skolem_value) == oracle._literal_holds(guard, g, empty)
+    holds = logic._compile_literal(guard, None, it.skolem_value)
+    assert holds(g) == oracle._literal_holds(guard, g, empty)

@@ -48,6 +48,18 @@ def test_sort_rows_is_stable_under_shuffling(rows):
     assert sort_rows(sort_rows(rows)) == sort_rows(rows)
 
 
+@given(
+    st.one_of(
+        st.lists(st.lists(st.integers(), max_size=3).map(tuple)),
+        st.lists(st.lists(st.text("ab", max_size=2), max_size=3).map(tuple)),
+        st.lists(st.lists(domain_values, max_size=3).map(tuple)),
+    )
+)
+def test_sort_rows_is_row_key_order(rows):
+    # rows of one value class sort as plain tuples; the order is row_key's
+    assert sort_rows(rows) == sorted(rows, key=row_key)
+
+
 def test_relation_symbol_rejects_duplicate_columns():
     with pytest.raises(SchemaError):
         RelationSymbol("r", ("a", "a"))

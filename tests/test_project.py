@@ -183,13 +183,48 @@ json_documents = st.recursive(
 )
 
 
+def rows_of(values, widths):
+    """Lists of one to six rows, each a list or a tuple of ``values``, of a
+    width drawn from ``widths`` per row list or per row."""
+
+    def rows(width):
+        row = st.lists(values, min_size=width, max_size=width)
+        return st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=6)
+
+    return widths.flatmap(rows)
+
+
+huge_ints = st.one_of(st.integers(), st.sampled_from((-(10**40), 10**40, 2**63, -(2**63) - 1)))
+escaped_text = st.one_of(st.text(max_size=4), st.sampled_from(("a\"\\\n", "\x00\x7f\u2028", "ü")))
+# row lists as the payloads hold them, and the near misses of the int-row
+# renderer: strings, NULLs and booleans among the ints, ragged widths,
+# empty rows and rows that nest a container
+row_lists = st.one_of(
+    rows_of(huge_ints, st.integers(1, 4)),
+    rows_of(st.one_of(escaped_text, st.none(), st.booleans()), st.integers(0, 3)),
+    rows_of(st.one_of(huge_ints, st.booleans(), st.none()), st.just(2)),
+    st.lists(st.lists(huge_ints, max_size=3), min_size=1, max_size=5),
+    rows_of(st.one_of(huge_ints, st.lists(huge_ints, max_size=2)), st.integers(1, 3)),
+)
+
+
 @settings(max_examples=400, deadline=None)
-@given(json_documents)
+@given(
+    st.one_of(
+        json_documents,
+        row_lists,
+        # deeper, so that the rows are indented further
+        st.dictionaries(st.text(max_size=3), st.one_of(row_lists, st.lists(row_lists, max_size=2)), max_size=3),
+    )
+)
 @example({"é": ["a\"\\\n\x00\x7f\u2028", "ü"], "": [], "z": {}, "n": [[], [{}], ()]})
 @example([True, 1, False, 0, None, -(10**40)])
 @example(())
 @example(True)
 @example("\ud800é")
+@example([[True, 1]])
+@example([[1, 2], [3]])
+@example({"rows": [(1, -(10**40)), [2**63, 0]]})
 def test_canonical_json_is_json_dumps(document):
     want = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert canonical_json(document) == want

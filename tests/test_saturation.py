@@ -1,5 +1,6 @@
 """Saturation: alternative skolem outcomes and set-valued p-functions."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbmorph import (
+    FluxKernel,
     FunctionTable,
     Instance,
     PreconditionError,
     RelationSymbol,
+    SaturatedMorphism,
     Schema,
     SchemaError,
     TarskiInterpretation,
@@ -18,15 +21,17 @@ from dbmorph import (
     check_flux_invariance,
     compile_source,
     derive_pfunction,
+    flux_equal,
     flux_kernel,
     saturate,
 )
+from dbmorph.flux import EQUAL, UNEQUAL, _kernel_member, flux_positions
 from dbmorph.interp import component_assignment
 from dbmorph.model import NULL
 from dbmorph.saturation import _selector
 
 import saturation_oracle as oracle
-from conftest import arrow_and_interp
+from conftest import arrow_and_interp, load_example
 
 CONTACT = (132, "Zoran", "Majkic", "Appia", "0187")
 
@@ -453,3 +458,63 @@ def test_the_oracle_cases_reach_every_shape():
     assert dict(derive_pfunction(sat, 1).graph)[((0, 1),)] == frozenset(
         {(0, 0), (0, 1), (1, "a"), (1, 1)}
     )
+
+
+# ---------------------------------------------------------------------------
+# the saturated kernel by deltas, against the extras' whole images
+
+
+def image_members(sat):
+    """Each component's member, then each extra's, every one projected
+    from a whole image: the extras' images are built by
+    ``ExtraFunction.image``."""
+    return [_kernel_member(op, image) for op, image in sat.op_images()]
+
+
+def kernel_of(members):
+    return FluxKernel(m for m in members if m is not None)
+
+
+def moved(extra, value):
+    """A mutant of ``extra`` whose output holds ``value`` at the first flux
+    position of its operation."""
+    j = flux_positions(extra.component.op)[0] - 1
+    return dataclasses.replace(extra, output=(*extra.output[:j], value, *extra.output[j + 1 :]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_the_kernel_by_deltas_is_the_kernel_of_the_extra_images(case):
+    _, arrow, it = case
+    sat = saturate(it, arrow)
+    members = image_members(sat)
+    assert sat.kernel_members() == members
+    assert flux_kernel(sat) == kernel_of(members)
+    # extras that break the law, so that a produced row and its projection
+    # can lose their last preimage
+    mutants = tuple(moved(e, "moved") for e in sat.extras if flux_positions(e.component.op))
+    mutant = SaturatedMorphism(sat.base, mutants, ())
+    assert mutant.kernel_members() == image_members(mutant)
+
+
+def test_an_extra_that_moves_a_flux_position_moves_the_kernel():
+    # the deltas compute the member; they do not assume the law that an
+    # extra agrees with its base at every flux position
+    arrow, it = arrow_and_interp(load_example("join"), "join", "m", "interp.json")
+    sat = saturate(it, arrow)
+    base = flux_kernel(sat.base)
+    assert flux_kernel(sat) == base
+    assert flux_equal(base, flux_kernel(sat)).verdict == EQUAL
+    # moved, q_1's first extra keeps its produced row (1, 7, "p"), which has
+    # a second preimage, and its third drops (2, 2) from the member: the
+    # produced row (2, 2, "p") has one preimage, and no other image row
+    # projects to (2, 2)
+    assert [(e.op_name, e.output) for e in sat.extras[:3]] == [
+        ("q_1", (1, 7, "r")), ("q_1", (1, 7, "r")), ("q_1", (2, 2, "s"))
+    ]
+    for k, extra in enumerate(sat.extras):
+        extras = list(sat.extras)
+        extras[k] = moved(extra, 99)
+        mutant = SaturatedMorphism(sat.base, tuple(extras), sat.skipped)
+        assert flux_kernel(mutant) == kernel_of(image_members(mutant)) != base
+        assert flux_equal(base, flux_kernel(mutant)).verdict == UNEQUAL
