@@ -66,7 +66,6 @@ from .interp import (
     InstanceMorphism,
     TarskiInterpretation,
     alpha_star,
-    eval_term,
     satisfies,
 )
 from .flux import (

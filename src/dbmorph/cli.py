@@ -9,6 +9,7 @@ JSON (sorted keys, sorted rows), written to --out or stdout.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .flux import (
     in_closure,
     require_shared_endpoints,
 )
-from .interp import InstanceMorphism, alpha_star, component_assignment, satisfies
+from .interp import InstanceMorphism, alpha_star, satisfies
 from .irdb import parse_database
 from .logic import Const, validate_instance
 from .model import NULL, Schema
@@ -76,9 +77,10 @@ def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
     """Print each component's evaluation as it runs: the equal-variable
     set, then per tuple of the argument product either the failed join
     guard or the assignment, the guard outcomes up to the first failure,
-    and the head value.  The joined tuples come from ``evaluations()`` in
-    product order, each evaluated when the product walk reaches it.
-    Constants print as the DSL writes them."""
+    and the head value.  A product tuple fails the join guard when it is not
+    the join's next tuple, in product order; ``evaluations()`` evaluates
+    each joined tuple when the walk reaches it.  Constants print as the DSL
+    writes them."""
 
     def show(row) -> str:
         return "<" + ", ".join(pretty_term(Const(v)) for v in row) + ">"
@@ -87,12 +89,17 @@ def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
         op = component.op
         rendered = sorted(sorted(group) for group in build_equal_var_set(op))
         print(f"{op.name}: S = {rendered}", file=stream)
-        evaluated = component.evaluations()
+        # the join checks the arities before any tuple line, and the
+        # evaluation runs one tuple behind it
+        ahead, behind = itertools.tee(component._joined())
+        evaluated = component.evaluations(behind)
+        following = next(ahead, None)
         for args in component.domain_product():
             shown = ", ".join(map(show, args))
-            if component_assignment(op, args) is None:
+            if following is None or args != following[0]:
                 print(f"  ({shown}) join guard failed -> <>", file=stream)
                 continue
+            following = next(ahead, None)
             _, g, checks, out = next(evaluated)
             bound = ", ".join(f"{k}={pretty_term(Const(v))}" for k, v in g.items())
             marks = " ".join("[ok]" if holds else "[fail]" for holds in checks)

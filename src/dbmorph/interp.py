@@ -15,7 +15,9 @@ holds those, each mapped to its head value or to the empty tuple when a
 built-in guard fails, and every other tuple of the product maps to the
 empty tuple.  The guards and head terms are compiled into one closure per
 component (``_compile_head``), so a joined tuple costs key lookups and
-skolem table lookups, not a walk of the term trees.
+skolem table lookups, not a walk of the term trees.  The pass that fills
+the graph also keeps the assignment the join bound for each joined tuple,
+which saturation and the ``--verbose`` trace read.
 
 The interpretation satisfies the arrow exactly when every component's image
 is contained in the target relation it points at.
@@ -30,17 +32,7 @@ from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
 from .flux import _kernel_member
-from .logic import (
-    RelAtom,
-    Term,
-    Var,
-    _compile_literal,
-    _compile_term,
-    _compile_terms,
-    _join,
-    _plan,
-    _unbound,
-)
+from .logic import RelAtom, Var, _compile_literal, _compile_terms, _join, _plan, _unbound
 from .model import (
     EMPTY_NAME,
     DomainValue,
@@ -55,8 +47,6 @@ from .operads import OperadArrow, OperadOperation, Place
 __all__ = [
     "FunctionTable",
     "TarskiInterpretation",
-    "eval_term",
-    "component_assignment",
     "place_domain",
     "ComponentFunction",
     "InstanceMorphism",
@@ -123,35 +113,6 @@ class TarskiInterpretation:
         return frozenset(values)
 
 
-def eval_term(g: dict, term: Term, it: TarskiInterpretation) -> DomainValue:
-    """The value of ``term`` under ``g``, by the closure compiled from it."""
-    try:
-        return _compile_term(term, it.skolem_value)(g)
-    except KeyError as exc:
-        raise _unbound(exc) from None
-
-
-def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":
-    """The compacted assignment (keys in variable order) for an argument
-    tuple, or None when the equal-variable join guard fails."""
-    if len(args) != len(op.places):
-        raise SchemaError(
-            f"operation {op.name} takes {len(op.places)} tuples, got {len(args)}"
-        )
-    for place, tup in zip(op.places, args):
-        if len(tup) != place.arity:
-            raise SchemaError(
-                f"operation {op.name}: tuple {tup!r} does not fit atom "
-                f"{place.symbol}/{place.arity}"
-            )
-    g: dict = {}
-    for v, j, i in op.occurrences:
-        value = args[j][i]
-        if g.setdefault(v, value) != value:
-            return None
-    return g
-
-
 def _compile_head(op: OperadOperation, skolem_value):
     """The built-in guards and head terms of ``op`` as one closure over an
     assignment, compiled once per component: it gives the guard outcomes up
@@ -195,6 +156,7 @@ class ComponentFunction:
         self._members: "tuple | None" = None
         self._domains: "tuple | None" = None
         self._graph: "dict | None" = None
+        self._assignments: "list | None" = None
         self._counts: "Counter | None" = None
         self._image: "frozenset | None" = None
 
@@ -227,17 +189,20 @@ class ComponentFunction:
         atoms = [RelAtom(j, tuple(map(Var, p.variables))) for j, p in enumerate(op.places)]
         return _join(_plan(atoms, ()), domains.__getitem__, {}, {})
 
-    def evaluations(self):
+    def evaluations(self, joined=None):
         """Evaluate each joined argument tuple once by the compiled head,
         yielding it with its assignment, the guard outcomes and the output;
-        running to the end fills the graph."""
-        graph = {}
+        running to the end fills the graph and keeps the assignments.
+        ``joined`` is this component's ``_joined()``, for a caller that
+        reads the join ahead of the evaluation."""
+        graph, kept = {}, []
         head = _compile_head(self.op, self.it.skolem_value)
-        for args, g in self._joined():
+        for args, g in self._joined() if joined is None else joined:
             checks, out = head(g)
             graph[args] = out
+            kept.append(g)
             yield args, g, checks, out
-        self._graph = graph
+        self._graph, self._assignments = graph, kept
 
     def graph(self) -> dict:
         """The joined argument tuples and their outputs."""
@@ -245,6 +210,12 @@ class ComponentFunction:
             for _ in self.evaluations():
                 pass
         return self._graph
+
+    def assignments(self) -> list:
+        """The assignment the join bound for each joined tuple, in the
+        order of the graph."""
+        self.graph()
+        return self._assignments
 
     def apply(self, args: tuple) -> Row:
         out = self.graph().get(args)

@@ -433,6 +433,14 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
         if good < len(pairs):
             raise SchemaError(f"{path}: {fname}: entries are [args, value] pairs")
         entries = dict(zip(rows[1::2], [value for (value,) in rows[::2]]))
+        if len(entries) < good:  # an argument tuple listed twice
+            first: dict = {}  # checked args -> the value as the file writes it
+            for pair, args in zip(pairs, rows[1::2]):
+                if first.setdefault(args, pair[1]) != pair[1]:
+                    raise SchemaError(
+                        f"{where}: arguments {json.dumps(pair[0])} have two values, "
+                        f"{json.dumps(first[args])} and {json.dumps(pair[1])}"
+                    )
         default = None
         if "default" in body:
             default = value_from_json(body["default"], f"{path}: {fname} default")

@@ -8,6 +8,11 @@ arguments, alternative row) pair; each extra agrees with the base
 component everywhere else.  Operations whose heads contain no skolem
 symbol contribute nothing: built-ins and constants cannot be reassigned.
 
+An extra's skolem demands come from the assignment the join bound for its
+trigger (``ComponentFunction.assignments``); the alternative rows come from
+the target relation indexed by the produced row's values at the
+simple-variable head positions, which are the assignment's values there.
+
 The extras never change the information flux (they agree with the base on
 all simple-variable positions), so the saturated morphism equals the base
 one in the database category.  Grouping components that share a domain and
@@ -27,11 +32,9 @@ from .interp import (
     InstanceMorphism,
     TarskiInterpretation,
     alpha_star,
-    component_assignment,
-    eval_term,
     satisfies,
 )
-from .logic import App, FuncKind, term_functions
+from .logic import App, FuncKind, _compile_terms, term_functions
 from .model import Instance, Row, group_rows, row_key, sort_rows
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
@@ -58,12 +61,23 @@ def _head_skolems(op: OperadOperation) -> frozenset:
 
 def _selector(it: TarskiInterpretation, op: OperadOperation):
     """Index the target relation once by its values at the simple-variable
-    head positions; the returned lookup gives, for an assignment, the rows
+    head positions; the returned lookup gives, for a produced row, the rows
     agreeing with it there, sorted."""
-    positions = sorted(simple_var_positions(op))
-    names = [op.target_terms[j - 1].name for j in positions]
-    index = group_rows(sort_rows(it.target.rows(op.target)), [j - 1 for j in positions])
-    return lambda g: index.get(tuple(g[name] for name in names), ())
+    positions = [j - 1 for j in sorted(simple_var_positions(op))]
+    index = group_rows(sort_rows(it.target.rows(op.target)), positions)
+    return lambda row: index.get(tuple([row[j] for j in positions]), ())
+
+
+def _skolem_heads(it: TarskiInterpretation, op: OperadOperation) -> list:
+    """Per head position, the skolem symbol and its arguments compiled into
+    one closure over an assignment, or None where the term is no skolem
+    application."""
+    return [
+        (term.func.name, _compile_terms(term.args, it.skolem_value))
+        if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM
+        else None
+        for term in op.target_terms
+    ]
 
 
 @dataclass(frozen=True)
@@ -104,9 +118,9 @@ class SkippedCandidate:
 
 
 def _candidate_extra(
-    it: TarskiInterpretation,
     component: ComponentFunction,
     op_index: int,
+    heads: list,
     g: dict,
     trigger: tuple,
     produced: Row,
@@ -114,17 +128,17 @@ def _candidate_extra(
 ) -> "ExtraFunction | SkippedCandidate":
     """Build the extra for one alternative row, or explain why none exists:
     a disagreement at a non-skolem head position, or two occurrences of one
-    skolem application demanding different values."""
+    skolem application demanding different values.  ``heads`` is
+    ``_skolem_heads`` of the operation and ``g`` the trigger's assignment."""
     op = component.op
     demands: dict = {}
-    for j, term in enumerate(op.target_terms, 1):
-        want = candidate[j - 1]
-        if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM:
-            key = (term.func.name, tuple(eval_term(g, a, it) for a in term.args))
-            if demands.setdefault(key, want) == want:
+    for j, (head, want, had) in enumerate(zip(heads, candidate, produced), 1):
+        if head is not None:
+            name, args = head
+            if demands.setdefault((name, args(g)), want) == want:
                 continue
-            reason = f"skolem {term.func.name} would need two values at one point"
-        elif want == produced[j - 1]:
+            reason = f"skolem {name} would need two values at one point"
+        elif want == had:
             continue
         else:
             reason = f"head position {j} is not a skolem term and cannot be reassigned"
@@ -217,16 +231,16 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
         op = component.op
         if not _head_skolems(op):
             continue
-        select = _selector(it, op)
-        for trigger, produced in component.graph().items():
+        select, heads = _selector(it, op), _skolem_heads(it, op)
+        joined = zip(component.graph().items(), component.assignments())
+        for (trigger, produced), g in joined:
             if produced == ():
                 continue
-            g = component_assignment(op, trigger)
-            for candidate in select(g):
+            for candidate in select(produced):
                 if candidate == produced:
                     continue
                 built = _candidate_extra(
-                    it, component, op_index, g, trigger, produced, candidate
+                    component, op_index, heads, g, trigger, produced, candidate
                 )
                 if isinstance(built, ExtraFunction):
                     extras.append(built)

@@ -16,8 +16,8 @@ relation for every partial match.  It is verbatim but for one call:
 ``_eval_constraint_term`` and ``_literal_holds`` are the constraint-side
 term and literal evaluators as they stood before mappings and constraints
 came to share one evaluator: the oracle validation runs on them, and
-``test_laws.py`` checks ``interp.eval_term`` and the compiled literal
-test ``logic._compile_literal`` against them.
+``test_laws.py`` checks the compiled term and literal closures
+(``logic._compile_term`` and ``logic._compile_literal``) against them.
 """
 
 import itertools

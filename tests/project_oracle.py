@@ -6,8 +6,11 @@ Each value of a row list goes through ``value_from_json`` (``_check_value``
 for a relation), with its located message formatted per row, and a row's
 width is checked in a second loop.  ``relation_rows`` is the body of
 ``Relation.__post_init__``: the rows it keeps, or the error it raises.
+``load_interpretation_file`` also rejects an argument tuple listed with two
+values, after every other fault of its table.
 """
 
+import json
 from pathlib import Path
 
 from dbmorph.errors import SchemaError
@@ -109,14 +112,22 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
     tables = {}
     for fname, body in sorted(_section(data, "skolem", dict, path).items()):
         where = f"{path}: skolem {fname}"
-        entries = {}
+        entries, shown, conflict = {}, {}, None
         for pair in _section(_typed(body, dict, where), "entries", list, where):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{path}: {fname}: entries are [args, value] pairs")
             args, value = pair
-            entries[_row_from_json(args, f"{path}: {fname}")] = value_from_json(
-                value, f"{path}: {fname}"
-            )
+            checked = value_from_json(value, f"{path}: {fname}")
+            key = _row_from_json(args, f"{path}: {fname}")
+            shown.setdefault(key, value)
+            if entries.setdefault(key, checked) != checked and conflict is None:
+                conflict = SchemaError(
+                    f"{where}: arguments {json.dumps(args)} have two values, "
+                    f"{json.dumps(shown[key])} and {json.dumps(value)}"
+                )
+        # a fault of a later pair is reported first
+        if conflict is not None:
+            raise conflict
         default = None
         if "default" in body:
             default = value_from_json(body["default"], f"{path}: {fname} default")

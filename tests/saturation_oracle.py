@@ -6,19 +6,15 @@ order, same extra images, same flux kernel, same p-functions.
 It scans the whole target relation once per trigger, rebuilds every
 extra's image from the full graph, and applies every family member to
 every argument tuple of the p-function.  ``_candidate_extra`` is the
-version that built its skip report at each failing head position.
+version that built its skip report at each failing head position.  It
+reads each trigger's assignment and skolem arguments through
+``interp_oracle``'s product evaluator and term walk, not through the join
+and the compiled terms it checks.
 """
 
 from dbmorph.errors import PreconditionError, SchemaError
 from dbmorph.flux import FluxKernel, flux_positions
-from dbmorph.interp import (
-    ComponentFunction,
-    TarskiInterpretation,
-    alpha_star,
-    component_assignment,
-    eval_term,
-    satisfies,
-)
+from dbmorph.interp import ComponentFunction, TarskiInterpretation, alpha_star, satisfies
 from dbmorph.logic import App, FuncKind
 from dbmorph.model import EMPTY_NAME, Row, row_key, sort_rows
 from dbmorph.operads import OperadArrow, OperadOperation, simple_var_positions
@@ -30,6 +26,8 @@ from dbmorph.saturation import (
     _domain_descriptor,
     _head_skolems,
 )
+
+from interp_oracle import _term_value, component_assignment
 
 
 def _candidate_extra(
@@ -49,7 +47,7 @@ def _candidate_extra(
     for j, term in enumerate(op.target_terms, 1):
         want = candidate[j - 1]
         if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM:
-            key = (term.func.name, tuple(eval_term(g, a, it) for a in term.args))
+            key = (term.func.name, tuple(_term_value(a, g, it.skolem_value) for a in term.args))
             if key in demands and demands[key] != want:
                 return SkippedCandidate(
                     op_index,

@@ -883,6 +883,25 @@ def test_wrongly_typed_json_is_an_input_error(capsys, tmp_path, name, place, rep
         assert code == 3 and f"error: {path}: " in err
 
 
+@pytest.mark.parametrize("value, code", [("music", 3), ("art", 0)])
+def test_a_skolem_table_with_two_values_at_one_point_is_an_input_error(
+    capsys, tmp_path, value, code
+):
+    for src in (FIXTURES / "example4").iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    path = tmp_path / "interp.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["skolem"]["f1"]["entries"].append([[132], value])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["--project", str(tmp_path / "project.json"), "--mapping", "m_ab", "--interp", str(path)]
+    for command in ("eval", "saturate", "equal"):
+        got, out, err = run(capsys, command, *argv)
+        assert got == code
+        if code == 3:
+            assert out == ""
+            assert err == f'error: {path}: skolem f1: arguments [132] have two values, "art" and "music"\n'
+
+
 @pytest.mark.parametrize("where", ["mapping", "constraints"])
 def test_non_decimal_digits_are_unexpected_characters(capsys, tmp_path, where):
     project = copy_example1(tmp_path)

@@ -1,5 +1,6 @@
 """Evaluation of compiled operations over fixed instances."""
 
+import dataclasses
 import io
 import itertools
 from types import SimpleNamespace
@@ -27,14 +28,13 @@ from dbmorph import (
     TarskiInterpretation,
     Var,
     alpha_star,
-    eval_term,
     make_operads,
     satisfies,
 )
 from dbmorph.cli import _trace_morphism
-from dbmorph.interp import component_assignment, place_domain
+from dbmorph.interp import _compile_head, place_domain
 from dbmorph.irdb import hash_tuple
-from dbmorph.logic import NotNull, _compile_literal, hash_symbol
+from dbmorph.logic import NotNull, _compile_literal, _compile_term, hash_symbol
 from dbmorph.model import EMPTY_NAME
 from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order, cmp
 
@@ -74,6 +74,10 @@ def plain_interp(example1):
     return arrow, it
 
 
+def eval_term(g, term, it):
+    return _compile_term(term, it.skolem_value)(g)
+
+
 def test_eval_term_variables_constants_and_hash(example1):
     _, it = plain_interp(example1)
     g = {"x": "e1"}
@@ -84,9 +88,14 @@ def test_eval_term_variables_constants_and_hash(example1):
 
 
 def test_eval_term_unbound_variable(example1):
-    _, it = plain_interp(example1)
-    with pytest.raises(SchemaError):
+    arrow, it = plain_interp(example1)
+    # a compiled term leaves an unbound variable to its entry point, which
+    # reports it as a schema error
+    with pytest.raises(KeyError):
         eval_term({}, Var("x"), it)
+    head = _compile_head(arrow.operations[0], it.skolem_value)
+    with pytest.raises(SchemaError, match="variable x has no value"):
+        head({})
 
 
 def test_eval_term_skolem_goes_through_the_table(example1):
@@ -113,20 +122,30 @@ def test_join_guard_requires_equal_values(example1):
     assert q1.apply((("e1",), ("e3",))) == ()
 
 
+def kept_assignments(component) -> dict:
+    """Each joined tuple's assignment, as the pass that fills the graph
+    keeps it."""
+    return dict(zip(component.graph(), component.assignments()))
+
+
 def test_component_assignment_compacts_shared_variables(example1):
-    arrow, _ = plain_interp(example1)
-    q1 = arrow.operations[0]
-    assert component_assignment(q1, (("e1",), ("e1",))) == {"x": "e1"}
-    assert component_assignment(q1, (("e1",), ("e2",))) is None
+    arrow, it = plain_interp(example1)
+    q1 = ComponentFunction(it, arrow.operations[0])
+    kept = kept_assignments(q1)
+    assert kept[(("e1",), ("e1",))] == {"x": "e1"}
+    assert (("e1",), ("e3",)) in set(q1.domain_product()) - set(kept)
 
 
 def test_component_assignment_checks_arities(example1):
-    arrow, _ = plain_interp(example1)
+    arrow, it = plain_interp(example1)
     q1 = arrow.operations[0]
-    with pytest.raises(SchemaError):
-        component_assignment(q1, (("e1",),))
-    with pytest.raises(SchemaError):
-        component_assignment(q1, (("e1", "x"), ("e1",)))
+    with pytest.raises(SchemaError, match="outside the domain"):
+        ComponentFunction(it, q1).apply((("e1",),))
+    first = q1.places[0]
+    wide = dataclasses.replace(first, variables=("x", "y"))
+    op = dataclasses.replace(q1, body=tuple(wide if b == first else b for b in q1.body))
+    with pytest.raises(SchemaError, match="does not fit atom"):
+        ComponentFunction(it, op).graph()
 
 
 def naive_component_assignment(op, args):
@@ -170,11 +189,20 @@ def ops_and_arguments(draw):
 @given(ops_and_arguments())
 def test_component_assignment_matches_the_naive_join(case):
     op, args = case
-    got = component_assignment(op, args)
+    # each place ranges over a relation of one row, so that the product is
+    # the one argument tuple
+    source = Schema(
+        "A",
+        [RelationSymbol(p.symbol, tuple(f"c{i}" for i in range(p.arity))) for p in op.places],
+    )
+    rows = {p.symbol: [tup] for p, tup in zip(op.places, args)}
+    target = Schema("B", [RelationSymbol("s", ("c0",))])
+    it = TarskiInterpretation(Instance.build(source, rows), Instance.build(target, {}), {})
+    got = kept_assignments(ComponentFunction(it, op))
     want = naive_component_assignment(op, args)
-    assert got == want
+    assert list(got) == ([] if want is None else [args])
     if want is not None:
-        assert list(got.items()) == list(want.items())
+        assert list(got[args].items()) == list(want.items())
 
 
 def test_null_joins_null_but_fails_comparisons():
@@ -450,6 +478,9 @@ def test_join_matches_the_product_evaluator(case):
         if interp_oracle.component_assignment(op, args) is not None
     ]
     assert list(got[1].items()) == joined
+    assert comp.assignments() == [
+        interp_oracle.component_assignment(op, args) for args, _ in joined
+    ]
     assert comp.image() == oracle.image()
     assert comp.preimage_counts() == oracle.preimage_counts()
     product = list(oracle.domain_product())

@@ -14,7 +14,6 @@ from dbmorph.interp import (
     ComponentFunction,
     TarskiInterpretation,
     alpha_star,
-    eval_term,
     satisfies,
 )
 from dbmorph.irdb import hash_tuple
@@ -66,10 +65,10 @@ def _select_every_row(it, op):
     """A wrong selector: every target row, whatever the simple-variable
     positions hold."""
     rows = sort_rows(it.target.rows(op.target))
-    return lambda g: rows
+    return lambda produced: rows
 
 
-def _accept_every_candidate(it, component, op_index, g, trigger, produced, candidate):
+def _accept_every_candidate(component, op_index, heads, g, trigger, produced, candidate):
     """A wrong extra builder: no candidate is skipped, so that with the
     wrong selector extras disagree with their base at simple positions."""
     return ExtraFunction(component, op_index, component.op.name, trigger, candidate, ())
@@ -341,6 +340,7 @@ def test_term_and_guard_evaluation_match_the_oracle(case):
     # every subterm, so that constants and variables are also met outside
     # hash arguments and comparisons
     for t in subterms(term):
-        assert eval_term(g, t, it) == oracle._eval_constraint_term(t, g, empty)
+        value = logic._compile_term(t, it.skolem_value)(g)
+        assert value == oracle._eval_constraint_term(t, g, empty)
     holds = logic._compile_literal(guard, None, it.skolem_value)
     assert holds(g) == oracle._literal_holds(guard, g, empty)

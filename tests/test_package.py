@@ -100,7 +100,7 @@ UNCALLED_KEPT = {
     "flux.in_composed_flux",
     # the paper's law: saturation preserves the flux
     "saturation.check_flux_invariance",
-    # the reference of the component assignment's join, checked in tests
+    # the reference the tests check the join's assignments against
     "operads.cmp",
     # generates the checked-in example5/mop.map
     "irdb.opposite_mapping",

@@ -369,6 +369,23 @@ def test_interpretation_defaults_and_domain(tmp_path, example1):
     assert it.domain == frozenset({0, 1, NULL})
 
 
+def test_interpretation_tables_give_one_value_per_point(tmp_path, example1):
+    path = tmp_path / "interp.json"
+
+    def load(entries):
+        data = {"source": "a", "target": "b", "skolem": {"f1": {"entries": entries}}}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return load_interpretation_file(path, example1)
+
+    # a pair listed twice with one value is the same table
+    it = load([[["e1"], "o1"], [[None], "o2"], [["e1"], "o1"]])
+    assert it.skolem["f1"].entries == {("e1",): "o1", (NULL,): "o2"}
+    # the first conflict in file order is reported
+    with pytest.raises(SchemaError) as err:
+        load([[["e1"], "o1"], [[None], 1], [[None], "1"], [["e1"], "o2"]])
+    assert str(err.value) == f'{path}: skolem f1: arguments [null] have two values, 1 and "1"'
+
+
 def test_interpretation_unknown_instance(tmp_path, example1):
     path = tmp_path / "interp.json"
     path.write_text(json.dumps({"source": "zz", "target": "b"}), encoding="utf-8")

@@ -26,11 +26,11 @@ from dbmorph import (
     saturate,
 )
 from dbmorph.flux import EQUAL, UNEQUAL, _kernel_member, flux_positions
-from dbmorph.interp import component_assignment
 from dbmorph.model import NULL
 from dbmorph.saturation import _selector
 
 import saturation_oracle as oracle
+from interp_oracle import component_assignment
 from conftest import arrow_and_interp, load_example
 
 CONTACT = (132, "Zoran", "Majkic", "Appia", "0187")
@@ -69,10 +69,9 @@ def simple_setup(mapping_text, source_rows, target_rows, skolem=None, target_sym
 def test_extension_relation_drops_the_produced_row(hobby):
     arrow, it, sat = hobby
     op = arrow.operations[0]
-    g = component_assignment(op, (CONTACT,))
-    full = list(_selector(it, op)(g))
-    assert full == [(132, "art"), (132, "music"), (132, "photography"), (132, "travel")]
     produced = sat.base.component(op.name).apply((CONTACT,))
+    full = list(_selector(it, op)(produced))
+    assert full == [(132, "art"), (132, "music"), (132, "photography"), (132, "travel")]
     assert frozenset(full) - {produced} == frozenset(
         {(132, "music"), (132, "photography"), (132, "travel")}
     )
@@ -81,9 +80,9 @@ def test_extension_relation_drops_the_produced_row(hobby):
 def test_selection_agrees_on_every_simple_position(example1):
     arrow, it = arrow_and_interp(example1, "example1", "m_bc", "interp_bc.json")
     op = arrow.operations[0]
-    g = component_assignment(op, (("e1",), ("e1",)))
+    produced = alpha_star(it, arrow).component(op.name).apply((("e1",), ("e1",)))
     # only (e1, o1) matches e1 at the first position
-    assert frozenset(_selector(it, op)(g)) == frozenset({("e1", "o1")})
+    assert frozenset(_selector(it, op)(produced)) == frozenset({("e1", "o1")})
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +130,7 @@ def test_saturation_counts_match_the_extension_relations(hobby):
         for trigger, produced in comp.graph().items():
             if produced == ():
                 continue
-            g = component_assignment(op, trigger)
-            total += len(frozenset(select(g)) - {produced})
+            total += len(frozenset(select(produced)) - {produced})
     assert len(sat.extras) + len(sat.skipped) == total
 
 
@@ -336,18 +334,23 @@ def test_saturate_reads_each_target_relation_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # the scan, the full-graph images and the per-member p-function as oracle
 
-# (clause, skolem symbol, its arity)
+# (clause, ((skolem symbol, its arity), ...))
 ORACLE_CLAUSES = (
     # triggers (x, y) and (x, y') produce one row: preimage count 2
-    ("forall x, y . r2(x, y) -> s2(x, f1(x))", "f1", 1),
+    ("forall x, y . r2(x, y) -> s2(x, f1(x))", (("f1", 1),)),
     # same domain and target as the first: their extras merge in one p-function
-    ("forall x, y . r2(x, y) -> s2(y, f2(x, y))", "f2", 2),
+    ("forall x, y . r2(x, y) -> s2(y, f2(x, y))", (("f2", 2),)),
     # no simple variable (index key ()), one skolem applied twice (skips)
-    ("forall x . r(x) -> s2(f3(x), f3(x))", "f3", 1),
+    ("forall x . r(x) -> s2(f3(x), f3(x))", (("f3", 1),)),
     # head variables in another order than in the body
-    ("forall x, y . r2(x, y) -> s3(y, x, f4(x, y))", "f4", 2),
-    ("forall x . r(x) -> s(x)", None, 0),
+    ("forall x, y . r2(x, y) -> s3(y, x, f4(x, y))", (("f4", 2),)),
+    ("forall x . r(x) -> s(x)", ()),
+    # skolem arguments that are no bare variables: a nested application,
+    # whose table the first clause shares, and a constant
+    ("forall x, y . r2(x, y) -> s2(y, f5(f1(x), 1))", (("f1", 1), ("f5", 2))),
 )
+# every skolem symbol of the clauses, with its arity
+ORACLE_SKOLEMS = dict(symbol for _, symbols in ORACLE_CLAUSES for symbol in symbols)
 ORACLE_VALUES = (0, 1, "a", NULL)
 
 
@@ -357,14 +360,13 @@ def oracle_case(clauses, source_rows, skolem_values, noise):
     and target relations holding every operation's image plus the ``noise``
     rows."""
     used = [ORACLE_CLAUSES[i] for i in clauses]
-    names = [f for _, f, _ in used if f]
-    text = " && ".join(clause for clause, _, _ in used)
+    names = dict.fromkeys(f for _, symbols in used for f, _ in symbols)
+    text = " && ".join(clause for clause, _ in used)
     if names:
         text = f"exists {', '.join(names)} . {text}"
     skolem = {
-        f: dict(zip(itertools.product(ORACLE_VALUES, repeat=k), skolem_values[f]))
-        for _, f, k in used
-        if f
+        f: dict(zip(itertools.product(ORACLE_VALUES, repeat=ORACLE_SKOLEMS[f]), skolem_values[f]))
+        for f in names
     }
     arrow, probe = simple_setup(text, source_rows, noise, skolem)
     target = {name: set(rows) for name, rows in noise.items()}
@@ -377,7 +379,12 @@ def oracle_case(clauses, source_rows, skolem_values, noise):
 def oracle_cases(draw):
     values = st.sampled_from(ORACLE_VALUES)
     clauses = draw(
-        st.lists(st.integers(0, len(ORACLE_CLAUSES) - 1), min_size=1, max_size=5, unique=True)
+        st.lists(
+            st.integers(0, len(ORACLE_CLAUSES) - 1),
+            min_size=1,
+            max_size=len(ORACLE_CLAUSES),
+            unique=True,
+        )
     )
     source_rows = {
         "r": draw(st.frozensets(st.tuples(values), max_size=3)),
@@ -385,8 +392,7 @@ def oracle_cases(draw):
     }
     skolem_values = {
         f: [draw(values) for _ in itertools.product(ORACLE_VALUES, repeat=k)]
-        for _, f, k in ORACLE_CLAUSES
-        if f
+        for f, k in ORACLE_SKOLEMS.items()
     }
     noise = {
         "s": draw(st.frozensets(st.tuples(values), max_size=2)),
@@ -418,7 +424,7 @@ def assert_saturation_matches_the_oracle(arrow, it):
         for trigger, produced in component.graph().items():
             if produced != ():
                 g = component_assignment(component.op, trigger)
-                assert frozenset(select(g)) == oracle._selection_rows(it, component.op, g)
+                assert frozenset(select(produced)) == oracle._selection_rows(it, component.op, g)
     return sat
 
 
@@ -438,12 +444,19 @@ def test_the_oracle_cases_reach_every_shape():
             "f2": ["a"] * 16,  # q_2 produces (1, "a") and ("a", "a")
             "f3": ["a"] * 4,  # q_3 produces ("a", "a")
             "f4": [1] * 16,
+            "f5": ["a"] * 16,  # q_6 produces (1, "a") and ("a", "a"), as q_2 does
         },
         {"s2": [(0, 1), ("a", 1), (1, 1)], "s3": [(1, 0, 0)]},
     )
     sat = assert_saturation_matches_the_oracle(arrow, it)
     by_op = Counter(e.op_name for e in sat.extras)
-    assert by_op == Counter({"q_1": 2, "q_2": 2, "q_3": 2, "q_4": 1})
+    assert by_op == Counter({"q_1": 2, "q_2": 2, "q_3": 2, "q_4": 1, "q_6": 2})
+    # q_6's skolem argument f1(x) is 0 at both triggers, so both extras
+    # demand a new value of f5 at the one point (0, 1)
+    assert [(e.trigger, e.output, e.perturbation) for e in sat.extras if e.op_name == "q_6"] == [
+        (((0, 1),), (1, 1), ((("f5", (0, 1)), 1),)),
+        (((0, "a"),), ("a", 1), ((("f5", (0, 1)), 1),)),
+    ]
     # both q_1 triggers produce (0, 0): its extras keep that row in the image
     assert [(e.trigger, e.output, e.image()) for e in sat.extras[:2]] == [
         (((0, 1),), (0, 1), frozenset({(0, 0), (0, 1)})),
