@@ -55,7 +55,6 @@ from .operads import (
     OperadOperation,
     Place,
     build_equal_var_set,
-    cmp,
     compile_source,
     make_operads,
     simple_var_positions,
@@ -79,14 +78,12 @@ from .flux import (
 from .saturation import (
     PFunction,
     SaturatedMorphism,
-    check_flux_invariance,
     derive_pfunction,
     saturate,
 )
 from .irdb import (
     VECTOR_SYMBOL,
     hash_tuple,
-    opposite_mapping,
     parse_database,
     parse_tuple,
     vector_schema,

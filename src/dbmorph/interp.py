@@ -16,8 +16,8 @@ built-in guard fails, and every other tuple of the product maps to the
 empty tuple.  The guards and head terms are compiled into one closure per
 component (``_compile_head``), so a joined tuple costs key lookups and
 skolem table lookups, not a walk of the term trees.  The pass that fills
-the graph also keeps the assignment the join bound for each joined tuple,
-which saturation and the ``--verbose`` trace read.
+the graph yields each joined tuple's assignment as it goes, for the
+``--verbose`` trace; it keeps none.
 
 The interpretation satisfies the arrow exactly when every component's image
 is contained in the target relation it points at.
@@ -156,7 +156,6 @@ class ComponentFunction:
         self._members: "tuple | None" = None
         self._domains: "tuple | None" = None
         self._graph: "dict | None" = None
-        self._assignments: "list | None" = None
         self._counts: "Counter | None" = None
         self._image: "frozenset | None" = None
 
@@ -192,17 +191,16 @@ class ComponentFunction:
     def evaluations(self, joined=None):
         """Evaluate each joined argument tuple once by the compiled head,
         yielding it with its assignment, the guard outcomes and the output;
-        running to the end fills the graph and keeps the assignments.
-        ``joined`` is this component's ``_joined()``, for a caller that
-        reads the join ahead of the evaluation."""
-        graph, kept = {}, []
+        running to the end fills the graph.  ``joined`` is this component's
+        ``_joined()``, for a caller that reads the join ahead of the
+        evaluation."""
+        graph = {}
         head = _compile_head(self.op, self.it.skolem_value)
         for args, g in self._joined() if joined is None else joined:
             checks, out = head(g)
             graph[args] = out
-            kept.append(g)
             yield args, g, checks, out
-        self._graph, self._assignments = graph, kept
+        self._graph = graph
 
     def graph(self) -> dict:
         """The joined argument tuples and their outputs."""
@@ -210,12 +208,6 @@ class ComponentFunction:
             for _ in self.evaluations():
                 pass
         return self._graph
-
-    def assignments(self) -> list:
-        """The assignment the join bound for each joined tuple, in the
-        order of the graph."""
-        self.graph()
-        return self._assignments
 
     def apply(self, args: tuple) -> Row:
         out = self.graph().get(args)

@@ -5,11 +5,6 @@ whose rows are (relation name, tuple index, attribute name, value), one row
 per non-NULL attribute of each source tuple.  The tuple index is a content
 hash, so identical tuples flatten to identical indices and the flattening
 is insensitive to storage order.
-
-``opposite_mapping`` produces the dependencies that define this flattening
-as an ordinary schema mapping, one per (relation, attribute) pair, so the
-flattening can be compiled and evaluated like any other mapping and the
-two roads (direct parse, compiled arrow) can be checked against each other.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ __all__ = [
     "vector_schema",
     "parse_tuple",
     "parse_database",
-    "opposite_mapping",
 ]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -95,25 +89,3 @@ def parse_database(inst: Instance, schema_name: str = "V") -> Instance:
     target = vector_schema(schema_name)
     return Instance(target, {"r_V": Relation(VECTOR_SYMBOL, frozenset(out))})
 
-
-def opposite_mapping(schema: Schema) -> list:
-    """The flattening as dependencies: for each relation r with columns
-    c_1..c_n and each position i,
-
-        forall x1..xn . r(x1,..,xn) & notnull(xi)
-            -> r_V("r", hash(x1,..,xn), "c_i", xi)
-    """
-    from .logic import App, Const, NotNull, RelAtom, Tgd, Var, hash_symbol
-
-    deps = []
-    for sym in schema.ordinary_symbols():
-        names = tuple(f"x{j}" for j in range(1, sym.arity + 1))
-        variables = tuple(Var(n) for n in names)
-        body = RelAtom(sym.name, variables)
-        index = App(hash_symbol(), variables)
-        for i, col in enumerate(sym.columns):
-            head = RelAtom(
-                "r_V", (Const(sym.name), index, Const(col), variables[i])
-            )
-            deps.append(Tgd(names, (body, NotNull(variables[i])), (head,)))
-    return deps

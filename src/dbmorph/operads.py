@@ -10,10 +10,7 @@ a characteristic-function literal ``f_r(t…) = 1``.
 The operation records everything evaluation needs: the left-to-right
 variable order, the equal-variable set S (one member set per variable with
 all of its free occurrence pairs ``(positionInAtom, atomIndex)``), the
-head-term tuple, and the simple-variable head positions Z.  ``cmp``
-compacts a joined tuple sequence by skipping every occurrence that S links
-to an earlier one, so the compacted tuple lists the first-occurrence value
-of each variable in order.
+head-term tuple, and the simple-variable head positions Z.
 
 Every arrow additionally contains the identity operation on the
 distinguished nullary symbol.
@@ -23,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .dsl import parse_mapping, pretty_literal, pretty_term
 from .errors import SafetyError, SchemaError
@@ -51,7 +48,6 @@ __all__ = [
     "build_equal_var_set",
     "simple_var_positions",
     "build_variable_order",
-    "cmp",
     "render_expression",
     "render_implication",
 ]
@@ -164,23 +160,6 @@ def simple_var_positions(op: OperadOperation) -> frozenset:
     return frozenset(
         j for j, t in enumerate(op.target_terms, 1) if isinstance(t, Var)
     )
-
-
-def cmp(equal_sets: Iterable[frozenset], tuples: Sequence[tuple]) -> tuple:
-    """Concatenate the tuples left to right, skipping every position that the
-    equal-variable set links to an earlier occurrence (earlier atom, or same
-    atom and earlier position).  With an operation's own S this yields the
-    first-occurrence value of each variable in variable order."""
-    skip: set = set()
-    for group in equal_sets:
-        first = min(group, key=lambda p: (p[1], p[0]))
-        skip.update(p for p in group if p != first)
-    out = []
-    for j, tup in enumerate(tuples, 1):
-        for i, v in enumerate(tup, 1):
-            if (i, j) not in skip:
-                out.append(v)
-    return tuple(out)
 
 
 def _compile_implication(

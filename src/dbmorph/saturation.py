@@ -8,10 +8,11 @@ arguments, alternative row) pair; each extra agrees with the base
 component everywhere else.  Operations whose heads contain no skolem
 symbol contribute nothing: built-ins and constants cannot be reassigned.
 
-An extra's skolem demands come from the assignment the join bound for its
-trigger (``ComponentFunction.assignments``); the alternative rows come from
-the target relation indexed by the produced row's values at the
-simple-variable head positions, which are the assignment's values there.
+The alternative rows come from the target relation indexed by the
+produced row's values at the simple-variable head positions.  An extra's
+skolem demands come from its trigger's assignment, rebuilt from the joined
+tuple only when the trigger has an alternative row: the join guard holds,
+so each variable's first occurrence gives its value.
 
 The extras never change the information flux (they agree with the base on
 all simple-variable positions), so the saturated morphism equals the base
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, SchemaError
-from .flux import FluxKernel, _kernel_member, _projection
+from .flux import _projection
 from .interp import (
     ComponentFunction,
     InstanceMorphism,
@@ -45,8 +46,6 @@ __all__ = [
     "saturate",
     "PFunction",
     "derive_pfunction",
-    "FluxInvarianceReport",
-    "check_flux_invariance",
 ]
 
 
@@ -92,11 +91,6 @@ class ExtraFunction:
     trigger: tuple
     output: Row
     perturbation: tuple
-
-    def apply(self, args: tuple) -> Row:
-        if args == self.trigger:
-            return self.output
-        return self.component.apply(args)
 
     def image(self) -> frozenset:
         """The base image with one row swapped: the base output at the
@@ -174,22 +168,15 @@ class SaturatedMorphism:
     def target(self) -> Instance:
         return self.base.target
 
-    def op_images(self):
-        """Base images first, then each extra's deviated image: the whole
-        images whose projections ``kernel_members`` computes by deltas."""
-        yield from self.base.op_images()
-        for extra in self.extras:
-            yield extra.component.op, extra.image()
-
     def kernel_members(self) -> list:
-        """The projections of the images ``op_images`` lists, computed by
-        deltas: an extra's image is its base image with one row swapped, so
-        its member is the base member without the projection of the
-        produced row, when that row and its projection both lose their last
-        preimage, and with the projection of the output.  No extra's image
-        is built; a count of the base image's projected rows is built once
-        per component, and only when an extra's output projects elsewhere
-        than its produced row."""
+        """The kernel members of the base images, then of each extra's
+        image, computed by deltas: an extra's image is its base image with
+        one row swapped, so its member is the base member without the
+        projection of the produced row, when that row and its projection
+        both lose their last preimage, and with the projection of the
+        output.  No extra's image is built; a count of the base image's
+        projected rows is built once per component, and only when an
+        extra's output projects elsewhere than its produced row."""
         base = self.base.kernel_members()
         member_of = dict(zip(self.base.components, base))
         counts, members = {}, []
@@ -232,13 +219,18 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
         if not _head_skolems(op):
             continue
         select, heads = _selector(it, op), _skolem_heads(it, op)
-        joined = zip(component.graph().items(), component.assignments())
-        for (trigger, produced), g in joined:
+        for trigger, produced in component.graph().items():
             if produced == ():
                 continue
+            g = None
             for candidate in select(produced):
                 if candidate == produced:
                     continue
+                if g is None:
+                    # the trigger's assignment, built once a candidate needs it
+                    g = {}
+                    for v, j, i in op.occurrences:
+                        g.setdefault(v, trigger[j][i])
                 built = _candidate_extra(
                     component, op_index, heads, g, trigger, produced, candidate
                 )
@@ -258,6 +250,7 @@ class PFunction:
     domain: tuple
     codomain: str
     graph: tuple  # ((args, frozenset of rows), ...) sorted
+
 
 def _domain_descriptor(op: OperadOperation) -> tuple:
     return tuple((p.symbol, p.negated, p.char) for p in op.places)
@@ -299,34 +292,3 @@ def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
         graph=tuple(graph),
     )
 
-
-@dataclass(frozen=True)
-class FluxInvarianceReport:
-    ok: bool
-    failures: tuple
-
-
-def check_flux_invariance(it: TarskiInterpretation, arrow: OperadArrow) -> FluxInvarianceReport:
-    """Saturation must not move the flux: every extra agrees with its base
-    on the simple-variable positions pointwise, and swapping any single
-    extra for its base component leaves the kernel set-identical."""
-    sat = saturate(it, arrow)
-    pointwise, kernel = [], []
-    bases = [(c, _kernel_member(c.op, c.image())) for c in sat.base.components]
-    base_kernel = FluxKernel(m for _, m in bases if m is not None)
-    for extra in sat.extras:
-        # an extra differs from its base only at its trigger
-        pos = sorted(simple_var_positions(extra.component.op))
-        out = extra.component.apply(extra.trigger)
-        if [out[j - 1] for j in pos] != [extra.output[j - 1] for j in pos]:
-            pointwise.append(
-                ("pointwise", extra.op_name, extra.trigger, extra.output, extra.trigger)
-            )
-        members = (
-            _kernel_member(c.op, extra.image()) if c is extra.component else m
-            for c, m in bases
-        )
-        if FluxKernel(m for m in members if m is not None).members != base_kernel.members:
-            kernel.append(("kernel", extra.op_name, extra.trigger, extra.output))
-    failures = tuple(pointwise + kernel)
-    return FluxInvarianceReport(not failures, failures)

@@ -6,6 +6,8 @@ It evaluates every tuple of the product of the place domains: the arity
 check and the equal-variable join guard run once per tuple, and the graph
 holds the whole product, each tuple mapped to its head value or to ``()``.
 ``trace_morphism`` is ``cli._trace_morphism`` as it read that graph.
+``cmp`` is the paper's compaction of a joined tuple sequence, the reference
+the tests check the join's assignments against.
 
 ``_term_value`` and ``_holds`` are ``logic``'s tree walk of terms and
 literals as it stood before heads and guards were compiled into closures,
@@ -14,7 +16,7 @@ so that the product evaluator does not share the evaluator it checks.
 
 import itertools
 from collections import Counter
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from dbmorph.dsl import pretty_term
 from dbmorph.errors import SafetyError, SchemaError
@@ -73,6 +75,22 @@ def _holds(
         holds = _term_value(lit.term, g, skolem_value) is not NULL
     return holds != lit.negated
 
+
+def cmp(equal_sets: Iterable[frozenset], tuples: Sequence[tuple]) -> tuple:
+    """Concatenate the tuples left to right, skipping every position that the
+    equal-variable set links to an earlier occurrence (earlier atom, or same
+    atom and earlier position).  With an operation's own S this yields the
+    first-occurrence value of each variable in variable order."""
+    skip: set = set()
+    for group in equal_sets:
+        first = min(group, key=lambda p: (p[1], p[0]))
+        skip.update(p for p in group if p != first)
+    out = []
+    for j, tup in enumerate(tuples, 1):
+        for i, v in enumerate(tup, 1):
+            if (i, j) not in skip:
+                out.append(v)
+    return tuple(out)
 
 
 def component_assignment(op: OperadOperation, args: tuple) -> "dict | None":

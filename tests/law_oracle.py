@@ -3,10 +3,15 @@ work its definition states, kept verbatim as the oracle the differential
 tests in ``test_laws.py`` compare ``dbmorph`` against: same reports, order
 included.
 
-``satisfies`` sorts every image in full; ``check_flux_invariance`` compares
-every extra with its base at every argument tuple and projects every
-image again per extra; ``validate_instance`` scans the violations found so
-far for a duplicate and extends assignments in two separate loops.
+``satisfies`` sorts every image in full; ``validate_instance`` scans the
+violations found so far for a duplicate and extends assignments in two
+separate loops.
+
+``check_flux_invariance`` is the only checker of the paper's law that
+saturation preserves the flux; the package keeps none.  It compares every
+extra with its base at every argument tuple, and projects every image
+again per extra to compare whole kernels.  It applies an extra through
+``saturation_oracle.apply_extra`` and defines its own report type.
 
 ``_match_atoms`` is the validator's row matcher as it stood before
 validation came to look rows up in an index: it scans and sorts a whole
@@ -21,6 +26,7 @@ came to share one evaluator: the oracle validation runs on them, and
 """
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from dbmorph.errors import SafetyError
@@ -44,7 +50,9 @@ from dbmorph.logic import (
 )
 from dbmorph.model import NULL, DomainValue, Instance, sort_rows, value_key
 from dbmorph.operads import OperadArrow, simple_var_positions
-from dbmorph.saturation import FluxInvarianceReport, saturate
+from dbmorph.saturation import saturate
+
+from saturation_oracle import apply_extra
 
 
 def satisfies(morphism: InstanceMorphism) -> SatisfactionReport:
@@ -59,6 +67,12 @@ def satisfies(morphism: InstanceMorphism) -> SatisfactionReport:
     return SatisfactionReport(not bad, tuple(bad))
 
 
+@dataclass(frozen=True)
+class FluxInvarianceReport:
+    ok: bool
+    failures: tuple
+
+
 def check_flux_invariance(it, arrow: OperadArrow) -> FluxInvarianceReport:
     """Saturation must not move the flux: every extra agrees with its base
     on the simple-variable positions pointwise, and swapping any single
@@ -70,7 +84,7 @@ def check_flux_invariance(it, arrow: OperadArrow) -> FluxInvarianceReport:
         component = extra.component
         pos = sorted(simple_var_positions(component.op))
         for args, out in component.graph().items():
-            alt = extra.apply(args)
+            alt = apply_extra(extra, args)
             if out == () or alt == ():
                 continue
             if tuple(out[j - 1] for j in pos) != tuple(alt[j - 1] for j in pos):

@@ -9,8 +9,11 @@ every argument tuple of the p-function.  ``_candidate_extra`` is the
 version that built its skip report at each failing head position.  It
 reads each trigger's assignment and skolem arguments through
 ``interp_oracle``'s product evaluator and term walk, not through the join
-and the compiled terms it checks.
+and the compiled terms it checks.  ``apply_extra`` is
+``ExtraFunction.apply`` as it stood in the package.
 """
+
+from functools import partial
 
 from dbmorph.errors import PreconditionError, SchemaError
 from dbmorph.flux import FluxKernel, flux_positions
@@ -28,6 +31,14 @@ from dbmorph.saturation import (
 )
 
 from interp_oracle import _term_value, component_assignment
+
+
+def apply_extra(extra: ExtraFunction, args: tuple) -> Row:
+    """``output`` at the extra's trigger, its base component's value at
+    every other argument tuple."""
+    if args == extra.trigger:
+        return extra.output
+    return extra.component.apply(args)
 
 
 def _candidate_extra(
@@ -174,17 +185,17 @@ def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
     members: list = []
     for component in sat.base.components:
         if (_domain_descriptor(component.op), component.op.target) == key:
-            members.append(component)
+            members.append(component.apply)
     for extra in sat.extras:
         op = extra.component.op
         if (_domain_descriptor(op), op.target) == key:
-            members.append(extra)
+            members.append(partial(apply_extra, extra))
 
     anchor = sat.base.component(chosen.name)
     graph = []
     for args in anchor.domain_product():
         outputs = frozenset(
-            out for m in members if (out := m.apply(args)) != ()
+            out for apply in members if (out := apply(args)) != ()
         )
         graph.append((args, outputs))
     return PFunction(

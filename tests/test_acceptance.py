@@ -24,7 +24,6 @@ from dbmorph import (
     Var,
     alpha_star,
     build_equal_var_set,
-    cmp,
     derive_pfunction,
     flux_equal,
     flux_kernel,
@@ -44,6 +43,7 @@ from dbmorph.flux import EQUAL, closure_set, require_shared_endpoints
 from dbmorph.logic import App
 
 from conftest import FIXTURES, arrow_and_interp
+from interp_oracle import cmp
 
 
 def test_criterion_1_join_compaction_and_application(example3):

@@ -36,7 +36,7 @@ from dbmorph.interp import _compile_head, place_domain
 from dbmorph.irdb import hash_tuple
 from dbmorph.logic import NotNull, _compile_literal, _compile_term, hash_symbol
 from dbmorph.model import EMPTY_NAME
-from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order, cmp
+from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order
 
 import interp_oracle
 from conftest import arrow_and_interp
@@ -122,18 +122,17 @@ def test_join_guard_requires_equal_values(example1):
     assert q1.apply((("e1",), ("e3",))) == ()
 
 
-def kept_assignments(component) -> dict:
-    """Each joined tuple's assignment, as the pass that fills the graph
-    keeps it."""
-    return dict(zip(component.graph(), component.assignments()))
+def joined_assignments(component) -> dict:
+    """Each joined tuple's assignment, as the join binds it."""
+    return dict(component._joined())
 
 
 def test_component_assignment_compacts_shared_variables(example1):
     arrow, it = plain_interp(example1)
     q1 = ComponentFunction(it, arrow.operations[0])
-    kept = kept_assignments(q1)
-    assert kept[(("e1",), ("e1",))] == {"x": "e1"}
-    assert (("e1",), ("e3",)) in set(q1.domain_product()) - set(kept)
+    joined = joined_assignments(q1)
+    assert joined[(("e1",), ("e1",))] == {"x": "e1"}
+    assert (("e1",), ("e3",)) in set(q1.domain_product()) - set(joined)
 
 
 def test_component_assignment_checks_arities(example1):
@@ -161,7 +160,7 @@ def naive_component_assignment(op, args):
     for group in equal_sets:
         if len({args[j - 1][i - 1] for (i, j) in group}) > 1:
             return None
-    return dict(zip(op.variable_order, cmp(equal_sets, args)))
+    return dict(zip(op.variable_order, interp_oracle.cmp(equal_sets, args)))
 
 
 @st.composite
@@ -198,7 +197,7 @@ def test_component_assignment_matches_the_naive_join(case):
     rows = {p.symbol: [tup] for p, tup in zip(op.places, args)}
     target = Schema("B", [RelationSymbol("s", ("c0",))])
     it = TarskiInterpretation(Instance.build(source, rows), Instance.build(target, {}), {})
-    got = kept_assignments(ComponentFunction(it, op))
+    got = joined_assignments(ComponentFunction(it, op))
     want = naive_component_assignment(op, args)
     assert list(got) == ([] if want is None else [args])
     if want is not None:
@@ -478,7 +477,7 @@ def test_join_matches_the_product_evaluator(case):
         if interp_oracle.component_assignment(op, args) is not None
     ]
     assert list(got[1].items()) == joined
-    assert comp.assignments() == [
+    assert [g for _, g in comp._joined()] == [
         interp_oracle.component_assignment(op, args) for args, _ in joined
     ]
     assert comp.image() == oracle.image()

@@ -1,4 +1,5 @@
-"""Vector-relation flattening and the content hash."""
+"""Vector-relation flattening, the content hash, and the flattening as a
+mapping that generates ``example5/mop.map``."""
 
 from dbmorph import (
     Instance,
@@ -6,14 +7,13 @@ from dbmorph import (
     RelationSymbol,
     Schema,
     hash_tuple,
-    opposite_mapping,
     parse_database,
     parse_tuple,
     vector_schema,
 )
 from dbmorph.dsl import parse_mapping, pretty_mapping
 from dbmorph.irdb import VECTOR_COLUMNS, VECTOR_SYMBOL, VectorTuple
-from dbmorph.logic import App, Const, NotNull, RelAtom, Var
+from dbmorph.logic import App, Const, NotNull, RelAtom, Tgd, Var, hash_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,28 @@ def test_vector_schema_shape():
 
 # ---------------------------------------------------------------------------
 # the flattening as a mapping
+
+
+def opposite_mapping(schema: Schema) -> list:
+    """The flattening as dependencies, one per (relation, attribute) pair,
+    so that it can be compiled and evaluated like any other mapping: for
+    each relation r with columns c_1..c_n and each position i,
+
+        forall x1..xn . r(x1,..,xn) & notnull(xi)
+            -> r_V("r", hash(x1,..,xn), "c_i", xi)
+    """
+    deps = []
+    for sym in schema.ordinary_symbols():
+        names = tuple(f"x{j}" for j in range(1, sym.arity + 1))
+        variables = tuple(Var(n) for n in names)
+        body = RelAtom(sym.name, variables)
+        index = App(hash_symbol(), variables)
+        for i, col in enumerate(sym.columns):
+            head = RelAtom(
+                "r_V", (Const(sym.name), index, Const(col), variables[i])
+            )
+            deps.append(Tgd(names, (body, NotNull(variables[i])), (head,)))
+    return deps
 
 
 def test_opposite_mapping_has_one_tgd_per_column(example5):

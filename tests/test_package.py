@@ -98,14 +98,6 @@ def test_every_exported_name_resolves(path):
 UNCALLED_KEPT = {
     # the composed flux waits for the diagram law test (ROADMAP item 7)
     "flux.in_composed_flux",
-    # the paper's law: saturation preserves the flux
-    "saturation.check_flux_invariance",
-    # the reference the tests check the join's assignments against
-    "operads.cmp",
-    # generates the checked-in example5/mop.map
-    "irdb.opposite_mapping",
-    # tests/saturation_oracle.py applies an extra through it
-    "saturation.ExtraFunction.apply",
 }
 
 
@@ -182,7 +174,9 @@ def test_every_definition_is_referred_to_in_the_package():
         and not qualified.startswith("cli.cmd_")
     }
     stale = sorted(UNCALLED_KEPT - uncalled)
-    assert not stale, f"the package refers to {', '.join(stale)}, which need not be kept"
+    assert not stale, (
+        f"{', '.join(stale)} need not be kept: the package refers to them or no longer defines them"
+    )
     uncalled = sorted(uncalled - UNCALLED_KEPT)
     assert not uncalled, f"nothing in the package refers to {', '.join(uncalled)}"
 

@@ -18,7 +18,6 @@ from dbmorph import (
     SchemaError,
     TarskiInterpretation,
     alpha_star,
-    check_flux_invariance,
     compile_source,
     derive_pfunction,
     flux_equal,
@@ -29,6 +28,7 @@ from dbmorph.flux import EQUAL, UNEQUAL, _kernel_member, flux_positions
 from dbmorph.model import NULL
 from dbmorph.saturation import _selector
 
+import law_oracle
 import saturation_oracle as oracle
 from interp_oracle import component_assignment
 from conftest import arrow_and_interp, load_example
@@ -107,7 +107,7 @@ def test_hobby_saturation_yields_three_extras(hobby):
 def test_extras_deviate_at_the_trigger_only(hobby):
     _, _, sat = hobby
     extra = sat.extras[0]
-    assert extra.apply((CONTACT,)) == (132, "music")
+    assert oracle.apply_extra(extra, (CONTACT,)) == (132, "music")
     assert extra.image() == frozenset({(132, "music")})
     base = sat.base.component("q_1")
     assert base.apply((CONTACT,)) == (132, "art")
@@ -115,7 +115,7 @@ def test_extras_deviate_at_the_trigger_only(hobby):
 
 def test_saturated_images_follow_the_base_then_the_extras(hobby):
     _, _, sat = hobby
-    images = [img for _, img in sat.op_images()]
+    images = [img for _, img in sat.base.op_images()] + [e.image() for e in sat.extras]
     assert images[0] == frozenset({(132, "art")})
     assert frozenset({(132, "travel")}) in images[1:]
     assert len(images) == 4
@@ -295,7 +295,7 @@ def test_saturation_leaves_the_kernel_alone(hobby):
 def test_flux_invariance_of_the_examples(request, example, mapping, interp):
     project = request.getfixturevalue(example)
     arrow, it = arrow_and_interp(project, example, mapping, interp)
-    report = check_flux_invariance(it, arrow)
+    report = law_oracle.check_flux_invariance(it, arrow)
     assert report.ok, report.failures
     assert report.failures == ()
 
@@ -348,6 +348,12 @@ ORACLE_CLAUSES = (
     # skolem arguments that are no bare variables: a nested application,
     # whose table the first clause shares, and a constant
     ("forall x, y . r2(x, y) -> s2(y, f5(f1(x), 1))", (("f1", 1), ("f5", 2))),
+    # the assignment saturation rebuilds from a trigger binds each variable
+    # at its first occurrence: two atoms that share a variable, a variable
+    # repeated inside one atom, and a negated place
+    ("forall x, y, z . r2(x, y) & r2(y, z) -> s2(x, f6(x, z))", (("f6", 2),)),
+    ("forall x . r2(x, x) -> s2(x, f7(x))", (("f7", 1),)),
+    ("forall x, y . r2(x, y) & not r(y) -> s2(y, f8(x))", (("f8", 1),)),
 )
 # every skolem symbol of the clauses, with its arity
 ORACLE_SKOLEMS = dict(symbol for _, symbols in ORACLE_CLAUSES for symbol in symbols)
@@ -445,12 +451,21 @@ def test_the_oracle_cases_reach_every_shape():
             "f3": ["a"] * 4,  # q_3 produces ("a", "a")
             "f4": [1] * 16,
             "f5": ["a"] * 16,  # q_6 produces (1, "a") and ("a", "a"), as q_2 does
+            # no r2 row meets another or repeats a value: q_7 and q_8 never
+            # fire here, and q_9 produces ("a", "a") at the one y outside r
+            "f6": ["a"] * 16,
+            "f7": ["a"] * 4,
+            "f8": ["a"] * 4,
         },
         {"s2": [(0, 1), ("a", 1), (1, 1)], "s3": [(1, 0, 0)]},
     )
     sat = assert_saturation_matches_the_oracle(arrow, it)
     by_op = Counter(e.op_name for e in sat.extras)
-    assert by_op == Counter({"q_1": 2, "q_2": 2, "q_3": 2, "q_4": 1, "q_6": 2})
+    assert by_op == Counter({"q_1": 2, "q_2": 2, "q_3": 2, "q_4": 1, "q_6": 2, "q_9": 1})
+    # q_9's negated place ranges over the active domain outside r
+    assert [(e.trigger, e.output, e.perturbation) for e in sat.extras if e.op_name == "q_9"] == [
+        (((0, "a"), ("a",)), ("a", 1), ((("f8", (0,)), 1),)),
+    ]
     # q_6's skolem argument f1(x) is 0 at both triggers, so both extras
     # demand a new value of f5 at the one point (0, 1)
     assert [(e.trigger, e.output, e.perturbation) for e in sat.extras if e.op_name == "q_6"] == [
@@ -471,6 +486,17 @@ def test_the_oracle_cases_reach_every_shape():
     assert dict(derive_pfunction(sat, 1).graph)[((0, 1),)] == frozenset(
         {(0, 0), (0, 1), (1, "a"), (1, 1)}
     )
+    # q_7 and q_8 alone, here q_1 and q_2, over r2 rows that meet and
+    # repeat: f6's arguments are x from the first atom and z from the second
+    _, arrow, it = oracle_case(
+        [6, 7], {"r2": [(0, 0), (0, 1)]}, {"f6": ["a"] * 16, "f7": ["a"] * 4}, {"s2": [(0, 1)]}
+    )
+    sat = assert_saturation_matches_the_oracle(arrow, it)
+    assert [(e.op_name, e.trigger, e.perturbation) for e in sat.extras] == [
+        ("q_1", ((0, 0), (0, 0)), ((("f6", (0, 0)), 1),)),
+        ("q_1", ((0, 0), (0, 1)), ((("f6", (0, 1)), 1),)),
+        ("q_2", ((0, 0),), ((("f7", (0,)), 1),)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +507,9 @@ def image_members(sat):
     """Each component's member, then each extra's, every one projected
     from a whole image: the extras' images are built by
     ``ExtraFunction.image``."""
-    return [_kernel_member(op, image) for op, image in sat.op_images()]
+    images = list(sat.base.op_images())
+    images += [(extra.component.op, extra.image()) for extra in sat.extras]
+    return [_kernel_member(op, image) for op, image in images]
 
 
 def kernel_of(members):
