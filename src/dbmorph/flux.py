@@ -7,6 +7,16 @@ bare variable that also occurs in a source-schema atom, plus the nullary
 one-row relation ⊥.  Two morphisms between the same instances are equal
 exactly when their fluxes coincide.
 
+A saturated morphism adds one member per extra, computed by deltas, not
+from the extra's image.  That image is its component's image with one row
+swapped, so the member is the component's member without the projection
+of the produced row, when the produced row and its projection both lose
+their last preimage, and with the projection of the output.  An extra
+whose output projects to the row its produced row projects to adds its
+component's member again, so it adds nothing.  Every extra that
+saturation builds is one: it agrees with its base at every
+simple-variable head position, and the flux positions are among those.
+
 The closure is infinite in general (joins grow arity without bound), so
 membership and equality are semi-decided by bounded enumeration: ``yes``
 comes with a witnessing view expression, ``unequal`` only from the
@@ -30,6 +40,7 @@ Kernel members are anonymous row-sets; column names play no role here.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, mul
@@ -81,15 +92,8 @@ class FluxKernel:
     members: frozenset
 
     def __init__(self, members=()):
-        # a member is normalized once however often it is listed: the
-        # extras of a saturated morphism mostly repeat their base's member
-        norm, seen = {BOTTOM_MEMBER}, set()
-        for member in members:
-            if member.__class__ is frozenset:
-                if member in seen:
-                    continue
-                seen.add(member)
-            norm.add(frozenset(tuple(row) for row in member))
+        norm = {BOTTOM_MEMBER}
+        norm.update(frozenset(tuple(row) for row in member) for member in members)
         object.__setattr__(self, "members", frozenset(norm))
 
     def sorted_members(self) -> list:
@@ -144,14 +148,6 @@ def flux_positions(op: OperadOperation) -> tuple:
     )
 
 
-def flux_kernel(morphism) -> FluxKernel:
-    """One member per operation with source-carrying head variables: the
-    projection of its image onto those positions, as
-    ``morphism.kernel_members()`` lists them.  ⊥ is adjoined; with no
-    contributing operation the kernel is exactly ⊥⁰."""
-    return FluxKernel(m for m in morphism.kernel_members() if m is not None)
-
-
 def _projection(op: OperadOperation):
     """The map of a row to its values at the operation's flux positions,
     as a tuple, or None when there are none."""
@@ -164,13 +160,33 @@ def _projection(op: OperadOperation):
     return itemgetter(*[j - 1 for j in pos])
 
 
-def _kernel_member(op: OperadOperation, image) -> "frozenset | None":
-    """The projection of an operation's image onto its flux positions, or
-    None when the operation carries no source information."""
-    project = _projection(op)
-    if project is None:
-        return None
-    return frozenset(map(project, image))
+def flux_kernel(morphism) -> FluxKernel:
+    """One member per operation with source-carrying head variables: the
+    projection of its image onto those positions.  ⊥ is adjoined; with no
+    contributing operation the kernel is exactly ⊥⁰.  Each of
+    ``morphism.extras`` adds a member by the delta rule above."""
+    members, projected, counts = [], {}, {}
+    for c in morphism.components:
+        project = _projection(c.op)
+        if project is not None:
+            member = frozenset(map(project, c.image()))
+            projected[c] = project, member
+            members.append(member)
+    for extra in morphism.extras:
+        c = extra.component
+        if c not in projected:
+            continue
+        project, member = projected[c]
+        produced = c.graph()[extra.trigger]
+        gone, new = project(produced), project(extra.output)
+        if gone == new:
+            continue
+        if c not in counts:
+            counts[c] = Counter(map(project, c.image()))
+        if c.preimage_counts()[produced] == 1 and counts[c][gone] == 1:
+            member = member - {gone}
+        members.append(member | {new})
+    return FluxKernel(members)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IncompleteInterpretationError, SchemaError
-from .flux import _kernel_member
 from .logic import RelAtom, Var, _compile_literal, _compile_terms, _join, _plan, _unbound
 from .model import (
     EMPTY_NAME,
@@ -248,6 +247,7 @@ class InstanceMorphism:
     it: TarskiInterpretation
     components: tuple
     q_bot: ComponentFunction
+    extras = ()  # a saturated morphism's deviations; an interpreted one has none
 
     @property
     def source(self) -> Instance:
@@ -264,15 +264,6 @@ class InstanceMorphism:
             if c.op.name == name:
                 return c
         raise SchemaError(f"morphism has no component {name}")
-
-    def op_images(self):
-        for c in self.components:
-            yield c.op, c.image()
-
-    def kernel_members(self) -> list:
-        """Each component's flux kernel member, None where it carries no
-        source information."""
-        return [_kernel_member(op, image) for op, image in self.op_images()]
 
 
 def alpha_star(it: TarskiInterpretation, arrow: OperadArrow) -> InstanceMorphism:

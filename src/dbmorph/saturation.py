@@ -23,11 +23,9 @@ p-function of the mapping.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, SchemaError
-from .flux import _projection
 from .interp import (
     ComponentFunction,
     InstanceMorphism,
@@ -161,40 +159,16 @@ class SaturatedMorphism:
         return self.base.arrow
 
     @property
+    def components(self) -> tuple:
+        return self.base.components
+
+    @property
     def source(self) -> Instance:
         return self.base.source
 
     @property
     def target(self) -> Instance:
         return self.base.target
-
-    def kernel_members(self) -> list:
-        """The kernel members of the base images, then of each extra's
-        image, computed by deltas: an extra's image is its base image with
-        one row swapped, so its member is the base member without the
-        projection of the produced row, when that row and its projection
-        both lose their last preimage, and with the projection of the
-        output.  No extra's image is built; a count of the base image's
-        projected rows is built once per component, and only when an
-        extra's output projects elsewhere than its produced row."""
-        base = self.base.kernel_members()
-        member_of = dict(zip(self.base.components, base))
-        counts, members = {}, []
-        for extra in self.extras:
-            c = extra.component
-            member = member_of[c]
-            if member is not None:
-                project = _projection(c.op)
-                produced = c.graph()[extra.trigger]
-                gone, new = project(produced), project(extra.output)
-                if gone != new:
-                    if c not in counts:
-                        counts[c] = Counter(map(project, c.image()))
-                    if c.preimage_counts()[produced] == 1 and counts[c][gone] == 1:
-                        member = member - {gone}
-                    member = member | {new}
-            members.append(member)
-        return base + members
 
 
 def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:

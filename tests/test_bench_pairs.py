@@ -74,10 +74,10 @@ def test_summary_lines_flag_more_failed_requests_in_the_working_tree():
 
 
 def git(root, *args):
-    subprocess.run(
+    return subprocess.run(
         ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
         cwd=root, check=True, capture_output=True,
-    )
+    ).stdout
 
 
 def test_the_working_tree_export_holds_edits_and_untracked_files_but_not_ignored_ones(tmp_path):
@@ -95,7 +95,11 @@ def test_the_working_tree_export_holds_edits_and_untracked_files_but_not_ignored
     (root / ".perfbench_work").mkdir()
     (root / ".perfbench_work" / "out.json").write_text("{}\n")
 
-    bench_pairs.export_worktree(dest, root)
+    status = git(root, "status", "--porcelain")
+
+    bench_pairs.export(bench_pairs.worktree_tree(root), dest, root)
+
+    assert git(root, "status", "--porcelain") == status
 
     files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert files == [".gitignore", "src/kept.py", "src/new.py"]

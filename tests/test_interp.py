@@ -360,7 +360,8 @@ def test_violations_name_the_operation_and_row(example4):
 def test_op_images_iterates_ordinary_components(example1):
     arrow, it = plain_interp(example1)
     morphism = alpha_star(it, arrow)
-    images = {op.name: img for op, img in morphism.op_images()}
+    images = {c.op.name: c.image() for c in morphism.components}
+    assert arrow.identity.name not in images
     assert images["q_1"] == frozenset({("e1", "o1"), ("e3", "o2")})
     assert images["q_2"] == frozenset({("e2",), ("e3",)})
 

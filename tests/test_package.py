@@ -1,5 +1,6 @@
 """The package is stdlib-only: each of its modules imports nothing but the
-standard library and dbmorph itself, uses every name it imports,
+standard library and dbmorph itself, imports only the modules before it
+in the pipeline order, uses every name it imports,
 defines every name it exports and refers to every function and class it
 defines; the README's library example runs."""
 
@@ -91,6 +92,27 @@ def test_every_exported_name_resolves(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = sorted(n for n in _exported_names(tree) if not hasattr(module, n))
     assert not missing, f"{path.name} exports {', '.join(missing)}, which it does not define"
+
+
+# The pipeline order of the modules: each imports only earlier ones.
+LAYERS = (
+    "errors", "model", "irdb", "logic", "dsl", "operads",
+    "interp", "saturation", "flux", "project", "cli",
+)
+
+
+def test_modules_import_only_earlier_layers():
+    # only module-level imports count: one under ``if TYPE_CHECKING:`` is
+    # not run, so ``model`` may name ``logic`` there for typing
+    assert sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py") == sorted(LAYERS)
+    later = [
+        f"{stem} → {node.module}"
+        for rank, stem in enumerate(LAYERS)
+        for node in ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and LAYERS.index(node.module) >= rank
+    ]
+    assert not later, f"imports of a later layer: {', '.join(later)}"
 
 
 # Definitions kept although nothing in the package refers to them, by

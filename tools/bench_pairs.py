@@ -3,13 +3,15 @@
     python3 tools/bench_pairs.py --pr N --base HEAD --workload join \
         --seed 7193 --pairs 10 --seconds 20
 
-Exports the base commit with ``git archive`` into one temporary directory
-and the working tree (tracked and untracked files, not ignored ones) into
-another, so that both sides start from a fresh copy without a bytecode
-cache, then runs ``perfbench/run.py --trace 0`` of each side alternately,
-one process at a time: pair i runs the base first when i is even and the
-working tree first when it is odd.  Each run is read from the JSON object
-on the last line of its stdout and from its ``calibration:`` line.
+Exports the tree of the base commit into ``base/`` of one temporary
+directory and a tree of the working tree (tracked and untracked files, not
+ignored ones), written through a temporary index, into ``work/``, both by
+``git archive``, so that both sides start from a fresh copy made the same
+way and without a bytecode cache.  Then runs ``perfbench/run.py --trace 0``
+of each side alternately, one process at a time: pair i runs the base
+first when i is even and the working tree first when it is odd.  Each run
+is read from the JSON object on the last line of its stdout and from its
+``calibration:`` line.
 
 Writes ``BENCH_<pr>.json`` at the repository root: per workload and seed,
 each end-to-end metric's median and quartiles on each side, the number of
@@ -33,7 +35,6 @@ import io
 import json
 import os
 import re
-import shutil
 import statistics
 import subprocess
 import sys
@@ -45,32 +46,30 @@ ROOT = Path(__file__).resolve().parent.parent
 CALIBRATION = re.compile(r"^calibration: \d+ samples, median ([0-9.]+) ms", re.MULTILINE)
 
 
-def export(ref: str, dest: Path) -> str:
-    """Write the tree of ``ref`` into ``dest``; returns the commit id."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
+def git(root: Path, *args, env=None) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=root, env=env, check=True, capture_output=True, text=True
     ).stdout.strip()
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
+
+
+def worktree_tree(root: Path = ROOT) -> str:
+    """The id of a git tree of the working tree at ``root``: the tracked
+    files as they are now, uncommitted edits included, and the untracked
+    ones that are not ignored.  It is written from a temporary index, so
+    the repository's own index and status stay as they are."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git(root, "add", "-A", env=env)
+        return git(root, "write-tree", env=env)
+
+
+def export(tree: str, dest: Path, root: Path = ROOT) -> None:
+    """Write the git tree ``tree`` of the repository at ``root`` into
+    ``dest``."""
+    archive = subprocess.run(["git", "archive", tree], cwd=root, check=True, capture_output=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         # the "data" filter where this Python has it
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return commit
-
-
-def export_worktree(dest: Path, root: Path = ROOT) -> None:
-    """Copy the files of the working tree at ``root`` into ``dest``: the
-    tracked ones as they are now, uncommitted edits included, and the
-    untracked ones that are not ignored."""
-    listed = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=root, check=True, capture_output=True,
-    ).stdout
-    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
-        source = root / name
-        if source.is_file():  # a tracked file deleted in the tree is listed too
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -169,11 +168,12 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     results = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root, \
-            tempfile.TemporaryDirectory(prefix="bench-change-") as change_root:
-        commit = export(args.base, Path(base_root))
-        export_worktree(Path(change_root))
-        sides = {"base": Path(base_root), "change": Path(change_root)}
+    commit = git(ROOT, "rev-parse", "--verify", f"{args.base}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # both sides leave git the same way, under names of equal length
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        export(f"{commit}^{{tree}}", sides["base"])
+        export(worktree_tree(), sides["change"])
         for workload in args.workload:
             for seed in args.seed:
                 runs: dict = {"base": [], "change": []}
