@@ -14,6 +14,9 @@ invocation the exit code and the sha256 of stdout and of stderr in
 - ``parse``, ``parse --roundtrip`` and ``validate`` of every instance;
 - the same set for the join-shaped project ``join``, which pins the bytes
   of the compiled head terms, the row lists and the saturated kernel;
+- the same set for ``skips``, whose ``saturate`` record pins the
+  ``skipped`` block: candidates skipped for both reasons, with NULL in a
+  trigger and in a candidate row;
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
   and 3, fixpoint searches that cannot find a foreign, a too-wide or a
   NULL-bearing probe, a cap hit in each bounds regime, and the caps just
@@ -39,7 +42,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
-EXAMPLES = ("example1", "example3", "example4", "example5", "join")
+EXAMPLES = ("example1", "example3", "example4", "example5", "join", "skips")
 PFUNCTION_OPS = range(13)
 # (mapping, interpretation, member file, --bounds or None), all of example1
 FLUX_MEMBERS = (
