@@ -42,7 +42,6 @@ from .project import (
     pfunction_to_json,
     saturation_to_json,
     validation_to_json,
-    value_to_json,
 )
 from .saturation import derive_pfunction, saturate
 
@@ -223,13 +222,9 @@ def cmd_parse(args) -> int:
             original = inst.rows(sym.name)
             got = frozenset(rebuilt.get(sym.name, set()))
             for row in sorted(original - got, key=str):
-                mismatches.append(
-                    {"relation": sym.name, "missing": [value_to_json(v) for v in row]}
-                )
+                mismatches.append({"relation": sym.name, "missing": row})
             for row in sorted(got - original, key=str):
-                mismatches.append(
-                    {"relation": sym.name, "spurious": [value_to_json(v) for v in row]}
-                )
+                mismatches.append({"relation": sym.name, "spurious": row})
         payload["roundtrip"] = {"ok": not mismatches, "mismatches": mismatches}
         code = 0 if not mismatches else 1
     _emit(args, payload)

@@ -55,19 +55,23 @@ __all__ = [
 ]
 
 
+_NO_DEFAULT = object()  # NULL is a value, so "no default" needs a marker of its own
+
+
 @dataclass
 class FunctionTable:
     """Finite graph of one skolem symbol, keyed by argument tuples;
-    ``default`` of None means missing arguments are an error."""
+    without a ``default``, missing arguments are an error, and a default of
+    NULL maps them to NULL."""
 
     name: str
     entries: dict
-    default: "DomainValue | None" = None
+    default: DomainValue = _NO_DEFAULT
 
     def lookup(self, args: Row) -> DomainValue:
         if args in self.entries:
             return self.entries[args]
-        if self.default is not None:
+        if self.default is not _NO_DEFAULT:
             return self.default
         raise IncompleteInterpretationError(
             f"function {self.name} has no entry for {args!r} and no default"

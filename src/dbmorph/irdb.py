@@ -9,6 +9,7 @@ is insensitive to storage order.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .model import (
@@ -36,17 +37,28 @@ _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 _SEPARATOR = b"\x1f"
 _NULL_BYTES = b"NUL0"
+# a string that reads as another value's text, or holds the separator or
+# the escape byte, is marked and escaped
+_AMBIGUOUS = re.compile(r"0|-?[1-9][0-9]*|NUL0|.*[\x1e\x1f].*", re.DOTALL)
+_ESCAPED = re.compile(r"[\x1e\x1f]")
 
 
 def _render(value: DomainValue) -> bytes:
     if value is NULL:
         return _NULL_BYTES
+    if value.__class__ is str and _AMBIGUOUS.fullmatch(value):
+        value = "\x1e" + _ESCAPED.sub("\x1e\\g<0>", value)
     return str(value).encode("utf-8")
 
 
 def hash_tuple(values: Row) -> str:
     """FNV-1a (64 bit) over the text renderings of the values, joined by the
-    unit separator byte; 16 lowercase hex digits."""
+    unit separator byte; 16 lowercase hex digits.  An int renders as its
+    decimal text, NULL as ``NUL0`` and a string as itself, unless it equals
+    an int's text or ``NUL0`` or holds the byte 0x1e or 0x1f: then it
+    renders as 0x1e followed by the string with 0x1e put before each of
+    those bytes.  No rendering of one value is another's, and a rendered
+    value holds 0x1f only after 0x1e, so rows of one arity render apart."""
     data = _SEPARATOR.join(_render(v) for v in values)
     acc = _FNV_OFFSET
     for byte in data:

@@ -1,8 +1,10 @@
 """Relational core: domain values, rows, relations, schemas, instances.
 
 Domain values are opaque printable constants (``str`` or ``int``) and the
-missing-value marker ``NULL``.  Value equality is syntactic: no coercion
-happens between integer and string renderings.
+missing value ``NULL``, which is Python's ``None``: a row parsed from JSON,
+where the missing value is ``null``, is a row of the library as it stands.
+Value equality is syntactic: no coercion happens between integer and string
+renderings.
 
 Every schema implicitly contains the distinguished nullary symbol ``r_∅``;
 every instance maps it to the unit relation ``⊥ = {()}``.  Ordinary symbols
@@ -39,24 +41,9 @@ __all__ = [
 ]
 
 
-class _Null:
-    """Singleton missing-value marker; distinct from every constant."""
+NULL = None  # the missing value, as JSON's null loads and sqlite3 reads it
 
-    _instance: "_Null | None" = None
-    __slots__ = ()
-
-    def __new__(cls) -> "_Null":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NULL"
-
-
-NULL = _Null()
-
-DomainValue = Union[int, str, _Null]
+DomainValue = Union[int, str, None]
 Row = tuple  # tuple[DomainValue, ...]
 
 EMPTY_NAME = "r_∅"
@@ -101,7 +88,7 @@ def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
     return groups
 
 
-_VALUE_CLASSES = frozenset({int, str, _Null})
+_VALUE_CLASSES = frozenset({int, str, type(None)})
 
 
 def _check_value(v: object) -> DomainValue:

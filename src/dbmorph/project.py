@@ -12,6 +12,10 @@ byte-identical files.  ``canonical_json`` writes the bytes of
 with its own emitter, which writes a list of scalars, such as a row, as one
 string.
 
+Rows cross the file boundary unconverted.  NULL is ``None``, so JSON's
+``null`` loads as NULL, and a payload holds rows as the library does, as
+tuples, which ``canonical_json`` and ``json.dumps`` both write as arrays.
+
 A row list read from JSON is checked in bulk: one pass over the classes of
 its rows and of their values, one set of row widths.  Only a list that
 fails the check goes through ``value_from_json`` value by value, which
@@ -33,7 +37,6 @@ from .interp import FunctionTable, InstanceMorphism, SatisfactionReport, TarskiI
 from .logic import RelAtom, SOtgd, ValidationReport
 from .model import (
     NULL,
-    DomainValue,
     Instance,
     RelationSymbol,
     Row,
@@ -53,9 +56,7 @@ from .operads import (
 from .saturation import PFunction, SaturatedMorphism
 
 __all__ = [
-    "value_to_json",
     "value_from_json",
-    "rows_to_json",
     "instance_to_json",
     "load_instance",
     "load_instance_file",
@@ -75,34 +76,16 @@ __all__ = [
 ]
 
 
-def value_to_json(value: DomainValue):
-    if value is NULL:
-        return None
-    return value
-
-
 def value_from_json(value, where: str = "value"):
-    if value is None:
-        return NULL
+    """A parsed JSON value as the domain value it already is (null is
+    NULL), or an input error located by ``where``."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: booleans are not domain values")
-    if isinstance(value, int):
+    if value is NULL or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
         raise SchemaError(f"{where}: floats are not domain values")
-    if isinstance(value, str):
-        return value
     raise SchemaError(f"{where}: {value!r} is not a domain value")
-
-
-def _row_arrays(rows) -> list:
-    """Rows as JSON arrays, in their order; a row that holds no NULL is
-    copied whole."""
-    return [[value_to_json(v) for v in row] if NULL in row else list(row) for row in rows]
-
-
-def rows_to_json(rows) -> list:
-    return _row_arrays(sort_rows(rows))
 
 
 def _row_from_json(row, where: str) -> Row:
@@ -120,10 +103,7 @@ def _rows_from_json(rows: list, where: str) -> list:
     rows go through ``_row_from_json`` one by one, which raises the error
     of the first bad one, located by ``where``."""
     if {row.__class__ for row in rows} <= {list}:
-        kinds = {v.__class__ for row in rows for v in row}
-        if kinds <= _PLAIN:
-            if type(None) in kinds:
-                return [tuple([NULL if v is None else v for v in row]) for row in rows]
+        if {v.__class__ for row in rows for v in row} <= _PLAIN:
             return list(map(tuple, rows))
     return [_row_from_json(row, where) for row in rows]
 
@@ -156,7 +136,7 @@ def instance_to_json(inst: Instance) -> dict:
     for sym in inst.schema.ordinary_symbols():
         relations[sym.name] = {
             "columns": list(sym.columns),
-            "rows": rows_to_json(inst.rows(sym.name)),
+            "rows": sort_rows(inst.rows(sym.name)),
         }
     return {"schema": inst.schema.name, "relations": relations}
 
@@ -441,10 +421,9 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
                         f"{where}: arguments {json.dumps(pair[0])} have two values, "
                         f"{json.dumps(first[args])} and {json.dumps(pair[1])}"
                     )
-        default = None
+        table = tables[fname] = FunctionTable(fname, entries)
         if "default" in body:
-            default = value_from_json(body["default"], f"{path}: {fname} default")
-        tables[fname] = FunctionTable(fname, entries, default)
+            table.default = value_from_json(body["default"], f"{path}: {fname} default")
 
     domain = None
     if "domain" in data:
@@ -600,7 +579,7 @@ def morphism_to_json(m: InstanceMorphism, report: SatisfactionReport) -> dict:
         "arrow": m.arrow.name,
         "satisfied": report.satisfied,
         "violations": [
-            {"operation": op, "row": [value_to_json(v) for v in row]}
+            {"operation": op, "row": row}
             for op, row in report.violations
         ],
         "components": [
@@ -608,7 +587,7 @@ def morphism_to_json(m: InstanceMorphism, report: SatisfactionReport) -> dict:
                 "operation": c.op.name,
                 "rq": c.op.rq_name,
                 "target": c.op.target,
-                "image": rows_to_json(c.image()),
+                "image": sort_rows(c.image()),
             }
             for c in m.components
         ],
@@ -616,7 +595,7 @@ def morphism_to_json(m: InstanceMorphism, report: SatisfactionReport) -> dict:
 
 
 def kernel_to_json(kernel: FluxKernel) -> dict:
-    return {"members": [rows_to_json(m) for m in kernel.sorted_members()]}
+    return {"members": [sort_rows(m) for m in kernel.sorted_members()]}
 
 
 def saturation_to_json(sat: SaturatedMorphism) -> dict:
@@ -626,14 +605,10 @@ def saturation_to_json(sat: SaturatedMorphism) -> dict:
             {
                 "op": e.op_name,
                 "opIndex": e.op_index,
-                "args": _row_arrays(e.trigger),
-                "b": [value_to_json(v) for v in e.output],
+                "args": e.trigger,
+                "b": e.output,
                 "perturbation": [
-                    {
-                        "function": fname,
-                        "args": [value_to_json(v) for v in fargs],
-                        "value": value_to_json(val),
-                    }
+                    {"function": fname, "args": fargs, "value": val}
                     for (fname, fargs), val in e.perturbation
                 ],
             }
@@ -643,8 +618,8 @@ def saturation_to_json(sat: SaturatedMorphism) -> dict:
             {
                 "op": s.op_name,
                 "opIndex": s.op_index,
-                "args": _row_arrays(s.trigger),
-                "b": [value_to_json(v) for v in s.candidate],
+                "args": s.trigger,
+                "b": s.candidate,
                 "reason": s.reason,
             }
             for s in sat.skipped
@@ -661,7 +636,7 @@ def pfunction_to_json(pf: PFunction) -> dict:
             {"symbol": s, "negated": neg, "char": char} for s, neg, char in pf.domain
         ],
         "graph": [
-            {"args": _row_arrays(args), "rows": rows_to_json(rows)}
+            {"args": args, "rows": sort_rows(rows)}
             for args, rows in pf.graph
         ],
     }
@@ -671,7 +646,7 @@ def _violation_key(entry: dict) -> tuple:
     """Constraint text, then the witness items (in ``str`` order) with
     values compared by ``value_key``, so mixed value kinds sort."""
     items = sorted(entry["witness"].items(), key=str)
-    return entry["constraint"], [(name, value_key(value_from_json(v))) for name, v in items]
+    return entry["constraint"], [(name, value_key(v)) for name, v in items]
 
 
 def validation_to_json(report: ValidationReport) -> dict:
@@ -680,7 +655,7 @@ def validation_to_json(report: ValidationReport) -> dict:
         entries.append(
             {
                 "constraint": pretty_mapping([v.constraint]),
-                "witness": {name: value_to_json(val) for name, val in v.witness},
+                "witness": dict(v.witness),
             }
         )
     entries.sort(key=_violation_key)

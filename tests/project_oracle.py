@@ -128,10 +128,9 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
         # a fault of a later pair is reported first
         if conflict is not None:
             raise conflict
-        default = None
+        tables[fname] = FunctionTable(fname, entries)
         if "default" in body:
-            default = value_from_json(body["default"], f"{path}: {fname} default")
-        tables[fname] = FunctionTable(fname, entries, default)
+            tables[fname].default = value_from_json(body["default"], f"{path}: {fname} default")
 
     domain = None
     if "domain" in data:

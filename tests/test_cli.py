@@ -517,6 +517,18 @@ def test_parse_roundtrip_recovers_null_rows(capsys):
     assert payload(out)["roundtrip"] == {"ok": True, "mismatches": []}
 
 
+def test_parse_roundtrip_keeps_an_int_and_its_digit_string_apart(capsys):
+    """``P(1, "x")`` and ``P("1", "x")`` get two t-indexes, so both rows
+    come back."""
+    code, out, _ = run(
+        capsys, "parse", "--project", P5, "--instance", "kinds", "--roundtrip"
+    )
+    assert code == 0
+    data = payload(out)
+    assert len({row[1] for row in data["relations"]["r_V"]["rows"]}) == 2
+    assert data["roundtrip"] == {"ok": True, "mismatches": []}
+
+
 def test_parse_roundtrip_loses_all_null_rows(capsys, tmp_path):
     (tmp_path / "x.json").write_text(
         json.dumps(
@@ -900,6 +912,33 @@ def test_a_skolem_table_with_two_values_at_one_point_is_an_input_error(
         if code == 3:
             assert out == ""
             assert err == f'error: {path}: skolem f1: arguments [132] have two values, "art" and "music"\n'
+
+
+@pytest.mark.parametrize(
+    "table, code, err",
+    [
+        ({"entries": [], "default": None}, 0, ""),
+        ({"entries": []}, 3, "error: function f1 has no entry for (132,) and no default\n"),
+    ],
+)
+def test_a_null_default_is_a_value(capsys, tmp_path, table, code, err):
+    """``"default": null`` maps a missing argument tuple to NULL; a table
+    without a default still rejects it."""
+    for src in (FIXTURES / "example4").iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    path = tmp_path / "interp.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["skolem"]["f1"] = table
+    path.write_text(json.dumps(data), encoding="utf-8")
+    target = tmp_path / "b.json"
+    data = json.loads(target.read_text(encoding="utf-8"))
+    data["relations"]["Hobbies"]["rows"].append([132, None])
+    target.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["--project", str(tmp_path / "project.json"), "--mapping", "m_ab", "--interp", str(path)]
+    got, out, message = run(capsys, "eval", *argv)
+    assert (got, message) == (code, err)
+    if code == 0:
+        assert payload(out)["components"][0]["image"] == [[132, None]]
 
 
 @pytest.mark.parametrize("where", ["mapping", "constraints"])

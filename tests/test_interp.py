@@ -58,6 +58,11 @@ def test_function_table_without_default_is_partial():
         t.lookup(("e2",))
 
 
+def test_function_table_with_a_null_default_maps_missing_arguments_to_null():
+    t = FunctionTable("f", {}, default=NULL)
+    assert t.lookup((1,)) is NULL
+
+
 def test_interpretation_requires_a_table_per_symbol(example1):
     arrow, it = arrow_and_interp(example1, "example1", "m_bc", "interp_bc.json")
     assert it.skolem_value("f1", ("e1",)) == "o1"

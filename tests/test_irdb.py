@@ -1,6 +1,10 @@
 """Vector-relation flattening, the content hash, and the flattening as a
 mapping that generates ``example5/mop.map``."""
 
+import re
+
+from hypothesis import given, strategies as st
+
 from dbmorph import (
     Instance,
     NULL,
@@ -34,19 +38,55 @@ def test_hash_of_the_contact_row():
 
 def test_null_renders_as_its_marker():
     assert hash_tuple((NULL,)) == "6fb469c5b5dceb90"
-    # the marker string collides with NULL by design
-    assert hash_tuple(("NUL0",)) == "6fb469c5b5dceb90"
+    # the marker string is escaped, so it does not collide with NULL
+    assert hash_tuple(("NUL0",)) != "6fb469c5b5dceb90"
 
 
-def test_numbers_and_their_digit_strings_render_identically():
+def test_numbers_and_their_digit_strings_render_apart():
     assert hash_tuple((132,)) == "4572cb18182509fd"
-    assert hash_tuple(("132",)) == "4572cb18182509fd"
+    assert hash_tuple(("132",)) != "4572cb18182509fd"
+    assert hash_tuple((1, "x")) != hash_tuple(("1", "x"))
 
 
 def test_the_separator_keeps_adjacent_values_apart():
     assert hash_tuple((1, 2)) == "45b6c318185ec931"
     assert hash_tuple((12,)) == "07f89407b4ba0c0a"
     assert hash_tuple((1, 2)) != hash_tuple((12,))
+    # a separator or escape byte inside a string is escaped
+    assert hash_tuple(("a\x1fb",)) != hash_tuple(("a", "b"))
+    assert hash_tuple(("a\x1e", "b")) != hash_tuple(("a", "\x1eb"))
+
+
+def old_hash_tuple(values) -> str:
+    """The hash as it was before strings were escaped: the rendering that
+    every row without an ambiguous string still gets."""
+    data = b"\x1f".join(b"NUL0" if v is NULL else str(v).encode("utf-8") for v in values)
+    acc = 0xCBF29CE484222325
+    for byte in data:
+        acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return format(acc, "016x")
+
+
+# strings near every rendering: digits, signs, the marker, both escape bytes
+tricky = st.text(st.sampled_from("01-9NUL\x1e\x1fé"), max_size=4)
+values = st.one_of(st.just(NULL), st.integers(-20, 20), tricky)
+
+
+def ambiguous(v) -> bool:
+    return isinstance(v, str) and (
+        re.fullmatch(r"0|-?[1-9][0-9]*|NUL0", v) is not None or "\x1e" in v or "\x1f" in v
+    )
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.sets(st.tuples(*[values] * n), max_size=12)))
+def test_distinct_rows_of_one_arity_hash_apart(rows):
+    assert len({hash_tuple(row) for row in rows}) == len(rows)
+
+
+@given(st.lists(values, max_size=4))
+def test_rows_without_ambiguous_strings_keep_the_old_hash(row):
+    if not any(map(ambiguous, row)):
+        assert hash_tuple(row) == old_hash_tuple(row)
 
 
 # ---------------------------------------------------------------------------

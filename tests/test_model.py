@@ -1,5 +1,7 @@
 """Relational core: values, relations, schemas, instances."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,11 +19,13 @@ from dbmorph import (
 from dbmorph.model import BOTTOM_ROWS, row_key, sort_rows, value_key
 
 
-def test_null_is_a_singleton():
-    from dbmorph.model import _Null
+def test_null_is_none():
+    """The missing value is Python's None, which JSON's null loads as."""
+    import dbmorph
 
-    assert _Null() is NULL
-    assert repr(NULL) == "NULL"
+    assert NULL is None
+    assert dbmorph.NULL is None
+    assert json.loads("[null]") == [NULL]
 
 
 def test_value_key_orders_null_before_ints_before_strings():

@@ -2,21 +2,26 @@
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dbmorph import (
+    DbmorphError,
     FluxKernel,
     NULL,
     SchemaError,
     alpha_star,
+    derive_pfunction,
+    flux_kernel,
+    parse_database,
     satisfies,
     saturate,
 )
 from dbmorph.dsl import parse_mapping
-from dbmorph.model import Relation, RelationSymbol, Schema
+from dbmorph.model import Relation, RelationSymbol, Schema, sort_rows
 from dbmorph.project import (
     arrow_to_json,
     canonical_json,
@@ -29,16 +34,16 @@ from dbmorph.project import (
     load_member_file,
     load_project,
     morphism_to_json,
-    rows_to_json,
+    pfunction_to_json,
     saturation_to_json,
     validation_to_json,
     value_from_json,
-    value_to_json,
 )
 from dbmorph.logic import validate_instance
 
 import project_oracle
-from conftest import FIXTURES, arrow_and_interp
+from cli_golden import EXAMPLES
+from conftest import FIXTURES, arrow_and_interp, load_example
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +52,7 @@ from conftest import FIXTURES, arrow_and_interp
 
 def test_value_json_round_trip():
     assert value_from_json(None) is NULL
-    assert value_to_json(NULL) is None
+    assert json.loads(canonical_json([NULL, 5, "x"])) == [NULL, 5, "x"]
     assert value_from_json(5) == 5
     assert value_from_json("x") == "x"
 
@@ -63,7 +68,7 @@ def test_value_from_json_rejects_non_domain_values():
 
 def test_rows_serialize_sorted():
     rows = frozenset({(2,), (1,), (NULL,)})
-    assert rows_to_json(rows) == [[None], [1], [2]]
+    assert json.loads(canonical_json(sort_rows(rows))) == [[None], [1], [2]]
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +148,9 @@ def test_instance_errors_name_their_file(relations, message):
 
 
 def test_instance_round_trips_through_json(example5):
+    """An instance written as a file reads back as itself."""
     inst = example5.instance("a_nulls")
-    data = instance_to_json(inst)
+    data = json.loads(canonical_json(instance_to_json(inst)))
     again = load_instance(data, example5.schema("A"))
     assert again.relations == inst.relations
 
@@ -423,7 +429,7 @@ def test_morphism_serialization(example1):
     assert data["satisfied"] is True and data["violations"] == []
     q1 = data["components"][0]
     assert q1["operation"] == "q_1"
-    assert q1["image"] == [["e1", "o1"], ["e3", "o2"]]
+    assert q1["image"] == [("e1", "o1"), ("e3", "o2")]
 
 
 def test_violation_serialization(example4):
@@ -431,12 +437,12 @@ def test_violation_serialization(example4):
     m = alpha_star(it, arrow)
     data = morphism_to_json(m, satisfies(alpha_star(it, arrow)))
     assert data["satisfied"] is False
-    assert data["violations"] == [{"operation": "q_1", "row": [132, "opera"]}]
+    assert data["violations"] == [{"operation": "q_1", "row": (132, "opera")}]
 
 
 def test_kernel_serialization():
     k = FluxKernel([frozenset({(1,), (NULL,)})])
-    assert kernel_to_json(k) == {"members": [[[]], [[None], [1]]]}
+    assert kernel_to_json(k) == {"members": [[()], [(NULL,), (1,)]]}
 
 
 def test_saturation_serialization(example4):
@@ -445,9 +451,9 @@ def test_saturation_serialization(example4):
     assert data["counts"] == {"extras": 3, "skipped": 0}
     first = data["extras"][0]
     assert first["op"] == "q_1"
-    assert first["b"] == [132, "music"]
+    assert first["b"] == (132, "music")
     assert first["perturbation"] == [
-        {"function": "f1", "args": [132], "value": "music"}
+        {"function": "f1", "args": (132,), "value": "music"}
     ]
 
 
@@ -476,6 +482,50 @@ def test_validation_serialization_orders_mixed_witness_values():
         {"k": 0, "v": 1, "w": "a"},
         {"k": 0, "v": "a", "w": 1},
     ]
+
+
+def fixture_payloads():
+    """Every kind of payload that the commands build, over each fixture
+    project of the golden record: per instance, its file, its vector
+    flattening and its validation report; per mapping, its arrow, and per
+    interpretation that it runs under, the morphism, both kernels, the
+    saturation and each operation's p-function."""
+    for example in EXAMPLES:
+        project = load_example(example)
+        for name in project.instances:
+            inst = project.instance(name)
+            yield instance_to_json(inst)
+            yield instance_to_json(parse_database(inst))
+            report = validate_instance(inst, inst.schema.constraints, project.domain)
+            yield validation_to_json(report)
+        for mapping in project.mappings:
+            arrow = compile_project_mapping(project, mapping)
+            yield arrow_to_json(arrow)
+            for path in sorted((FIXTURES / example).glob("interp*.json")):
+                try:
+                    it = load_interpretation_file(path, project)
+                    morphism = alpha_star(it, arrow)
+                    yield morphism_to_json(morphism, satisfies(morphism))
+                    yield kernel_to_json(flux_kernel(morphism))
+                    sat = saturate(it, arrow)
+                except DbmorphError:  # no morphism, or none that saturates
+                    continue
+                yield saturation_to_json(sat)
+                yield kernel_to_json(flux_kernel(sat))
+                for k in range(1, len(arrow.operations) + 1):
+                    yield pfunction_to_json(derive_pfunction(sat, k))
+
+
+def test_payloads_are_plain_json_data():
+    """A payload holds rows as the library does, and ``json.dumps`` writes
+    it as ``canonical_json`` does: no value needs converting first."""
+    kinds = Counter()
+    for data in fixture_payloads():
+        want = json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert canonical_json(data) == want
+        kinds[frozenset(data)] += 1
+    # every payload builder ran, on more than one input each
+    assert len(kinds) == 7 and min(kinds.values()) > 1
 
 
 # ---------------------------------------------------------------------------

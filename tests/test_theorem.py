@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from dbmorph import saturate
 from dbmorph.cli import main
-from dbmorph.project import instance_to_json, value_to_json
+from dbmorph.project import instance_to_json
 
 import law_oracle
 from test_saturation import oracle_cases
@@ -34,10 +34,7 @@ def write_project(d: Path, text: str, it) -> Path:
     (d / "m.map").write_text(text, encoding="utf-8")
     skolem = {
         name: {
-            "entries": [
-                [[value_to_json(v) for v in args], value_to_json(value)]
-                for args, value in table.entries.items()
-            ]
+            "entries": [[args, value] for args, value in table.entries.items()]
         }
         for name, table in it.skolem.items()
     }
