@@ -39,7 +39,6 @@ from .project import (
     load_member_file,
     load_project,
     morphism_to_json,
-    pfunction_to_json,
     saturation_to_json,
     validation_to_json,
 )
@@ -48,7 +47,7 @@ from .saturation import derive_pfunction, saturate
 __all__ = ["main"]
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload) -> None:
     text = canonical_json(payload)
     if args.out:
         try:
@@ -143,7 +142,7 @@ def cmd_pfunction(args) -> int:
     project, arrow, it = _arrow_and_interp(args)
     sat = saturate(it, arrow)
     pf = derive_pfunction(sat, args.op)
-    _emit(args, pfunction_to_json(pf))
+    _emit(args, pf)
     return 0
 
 

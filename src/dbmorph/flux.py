@@ -48,7 +48,7 @@ from operator import itemgetter, mul
 from .dsl import pretty_term
 from .errors import PreconditionError
 from .logic import Const, Var
-from .model import NULL, row_key, value_key
+from .model import _ONE_CLASS, NULL, row_key, value_key
 from .operads import OperadOperation
 
 __all__ = [
@@ -79,11 +79,6 @@ UNEQUAL = "unequal"
 UNKNOWN = "unknown-within-bounds"
 
 
-def _member_key(member: frozenset) -> tuple:
-    rows = sorted(row_key(r) for r in member)
-    return (0 if member == BOTTOM_MEMBER else 1, len(rows and rows[0]), rows)
-
-
 @dataclass(frozen=True)
 class FluxKernel:
     """Finite generator set of a flux; ⊥ is always a member, so the empty
@@ -97,7 +92,25 @@ class FluxKernel:
         object.__setattr__(self, "members", frozenset(norm))
 
     def sorted_members(self) -> list:
-        return sorted(self.members, key=_member_key)
+        return [member for member, _ in self._sorted_rows()]
+
+    def _sorted_rows(self) -> list:
+        """(member, its rows in ``row_key`` order) for each member, ⊥
+        first, then by arity, then by the sorted rows.  When every value of
+        the kernel is an ``int``, or every value a ``str``, rows sort and
+        compare as plain tuples, which orders them as ``row_key`` does (see
+        ``sort_rows``).  The test covers the whole kernel, since two members
+        of one arity compare row by row; any other mix, or a NULL, keys by
+        ``row_key``."""
+        values = itertools.chain.from_iterable(itertools.chain.from_iterable(self.members))
+        plain = set(map(type, values)) in _ONE_CLASS
+        keyed = []
+        for member in self.members:
+            rows = sorted(member, key=None if plain else row_key)
+            order = rows if plain else list(map(row_key, rows))
+            keyed.append(((member != BOTTOM_MEMBER, len(rows and rows[0]), order), member, rows))
+        keyed.sort(key=itemgetter(0))
+        return [(member, rows) for _, member, rows in keyed]
 
     def values(self) -> frozenset:
         return frozenset(v for m in self.members for row in m for v in row)
@@ -516,8 +529,8 @@ def flux_equal(
             continue
         result = closure_set(b, bounds, targets=missing)
         capped = capped or result.capped
-        for member in sorted(missing, key=_member_key):
-            if member not in result.members:
+        for member in a.sorted_members():
+            if member in missing and member not in result.members:
                 unresolved.append((tag, member))
     if unresolved:
         return FluxComparison(UNKNOWN, tuple(unresolved), capped)

@@ -29,6 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import IncompleteInterpretationError, SchemaError
 from .logic import RelAtom, Var, _compile_literal, _compile_terms, _join, _plan, _unbound
@@ -149,6 +150,14 @@ def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
     return frozenset(t for t in universe if t not in rel.rows)
 
 
+@lru_cache(maxsize=256)
+def _places_plan(variables: tuple) -> tuple:
+    """The join plan of places with these variable names, planned once per
+    tuple of names.  An atom names its place by position, since two places
+    over one symbol can range over different domains."""
+    return _plan([RelAtom(j, tuple(map(Var, names))) for j, names in enumerate(variables)], ())
+
+
 class ComponentFunction:
     """The total map an operation denotes under a fixed interpretation."""
 
@@ -186,10 +195,8 @@ class ComponentFunction:
                     f"operation {op.name}: tuple {rows[0]!r} does not fit atom "
                     f"{place.symbol}/{place.arity}"
                 )
-        # an atom names its place by position, since two places over one
-        # symbol can range over different domains
-        atoms = [RelAtom(j, tuple(map(Var, p.variables))) for j, p in enumerate(op.places)]
-        return _join(_plan(atoms, ()), domains.__getitem__, {}, {})
+        plan = _places_plan(tuple(p.variables for p in op.places))
+        return _join(plan, domains.__getitem__, {}, {})
 
     def evaluations(self, joined=None):
         """Evaluate each joined argument tuple once by the compiled head,

@@ -10,7 +10,12 @@ environment-dependent content, so two runs over the same inputs produce
 byte-identical files.  ``canonical_json`` writes the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
 with its own emitter, which writes a list of scalars, such as a row, as one
-string.
+string.  It also takes a ``PFunction`` and writes the bytes of its
+``pfunction_to_json``: when the arguments are int rows of one width per
+place and the rows int rows of one width, the graph is written from
+``PFunction.graph`` with one ``%`` template per argument shape, else
+through the generic writer.  ``kernel_to_json`` reuses the rows
+``FluxKernel`` sorted to order its members.
 
 Rows cross the file boundary unconverted.  NULL is ``None``, so JSON's
 ``null`` loads as NULL, and a payload holds rows as the library does, as
@@ -25,7 +30,7 @@ raises the located message of its first bad row or value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -453,22 +458,103 @@ def _row_format(width: int, inner: str) -> str:
     return "[\n" + inner + "  " + cell.join(["%d"] * width) + "\n" + inner + "]"
 
 
+def _int_width(rows) -> int:
+    """The width of ``rows`` when it is a list or tuple of lists or tuples
+    of one width whose values are all exactly ``int``; 0 otherwise.
+    Classes are tested exactly, so that ``True`` does not pass for ``1``;
+    the first row is tested alone first, so that a list of other rows pays
+    little."""
+    first = rows[0]
+    if (
+        first.__class__ in _ROW_CLASSES
+        and set(map(type, first)) == _INT_CLASS
+        and set(map(type, rows)) <= _ROW_CLASSES
+        and len(set(map(len, rows))) == 1
+        and set(map(type, chain.from_iterable(rows))) == _INT_CLASS
+    ):
+        return len(first)
+    return 0
+
+
 def _int_rows(value, inner: str) -> "list | None":
     """The text of each row of ``value``, at item indent ``inner``, when
-    ``value`` is a list of lists or tuples of one width >= 1 whose values
-    are all exactly ``int``; None otherwise.  Classes are tested exactly,
-    so that ``True`` does not pass for ``1``; the first row is tested
-    alone first, so that a list of other rows pays little."""
-    first = value[0]
-    if (
-        set(map(type, first)) == _INT_CLASS
-        and set(map(type, value)) <= _ROW_CLASSES
-        and len(set(map(len, value))) == 1
-        and set(map(type, chain.from_iterable(value))) == _INT_CLASS
-    ):
-        row = _row_format(len(first), inner)
-        return [row % tuple(r) for r in value]
-    return None
+    ``_int_width`` gives its width; None otherwise."""
+    width = _int_width(value)
+    if not width:
+        return None
+    row = _row_format(width, inner)
+    return [row % tuple(r) for r in value]
+
+
+@lru_cache(maxsize=256)
+def _entry_formats(widths: tuple, inner: str) -> tuple:
+    """The text of one p-function graph entry at item indent ``inner``,
+    whose arguments are rows of ``widths`` ints, as ``%`` formats over its
+    argument values: the whole entry when it has no rows, and the text
+    before its first row and after its last, rows that sit at item indent
+    ``inner`` and four spaces more."""
+    key = inner + "  "
+    args = (",\n" + key + "  ").join([_row_format(w, key + "  ") for w in widths])
+    opened = "{\n" + key + '"args": [\n' + key + "  " + args
+    opened += "\n" + key + '],\n' + key + '"rows": '
+    closed = "\n" + inner + "}"
+    return opened + "[]" + closed, opened + "[\n" + key + "  ", "\n" + key + "]" + closed
+
+
+def _args_widths(args: list) -> tuple:
+    """The width of each place of ``args``, the argument tuples of a
+    p-function graph, when every tuple is a list or tuple of one count of
+    places and each place's rows are ``_int_width`` rows; () otherwise, as
+    for an empty graph or a place of width 0."""
+    if not args or not set(map(type, args)) <= _ROW_CLASSES or len(set(map(len, args))) != 1:
+        return ()
+    widths = tuple(map(_int_width, zip(*args)))
+    return widths if all(widths) else ()
+
+
+def _graph_text(graph: tuple, indent: str) -> "str | None":
+    """The text of a p-function graph at indent ``indent`` when its
+    arguments have ``_args_widths`` and all the rows of its row sets are
+    ``_int_width`` rows; None otherwise.  Each entry is an
+    ``_entry_formats`` format, with one ``_row_format`` text per sorted
+    row, and the joined entries are filled with every argument value at
+    once."""
+    args = [a for a, _ in graph]
+    widths = _args_widths(args)
+    rows = list(chain.from_iterable([r for _, r in graph if r]))
+    width = _int_width(rows) if rows else 0
+    if not widths or (rows and not width):
+        return None
+    inner = indent + "  "
+    empty, before, after = _entry_formats(widths, inner)
+    row, sep = _row_format(width, inner + "    "), ",\n" + inner + "    "
+    entries = [
+        before + sep.join([row % tuple(r) for r in sorted(rs)]) + after if rs else empty
+        for _, rs in graph
+    ]
+    values = tuple(chain.from_iterable(chain.from_iterable(args)))
+    return "[\n" + inner + (",\n" + inner).join(entries) % values + "\n" + indent + "]"
+
+
+def _write_pfunction(pf: PFunction, indent: str, chunks: list) -> None:
+    """Append the text of ``pfunction_to_json(pf)``.  A graph that
+    ``_graph_text`` writes is written from ``pf.graph``, with no record
+    per entry; any other goes through the generic writer."""
+    inner = indent + "  "
+    graph = _graph_text(pf.graph, inner)
+    if graph is None:
+        _write_json(pfunction_to_json(pf), indent, chunks)
+        return
+    payload = pfunction_to_json(replace(pf, graph=()))
+    sep = "{\n" + inner
+    for key in sorted(payload):
+        chunks.append(sep + _encode_str(key) + ": ")
+        if key == "graph":
+            chunks.append(graph)
+        else:
+            _write_json(payload[key], inner, chunks)
+        sep = ",\n" + inner
+    chunks.append("\n" + indent + "}")
 
 
 def _write_json(value, indent: str, chunks: list) -> None:
@@ -517,6 +603,8 @@ def _write_json(value, indent: str, chunks: list) -> None:
         chunks.append(_encode_str(value))
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
+    elif isinstance(value, PFunction):
+        _write_pfunction(value, indent, chunks)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
@@ -595,7 +683,7 @@ def morphism_to_json(m: InstanceMorphism, report: SatisfactionReport) -> dict:
 
 
 def kernel_to_json(kernel: FluxKernel) -> dict:
-    return {"members": [sort_rows(m) for m in kernel.sorted_members()]}
+    return {"members": [rows for _, rows in kernel._sorted_rows()]}
 
 
 def saturation_to_json(sat: SaturatedMorphism) -> dict:

@@ -23,6 +23,7 @@ p-function of the mapping.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, SchemaError
@@ -239,30 +240,29 @@ def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
     chosen = ops[op_index - 1]
     key = (_domain_descriptor(chosen), chosen.target)
 
-    graphs = [
-        c.graph()
-        for c in sat.base.components
-        if (_domain_descriptor(c.op), c.op.target) == key
-    ]
-    # an extra differs from its base component, itself a member, only at
-    # its trigger
-    deviations: dict = {}
+    # one pass over each member's graph, then the extras: an extra differs
+    # from its base component, itself a member, only at its trigger
+    reached = defaultdict(set)
+    for c in sat.base.components:
+        if (_domain_descriptor(c.op), c.op.target) == key:
+            for args, out in c.graph().items():
+                if out != ():
+                    reached[args].add(out)
     for extra in sat.extras:
         op = extra.component.op
-        if (_domain_descriptor(op), op.target) == key:
-            deviations.setdefault(extra.trigger, set()).add(extra.output)
+        if (_domain_descriptor(op), op.target) == key and extra.output != ():
+            reached[extra.trigger].add(extra.output)
 
-    # the product is listed; a tuple outside a member's graph maps to ()
-    graph = []
-    for args in sat.base.component(chosen.name).domain_product():
-        outputs = {g.get(args, ()) for g in graphs}
-        outputs.update(deviations.get(args, ()))
-        outputs.discard(())
-        graph.append((args, frozenset(outputs)))
+    # the product is listed; a tuple that no member reaches maps to one
+    # shared empty set
+    rows = {args: frozenset(outputs) for args, outputs in reached.items()}
+    nothing = frozenset()
+    product = sat.base.component(chosen.name).domain_product()
+    graph = tuple([(args, rows.get(args, nothing)) for args in product])
     return PFunction(
         name=f"f_{chosen.name}",
         domain=_domain_descriptor(chosen),
         codomain=chosen.target,
-        graph=tuple(graph),
+        graph=graph,
     )
 

@@ -5,6 +5,10 @@ order, same witnesses, same ``capped`` and ``fixpoint``.
 
 It walks every pair of members at each depth, formats a witness for every
 candidate and keeps enumerating after the relation cap refuses one.
+
+``member_key`` is the kernel order as it stood before kernels were sorted
+as plain tuples: every row keyed by ``row_key``.  ``FluxKernel.sorted_members``
+and ``kernel_to_json`` are compared against it in ``test_flux.py``.
 """
 
 import itertools
@@ -18,7 +22,12 @@ from dbmorph.flux import (
     FluxKernel,
 )
 from dbmorph.logic import Const, eval_comparison
-from dbmorph.model import value_key
+from dbmorph.model import row_key, value_key
+
+
+def member_key(member: frozenset) -> tuple:
+    rows = sorted(row_key(r) for r in member)
+    return (0 if member == BOTTOM_MEMBER else 1, len(rows and rows[0]), rows)
 
 
 def closure_set(

@@ -4,7 +4,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dbmorph import (
     ClosureBounds,
@@ -36,9 +36,9 @@ from dbmorph.flux import (
     require_shared_endpoints,
 )
 from dbmorph.model import row_key, value_key
-from dbmorph.project import compile_project_mapping
+from dbmorph.project import compile_project_mapping, kernel_to_json
 
-from closure_oracle import closure_set as oracle_closure_set
+from closure_oracle import closure_set as oracle_closure_set, member_key
 from conftest import arrow_and_interp
 
 
@@ -71,6 +71,33 @@ def test_sorted_members_lead_with_bottom():
     assert ordered[0] == BOTTOM_MEMBER
     assert ordered[1] == frozenset()
     assert ordered[2:] == [member((1,)), member((2,))]
+
+
+mixed_values = st.one_of(st.integers(-2, 2), st.sampled_from(["", "a", "b", "1"]), st.none())
+
+
+@st.composite
+def mixed_kernels(draw):
+    """Kernels over ints, strings and NULL, where members of one arity may
+    hold values of different classes: each member draws its values from all
+    three, from the ints alone or from the strings alone."""
+    members = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        arity = draw(st.integers(min_value=0, max_value=2))
+        values = draw(st.sampled_from([mixed_values, st.integers(-2, 2), st.sampled_from("ab")]))
+        members.append(draw(st.frozensets(st.tuples(*[values] * arity), max_size=3)))
+    return FluxKernel(members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_kernels())
+@example(FluxKernel([member((1, 2)), member(("a", "b"))]))
+@example(FluxKernel([member((1,)), member(("a",)), member((NULL,))]))
+@example(FluxKernel([member(("b",)), member(("a", "c"))]))
+def test_kernel_order_is_the_row_key_order(kernel):
+    ordered = sorted(kernel.members, key=member_key)
+    assert kernel.sorted_members() == ordered
+    assert kernel_to_json(kernel) == {"members": [sorted(m, key=row_key) for m in ordered]}
 
 
 def test_kernel_values_pool_all_rows():
@@ -617,7 +644,7 @@ def reachable_cases(draw):
     if wide and draw(st.booleans()):
         rows = sorted(draw(st.sampled_from(wide)), key=row_key)
         return kernel, max_arity, frozenset(draw(st.lists(st.sampled_from(rows), min_size=1)))
-    closure = sorted(characterized_closure(kernel, max_arity), key=flux._member_key)
+    closure = sorted(characterized_closure(kernel, max_arity), key=member_key)
     return kernel, max_arity, draw(st.sampled_from(closure))
 
 

@@ -39,7 +39,9 @@ from dbmorph.project import (
     validation_to_json,
     value_from_json,
 )
+from dbmorph import project as project_module
 from dbmorph.logic import validate_instance
+from dbmorph.saturation import PFunction
 
 import project_oracle
 from cli_golden import EXAMPLES
@@ -526,6 +528,76 @@ def test_payloads_are_plain_json_data():
         kinds[frozenset(data)] += 1
     # every payload builder ran, on more than one input each
     assert len(kinds) == 7 and min(kinds.values()) > 1
+
+
+def plain_dumps(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+int_values = st.one_of(st.integers(-3, 3), huge_ints)
+# near misses of the shape templates: strings (a "%" among them), NULL and
+# booleans among the ints
+near_values = st.one_of(int_values, st.sampled_from(["", "a", "%d", "é\n"]), st.none(), st.booleans())
+
+
+@st.composite
+def pfunctions(draw):
+    """P-functions of every shape the writer meets.  Half of them have
+    int arguments of one width >= 1 per place and int rows of one width,
+    the shapes the templates write; the others may hold near misses:
+    string, NULL or boolean values, argument tuples of two shapes, places
+    or rows of width 0, row sets with rows of two widths."""
+    if draw(st.booleans()):
+        arg_values = row_values = int_values
+        shapes = [draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+        widths = [draw(st.integers(1, 4))]
+    else:
+        arg_values = draw(st.sampled_from([int_values, near_values]))
+        row_values = draw(st.sampled_from([int_values, near_values]))
+        shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=2))
+        widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    args = st.one_of(*[st.tuples(*[st.tuples(*[arg_values] * w) for w in shape]) for shape in shapes])
+    rows = st.frozensets(st.one_of(*[st.tuples(*[row_values] * w) for w in widths]), max_size=3)
+    graph = draw(st.lists(st.tuples(args, st.one_of(st.just(frozenset()), rows)), max_size=8))
+    texts = st.text(max_size=3)
+    domain = draw(st.tuples(*[st.tuples(texts, st.booleans(), st.booleans()) for _ in shapes[0]]))
+    return PFunction(draw(texts), domain, draw(texts), tuple(graph))
+
+
+def pfunction_of(*graph):
+    return PFunction("f_q", (("R", False, False),), "T", graph)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pfunctions())
+@example(pfunction_of((((1, 2),), frozenset({(3,), (1,)}))))
+@example(pfunction_of((((1,),), frozenset({(1,), (2, 3)}))))  # ragged rows
+@example(pfunction_of((((1,),), frozenset({()}))))  # a row of width 0
+@example(pfunction_of((((True,),), frozenset())))
+@example(PFunction("f", (), "T", (((), frozenset({(1,)})),)))  # no places
+def test_a_pfunction_is_written_as_its_plain_data(pf):
+    """The CLI writes a p-function by ``canonical_json(pf)`` (``cli._emit``):
+    the bytes ``json.dumps`` writes of ``pfunction_to_json(pf)``."""
+    assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
+
+
+def test_the_fixture_pfunctions_are_written_from_their_graphs():
+    written = []
+    for example in EXAMPLES:
+        project = load_example(example)
+        for mapping in project.mappings:
+            arrow = compile_project_mapping(project, mapping)
+            for path in sorted((FIXTURES / example).glob("interp*.json")):
+                try:
+                    sat = saturate(load_interpretation_file(path, project), arrow)
+                except DbmorphError:
+                    continue
+                for k in range(1, len(arrow.operations) + 1):
+                    pf = derive_pfunction(sat, k)
+                    assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
+                    written.append(project_module._graph_text(pf.graph, "  ") is not None)
+    # both the templates and the generic writer are taken
+    assert any(written) and not all(written)
 
 
 # ---------------------------------------------------------------------------
