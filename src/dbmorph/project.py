@@ -440,6 +440,12 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
 _encode_str = json.encoder.encode_basestring
 _ROW_CLASSES = frozenset({list, tuple})
 _INT_CLASS = {int}
+
+
+class _Text(str):
+    """Text that ``_write_json`` writes as it stands."""
+
+
 # the text of each scalar, by its exact class; other classes take the
 # ``isinstance`` path of ``_write_json``
 _SCALARS = {
@@ -447,6 +453,7 @@ _SCALARS = {
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    _Text: str.__str__,
 }
 
 
@@ -501,29 +508,21 @@ def _entry_formats(widths: tuple, inner: str) -> tuple:
     return opened + "[]" + closed, opened + "[\n" + key + "  ", "\n" + key + "]" + closed
 
 
-def _args_widths(args: list) -> tuple:
-    """The width of each place of ``args``, the argument tuples of a
-    p-function graph, when every tuple is a list or tuple of one count of
-    places and each place's rows are ``_int_width`` rows; () otherwise, as
-    for an empty graph or a place of width 0."""
-    if not args or not set(map(type, args)) <= _ROW_CLASSES or len(set(map(len, args))) != 1:
-        return ()
-    widths = tuple(map(_int_width, zip(*args)))
-    return widths if all(widths) else ()
-
-
 def _graph_text(graph: tuple, indent: str) -> "str | None":
     """The text of a p-function graph at indent ``indent`` when its
-    arguments have ``_args_widths`` and all the rows of its row sets are
-    ``_int_width`` rows; None otherwise.  Each entry is an
-    ``_entry_formats`` format, with one ``_row_format`` text per sorted
-    row, and the joined entries are filled with every argument value at
-    once."""
+    argument tuples are lists or tuples of one count of places, each place
+    holding ``_int_width`` rows, and all the rows of its row sets are
+    ``_int_width`` rows; None otherwise, as for an empty graph or a place
+    of width 0.  Each entry is an ``_entry_formats`` format, with one
+    ``_row_format`` text per sorted row, and the joined entries are filled
+    with every argument value at once."""
     args = [a for a, _ in graph]
-    widths = _args_widths(args)
+    widths = ()
+    if args and set(map(type, args)) <= _ROW_CLASSES and len(set(map(len, args))) == 1:
+        widths = tuple(map(_int_width, zip(*args)))
     rows = list(chain.from_iterable([r for _, r in graph if r]))
     width = _int_width(rows) if rows else 0
-    if not widths or (rows and not width):
+    if not widths or not all(widths) or (rows and not width):
         return None
     inner = indent + "  "
     empty, before, after = _entry_formats(widths, inner)
@@ -540,21 +539,11 @@ def _write_pfunction(pf: PFunction, indent: str, chunks: list) -> None:
     """Append the text of ``pfunction_to_json(pf)``.  A graph that
     ``_graph_text`` writes is written from ``pf.graph``, with no record
     per entry; any other goes through the generic writer."""
-    inner = indent + "  "
-    graph = _graph_text(pf.graph, inner)
-    if graph is None:
-        _write_json(pfunction_to_json(pf), indent, chunks)
-        return
-    payload = pfunction_to_json(replace(pf, graph=()))
-    sep = "{\n" + inner
-    for key in sorted(payload):
-        chunks.append(sep + _encode_str(key) + ": ")
-        if key == "graph":
-            chunks.append(graph)
-        else:
-            _write_json(payload[key], inner, chunks)
-        sep = ",\n" + inner
-    chunks.append("\n" + indent + "}")
+    graph = _graph_text(pf.graph, indent + "  ")
+    payload = pfunction_to_json(pf if graph is None else replace(pf, graph=()))
+    if graph is not None:
+        payload["graph"] = _Text(graph)
+    _write_json(payload, indent, chunks)
 
 
 def _write_json(value, indent: str, chunks: list) -> None:
