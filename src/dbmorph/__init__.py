@@ -42,7 +42,6 @@ from .logic import (
     SOtgdConjunct,
     Tgd,
     Var,
-    eval_comparison,
     hoist_constants,
     normalize,
     skolemize,

@@ -9,7 +9,6 @@ JSON (sorted keys, sorted rows), written to --out or stdout.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -75,10 +74,10 @@ def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
     """Print each component's evaluation as it runs: the equal-variable
     set, then per tuple of the argument product either the failed join
     guard or the assignment, the guard outcomes up to the first failure,
-    and the head value.  A product tuple fails the join guard when it is not
-    the join's next tuple, in product order; ``evaluations()`` evaluates
-    each joined tuple when the walk reaches it.  Constants print as the DSL
-    writes them."""
+    and the head value.  The trace runs the component's yielding
+    evaluation, which calls back as the join reaches each tuple, before
+    evaluating it: the product tuples the join passed over since the last
+    one failed the join guard.  Constants print as the DSL writes them."""
 
     def show(row) -> str:
         return "<" + ", ".join(pretty_term(Const(v)) for v in row) + ">"
@@ -87,24 +86,22 @@ def _trace_morphism(morphism: InstanceMorphism, stream) -> None:
         op = component.op
         rendered = sorted(sorted(group) for group in build_equal_var_set(op))
         print(f"{op.name}: S = {rendered}", file=stream)
-        # the join checks the arities before any tuple line, and the
-        # evaluation runs one tuple behind it
-        ahead, behind = itertools.tee(component._joined())
-        evaluated = component.evaluations(behind)
-        following = next(ahead, None)
-        for args in component.domain_product():
+        product = component.domain_product()
+
+        def passed_over(reached, product=product) -> None:
+            for args in product:
+                if args == reached:
+                    return
+                print(f"  ({', '.join(map(show, args))}) join guard failed -> <>", file=stream)
+
+        # running the evaluations to their end fills the graph
+        for args, g, checks, out in component.evaluations(passed_over):
             shown = ", ".join(map(show, args))
-            if following is None or args != following[0]:
-                print(f"  ({shown}) join guard failed -> <>", file=stream)
-                continue
-            following = next(ahead, None)
-            _, g, checks, out = next(evaluated)
             bound = ", ".join(f"{k}={pretty_term(Const(v))}" for k, v in g.items())
             marks = " ".join("[ok]" if holds else "[fail]" for holds in checks)
             suffix = f" guards {marks}" if checks else ""
             print(f"  ({shown}) g: {bound}{suffix} -> {show(out)}", file=stream)
-        # running the evaluations to their end fills the graph
-        next(evaluated, None)
+        passed_over(None)
 
 
 def cmd_compile(args) -> int:

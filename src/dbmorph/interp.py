@@ -9,15 +9,15 @@ domain when the place is negated), and an argument tuple maps to the
 evaluated head tuple when the equal-variable join guard and every built-in
 guard hold, to the empty tuple otherwise.
 
-A component evaluates only the argument tuples that pass the join guard,
-found by the join that validates constraints (``logic._join``): its graph
-holds those, each mapped to its head value or to the empty tuple when a
-built-in guard fails, and every other tuple of the product maps to the
-empty tuple.  The guards and head terms are compiled into one closure per
-component (``_compile_head``), so a joined tuple costs key lookups and
-skolem table lookups, not a walk of the term trees.  The pass that fills
-the graph yields each joined tuple's assignment as it goes, for the
-``--verbose`` trace; it keeps none.
+A component evaluates only the argument tuples that pass the join guard:
+its graph holds those, each mapped to its head value or to the empty tuple
+when a built-in guard fails, and every other tuple of the product maps to
+the empty tuple.  The join, the guards and the head terms run as one
+function generated from the operation's shape (``logic._compiled``), so a
+joined tuple costs index lookups and skolem table lookups in one frame.
+The ``--verbose`` trace runs the yielding variant of the same source,
+which gives each joined tuple's assignment, guard outcomes and output as
+it goes and keeps none.
 
 The interpretation satisfies the arrow exactly when every component's image
 is contained in the target relation it points at.
@@ -29,10 +29,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 from .errors import IncompleteInterpretationError, SchemaError
-from .logic import RelAtom, Var, _compile_literal, _compile_terms, _join, _plan, _unbound
+from .logic import _compiled
 from .model import (
     EMPTY_NAME,
     DomainValue,
@@ -40,6 +40,7 @@ from .model import (
     Relation,
     Row,
     active_domain,
+    group_rows,
     sort_rows,
 )
 from .operads import OperadArrow, OperadOperation, Place
@@ -117,27 +118,22 @@ class TarskiInterpretation:
         return frozenset(values)
 
 
-def _compile_head(op: OperadOperation, skolem_value):
-    """The built-in guards and head terms of ``op`` as one closure over an
-    assignment, compiled once per component: it gives the guard outcomes up
-    to the first failure and the output (the empty tuple when a guard
-    fails)."""
-    tests = [_compile_literal(lit, None, skolem_value) for lit in op.guards]
-    out = _compile_terms(op.target_terms, skolem_value)
+def _lookups(it: TarskiInterpretation, names: tuple) -> tuple:
+    """Per skolem symbol, its table's entries and the lookup a generated
+    join falls back to on a miss, which gives the default or raises; a
+    symbol without a table has no entries, and its lookup raises."""
+    out = []
+    for name in names:
+        table = it.skolem.get(name)
+        if table is None:
+            out.append(({}, partial(it.skolem_value, name)))
+        else:
+            out.append((table.entries, table.lookup))
+    return tuple(out)
 
-    def head(g):
-        checks = []
-        try:
-            for test in tests:
-                holds = test(g)
-                checks.append(holds)
-                if not holds:
-                    return checks, ()
-            return checks, out(g)
-        except KeyError as exc:
-            raise _unbound(exc) from None
 
-    return head
+def _ignore(args) -> None:
+    pass
 
 
 def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
@@ -148,14 +144,6 @@ def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
         return rel.rows
     universe = itertools.product(it.domain_values(), repeat=place.arity)
     return frozenset(t for t in universe if t not in rel.rows)
-
-
-@lru_cache(maxsize=256)
-def _places_plan(variables: tuple) -> tuple:
-    """The join plan of places with these variable names, planned once per
-    tuple of names.  An atom names its place by position, since two places
-    over one symbol can range over different domains."""
-    return _plan([RelAtom(j, tuple(map(Var, names))) for j, names in enumerate(variables)], ())
 
 
 class ComponentFunction:
@@ -182,12 +170,13 @@ class ComponentFunction:
     def domain_product(self):
         return itertools.product(*self.domains)
 
-    def _joined(self):
-        """(args, assignment) for every argument tuple that passes the
-        equal-variable join guard, in product order."""
+    def _run(self, mode: str, *extra):
+        """The generated join of this operation in ``mode`` over the place
+        domains, or None when a domain is empty; the widths are checked
+        first."""
         op, domains = self.op, self.domains
         if not all(domains):
-            return []
+            return None
         for place, rows in zip(op.places, domains):
             # every row of one domain has the same width
             if len(rows[0]) != place.arity:
@@ -195,28 +184,29 @@ class ComponentFunction:
                     f"operation {op.name}: tuple {rows[0]!r} does not fit atom "
                     f"{place.symbol}/{place.arity}"
                 )
-        plan = _places_plan(tuple(p.variables for p in op.places))
-        return _join(plan, domains.__getitem__, {}, {})
+        atoms = [p.variables for p in op.places]
+        program, consts, funcs, _ = _compiled(mode, atoms, op.guards, op.target_terms)
+        inputs = tuple(
+            group_rows(rows, positions) if positions else rows
+            for rows, positions in zip(domains, program.positions)
+        )
+        return program.run(inputs, consts, _lookups(self.it, funcs), *extra)
 
-    def evaluations(self, joined=None):
-        """Evaluate each joined argument tuple once by the compiled head,
-        yielding it with its assignment, the guard outcomes and the output;
-        running to the end fills the graph.  ``joined`` is this component's
-        ``_joined()``, for a caller that reads the join ahead of the
-        evaluation."""
+    def evaluations(self, reached=_ignore):
+        """Each joined argument tuple, in product order, with its assignment
+        in binding order, the guard outcomes up to the first failure and
+        the output; running to the end fills the graph.  ``reached(args)``
+        is called as the join reaches a tuple, before it is evaluated."""
         graph = {}
-        head = _compile_head(self.op, self.it.skolem_value)
-        for args, g in self._joined() if joined is None else joined:
-            checks, out = head(g)
-            graph[args] = out
-            yield args, g, checks, out
+        for record in self._run("trace", reached) or ():
+            graph[record[0]] = record[3]
+            yield record
         self._graph = graph
 
     def graph(self) -> dict:
         """The joined argument tuples and their outputs."""
         if self._graph is None:
-            for _ in self.evaluations():
-                pass
+            self._graph = self._run("graph") or {}
         return self._graph
 
     def apply(self, args: tuple) -> Row:

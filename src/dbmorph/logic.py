@@ -9,27 +9,29 @@ whose head terms may apply those symbols.
 This module also implements the transformations that feed the operad
 compiler: Skolemization of tgd sets, constant hoisting, normalization into
 single-head implications, and constraint validation of finite instances.
-``_join``, the left-to-right join of atoms against indexed rows, serves
-validation and the evaluation of components in ``interp``; a function
-term in a body atom is a SafetyError once a row agrees with the atom at
-every position before it.  Terms and literals are evaluated by closures
-compiled from them once (``_compile_term``, ``_compile_literal``), not by
-walking the term tree per assignment.
+
+One generator (``_compiled``) turns a join into Python source: atoms
+matched left to right against ``model.group_rows`` indexes, literal tests
+and head terms, with variables as locals, a skolem application as one
+table lookup and the comparison rules inlined.  The source is compiled
+once per shape, which leaves out names and constants, and serves the
+evaluation of components in ``interp``, the skolem demands of
+``saturation`` and the body and head searches of validation here.  A
+function term in a validated body atom is a SafetyError once a row agrees
+with the atom at every position before it.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import SafetyError, SchemaError
 from .irdb import hash_tuple
 from .model import (
     EMPTY_NAME,
-    NULL,
     DomainValue,
     Instance,
     active_domain,
@@ -69,7 +71,6 @@ __all__ = [
     "hoist_constants",
     "normalize",
     "check_conjunct_safety",
-    "eval_comparison",
     "Violation",
     "ValidationReport",
     "validate_instance",
@@ -425,30 +426,6 @@ def normalize(sotgd: SOtgd) -> list[NormalizedImplication]:
 
 
 # ---------------------------------------------------------------------------
-# built-in comparison semantics
-
-
-def eval_comparison(op: str, a: DomainValue, b: DomainValue) -> bool:
-    """NULL satisfies no comparison; order comparisons are defined only
-    between two integers and are false otherwise; =/!= are syntactic."""
-    if a is NULL or b is NULL:
-        return False
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if not (isinstance(a, int) and isinstance(b, int)):
-        return False
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
-
-
-# ---------------------------------------------------------------------------
 # instance validation
 
 
@@ -467,139 +444,324 @@ class ValidationReport:
         return not self.violations
 
 
-def _unbound(exc: KeyError) -> SchemaError:
-    return SchemaError(f"variable {exc.args[0]} has no value under the assignment")
+# ---------------------------------------------------------------------------
+# generated joins
+#
+# A join (atoms matched left to right against indexed rows, literal tests,
+# head terms) becomes the source of one Python function, compiled once per
+# shape.  The shape names the variables and leaves out what the caller
+# passes in: the rows of each atom (``I``), the constants (``C``) and the
+# skolem symbols (``S``), each by slot, so that one compiled function
+# serves every operation or constraint of its shape.
+
+_MISS = object()  # no table entry: NULL is a value, so a marker of its own
+_LOOPS = 16  # nested loops per generated function (see ``_Source``)
+_UNSAFE = "function {} has no fixed interpretation inside a schema constraint"
+_UNMATCHABLE = "function terms in constraint lhs atoms are not supported by the validator"
+_PARAMETERS = {
+    "graph": "I, C, S",
+    "trace": "I, C, S, reached",
+    "search": "I, C, S, B, D",
+    "demand": "args, C, S",
+}
+_GLOBALS = {
+    "MISS": _MISS,
+    "UNSAFE": _UNSAFE,
+    "UNMATCHABLE": _UNMATCHABLE,
+    "SafetyError": SafetyError,
+    "SchemaError": SchemaError,
+    "hash_tuple": hash_tuple,
+}
 
 
-def _compile_term(term: Term, skolem_value):
-    """``term`` as a closure over an assignment ``g``.  A variable is a key
-    lookup; an unbound one raises KeyError, which an entry point that can
-    meet one reports through ``_unbound`` (safety leaves no variable of a
-    compiled operation or constraint unbound).  ``hash`` has its fixed
-    meaning; a skolem application takes ``skolem_value(name, args)``, and
-    with ``skolem_value`` None (a schema constraint) it is unsafe."""
-    if isinstance(term, Var):
-        return itemgetter(term.name)
-    if isinstance(term, Const):
-        value = term.value
-        return lambda g: value
-    name = term.func.name
-    if term.func.kind is FuncKind.SKOLEM and skolem_value is None:
+class _Program(NamedTuple):
+    """A generated function; per atom, the key positions of the index its
+    rows are looked up in (``model.group_rows`` of them, or the rows
+    themselves where there are none); and its source text."""
 
-        def unsafe(g):
-            raise SafetyError(
-                f"function {name} has no fixed interpretation inside a schema constraint"
-            )
-
-        return unsafe
-    args = _compile_terms(term.args, skolem_value)
-    if term.func.kind is FuncKind.HASH:
-        return lambda g: hash_tuple(args(g))
-    return lambda g: skolem_value(name, args(g))
-
-
-def _compile_terms(terms: Sequence[Term], skolem_value):
-    """The tuple of the values of ``terms`` as one closure over ``g``;
-    variables alone are one tuple getter."""
-    names = [t.name for t in terms if isinstance(t, Var)]
-    if len(names) < len(terms):
-        parts = [_compile_term(t, skolem_value) for t in terms]
-        return lambda g: tuple([part(g) for part in parts])
-    if len(names) > 1:
-        return itemgetter(*names)
-    if names:
-        name = names[0]
-        return lambda g: (g[name],)
-    return lambda g: ()
-
-
-def _compile_literal(lit: Literal, inst: "Instance | None", skolem_value):
-    """Whether ``lit`` holds under ``g``, as a closure over ``g``; a
-    relational atom is looked up in ``inst``."""
-    negated = lit.negated
-    if isinstance(lit, RelAtom):
-        row, name = _compile_terms(lit.terms, skolem_value), lit.relation
-        return lambda g: (row(g) in inst.relation(name).rows) != negated
-    if isinstance(lit, Comparison):
-        op = lit.op
-        left = _compile_term(lit.left, skolem_value)
-        right = _compile_term(lit.right, skolem_value)
-        return lambda g: eval_comparison(op, left(g), right(g)) != negated
-    term = _compile_term(lit.term, skolem_value)
-    return lambda g: (term(g) is not NULL) != negated
-
-
-class _JoinStep(NamedTuple):
-    """One atom of a join plan: the rows of ``relation`` grouped by their
-    values at ``positions``, looked up by ``key(g)``; the (position, name)
-    pairs of ``fresh`` bind variables, and ``unmatchable`` says that a
-    function term cut the positions short."""
-
-    relation: str
+    run: object
     positions: tuple
-    key: object
-    fresh: tuple
-    unmatchable: bool
+    source: str
 
 
-def _plan(atoms: Sequence[RelAtom], bound: Iterable[str]) -> tuple:
-    """The join plan of ``atoms`` under an assignment of the ``bound``
-    names: an atom is keyed by its constants and bound variables before its
-    first function term, and binds its other variables there."""
-    bound = set(bound)
-    steps = []
-    for atom in atoms:
-        positions, keyed, fresh = [], [], []
-        for j, t in enumerate(atom.terms):
-            if isinstance(t, App):
+def _term_shape(term, consts: list, funcs: dict):
+    """``term`` as a shape: a variable (a ``Var`` or its name) is its name,
+    a constant ``("const", slot)``, a hash application ``("hash", *args)``
+    and a skolem one ``("skolem", slot, *args)``.  Each constant is
+    appended to ``consts``, each new symbol gets the next slot in
+    ``funcs``."""
+    if term.__class__ is str:
+        return term
+    if isinstance(term, Var):
+        return term.name
+    if isinstance(term, Const):
+        consts.append(term.value)
+        return ("const", len(consts) - 1)
+    args = tuple([_term_shape(a, consts, funcs) for a in term.args])
+    if term.func.kind is FuncKind.HASH:
+        return ("hash",) + args
+    return ("skolem", funcs.setdefault(term.func.name, len(funcs))) + args
+
+
+def _literal_shape(lit: Literal, consts: list, funcs: dict, relations: list):
+    """``lit`` as a shape over term shapes; a relational atom is tested
+    against the rows of the next relation slot."""
+    if isinstance(lit, Comparison):
+        left = _term_shape(lit.left, consts, funcs)
+        return ("cmp", lit.negated, lit.op, left, _term_shape(lit.right, consts, funcs))
+    if isinstance(lit, NotNull):
+        return ("notnull", lit.negated, _term_shape(lit.term, consts, funcs))
+    relations.append(lit.relation)
+    terms = tuple([_term_shape(t, consts, funcs) for t in lit.terms])
+    return ("atom", lit.negated, len(relations) - 1, terms)
+
+
+def _compiled(mode: str, atoms, tests=(), head=(), bound=(), free=()) -> tuple:
+    """The generated function of a join, with what it takes besides rows:
+    (program, constants, skolem symbol names, names of the relations the
+    tests look rows up in).
+
+    ``atoms`` are term sequences matched left to right, ``tests`` the
+    literals that must hold after them, in order, and ``head`` the terms
+    evaluated where they do.  ``bound`` names the variables whose values
+    come in ``B``; each name of ``free`` that no atom binds ranges over
+    ``D``, innermost last.  ``mode`` is "graph" (a dict from the matched
+    rows to the head values, or to ``()`` where a test fails), "trace"
+    (the same as (args, assignment, test outcomes up to the first failure,
+    output) records, each yielded after ``reached(args)`` and evaluated
+    when it is asked for), "search" (each assignment under which every
+    test holds, a skolem application being unsafe) or "demand" (for the
+    rows of one match, per head term the arguments of its skolem
+    application, or None)."""
+    consts: list = []
+    funcs: dict = {}
+    relations: list = []
+    key = (
+        mode,
+        tuple([tuple([_term_shape(t, consts, funcs) for t in atom]) for atom in atoms]),
+        tuple([_literal_shape(lit, consts, funcs, relations) for lit in tests]),
+        tuple([_term_shape(t, consts, funcs) for t in head]),
+        tuple(bound),
+        tuple(free),
+        len(consts),
+        len(funcs),
+        len(relations),
+    )
+    return _generate(key), tuple(consts), tuple(funcs), tuple(relations)
+
+
+def _tuple(parts: Sequence[str]) -> str:
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"
+
+
+class _Source:
+    """The lines of one generated function.  Variables are the locals
+    ``v<n>`` in binding order, constants ``c<slot>``, the entries and the
+    fallback lookup of a skolem symbol ``e<slot>`` and ``l<slot>``, the
+    rows of atom j ``i<j>`` and its current row ``r<j>``.
+
+    A join of more than ``_LOOPS`` loops goes on in a function of its own
+    after each ``_LOOPS`` of them, called with every name defined so far,
+    since CPython compiles no more than 20 nested blocks in one function."""
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.interpreted = mode != "search"
+        self.done: list = []  # the lines of each function before the current one
+        self.lines = [f"def {mode}({_PARAMETERS[mode]}):"]
+        self.defined = _PARAMETERS[mode].split(", ")
+        self.depth = 1
+        self.loops = 0
+        self.local: dict = {}
+        self.temps = 0
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def define(self, name: str) -> str:
+        self.defined.append(name)
+        return name
+
+    def bind(self, name: str) -> str:
+        self.local[name] = local = self.define(f"v{len(self.local)}")
+        return local
+
+    def loop(self, source: str, row: "str | None" = None, var: "str | None" = None) -> None:
+        """Open a loop over ``source`` binding the local ``row`` or a local
+        for the variable ``var``."""
+        if self.loops == _LOOPS:
+            stage = f"{self.mode}_{len(self.done) + 1}"
+            call = f"{stage}({', '.join(self.defined)})"
+            self.emit(call if self.mode == "graph" else f"yield from {call}")
+            self.done.append(self.lines)
+            self.lines, self.depth, self.loops = [f"def {call}:"], 1, 0
+        target = self.define(row) if row else self.bind(var)
+        self.emit(f"for {target} in {source}:")
+        self.depth += 1
+        self.loops += 1
+
+    def text(self) -> str:
+        return "\n\n".join("\n".join(lines) for lines in self.done + [self.lines]) + "\n"
+
+    def term(self, shape) -> str:
+        """An expression for the term's value, after the statements that
+        compute its applications, arguments first."""
+        if shape.__class__ is str:
+            if shape in self.local:
+                return self.local[shape]
+            message = f"variable {shape} has no value under the assignment"
+            self.emit(f"raise SchemaError({message!r})")
+            return "None"
+        if shape[0] == "const":
+            return f"c{shape[1]}"
+        if shape[0] == "skolem" and not self.interpreted:
+            self.emit(f"raise SafetyError(UNSAFE.format(S[{shape[1]}]))")
+            return "None"
+        args = self.row(shape[1:] if shape[0] == "hash" else shape[2:])
+        value = f"t{self.temps}"
+        self.temps += 1
+        if shape[0] == "hash":
+            self.emit(f"{value} = hash_tuple({args})")
+        else:
+            self.emit(f"{value} = e{shape[1]}.get({args}, MISS)")
+            self.emit(f"if {value} is MISS:")
+            self.emit(f"    {value} = l{shape[1]}({args})")
+        return value
+
+    def row(self, shapes) -> str:
+        return _tuple([self.term(s) for s in shapes])
+
+    def test(self, shape) -> str:
+        """A condition for the literal.  NULL satisfies no comparison, an
+        order holds only between two ints, and = and != are syntactic; both
+        sides are evaluated before the comparison."""
+        kind, negated = shape[0], shape[1]
+        if kind == "cmp":
+            op, left, right = shape[2:]
+            a, b = self.term(left), self.term(right)
+            if op in ("=", "!="):
+                py = "==" if op == "=" else "!="
+                cond = f"{a} is not None and {b} is not None and {a} {py} {b}"
+            else:
+                cond = f"isinstance({a}, int) and isinstance({b}, int) and {a} {op} {b}"
+        elif kind == "notnull":
+            cond = f"{self.term(shape[2])} is not None"
+        else:
+            cond = f"{self.row(shape[3])} in a{shape[2]}"
+        return f"not ({cond})" if negated else cond
+
+    def assignment(self) -> str:
+        return "{" + ", ".join(f"{name!r}: {v}" for name, v in self.local.items()) + "}"
+
+
+def _unpack(names: Sequence[str], value: str) -> str:
+    return f"{names[0]}, = {value}" if len(names) == 1 else f"{', '.join(names)} = {value}"
+
+
+def _join_atoms(src: _Source, atoms: tuple) -> tuple:
+    """Emit one loop per atom, keyed by its constants and bound variables
+    before its first function term, binding its other variables there; a
+    repeated variable is a test, and a row that agrees with the atom up to
+    a function term is a SafetyError.  The key positions of each atom's
+    index, and the row locals."""
+    positions, rows = [], []
+    for j, atom in enumerate(atoms):
+        keyed, key, fresh = [], [], []
+        for p, t in enumerate(atom):
+            if t.__class__ is tuple and t[0] != "const":
                 break
-            if isinstance(t, Var) and t.name not in bound:
-                fresh.append((j, t.name))
+            if t.__class__ is str and t not in src.local:
+                fresh.append((p, t))
             else:
-                positions.append(j)
-                keyed.append(t)
-        unmatchable = len(positions) + len(fresh) < len(atom.terms)
-        key = _compile_terms(keyed, None)
-        steps.append(_JoinStep(atom.relation, tuple(positions), key, tuple(fresh), unmatchable))
-        bound.update(v for _, v in fresh)
-    return tuple(steps)
-
-
-def _join(plan: Sequence[_JoinStep], rows, index: dict, g: Mapping) -> Iterator[tuple]:
-    """(matched rows, assignment) for every extension of ``g`` that matches
-    the atoms of ``plan`` (``_plan`` of the names ``g`` binds) left to
-    right, in product order.  A step takes, from the ``model.group_rows``
-    index of ``rows(relation)`` held in ``index`` under (relation,
-    positions), the rows that agree with it at its key, and binds its fresh
-    variables; a row that agrees at every position before a function term
-    is a SafetyError.  The last atom's matches come as they are asked for,
-    so a search for one witness stops at the first."""
-    partial = iter([((), g)])
-    for step in plan:
-        key = (step.relation, step.positions)
-        if key not in index:
-            index[key] = group_rows(rows(step.relation), step.positions)
-        partial = _matches(list(partial), index[key], step)
-    return partial
-
-
-def _matches(partial, groups: dict, step: _JoinStep):
-    """One join step: each partial match extended by each row of ``groups``
-    that agrees with it at the step's key and binds its fresh variables."""
-    key, fresh, unmatchable = step.key, step.fresh, step.unmatchable
-    for matched, h in partial:
-        for row in groups.get(key(h), ()):
-            bind = dict(h) if fresh else h
-            for j, v in fresh:
-                if bind.setdefault(v, row[j]) != row[j]:
-                    break
+                keyed.append(p)
+                key.append(src.term(t))
+        row = f"r{j}"
+        src.loop(f"i{j}.get({_tuple(key)}, ())" if key else f"i{j}", row=row)
+        for p, name in fresh:
+            if name in src.local:
+                src.emit(f"if {row}[{p}] != {src.local[name]}:")
+                src.emit("    continue")
             else:
-                if unmatchable:
-                    raise SafetyError(
-                        "function terms in constraint lhs atoms are not supported "
-                        "by the validator"
-                    )
-                yield matched + (row,), bind
+                src.emit(f"{src.bind(name)} = {row}[{p}]")
+        if len(keyed) + len(fresh) < len(atom):
+            src.emit("raise SafetyError(UNMATCHABLE)")
+        positions.append(tuple(keyed))
+        rows.append(row)
+    return tuple(positions), rows
+
+
+@lru_cache(maxsize=512)
+def _generate(key: tuple) -> _Program:
+    """Generate and compile the function of one join shape (``_compiled``)."""
+    mode, atoms, tests, head, bound, free, n_consts, n_funcs, n_relations = key
+    src = _Source(mode)
+    if mode == "demand":
+        inputs, source = [f"r{j}" for j in range(len(atoms))], "args"
+    else:
+        inputs = [f"i{j}" for j in range(len(atoms))] + [f"a{k}" for k in range(n_relations)]
+        source = "I"
+    if inputs:
+        src.emit(_unpack([src.define(name) for name in inputs], source))
+    if n_consts:
+        src.emit(_unpack([src.define(f"c{k}") for k in range(n_consts)], "C"))
+    if src.interpreted:
+        for k in range(n_funcs):
+            src.emit(f"{src.define(f'e{k}')}, {src.define(f'l{k}')} = S[{k}]")
+    if bound:
+        src.emit(_unpack([src.bind(name) for name in bound], "B"))
+
+    if mode == "demand":
+        # the rows already match: each variable takes its first occurrence
+        for j, atom in enumerate(atoms):
+            for p, name in enumerate(atom):
+                if name not in src.local:
+                    src.emit(f"{src.bind(name)} = r{j}[{p}]")
+        wants = [
+            src.row(t[2:]) if t.__class__ is tuple and t[0] == "skolem" else "None"
+            for t in head
+        ]
+        src.emit(f"return {_tuple(wants)}")
+        positions = ()
+    else:
+        if mode == "graph":
+            src.emit(f"{src.define('graph')} = {{}}")
+        positions, rows = _join_atoms(src, atoms)
+        for name in free:
+            if name not in src.local:
+                src.loop("D", var=name)
+        args = _tuple(rows)
+        done = "return graph" if mode == "graph" else "return"
+        skip = "continue" if src.loops else done
+        if mode == "trace":
+            src.emit(f"args = {args}")
+            src.emit("reached(args)")
+            src.emit(f"g = {src.assignment()}")
+            src.emit("checks = []")
+        for t in tests:
+            cond = src.test(t)
+            if mode == "trace":
+                src.emit(f"holds = {cond}")
+                src.emit("checks.append(holds)")
+                src.emit("if not holds:")
+                src.emit("    yield args, g, checks, ()")
+            else:
+                src.emit(f"if not ({cond}):")
+                if mode == "graph":
+                    src.emit(f"    graph[{args}] = ()")
+            src.emit(f"    {skip}")
+        if mode == "search":
+            src.emit(f"yield {src.assignment()}")
+        else:
+            out = src.row(head)
+            src.emit(f"graph[{args}] = {out}" if mode == "graph" else f"yield args, g, checks, {out}")
+        if mode == "graph":
+            (src.done[0] if src.done else src.lines).append("    return graph")
+    text = src.text()
+    namespace = dict(_GLOBALS)
+    exec(compile(text, f"<dbmorph {mode}>", "exec"), namespace)
+    return _Program(namespace[mode], positions, text)
 
 
 def validate_instance(
@@ -612,8 +774,8 @@ def validate_instance(
     declared constants, so witnesses outside that domain go unseen.
     Violations are data, not errors; a function term in a positive lhs atom
     is a SafetyError once a row agrees with the atom at every position
-    before it.  Each constraint's join plans and literal tests are made
-    once, not once per match."""
+    before it.  A constraint's body and head searches are generated joins
+    (``_compiled``), made once per constraint, not once per match."""
     if constraints is None:
         constraints = inst.schema.constraints
     base: set = set(active_domain(inst)) | set(domain)
@@ -625,20 +787,34 @@ def validate_instance(
     dom = sorted(base, key=value_key)
     # (constraint, witness) -> None, in the order the violations are found
     found: dict = {}
-    # (relation, positions) -> grouped rows, shared by every constraint
+    # (relation, positions) -> sorted rows, grouped by positions when there
+    # are any, shared by every constraint
     index: dict = {}
 
-    def extensions(g: Mapping, names: Sequence[str], plan: tuple, tests: list) -> Iterator[dict]:
-        """Every extension of ``g`` under which the atoms of ``plan`` and
-        the ``tests`` hold: the atoms are joined, then the ``names`` that no
-        atom binds range over the domain one at a time, lazily, and the
-        tests run."""
-        for _, h in _join(plan, lambda relation: sort_rows(inst.rows(relation)), index, g):
-            free = [v for v in names if v not in h]
-            for values in itertools.product(dom, repeat=len(free)):
-                full = {**h, **dict(zip(free, values))} if free else h
-                if all(test(full) for test in tests):
-                    yield full
+    def searcher(atoms: Sequence[RelAtom], tests: Sequence[Literal], bound, free):
+        """The assignments that extend values of the ``bound`` names, match
+        the ``atoms`` and satisfy the ``tests``, the ``free`` names that no
+        atom binds ranging over the domain lazily; the rows are read on the
+        first search."""
+        program, consts, funcs, relations = _compiled(
+            "search", [a.terms for a in atoms], tests, (), bound, free
+        )
+        inputs = None
+
+        def search(values: tuple) -> Iterator[dict]:
+            nonlocal inputs
+            if inputs is None:
+                inputs = []
+                for atom, positions in zip(atoms, program.positions):
+                    key = (atom.relation, positions)
+                    if key not in index:
+                        rows = sort_rows(inst.rows(atom.relation))
+                        index[key] = group_rows(rows, positions) if positions else rows
+                    inputs.append(index[key])
+                inputs = tuple(inputs) + tuple(inst.rows(name) for name in relations)
+            return program.run(inputs, consts, funcs, values, dom)
+
+        return search
 
     for dep in constraints:
         atoms = [l for l in dep.lhs if isinstance(l, RelAtom) and not l.negated]
@@ -652,15 +828,12 @@ def validate_instance(
         else:
             names, exists, head_atoms = dep.universals, (), ()
             head_tests = [Comparison(Var(y), "=", Var(z)) for y, z in dep.equalities]
-        body = _plan(atoms, ())
-        # a tgd's head search starts from the universals; an egd's has no atoms
-        head_plan = _plan(head_atoms, dep.universals)
-        tests = [_compile_literal(l, inst, None) for l in tests]
-        head_tests = [_compile_literal(l, inst, None) for l in head_tests]
-        for g in extensions({}, names, body, tests):
-            head = {v: g[v] for v in dep.universals} if isinstance(dep, Tgd) else g
-            witnesses = extensions(head, exists, head_plan, head_tests)
+        body = searcher(atoms, tests, (), names)
+        # the head search starts from the universals
+        head = searcher(head_atoms, head_tests, dep.universals, exists)
+        for g in body(()):
+            values = tuple([g[v] for v in dep.universals])
             # the empty assignment is a witness too, though falsy
-            if next(witnesses, None) is None:
-                found[dep, tuple(sorted((v, g[v]) for v in dep.universals))] = None
+            if next(head(values), None) is None:
+                found[dep, tuple(sorted(zip(dep.universals, values)))] = None
     return ValidationReport(tuple(Violation(dep, witness) for dep, witness in found))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import SchemaError
@@ -78,13 +79,25 @@ def sort_rows(rows: Iterable[Row]) -> list[Row]:
     return rows
 
 
+def _key_getter(positions: Sequence[int]):
+    """The tuple of a row's values at ``positions`` (0-based), as one
+    precomputed function."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (j,) = positions
+        return lambda row: (row[j],)
+    return lambda row: ()
+
+
 def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
     """Rows grouped by their values at ``positions`` (0-based), each group
     in the order of ``rows``; hashing domain values agrees with their
     equality."""
     groups: dict = {}
+    key = _key_getter(positions)
     for row in rows:
-        groups.setdefault(tuple(row[j] for j in positions), []).append(row)
+        groups.setdefault(key(row), []).append(row)
     return groups
 
 

@@ -10,8 +10,9 @@ symbol contribute nothing: built-ins and constants cannot be reassigned.
 
 The alternative rows come from the target relation indexed by the
 produced row's values at the simple-variable head positions.  An extra's
-skolem demands come from its trigger's assignment, rebuilt from the joined
-tuple only when the trigger has an alternative row: the join guard holds,
+skolem demands, the argument tuples of the skolem head terms, come from a
+function generated from the operation's shape (``logic._compiled``), run
+on the trigger only when it has an alternative row: the join guard holds,
 so each variable's first occurrence gives its value.
 
 The extras never change the information flux (they agree with the base on
@@ -31,11 +32,12 @@ from .interp import (
     ComponentFunction,
     InstanceMorphism,
     TarskiInterpretation,
+    _lookups,
     alpha_star,
     satisfies,
 )
-from .logic import App, FuncKind, _compile_terms, term_functions
-from .model import Instance, Row, group_rows, row_key, sort_rows
+from .logic import App, FuncKind, _compiled, term_functions
+from .model import Instance, Row, _key_getter, group_rows, row_key, sort_rows
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
 __all__ = [
@@ -63,19 +65,22 @@ def _selector(it: TarskiInterpretation, op: OperadOperation):
     agreeing with it there, sorted."""
     positions = [j - 1 for j in sorted(simple_var_positions(op))]
     index = group_rows(sort_rows(it.target.rows(op.target)), positions)
-    return lambda row: index.get(tuple([row[j] for j in positions]), ())
+    key = _key_getter(positions)
+    return lambda row: index.get(key(row), ())
 
 
-def _skolem_heads(it: TarskiInterpretation, op: OperadOperation) -> list:
-    """Per head position, the skolem symbol and its arguments compiled into
-    one closure over an assignment, or None where the term is no skolem
-    application."""
-    return [
-        (term.func.name, _compile_terms(term.args, it.skolem_value))
-        if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM
-        else None
+def _demands(it: TarskiInterpretation, op: OperadOperation):
+    """The skolem symbol of each head term, or None where the term is no
+    skolem application, and the generated function that gives, for a
+    trigger, the argument tuple of each skolem head term (None elsewhere)."""
+    names = [
+        term.func.name if isinstance(term, App) and term.func.kind is FuncKind.SKOLEM else None
         for term in op.target_terms
     ]
+    atoms = [p.variables for p in op.places]
+    program, consts, funcs, _ = _compiled("demand", atoms, (), op.target_terms)
+    lookups = _lookups(it, funcs)
+    return names, lambda trigger: program.run(trigger, consts, lookups)
 
 
 @dataclass(frozen=True)
@@ -113,22 +118,22 @@ class SkippedCandidate:
 def _candidate_extra(
     component: ComponentFunction,
     op_index: int,
-    heads: list,
-    g: dict,
+    names: list,
+    wants: tuple,
     trigger: tuple,
     produced: Row,
     candidate: Row,
 ) -> "ExtraFunction | SkippedCandidate":
     """Build the extra for one alternative row, or explain why none exists:
     a disagreement at a non-skolem head position, or two occurrences of one
-    skolem application demanding different values.  ``heads`` is
-    ``_skolem_heads`` of the operation and ``g`` the trigger's assignment."""
+    skolem application demanding different values.  ``names`` and
+    ``wants`` are the skolem symbol and argument tuple of each head term
+    at the trigger, from ``_demands``."""
     op = component.op
     demands: dict = {}
-    for j, (head, want, had) in enumerate(zip(heads, candidate, produced), 1):
-        if head is not None:
-            name, args = head
-            if demands.setdefault((name, args(g)), want) == want:
+    for j, (name, args, want, had) in enumerate(zip(names, wants, candidate, produced), 1):
+        if name is not None:
+            if demands.setdefault((name, args), want) == want:
                 continue
             reason = f"skolem {name} would need two values at one point"
         elif want == had:
@@ -193,21 +198,19 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
         op = component.op
         if not _head_skolems(op):
             continue
-        select, heads = _selector(it, op), _skolem_heads(it, op)
+        select, (names, demand) = _selector(it, op), _demands(it, op)
         for trigger, produced in component.graph().items():
             if produced == ():
                 continue
-            g = None
+            wants = None
             for candidate in select(produced):
                 if candidate == produced:
                     continue
-                if g is None:
-                    # the trigger's assignment, built once a candidate needs it
-                    g = {}
-                    for v, j, i in op.occurrences:
-                        g.setdefault(v, trigger[j][i])
+                if wants is None:
+                    # the trigger's demands, computed once a candidate needs them
+                    wants = demand(trigger)
                 built = _candidate_extra(
-                    component, op_index, heads, g, trigger, produced, candidate
+                    component, op_index, names, wants, trigger, produced, candidate
                 )
                 if isinstance(built, ExtraFunction):
                     extras.append(built)

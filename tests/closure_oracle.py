@@ -9,6 +9,9 @@ candidate and keeps enumerating after the relation cap refuses one.
 ``member_key`` is the kernel order as it stood before kernels were sorted
 as plain tuples: every row keyed by ``row_key``.  ``FluxKernel.sorted_members``
 and ``kernel_to_json`` are compared against it in ``test_flux.py``.
+
+``eval_comparison`` is ``interp_oracle``'s copy of the comparison rule,
+which the package no longer holds as a function of its own.
 """
 
 import itertools
@@ -21,8 +24,10 @@ from dbmorph.flux import (
     ClosureResult,
     FluxKernel,
 )
-from dbmorph.logic import Const, eval_comparison
+from dbmorph.logic import Const
 from dbmorph.model import row_key, value_key
+
+from interp_oracle import eval_comparison
 
 
 def member_key(member: frozenset) -> tuple:

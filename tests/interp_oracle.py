@@ -12,10 +12,19 @@ the tests check the join's assignments against.
 ``_term_value`` and ``_holds`` are ``logic``'s tree walk of terms and
 literals as it stood before heads and guards were compiled into closures,
 so that the product evaluator does not share the evaluator it checks.
+``eval_comparison`` is the comparison rule they apply, as ``logic`` held
+it before generated joins inlined it.
+
+``_compile_term``, ``_compile_terms``, ``_compile_literal`` and
+``_compile_head`` are the closure compiler that ``logic`` and ``interp``
+ran from PR 19 until heads, guards and validation tests came to run as
+generated joins: a second oracle, which the term and guard tests compare
+the generated code with beside the tree walk.
 """
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from dbmorph.dsl import pretty_term
@@ -30,10 +39,29 @@ from dbmorph.logic import (
     RelAtom,
     Term,
     Var,
-    eval_comparison,
 )
 from dbmorph.model import EMPTY_NAME, NULL, DomainValue, Instance, Row, sort_rows
 from dbmorph.operads import OperadOperation, build_equal_var_set
+
+
+def eval_comparison(op: str, a: DomainValue, b: DomainValue) -> bool:
+    """NULL satisfies no comparison; order comparisons are defined only
+    between two integers and are false otherwise; =/!= are syntactic."""
+    if a is NULL or b is NULL:
+        return False
+    if op == "=":
+        return a == b
+    if op == "!=":
+        return a != b
+    if not (isinstance(a, int) and isinstance(b, int)):
+        return False
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    return a >= b
 
 
 def _term_value(term: Term, g: Mapping[str, DomainValue], skolem_value) -> DomainValue:
@@ -74,6 +102,91 @@ def _holds(
     else:
         holds = _term_value(lit.term, g, skolem_value) is not NULL
     return holds != lit.negated
+
+
+def _unbound(exc: KeyError) -> SchemaError:
+    return SchemaError(f"variable {exc.args[0]} has no value under the assignment")
+
+
+def _compile_term(term: Term, skolem_value):
+    """``term`` as a closure over an assignment ``g``.  A variable is a key
+    lookup; an unbound one raises KeyError, which an entry point that can
+    meet one reports through ``_unbound`` (safety leaves no variable of a
+    compiled operation or constraint unbound).  ``hash`` has its fixed
+    meaning; a skolem application takes ``skolem_value(name, args)``, and
+    with ``skolem_value`` None (a schema constraint) it is unsafe."""
+    if isinstance(term, Var):
+        return itemgetter(term.name)
+    if isinstance(term, Const):
+        value = term.value
+        return lambda g: value
+    name = term.func.name
+    if term.func.kind is FuncKind.SKOLEM and skolem_value is None:
+
+        def unsafe(g):
+            raise SafetyError(
+                f"function {name} has no fixed interpretation inside a schema constraint"
+            )
+
+        return unsafe
+    args = _compile_terms(term.args, skolem_value)
+    if term.func.kind is FuncKind.HASH:
+        return lambda g: hash_tuple(args(g))
+    return lambda g: skolem_value(name, args(g))
+
+
+def _compile_terms(terms: Sequence[Term], skolem_value):
+    """The tuple of the values of ``terms`` as one closure over ``g``;
+    variables alone are one tuple getter."""
+    names = [t.name for t in terms if isinstance(t, Var)]
+    if len(names) < len(terms):
+        parts = [_compile_term(t, skolem_value) for t in terms]
+        return lambda g: tuple([part(g) for part in parts])
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        name = names[0]
+        return lambda g: (g[name],)
+    return lambda g: ()
+
+
+def _compile_literal(lit: Literal, inst: "Instance | None", skolem_value):
+    """Whether ``lit`` holds under ``g``, as a closure over ``g``; a
+    relational atom is looked up in ``inst``."""
+    negated = lit.negated
+    if isinstance(lit, RelAtom):
+        row, name = _compile_terms(lit.terms, skolem_value), lit.relation
+        return lambda g: (row(g) in inst.relation(name).rows) != negated
+    if isinstance(lit, Comparison):
+        op = lit.op
+        left = _compile_term(lit.left, skolem_value)
+        right = _compile_term(lit.right, skolem_value)
+        return lambda g: eval_comparison(op, left(g), right(g)) != negated
+    term = _compile_term(lit.term, skolem_value)
+    return lambda g: (term(g) is not NULL) != negated
+
+
+def _compile_head(op: OperadOperation, skolem_value):
+    """The built-in guards and head terms of ``op`` as one closure over an
+    assignment, compiled once per component: it gives the guard outcomes up
+    to the first failure and the output (the empty tuple when a guard
+    fails)."""
+    tests = [_compile_literal(lit, None, skolem_value) for lit in op.guards]
+    out = _compile_terms(op.target_terms, skolem_value)
+
+    def head(g):
+        checks = []
+        try:
+            for test in tests:
+                holds = test(g)
+                checks.append(holds)
+                if not holds:
+                    return checks, ()
+            return checks, out(g)
+        except KeyError as exc:
+            raise _unbound(exc) from None
+
+    return head
 
 
 def cmp(equal_sets: Iterable[frozenset], tuples: Sequence[tuple]) -> tuple:

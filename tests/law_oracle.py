@@ -21,8 +21,10 @@ relation for every partial match.  It is verbatim but for one call:
 ``_eval_constraint_term`` and ``_literal_holds`` are the constraint-side
 term and literal evaluators as they stood before mappings and constraints
 came to share one evaluator: the oracle validation runs on them, and
-``test_laws.py`` checks the compiled term and literal closures
-(``logic._compile_term`` and ``logic._compile_literal``) against them.
+``test_laws.py`` checks the terms and literals of generated joins
+(``logic._compiled``) against them.  ``eval_comparison``, which they
+apply, is ``interp_oracle``'s copy of the rule ``logic`` held before
+generated joins inlined it.
 """
 
 import itertools
@@ -45,13 +47,13 @@ from dbmorph.logic import (
     ValidationReport,
     Var,
     Violation,
-    eval_comparison,
     literal_terms,
 )
 from dbmorph.model import NULL, DomainValue, Instance, sort_rows, value_key
 from dbmorph.operads import OperadArrow, simple_var_positions
 from dbmorph.saturation import saturate
 
+from interp_oracle import eval_comparison
 from saturation_oracle import apply_extra
 
 

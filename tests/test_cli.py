@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dbmorph import cli, interp as interp_module, logic
+from dbmorph import cli, interp as interp_module, logic, saturation as saturation_module
 from dbmorph import project as project_module
 from dbmorph.cli import main
 from dbmorph.dsl import _MAX_NESTING as DSL_NESTING, parse_mapping
@@ -1190,21 +1190,44 @@ def test_each_component_graph_is_built_once(monkeypatch, capsys, argv):
     assert sorted(built) == sorted(expected)
 
 
+def counting_programs(monkeypatch):
+    """Make every generated join count, through ``logic._compiled`` where
+    each module imported it: its runs per (mode, atoms), and per (mode,
+    atoms, tests, head, args) the evaluations of a matched tuple, one per
+    record a graph holds or a trace yields."""
+    runs, evaluated = Counter(), Counter()
+    compiled = logic._compiled
+
+    def counting_compiled(mode, atoms, tests=(), head=(), bound=(), free=()):
+        program, *rest = compiled(mode, atoms, tests, head, bound, free)
+        shape = (mode, tuple(map(tuple, atoms)))
+        # the tests and head tell two components over the same places apart
+        key = shape + (tuple(tests), tuple(head))
+
+        def counted(records):
+            for record in records:
+                evaluated[key, record[0]] += 1
+                yield record
+
+        def run(*args):
+            runs[shape] += 1
+            result = program.run(*args)
+            if mode == "graph":
+                evaluated.update((key, args) for args in result)
+            elif mode == "trace":
+                return counted(result)
+            return result
+
+        return (program._replace(run=run), *rest)
+
+    for module in (logic, interp_module, saturation_module):
+        monkeypatch.setattr(module, "_compiled", counting_compiled)
+    return runs, evaluated
+
+
 def test_eval_verbose_evaluates_each_joined_tuple_once(monkeypatch, capsys):
-    # every evaluation goes through the head compiled once per component
-    evaluated = Counter()
-    compile_head = interp_module._compile_head
-
-    def counting_compile(op, skolem_value):
-        head = compile_head(op, skolem_value)
-
-        def counting_head(g):
-            evaluated[op.name, tuple(g.items())] += 1
-            return head(g)
-
-        return counting_head
-
-    monkeypatch.setattr(interp_module, "_compile_head", counting_compile)
+    # the trace and the graph come from one run of the generated join
+    runs, evaluated = counting_programs(monkeypatch)
     code, _, trace = run(capsys, "eval", *E1_BC, "--verbose")
     assert code == 0
     lines = [line for line in trace.splitlines() if line.startswith("  (")]
@@ -1212,6 +1235,8 @@ def test_eval_verbose_evaluates_each_joined_tuple_once(monkeypatch, capsys):
     # the trace lists the whole product and evaluates only the joined tuples
     assert len(lines) > len(joined) == len(evaluated) > 0
     assert set(evaluated.values()) == {1}
+    ops = compile_project_mapping(load_project(E1_BC[1]), E1_BC[3]).operations
+    assert runs == Counter(("trace", tuple(p.variables for p in op.places)) for op in ops)
 
 
 @pytest.mark.parametrize(
@@ -1224,25 +1249,18 @@ def test_eval_verbose_evaluates_each_joined_tuple_once(monkeypatch, capsys):
 )
 def test_eval_and_validate_run_the_one_join(monkeypatch, capsys, argv):
     # a component's argument tuples and a constraint's matches both come
-    # from logic._join, so a second join loop in either cannot come back
-    joined = Counter()
-    join = logic._join
-
-    def counting_join(atoms, rows, index, g):
-        joined[tuple(atom.relation for atom in atoms)] += 1
-        return join(atoms, rows, index, g)
-
-    for module in (logic, interp_module):
-        monkeypatch.setattr(module, "_join", counting_join)
+    # from generated joins, so a second join loop in either cannot come back
+    runs, _ = counting_programs(monkeypatch)
     code, _, err = run(capsys, *argv)
     assert code == (0 if argv[0] == "eval" else 1) and err == ""
     if argv[0] == "eval":
         # one join per component, over its places
         ops = compile_project_mapping(load_project(P3), "m_ab").operations
-        assert joined == Counter(tuple(range(len(op.places))) for op in ops)
+        assert runs == Counter(("graph", tuple(p.variables for p in op.places)) for op in ops)
     else:
-        # the key egd matches its two Contacts atoms
-        assert joined[("Contacts", "Contacts")] == 1
+        # the key egd's body matches its two Contacts atoms in one search
+        (body,) = [shape for shape in runs if len(shape[1]) == 2]
+        assert runs[body] == 1 and body[0] == "search"
 
 
 # ---------------------------------------------------------------------------

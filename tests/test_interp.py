@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -32,14 +33,15 @@ from dbmorph import (
     satisfies,
 )
 from dbmorph.cli import _trace_morphism
-from dbmorph.interp import _compile_head, place_domain
+from dbmorph.interp import _lookups, place_domain
 from dbmorph.irdb import hash_tuple
-from dbmorph.logic import NotNull, _compile_literal, _compile_term, hash_symbol
+from dbmorph.logic import COMPARISON_OPS, NotNull, _compiled, hash_symbol
 from dbmorph.model import EMPTY_NAME
 from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order
+from dbmorph.project import compile_project_mapping
 
 import interp_oracle
-from conftest import arrow_and_interp
+from conftest import FIXTURES, arrow_and_interp, load_example
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +81,22 @@ def plain_interp(example1):
     return arrow, it
 
 
+def evaluate(g, tests, head, it):
+    """The output of the generated join of one atom that binds the names of
+    ``g`` to its values, with these tests and head terms: the head values,
+    or () where a test fails."""
+    program, consts, funcs, _ = _compiled("graph", [tuple(g)], tests, head)
+    (out,) = program.run(([tuple(g.values())],), consts, _lookups(it, funcs)).values()
+    return out
+
+
 def eval_term(g, term, it):
-    return _compile_term(term, it.skolem_value)(g)
+    (value,) = evaluate(g, (), (term,), it)
+    return value
+
+
+def eval_guard(g, lit, it):
+    return evaluate(g, (lit,), (Const(1),), it) == (1,)
 
 
 def test_eval_term_variables_constants_and_hash(example1):
@@ -94,13 +110,14 @@ def test_eval_term_variables_constants_and_hash(example1):
 
 def test_eval_term_unbound_variable(example1):
     arrow, it = plain_interp(example1)
-    # a compiled term leaves an unbound variable to its entry point, which
-    # reports it as a schema error
-    with pytest.raises(KeyError):
-        eval_term({}, Var("x"), it)
-    head = _compile_head(arrow.operations[0], it.skolem_value)
+    # generated code raises a schema error where it meets a variable that
+    # no atom binds; safety keeps such a variable out of compiled operations
     with pytest.raises(SchemaError, match="variable x has no value"):
-        head({})
+        eval_term({}, Var("x"), it)
+    q1 = arrow.operations[0]
+    renamed = dataclasses.replace(q1, target_terms=(Var("w"),) + q1.target_terms[1:])
+    with pytest.raises(SchemaError, match="variable w has no value"):
+        ComponentFunction(it, renamed).graph()
 
 
 def test_eval_term_skolem_goes_through_the_table(example1):
@@ -111,9 +128,9 @@ def test_eval_term_skolem_goes_through_the_table(example1):
 
 def test_eval_guard_notnull_and_negation(example1):
     _, it = plain_interp(example1)
-    assert _compile_literal(NotNull(Var("x")), None, it.skolem_value)({"x": 1})
-    assert not _compile_literal(NotNull(Var("x")), None, it.skolem_value)({"x": NULL})
-    assert _compile_literal(NotNull(Var("x"), negated=True), None, it.skolem_value)({"x": NULL})
+    assert eval_guard({"x": 1}, NotNull(Var("x")), it)
+    assert not eval_guard({"x": NULL}, NotNull(Var("x")), it)
+    assert eval_guard({"x": NULL}, NotNull(Var("x"), negated=True), it)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +146,7 @@ def test_join_guard_requires_equal_values(example1):
 
 def joined_assignments(component) -> dict:
     """Each joined tuple's assignment, as the join binds it."""
-    return dict(component._joined())
+    return {args: g for args, g, _, _ in component.evaluations()}
 
 
 def test_component_assignment_compacts_shared_variables(example1):
@@ -391,13 +408,29 @@ def _rows(draw, arity, min_size=1):
     return draw(st.sets(st.sampled_from(universe), min_size=min_size, max_size=5))
 
 
+F = FuncSymbol("f", FuncKind.SKOLEM)
+
+
+def join_terms(names):
+    """Terms over the place variables: a variable, a constant of any kind,
+    f of a term, or hash of one or two terms, f inside hash included."""
+    leaves = st.sampled_from(names).map(Var) | st.sampled_from(JOIN_VALUES).map(Const)
+    return st.recursive(
+        leaves,
+        lambda inner: inner.map(lambda t: App(F, (t,)))
+        | st.lists(inner, min_size=1, max_size=2).map(lambda a: App(hash_symbol(), tuple(a))),
+        max_leaves=3,
+    )
+
+
 @st.composite
 def join_cases(draw):
     """An interpretation over small relations and one operation whose places
     may be negated, characteristic, repeat a variable, miss their
-    relation's arity or range over an empty relation; guards may fail, the
-    head may apply a skolem function that misses some arguments, and the
-    target may be r_∅."""
+    relation's arity or range over an empty relation; guards compare or
+    test for NULL, plain or negated, terms that may apply f or hash, and
+    may fail; the head may apply f or hash; f may miss some arguments,
+    with or without a default, or have no table; the target may be r_∅."""
     # r3 may be empty
     source = Instance.build(
         JOIN_SOURCE,
@@ -408,9 +441,13 @@ def join_cases(draw):
     )
     target = Instance.build(JOIN_TARGET, {"t1": _rows(draw, 1), "s": _rows(draw, 2)})
     domain = draw(st.none() | st.frozensets(st.sampled_from(JOIN_VALUES), max_size=3))
-    # f has no default, so a head that applies it to a missing value raises
+    # without a default, a head that applies f to a missing value raises
     entries = {(v,): v for v in draw(st.sets(st.sampled_from(JOIN_VALUES)))}
-    it = TarskiInterpretation(source, target, {"f": FunctionTable("f", entries)}, domain=domain)
+    default = draw(st.sampled_from(((), (NULL,), ("a",))))
+    tables = {"f": FunctionTable("f", entries, *default)}
+    if draw(st.integers(0, 9)) == 0:
+        tables = {}
+    it = TarskiInterpretation(source, target, tables, domain=domain)
     arities = {"r1": 1, "r2": 2, "r3": 2, "t1": 1}
     places = []
     # one case in ten has no places, like the identity operation
@@ -425,18 +462,17 @@ def join_cases(draw):
     names = sorted({v for place in places for v in place.variables})
     guards = []
     if names:
+        terms = join_terms(names)
         for _ in range(draw(st.integers(0, 2))):
-            right = draw(st.sampled_from(names).map(Var) | st.sampled_from(JOIN_VALUES[:3]).map(Const))
-            guards.append(
-                Comparison(Var(draw(st.sampled_from(names))), draw(st.sampled_from(("=", "!=", "<"))), right)
-            )
+            negated = draw(st.booleans())
+            if draw(st.integers(0, 3)):
+                op = draw(st.sampled_from(COMPARISON_OPS))
+                guards.append(Comparison(draw(terms), op, draw(terms), negated))
+            else:
+                guards.append(NotNull(draw(terms), negated))
     if names and draw(st.integers(0, 3)):
         target_name = "s"
-        var = st.sampled_from(names).map(Var)
-        f = FuncSymbol("f", FuncKind.SKOLEM)
-        terms = tuple(
-            draw(var | st.just(Const(1)) | var.map(lambda v: App(f, (v,)))) for _ in range(2)
-        )
+        terms = tuple(draw(join_terms(names)) for _ in range(2))
     else:
         target_name, terms = EMPTY_NAME, ()
     op = OperadOperation(
@@ -468,7 +504,10 @@ def trace_text(trace, component) -> tuple:
 @settings(max_examples=250, deadline=None)
 @given(join_cases())
 def test_join_matches_the_product_evaluator(case):
-    it, op = case
+    assert_join_matches_the_product_evaluator(*case)
+
+
+def assert_join_matches_the_product_evaluator(it, op):
     assert trace_text(_trace_morphism, ComponentFunction(it, op)) == trace_text(
         interp_oracle.trace_morphism, interp_oracle.ComponentFunction(it, op)
     )
@@ -483,8 +522,9 @@ def test_join_matches_the_product_evaluator(case):
         if interp_oracle.component_assignment(op, args) is not None
     ]
     assert list(got[1].items()) == joined
-    assert [g for _, g in comp._joined()] == [
-        interp_oracle.component_assignment(op, args) for args, _ in joined
+    # each assignment in binding order, the order of first occurrences
+    assert [list(g.items()) for _, g, _, _ in comp.evaluations()] == [
+        list(interp_oracle.component_assignment(op, args).items()) for args, _ in joined
     ]
     assert comp.image() == oracle.image()
     assert comp.preimage_counts() == oracle.preimage_counts()
@@ -493,6 +533,119 @@ def test_join_matches_the_product_evaluator(case):
     outside = (("zz",),) + (product[0][1:] if product else ())
     for args in product + [outside]:
         assert outcome(comp.apply, args) == outcome(oracle.apply, args)
+
+
+def shape_case(guards, head=(Var("x"),), places=(Place("r2", ("x", "y")),), **table):
+    """One operation over r2(x, y), whose rows pair ints, a string and
+    NULL, with these guards and head; ``table`` is passed to f's table
+    (its default), or is ``{"table": None}`` for no table at all."""
+    source = Instance.build(
+        JOIN_SOURCE,
+        {
+            "r1": [(0,), (1,), ("a",), (NULL,)],
+            "r2": [(0, 0), (0, 1), (1, 0), (1, 1), ("a", NULL), (NULL, "a"), ("a", 1), (1, "a")],
+        },
+    )
+    entries = {(0,): 1, (1,): 0, ("a",): "a", (NULL,): 0}
+    tables = {} if table == {"table": None} else {"f": FunctionTable("f", entries, **table)}
+    it = TarskiInterpretation(source, Instance.build(JOIN_TARGET, {}), tables)
+    target = "s" if head else EMPTY_NAME
+    op = OperadOperation(
+        name="q_1",
+        body=tuple(places) + tuple(guards),
+        target=target,
+        target_columns=tuple(f"c{j}" for j in range(1, len(head) + 1)),
+        target_terms=tuple(head),
+        variable_order=build_variable_order(places),
+        rq_name="r_q1",
+    )
+    return it, op
+
+
+x_, y_ = Var("x"), Var("y")
+
+
+def f(term):
+    return App(F, (term,))
+
+
+def hashed(*terms):
+    return App(hash_symbol(), terms)
+
+
+# each literal kind and term the generator emits; a guard holds at some
+# joined tuple and fails at another
+JOIN_SHAPES = {
+    **{
+        f"{'not ' if negated else ''}{op}": shape_case([Comparison(x_, op, y_, negated)])
+        for op in COMPARISON_OPS
+        for negated in (False, True)
+    },
+    # x and y take NULL and "a" beside ints, and a constant is NULL
+    "NULL constant in an order comparison": shape_case(
+        [Comparison(x_, "<", Const(NULL), negated=True), Comparison(x_, "<=", y_)]
+    ),
+    "notnull": shape_case([NotNull(y_)]),
+    "not notnull": shape_case([NotNull(x_, negated=True)]),
+    "hash in a guard": shape_case([Comparison(hashed(x_), "!=", hashed(Const(0)))]),
+    "f in a guard": shape_case([Comparison(f(x_), "=", y_)], head=(x_, f(y_))),
+    "f inside hash": shape_case(
+        [Comparison(hashed(f(x_)), "=", hashed(y_))], head=(hashed(f(y_), x_), x_)
+    ),
+    "a variable repeated in one place": shape_case(
+        [Comparison(x_, "=", y_)], places=(Place("r2", ("x", "x")), Place("r1", ("y",)))
+    ),
+}
+# f misses NULL and "a" without a default, has a default, or has no table
+FAILING_SHAPES = {
+    "f without a default": shape_case([], head=(f(hashed(y_)),)),
+    "f with a default": shape_case([], head=(x_, f(hashed(y_))), default="d"),
+    "f without a table": shape_case([NotNull(x_)], head=(f(x_),), table=None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+def test_the_join_cases_reach_every_shape(shape):
+    it, op = JOIN_SHAPES[shape]
+    assert_join_matches_the_product_evaluator(it, op)
+    records = list(ComponentFunction(it, op).evaluations())
+    outcomes = {holds for _, _, checks, _ in records for holds in checks}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("shape", sorted(FAILING_SHAPES))
+def test_the_join_cases_reach_every_skolem_fallback(shape):
+    it, op = FAILING_SHAPES[shape]
+    assert_join_matches_the_product_evaluator(it, op)
+    fails = outcome(ComponentFunction(it, op).graph)[0] == "error"
+    assert fails == (shape != "f with a default")
+
+
+def test_a_join_longer_than_one_generated_function():
+    # twenty places go on in a second generated function
+    n = 20
+    source = Instance.build(JOIN_SOURCE, {"r1": [(0,)], "r2": [(0, 0), (0, 1), (1, 1)]})
+    places = [Place("r2", (f"x{i}", f"x{i + 1}")) for i in range(n)]
+    first, last = Var("x0"), Var(f"x{n}")
+    op = OperadOperation(
+        name="q_1",
+        body=tuple(places) + (Comparison(first, "<", last),),
+        target="s",
+        target_columns=("c1", "c2"),
+        target_terms=(first, last),
+        variable_order=build_variable_order(places),
+        rq_name="r_q1",
+    )
+    it = TarskiInterpretation(source, Instance.build(JOIN_TARGET, {}), {})
+    program, *_ = _compiled("graph", [p.variables for p in places], op.guards, op.target_terms)
+    assert "def graph_1(" in program.source
+    graph = ComponentFunction(it, op).graph()
+    # the joined tuples are the non-decreasing 0/1 sequences of n + 1 values
+    assert len(graph) == n + 2
+    assert Counter(graph.values()) == Counter({(0, 1): n, (): 2})
+    records = list(ComponentFunction(it, op).evaluations())
+    assert [(args, out) for args, _, _, out in records] == list(graph.items())
+    assert {tuple(g) for _, g, _, _ in records} == {op.variable_order}
 
 
 def test_component_graph_holds_only_the_joined_tuples():
@@ -511,3 +664,76 @@ def test_component_graph_holds_only_the_joined_tuples():
     hash_join = sum(1 for _, y in R for y2, _ in S if y == y2)
     assert len(comp.graph()) == hash_join < len(R) * len(S)
     assert comp.preimage_counts()[()] == len(R) * len(S) - hash_join
+
+
+# ---------------------------------------------------------------------------
+# the generated source, pinned so that a reader can see what runs
+
+ONE_PLACE = '''\
+def graph(I, C, S):
+    i0, = I
+    graph = {}
+    for r0 in i0:
+        v0 = r0[0]
+        graph[(r0,)] = (v0,)
+    return graph
+'''
+TWO_PLACES = '''\
+def graph(I, C, S):
+    i0, i1 = I
+    graph = {}
+    for r0 in i0:
+        v0 = r0[0]
+        for r1 in i1.get((v0,), ()):
+            graph[(r0, r1)] = (v0,)
+    return graph
+'''
+TWO_PLACES_AND_A_SKOLEM = '''\
+def graph(I, C, S):
+    i0, i1 = I
+    e0, l0 = S[0]
+    graph = {}
+    for r0 in i0:
+        v0 = r0[0]
+        for r1 in i1.get((v0,), ()):
+            t0 = e0.get((v0,), MISS)
+            if t0 is MISS:
+                t0 = l0((v0,))
+            graph[(r0, r1)] = (v0, t0)
+    return graph
+'''
+# every operation of example1: the shape leaves out names, so operations
+# of one shape share one function
+EXAMPLE1_SOURCES = {
+    ("m_ab", "q_1"): ONE_PLACE,
+    ("m_ab", "q_2"): ONE_PLACE,
+    ("m_ab", "q_3"): ONE_PLACE,
+    ("m_bc", "q_1"): TWO_PLACES_AND_A_SKOLEM,
+    ("m_bc", "q_2"): TWO_PLACES,
+    ("m_ac", "q_1"): TWO_PLACES_AND_A_SKOLEM,
+    ("m_ac", "q_2"): TWO_PLACES_AND_A_SKOLEM,
+    ("m_ac", "q_3"): TWO_PLACES,
+    ("m_ac", "q_4"): TWO_PLACES,
+}
+
+
+def generated(op, mode="graph"):
+    program, *_ = _compiled(mode, [p.variables for p in op.places], op.guards, op.target_terms)
+    return program
+
+
+def test_the_generated_source_of_example1_is_pinned(example1):
+    sources = {}
+    for mapping in ("m_ab", "m_bc", "m_ac"):
+        for op in compile_project_mapping(example1, mapping).operations:
+            sources[mapping, op.name] = generated(op).source
+    assert sources == EXAMPLE1_SOURCES
+    q1 = compile_project_mapping(example1, "m_bc").operations[0]
+    assert generated(q1) is generated(dataclasses.replace(q1, name="q_9"))
+
+
+def test_the_readme_shows_a_generated_function():
+    # the join project's second operation, with a guard and a skolem head
+    text = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+    (op,) = [o for o in compile_project_mapping(load_example("join"), "m").operations if o.guards]
+    assert generated(op).source in text

@@ -32,6 +32,7 @@ from dbmorph.logic import (
 from dbmorph.model import NULL, Instance, RelationSymbol, Schema, sort_rows
 from dbmorph.saturation import ExtraFunction
 
+import interp_oracle
 import law_oracle as oracle
 from test_saturation import oracle_case, oracle_cases
 
@@ -218,6 +219,21 @@ def test_a_body_function_term_raises_once_a_row_agrees_before_it(row, expected):
         assert outcome(validate, inst, [tgd], ()) == expected
 
 
+def test_a_constraint_longer_than_one_generated_function():
+    # twenty body atoms and a free variable: the search goes on in a
+    # second generated function
+    n = 20
+    inst = Instance.build(VALIDATION_SCHEMA, {P: [(0,)], Q: [(0, 0), (0, 1), (1, 1), (1, NULL)]})
+    body = tuple(atom(Q, Var(f"x{i}"), Var(f"x{i + 1}")) for i in range(n))
+    names = tuple(f"x{i}" for i in range(n + 1))
+    guard = Comparison(Var("w"), "<", Var(f"x{n}"))
+    tgd = Tgd(names, body + (guard,), (atom(P, Var(f"x{n}")),), lhs_exists=("w",))
+    report = validate_instance(inst, [tgd])
+    assert report == oracle.validate_instance(inst, [tgd])
+    # the body holds for each non-decreasing 0/1 sequence that ends in 1
+    assert len(report.violations) == n + 1
+
+
 def test_the_key_egd_sorts_its_relation_twice(monkeypatch):
     # one index per (relation, positions): the first atom reads K whole,
     # the second by x1; sorting K per partial match would take 201 sorts
@@ -245,22 +261,18 @@ def test_head_atoms_are_matched_not_tested(monkeypatch):
     )
     head = atom("Q3", x, y, z)
     tgd = Tgd(("x",), (atom(P, x),), (head,), rhs_exists=("y", "z"))
-    tested = Counter()
-    compile_literal = logic._compile_literal
+    tested, matched = Counter(), Counter()
+    compiled = logic._compiled
 
-    def counting_compile(lit, inst, skolem_value):
-        holds = compile_literal(lit, inst, skolem_value)
+    def counting_compiled(mode, atoms, tests=(), head=(), bound=(), free=()):
+        matched.update(tuple(atom) for atom in atoms)
+        tested.update(tests)
+        return compiled(mode, atoms, tests, head, bound, free)
 
-        def counting_holds(g):
-            tested[lit] += 1
-            return holds(g)
-
-        return counting_holds
-
-    monkeypatch.setattr(logic, "_compile_literal", counting_compile)
+    monkeypatch.setattr(logic, "_compiled", counting_compiled)
     report = validate_instance(inst, [tgd])
     assert [v.witness for v in report.violations] == [(("x", i),) for i in range(1, 30, 2)]
-    assert tested[head] == 0
+    assert tested[head] == 0 and matched[head.terms] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +321,17 @@ def test_term_and_guard_evaluation_match_the_oracle(case):
     empty = Instance.build(VALIDATION_SCHEMA, {})
     it = TarskiInterpretation(empty, empty, {})
     # every subterm, so that constants and variables are also met outside
-    # hash arguments and comparisons
+    # hash arguments and comparisons: a head term of a generated join over
+    # one row that binds x, y and z, as evaluation runs it
+    row = (g["x"], g["y"], g["z"])
     for t in subterms(term):
-        value = logic._compile_term(t, it.skolem_value)(g)
+        program, consts, funcs, _ = logic._compiled("graph", [("x", "y", "z")], (), (t,))
+        ((value,),) = program.run(([row],), consts, funcs).values()
         assert value == oracle._eval_constraint_term(t, g, empty)
-    holds = logic._compile_literal(guard, None, it.skolem_value)
-    assert holds(g) == oracle._literal_holds(guard, g, empty)
+        assert value == interp_oracle._compile_term(t, it.skolem_value)(g)
+    # the guard as the one test of a search from x, y and z, as validation
+    # runs it
+    program, consts, funcs, _ = logic._compiled("search", (), (guard,), (), ("x", "y", "z"))
+    holds = next(program.run((), consts, funcs, row, ()), None) is not None
+    assert holds == oracle._literal_holds(guard, g, empty)
+    assert holds == interp_oracle._compile_literal(guard, None, it.skolem_value)(g)

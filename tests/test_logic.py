@@ -21,20 +21,24 @@ from dbmorph import (
     SOtgdConjunct,
     Tgd,
     Var,
-    eval_comparison,
     hoist_constants,
     normalize,
     skolemize,
     validate_instance,
 )
+from dbmorph import logic
 from dbmorph.logic import (
     TAUT_ATOM,
     TAUT_IMPLICATION,
     TAUT_SOTGD,
+    _compiled,
     check_conjunct_safety,
     hash_symbol,
 )
 from dbmorph.irdb import hash_tuple
+
+import interp_oracle
+from conftest import load_example
 
 
 def atom(rel, *names, negated=False):
@@ -268,6 +272,19 @@ def test_normalize_rejects_unsafe_conjuncts():
 # comparison semantics
 
 
+def eval_comparison(op, a, b):
+    """Whether ``a op b`` holds in generated code: a search with no atoms
+    whose one test compares the two constants."""
+    program, consts, funcs, _ = _compiled("search", (), [Comparison(Const(a), op, Const(b))])
+    holds = next(program.run((), consts, funcs, (), ()), None) is not None
+    # the negated test holds exactly where the plain one fails
+    negated = Comparison(Const(a), op, Const(b), negated=True)
+    program, consts, funcs, _ = _compiled("search", (), [negated])
+    assert (next(program.run((), consts, funcs, (), ()), None) is None) is holds
+    assert holds is interp_oracle.eval_comparison(op, a, b)
+    return holds
+
+
 @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
 def test_null_satisfies_no_comparison(op):
     assert eval_comparison(op, NULL, NULL) is False
@@ -480,3 +497,44 @@ def test_truth_constants_match_the_integer_one():
     # Const(1) matches the stored integer 1, so the lhs fires for y=1
     report = validate_instance(inst, [dep])
     assert [v.witness for v in report.violations] == [(("y", 1),)]
+
+
+# ---------------------------------------------------------------------------
+# the generated source of a validated constraint, pinned so that a reader
+# can see what runs: the body search, then the head search from x and y
+
+JOIN_CONSTRAINT_SOURCES = [
+    '''\
+def search(I, C, S, B, D):
+    i0, = I
+    for r0 in i0:
+        v0 = r0[0]
+        v1 = r0[1]
+        yield {'x': v0, 'y': v1}
+''',
+    '''\
+def search(I, C, S, B, D):
+    i0, = I
+    v0, v1 = B
+    for r0 in i0.get((v1,), ()):
+        v2 = r0[1]
+        yield {'x': v0, 'y': v1, 'z': v2}
+''',
+]
+
+
+def test_the_generated_source_of_a_validated_constraint_is_pinned(monkeypatch):
+    # forall x, y . R(x, y) -> S(y, z), of the join project
+    project = load_example("join")
+    sources = []
+    compiled = logic._compiled
+
+    def recording_compiled(*args):
+        program, *rest = compiled(*args)
+        sources.append(program.source)
+        return (program, *rest)
+
+    monkeypatch.setattr(logic, "_compiled", recording_compiled)
+    report = validate_instance(project.instance("a"), domain=project.domain)
+    assert len(report.violations) == 1
+    assert sources == JOIN_CONSTRAINT_SOURCES
