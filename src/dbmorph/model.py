@@ -4,7 +4,9 @@ Domain values are opaque printable constants (``str`` or ``int``) and the
 missing value ``NULL``, which is Python's ``None``: a row parsed from JSON,
 where the missing value is ``null``, is a row of the library as it stands.
 Value equality is syntactic: no coercion happens between integer and string
-renderings.
+renderings.  ``check_values`` is the one statement of this rule and of its
+fault texts: ``Relation`` checks its rows with it, and every loader in
+``project`` checks the values of its files with it.
 
 Every schema implicitly contains the distinguished nullary symbol ``r_∅``;
 every instance maps it to the unit relation ``⊥ = {()}``.  Ordinary symbols
@@ -34,6 +36,8 @@ __all__ = [
     "Relation",
     "Schema",
     "Instance",
+    "VALUE_CLASSES",
+    "check_values",
     "active_domain",
     "value_key",
     "row_key",
@@ -101,15 +105,27 @@ def group_rows(rows: Iterable[Row], positions: Sequence[int]) -> dict:
     return groups
 
 
-_VALUE_CLASSES = frozenset({int, str, type(None)})
+# the exact classes of domain values as JSON loads them: a value of one of
+# these passes ``check_values`` untested, so a bulk class test may use them
+VALUE_CLASSES = frozenset({int, str, type(None)})
 
 
-def _check_value(v: object) -> DomainValue:
-    if v is NULL:
-        return v
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise SchemaError(f"invalid domain value {v!r}: expected str, int, or NULL")
-    return v
+def check_values(rows: Sequence[Iterable], where: str) -> Sequence[Iterable]:
+    """``rows`` when every value in them is a domain value: an ``int`` but
+    not a ``bool``, a ``str``, or NULL.  Otherwise a ``SchemaError``
+    located by ``where`` at the first value, in the order of ``rows``, that
+    is not.  One class test covers every value; the scan for the first bad
+    one runs only when it fails, and no value is hashed."""
+    if set(map(type, chain.from_iterable(rows))) <= VALUE_CLASSES:
+        return rows
+    for v in chain.from_iterable(rows):
+        if isinstance(v, bool):
+            raise SchemaError(f"{where}: booleans are not domain values")
+        if isinstance(v, float):
+            raise SchemaError(f"{where}: floats are not domain values")
+        if v is not NULL and not isinstance(v, (int, str)):
+            raise SchemaError(f"{where}: {v!r} is not a domain value")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -144,18 +160,15 @@ class Relation:
 
     def __post_init__(self) -> None:
         # ``rows`` may be any iterable of rows: it is read once, and no row
-        # is hashed before its values are checked
+        # is hashed before its values and widths are checked; a fault names
+        # the first bad value or row in the order of ``rows``
         rows = list(map(tuple, self.rows))
-        if {v.__class__ for row in rows for v in row} <= _VALUE_CLASSES:
-            normalized = frozenset(rows)
-        else:
-            normalized = frozenset(tuple(_check_value(v) for v in row) for row in rows)
-        object.__setattr__(self, "rows", normalized)
-        if {len(row) for row in normalized} - {self.symbol.arity}:
-            row = next(row for row in normalized if len(row) != self.symbol.arity)
-            raise SchemaError(
-                f"row {row!r} has {len(row)} values; {self.symbol.name} has arity {self.symbol.arity}"
-            )
+        name, arity = self.symbol.name, self.symbol.arity
+        check_values(rows, f"relation {name}")
+        if set(map(len, rows)) - {arity}:
+            row = next(row for row in rows if len(row) != arity)
+            raise SchemaError(f"row {row!r} has {len(row)} values; {name} has arity {arity}")
+        object.__setattr__(self, "rows", frozenset(rows))
 
     def values(self) -> frozenset:
         return frozenset(v for row in self.rows for v in row)
@@ -237,14 +250,6 @@ class Instance:
                 self.relations[name] = BOTTOM
             elif name not in self.relations:
                 self.relations[name] = Relation(sym, frozenset())
-
-    @classmethod
-    def build(cls, schema: Schema, rows: Mapping[str, Iterable[Row]]) -> "Instance":
-        rels = {}
-        for name, rws in rows.items():
-            sym = schema.symbol(name)
-            rels[name] = Relation(sym, rws)
-        return cls(schema, rels)
 
     def relation(self, name: str) -> Relation:
         try:

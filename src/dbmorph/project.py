@@ -21,10 +21,10 @@ Rows cross the file boundary unconverted.  NULL is ``None``, so JSON's
 ``null`` loads as NULL, and a payload holds rows as the library does, as
 tuples, which ``canonical_json`` and ``json.dumps`` both write as arrays.
 
-A row list read from JSON is checked in bulk: one pass over the classes of
-its rows and of their values, one set of row widths.  Only a list that
-fails the check goes through ``value_from_json`` value by value, which
-raises the located message of its first bad row or value.
+Each value read is checked once by ``model.check_values``, the one rule of
+domain values: instance rows through ``Relation``, which also checks their
+widths, and the other values directly, by one class test per list.  Only a
+list that fails it is scanned, in file order, for its first located fault.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ from .flux import FluxKernel
 from .interp import FunctionTable, InstanceMorphism, SatisfactionReport, TarskiInterpretation
 from .logic import RelAtom, SOtgd, ValidationReport
 from .model import (
-    NULL,
+    VALUE_CLASSES,
     Instance,
+    Relation,
     RelationSymbol,
-    Row,
     Schema,
+    check_values,
     sort_rows,
     value_key,
 )
@@ -61,7 +62,6 @@ from .operads import (
 from .saturation import PFunction, SaturatedMorphism
 
 __all__ = [
-    "value_from_json",
     "instance_to_json",
     "load_instance",
     "load_instance_file",
@@ -81,36 +81,16 @@ __all__ = [
 ]
 
 
-def value_from_json(value, where: str = "value"):
-    """A parsed JSON value as the domain value it already is (null is
-    NULL), or an input error located by ``where``."""
-    if isinstance(value, bool):
-        raise SchemaError(f"{where}: booleans are not domain values")
-    if value is NULL or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        raise SchemaError(f"{where}: floats are not domain values")
-    raise SchemaError(f"{where}: {value!r} is not a domain value")
-
-
-def _row_from_json(row, where: str) -> Row:
-    if not isinstance(row, list):
-        raise SchemaError(f"{where}: each row must be a JSON array")
-    return tuple(value_from_json(v, where) for v in row)
-
-
-_PLAIN = frozenset({int, str, type(None)})
-
-
-def _rows_from_json(rows: list, where: str) -> list:
-    """The rows of a JSON array of rows as tuples of domain values.  When
-    a row is not an array, or a value is not an int, a string or null, the
-    rows go through ``_row_from_json`` one by one, which raises the error
-    of the first bad one, located by ``where``."""
-    if {row.__class__ for row in rows} <= {list}:
-        if {v.__class__ for row in rows for v in row} <= _PLAIN:
-            return list(map(tuple, rows))
-    return [_row_from_json(row, where) for row in rows]
+def _arrays(rows: list, where: str) -> list:
+    """``rows`` when each is a JSON array.  Otherwise an input error located
+    by ``where`` at the first that is not, or at a value of an earlier row
+    that is no domain value, which comes first in the file."""
+    if not set(map(type, rows)) <= {list}:
+        for row in rows:
+            if row.__class__ is not list:
+                raise SchemaError(f"{where}: each row must be a JSON array")
+            check_values([row], where)
+    return rows
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
@@ -156,37 +136,35 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
     if not isinstance(declared, dict):
         raise SchemaError(f"{where}: 'relations' must be an object")
 
-    symbols = {}
-    rows_by_name = {}
+    relations = {}
     for name, body in sorted(declared.items()):
         if not isinstance(body, dict) or "columns" not in body or "rows" not in body:
             raise SchemaError(f"{where}: relation {name} needs 'columns' and 'rows'")
         columns = _columns(body["columns"], f"{where}: relation {name}: 'columns'")
         rows = _typed(body["rows"], list, f"{where}: relation {name}: 'rows'")
-        symbols[name] = RelationSymbol(name, columns)
-        rows = rows_by_name[name] = _rows_from_json(rows, f"{where}: {name}")
-        if {len(row) for row in rows} - {len(columns)}:
-            row = next(row for row in rows if len(row) != len(columns))
-            raise SchemaError(
-                f"{where}: relation {name}: row {row!r} has {len(row)} values; "
-                f"{name} has arity {len(columns)}"
-            )
+        symbol = RelationSymbol(name, columns)
+        _arrays(rows, f"{where}: {name}")
+        try:
+            relations[name] = Relation(symbol, rows)
+        except SchemaError as exc:  # located here: a value fault, else a width fault
+            check_values(rows, f"{where}: {name}")
+            raise SchemaError(f"{where}: relation {name}: {exc}") from None
 
     if schema is None:
-        schema = Schema(str(data.get("schema", "S")), symbols.values())
+        schema = Schema(str(data.get("schema", "S")), [rel.symbol for rel in relations.values()])
     else:
         if "schema" in data and data["schema"] != schema.name:
             raise SchemaError(
                 f"{where}: file is for schema {data['schema']}, expected {schema.name}"
             )
-        for name, sym in symbols.items():
+        for name, rel in relations.items():
             if name not in schema:
                 raise SchemaError(f"{where}: schema {schema.name} has no relation {name}")
-            if sym != schema.symbol(name):
+            if rel.symbol != schema.symbol(name):
                 raise SchemaError(
                     f"{where}: relation {name} disagrees with the schema's columns"
                 )
-    return Instance.build(schema, rows_by_name)
+    return Instance(schema, relations)
 
 
 def _read_text(path: Path) -> str:
@@ -236,7 +214,8 @@ def load_member_file(path) -> frozenset:
     one width, since no view derives rows of two."""
     path = Path(path)
     rows = _typed(_read_json(path), list, f"{path}: the top level")
-    member = frozenset(_rows_from_json(rows, f"{path}: member row"))
+    where = f"{path}: member row"
+    member = frozenset(map(tuple, check_values(_arrays(rows, where), where)))
     widths = sorted({len(row) for row in member})
     if len(widths) > 1:
         raise SchemaError(
@@ -319,12 +298,20 @@ def _entry_field(body, key: str, where: str) -> str:
     return _typed(body[key], str, f"{where}: '{key}'")
 
 
+def _named(entries: dict, kind: str, name: str, where: str):
+    """``entries[name]``; a ``kind`` that the project does not declare is an
+    input error located by ``where``."""
+    if name not in entries:
+        raise SchemaError(f"{where}: project declares no {kind} {name}")
+    return entries[name]
+
+
 def load_project(path) -> Project:
     path = Path(path)
     data = _typed(_read_json(path), dict, f"{path}: the top level")
     base = path.parent
 
-    (domain,) = _rows_from_json([_section(data, "domain", list, path)], f"{path}: 'domain'")
+    (domain,) = check_values([_section(data, "domain", list, path)], f"{path}: 'domain'")
 
     schemas = {}
     for name, body in sorted(_section(data, "schemas", dict, path).items()):
@@ -340,35 +327,32 @@ def load_project(path) -> Project:
             constraints = _schema_constraints(text, symbols, where)
         schemas[name] = Schema(name, symbols.values(), constraints)
 
-    project = Project(domain=domain, schemas=schemas)
+    project = Project(domain=tuple(domain), schemas=schemas)
 
     for name, body in sorted(_section(data, "instances", dict, path).items()):
         where = f"{path}: instance {name}"
-        schema = project.schema(_entry_field(body, "schema", where))
+        schema = _named(schemas, "schema", _entry_field(body, "schema", where), where)
         project.instances[name] = (base / _entry_field(body, "file", where), schema)
 
     for name, body in sorted(_section(data, "mappings", dict, path).items()):
         where = f"{path}: mapping {name}"
-        src = project.schema(_entry_field(body, "source", where))
-        tgt = project.schema(_entry_field(body, "target", where))
+        src = _named(schemas, "schema", _entry_field(body, "source", where), where)
+        tgt = _named(schemas, "schema", _entry_field(body, "target", where), where)
         file = base / _entry_field(body, "file", where)
         project.mappings[name] = (file, src.name, tgt.name)
 
     edges = []
     for edge in _section(data, "graph", list, path):
+        where = f"{path}: graph edge {edge!r}"
         if not isinstance(edge, list) or len(edge) != 3 or not all(
             isinstance(end, str) for end in edge
         ):
-            raise SchemaError(
-                f"{path}: graph edge {edge!r} is not a [source, target, mapping] triple"
-            )
+            raise SchemaError(f"{where} is not a [source, target, mapping] triple")
         src, tgt, mapping = edge
-        project.schema(src)
-        project.schema(tgt)
-        if project._declared("mapping", project.mappings, mapping)[1:] != (src, tgt):
-            raise SchemaError(
-                f"graph edge {edge!r} disagrees with mapping {mapping}'s schemas"
-            )
+        _named(schemas, "schema", src, where)
+        _named(schemas, "schema", tgt, where)
+        if _named(project.mappings, "mapping", mapping, where)[1:] != (src, tgt):
+            raise SchemaError(f"{where} disagrees with mapping {mapping}'s schemas")
         edges.append((src, tgt, mapping))
     project.graph = tuple(edges)
     return project
@@ -379,6 +363,23 @@ def compile_project_mapping(project: Project, name: str) -> OperadArrow:
     return compile_source(
         ms.text, project.schema(ms.source), project.schema(ms.target), name=name
     )
+
+
+def _skolem_entries(pairs: list, where: str) -> dict:
+    """A skolem table's entries from its [args, value] pairs, after one class
+    test over the table.  Only when it fails are the pairs scanned in file
+    order for the first fault, located by ``where``, a value before its args."""
+    plain = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    if plain:
+        keys = [pair[0] for pair in pairs]
+        plain = set(map(type, keys)) <= {list}
+        plain = plain and set(map(type, chain([p[1] for p in pairs], *keys))) <= VALUE_CLASSES
+    if not plain:
+        for pair in pairs:
+            if pair.__class__ is not list or len(pair) != 2:
+                raise SchemaError(f"{where}: entries are [args, value] pairs")
+            check_values(_arrays([pair[1:], pair[0]], where), where)
+    return {tuple(args): value for args, value in pairs}
 
 
 def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
@@ -394,45 +395,38 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
     data = _typed(_read_json(path), dict, f"{path}: the top level")
     if "source" not in data or "target" not in data:
         raise SchemaError(f"{path}: interpretation needs 'source' and 'target'")
-    source = project.instance(_typed(data["source"], str, f"{path}: 'source'"))
-    target = project.instance(_typed(data["target"], str, f"{path}: 'target'"))
+
+    def instance(name, where: str) -> Instance:
+        _named(project.instances, "instance", _typed(name, str, where), where)
+        return project.instance(name)
+
+    source = instance(data["source"], f"{path}: 'source'")
+    target = instance(data["target"], f"{path}: 'target'")
     extras = tuple(
-        project.instance(_typed(n, str, f"{path}: 'extras' entry"))
-        for n in _section(data, "extras", list, path)
+        instance(name, f"{path}: 'extras' entry") for name in _section(data, "extras", list, path)
     )
 
     tables = {}
     for fname, body in sorted(_section(data, "skolem", dict, path).items()):
         where = f"{path}: skolem {fname}"
         pairs = _section(_typed(body, dict, where), "entries", list, where)
-        good = len(pairs)  # the pairs before the first that is no [args, value] pair
-        if not ({p.__class__ for p in pairs} <= {list} and {len(p) for p in pairs} <= {2}):
-            good = next(
-                i for i, pair in enumerate(pairs) if not isinstance(pair, list) or len(pair) != 2
-            )
-        # each good pair gives two rows, [value] and args: the first fault in
-        # file order raises, a pair's value before its args
-        rows = _rows_from_json(
-            [part for pair in pairs[:good] for part in (pair[1:], pair[0])], f"{path}: {fname}"
-        )
-        if good < len(pairs):
-            raise SchemaError(f"{path}: {fname}: entries are [args, value] pairs")
-        entries = dict(zip(rows[1::2], [value for (value,) in rows[::2]]))
-        if len(entries) < good:  # an argument tuple listed twice
-            first: dict = {}  # checked args -> the value as the file writes it
-            for pair, args in zip(pairs, rows[1::2]):
-                if first.setdefault(args, pair[1]) != pair[1]:
+        entries = _skolem_entries(pairs, f"{path}: {fname}")
+        if len(entries) < len(pairs):  # an argument tuple listed twice
+            first: dict = {}
+            for args, value in pairs:
+                if first.setdefault(tuple(args), value) != value:
                     raise SchemaError(
-                        f"{where}: arguments {json.dumps(pair[0])} have two values, "
-                        f"{json.dumps(first[args])} and {json.dumps(pair[1])}"
+                        f"{where}: arguments {json.dumps(args)} have two values, "
+                        f"{json.dumps(first[tuple(args)])} and {json.dumps(value)}"
                     )
         table = tables[fname] = FunctionTable(fname, entries)
         if "default" in body:
-            table.default = value_from_json(body["default"], f"{path}: {fname} default")
+            check_values([[body["default"]]], f"{path}: {fname} default")
+            table.default = body["default"]
 
     domain = None
     if "domain" in data:
-        (values,) = _rows_from_json([_section(data, "domain", list, path)], f"{path}: domain")
+        (values,) = check_values([_section(data, "domain", list, path)], f"{path}: domain")
         domain = frozenset(values)
     return TarskiInterpretation(source, target, tables, extras, domain)
 

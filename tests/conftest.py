@@ -1,7 +1,9 @@
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import pytest
 
+from dbmorph.model import Instance, Relation, Row, Schema
 from dbmorph.project import (
     compile_project_mapping,
     load_interpretation_file,
@@ -9,6 +11,12 @@ from dbmorph.project import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def build_instance(schema: Schema, rows: Mapping[str, Iterable[Row]]) -> Instance:
+    """An instance of ``schema`` from the rows of some of its relations, as
+    the tests build one in code; omitted relations are empty."""
+    return Instance(schema, {name: Relation(schema.symbol(name), rws) for name, rws in rows.items()})
 
 
 def load_example(name):

@@ -2,12 +2,15 @@
 kept verbatim as the oracle the differential tests in ``test_project.py``
 compare ``dbmorph.project`` and ``dbmorph.model.Relation`` against.
 
-Each value of a row list goes through ``value_from_json`` (``_check_value``
-for a relation), with its located message formatted per row, and a row's
-width is checked in a second loop.  ``relation_rows`` is the body of
-``Relation.__post_init__``: the rows it keeps, or the error it raises.
-``load_interpretation_file`` also rejects an argument tuple listed with two
-values, after every other fault of its table.
+Each value of a row list goes through ``value_from_json``, with its located
+message formatted per row, and a row's width is checked in a second loop.
+``relation_rows`` checks rows as ``Relation.__post_init__`` does, value by
+value and then row by row, in the order given: the rows it keeps, or the
+error it raises.  ``load_interpretation_file`` also rejects an argument
+tuple listed with two values, after every other fault of its table.
+``value_from_json`` and ``Instance.build`` (``conftest.build_instance``)
+left the package when ``model.check_values`` became its one checker of
+domain values; ``value_from_json`` is kept here verbatim.
 """
 
 import json
@@ -15,15 +18,28 @@ from pathlib import Path
 
 from dbmorph.errors import SchemaError
 from dbmorph.interp import FunctionTable, TarskiInterpretation
-from dbmorph.model import Instance, RelationSymbol, Row, Schema, _check_value
+from dbmorph.model import NULL, Instance, RelationSymbol, Row, Schema
 from dbmorph.project import (
     Project,
     _columns,
     _read_json,
     _section,
     _typed,
-    value_from_json,
 )
+
+from conftest import build_instance
+
+
+def value_from_json(value, where: str = "value"):
+    """A parsed JSON value as the domain value it already is (null is
+    NULL), or an input error located by ``where``."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{where}: booleans are not domain values")
+    if value is NULL or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        raise SchemaError(f"{where}: floats are not domain values")
+    raise SchemaError(f"{where}: {value!r} is not a domain value")
 
 
 def _row_from_json(row, where: str) -> Row:
@@ -72,7 +88,7 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
                 raise SchemaError(
                     f"{where}: relation {name} disagrees with the schema's columns"
                 )
-    return Instance.build(schema, rows_by_name)
+    return build_instance(schema, rows_by_name)
 
 
 def load_member_file(path) -> frozenset:
@@ -142,12 +158,13 @@ def load_interpretation_file(path, project: Project) -> TarskiInterpretation:
 
 
 def relation_rows(symbol: RelationSymbol, rows) -> frozenset:
-    """The rows ``Relation(symbol, rows)`` keeps, checked as its
-    ``__post_init__`` checked them."""
-    normalized = frozenset(tuple(_check_value(v) for v in row) for row in rows)
-    for row in normalized:
+    """The rows ``Relation(symbol, rows)`` keeps: the first value that is no
+    domain value, then the first row of another width, in the order of
+    ``rows``, is an error."""
+    rows = [tuple(value_from_json(v, f"relation {symbol.name}") for v in row) for row in rows]
+    for row in rows:
         if len(row) != symbol.arity:
             raise SchemaError(
                 f"row {row!r} has {len(row)} values; {symbol.name} has arity {symbol.arity}"
             )
-    return normalized
+    return frozenset(rows)

@@ -15,7 +15,6 @@ from dbmorph import (
     ComponentFunction,
     FluxKernel,
     FunctionTable,
-    Instance,
     RelAtom,
     RelationSymbol,
     Schema,
@@ -42,7 +41,7 @@ from dbmorph.dsl import parse_mapping, pretty_mapping
 from dbmorph.flux import EQUAL, closure_set, require_shared_endpoints
 from dbmorph.logic import App
 
-from conftest import FIXTURES, arrow_and_interp
+from conftest import FIXTURES, arrow_and_interp, build_instance
 from interp_oracle import cmp
 
 
@@ -104,7 +103,7 @@ def random_saturation_fixture(rng):
         for i in range(1, rng.randint(1, 3) + 1)
     ]
     source_schema = Schema("S", src_syms)
-    source = Instance.build(
+    source = build_instance(
         source_schema,
         {
             sym.name: {
@@ -150,13 +149,13 @@ def random_saturation_fixture(rng):
         for f in sotgd.functions
     }
 
-    probe = TarskiInterpretation(source, Instance.build(target_schema, {}), tables)
+    probe = TarskiInterpretation(source, build_instance(target_schema, {}), tables)
     rows = set()
     for component in alpha_star(probe, arrow).components:
         rows |= component.image()
     for _ in range(rng.randint(0, 3)):  # noise the saturation can reach for
         rows.add(tuple(rng.choice(domain) for _ in range(t_arity)))
-    target = Instance.build(target_schema, {"t1": rows})
+    target = build_instance(target_schema, {"t1": rows})
     return TarskiInterpretation(source, target, tables), arrow
 
 

@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dbmorph import (
     ClosureBounds,
     FluxKernel,
-    Instance,
     NULL,
     NormalizedImplication,
     PreconditionError,
@@ -39,7 +38,7 @@ from dbmorph.model import row_key, value_key
 from dbmorph.project import compile_project_mapping, kernel_to_json
 
 from closure_oracle import closure_set as oracle_closure_set, member_key
-from conftest import arrow_and_interp
+from conftest import arrow_and_interp, build_instance
 
 
 def member(*rows):
@@ -155,8 +154,8 @@ def test_skolem_only_heads_leave_the_kernel_trivial():
         a,
         b,
     )
-    src = Instance.build(a, {"r": []})
-    tgt = Instance.build(b, {})
+    src = build_instance(a, {"r": []})
+    tgt = build_instance(b, {})
     morphism = alpha_star(TarskiInterpretation(src, tgt, {}), arrow)
     # the operation contributes the empty projection, not nothing
     assert flux_kernel(morphism).members == frozenset({BOTTOM_MEMBER, frozenset()})

@@ -18,7 +18,6 @@ from dbmorph import (
     FuncSymbol,
     FunctionTable,
     IncompleteInterpretationError,
-    Instance,
     NULL,
     NormalizedImplication,
     Place,
@@ -41,7 +40,7 @@ from dbmorph.operads import IDENTITY_OP, OperadOperation, build_variable_order
 from dbmorph.project import compile_project_mapping
 
 import interp_oracle
-from conftest import FIXTURES, arrow_and_interp, load_example
+from conftest import FIXTURES, arrow_and_interp, build_instance, load_example
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def test_component_assignment_matches_the_naive_join(case):
     )
     rows = {p.symbol: [tup] for p, tup in zip(op.places, args)}
     target = Schema("B", [RelationSymbol("s", ("c0",))])
-    it = TarskiInterpretation(Instance.build(source, rows), Instance.build(target, {}), {})
+    it = TarskiInterpretation(build_instance(source, rows), build_instance(target, {}), {})
     got = joined_assignments(ComponentFunction(it, op))
     want = naive_component_assignment(op, args)
     assert list(got) == ([] if want is None else [args])
@@ -236,8 +235,8 @@ def test_null_joins_null_but_fails_comparisons():
     )
     (op,) = make_operads([impl], a, b).operations
     it = TarskiInterpretation(
-        Instance.build(a, {"r": [(NULL,)], "r2": [(NULL,)]}),
-        Instance.build(b, {}),
+        build_instance(a, {"r": [(NULL,)], "r2": [(NULL,)]}),
+        build_instance(b, {}),
         {},
     )
     # two NULL place values are syntactically one value, so the join passes
@@ -261,7 +260,7 @@ def test_failed_guard_yields_the_empty_tuple():
     )
     (op,) = make_operads([impl], a, b).operations
     it = TarskiInterpretation(
-        Instance.build(a, {"r": [(5,), (15,)]}), Instance.build(b, {}), {}
+        build_instance(a, {"r": [(5,), (15,)]}), build_instance(b, {}), {}
     )
     comp = ComponentFunction(it, op)
     assert comp.apply(((5,),)) == (5,)
@@ -432,14 +431,14 @@ def join_cases(draw):
     may fail; the head may apply f or hash; f may miss some arguments,
     with or without a default, or have no table; the target may be r_∅."""
     # r3 may be empty
-    source = Instance.build(
+    source = build_instance(
         JOIN_SOURCE,
         {
             sym.name: _rows(draw, sym.arity, min_size=0 if sym.name == "r3" else 1)
             for sym in JOIN_SOURCE.ordinary_symbols()
         },
     )
-    target = Instance.build(JOIN_TARGET, {"t1": _rows(draw, 1), "s": _rows(draw, 2)})
+    target = build_instance(JOIN_TARGET, {"t1": _rows(draw, 1), "s": _rows(draw, 2)})
     domain = draw(st.none() | st.frozensets(st.sampled_from(JOIN_VALUES), max_size=3))
     # without a default, a head that applies f to a missing value raises
     entries = {(v,): v for v in draw(st.sets(st.sampled_from(JOIN_VALUES)))}
@@ -539,7 +538,7 @@ def shape_case(guards, head=(Var("x"),), places=(Place("r2", ("x", "y")),), **ta
     """One operation over r2(x, y), whose rows pair ints, a string and
     NULL, with these guards and head; ``table`` is passed to f's table
     (its default), or is ``{"table": None}`` for no table at all."""
-    source = Instance.build(
+    source = build_instance(
         JOIN_SOURCE,
         {
             "r1": [(0,), (1,), ("a",), (NULL,)],
@@ -548,7 +547,7 @@ def shape_case(guards, head=(Var("x"),), places=(Place("r2", ("x", "y")),), **ta
     )
     entries = {(0,): 1, (1,): 0, ("a",): "a", (NULL,): 0}
     tables = {} if table == {"table": None} else {"f": FunctionTable("f", entries, **table)}
-    it = TarskiInterpretation(source, Instance.build(JOIN_TARGET, {}), tables)
+    it = TarskiInterpretation(source, build_instance(JOIN_TARGET, {}), tables)
     target = "s" if head else EMPTY_NAME
     op = OperadOperation(
         name="q_1",
@@ -624,7 +623,7 @@ def test_the_join_cases_reach_every_skolem_fallback(shape):
 def test_a_join_longer_than_one_generated_function():
     # twenty places go on in a second generated function
     n = 20
-    source = Instance.build(JOIN_SOURCE, {"r1": [(0,)], "r2": [(0, 0), (0, 1), (1, 1)]})
+    source = build_instance(JOIN_SOURCE, {"r1": [(0,)], "r2": [(0, 0), (0, 1), (1, 1)]})
     places = [Place("r2", (f"x{i}", f"x{i + 1}")) for i in range(n)]
     first, last = Var("x0"), Var(f"x{n}")
     op = OperadOperation(
@@ -636,7 +635,7 @@ def test_a_join_longer_than_one_generated_function():
         variable_order=build_variable_order(places),
         rq_name="r_q1",
     )
-    it = TarskiInterpretation(source, Instance.build(JOIN_TARGET, {}), {})
+    it = TarskiInterpretation(source, build_instance(JOIN_TARGET, {}), {})
     program, *_ = _compiled("graph", [p.variables for p in places], op.guards, op.target_terms)
     assert "def graph_1(" in program.source
     graph = ComponentFunction(it, op).graph()
@@ -659,7 +658,7 @@ def test_component_graph_holds_only_the_joined_tuples():
     (op,) = make_operads([impl], a, b).operations
     R = [(x, x % 4) for x in range(40)]
     S = [(z % 5, 100 + z) for z in range(40)]
-    it = TarskiInterpretation(Instance.build(a, {"R": R, "S": S}), Instance.build(b, {}), {})
+    it = TarskiInterpretation(build_instance(a, {"R": R, "S": S}), build_instance(b, {}), {})
     comp = ComponentFunction(it, op)
     hash_join = sum(1 for _, y in R for y2, _ in S if y == y2)
     assert len(comp.graph()) == hash_join < len(R) * len(S)

@@ -6,7 +6,6 @@ import re
 from hypothesis import given, strategies as st
 
 from dbmorph import (
-    Instance,
     NULL,
     RelationSymbol,
     Schema,
@@ -18,6 +17,8 @@ from dbmorph import (
 from dbmorph.dsl import parse_mapping, pretty_mapping
 from dbmorph.irdb import VECTOR_COLUMNS, VECTOR_SYMBOL, VectorTuple
 from dbmorph.logic import App, Const, NotNull, RelAtom, Tgd, Var, hash_symbol
+
+from conftest import build_instance
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_parse_database_ignores_row_multiplicity_across_relations():
     schema = Schema(
         "A", [RelationSymbol("p", ("c1",)), RelationSymbol("q", ("c1",))]
     )
-    inst = Instance.build(schema, {"p": [(7,)], "q": [(7,)]})
+    inst = build_instance(schema, {"p": [(7,)], "q": [(7,)]})
     rows = parse_database(inst).rows("r_V")
     assert rows == frozenset(
         {("p", hash_tuple((7,)), "c1", 7), ("q", hash_tuple((7,)), "c1", 7)}

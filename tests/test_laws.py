@@ -29,11 +29,12 @@ from dbmorph.logic import (
     hash_symbol,
     validate_instance,
 )
-from dbmorph.model import NULL, Instance, RelationSymbol, Schema, sort_rows
+from dbmorph.model import NULL, RelationSymbol, Schema, sort_rows
 from dbmorph.saturation import ExtraFunction
 
 import interp_oracle
 import law_oracle as oracle
+from conftest import build_instance
 from test_saturation import oracle_case, oracle_cases
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def test_satisfies_matches_the_oracle(case, data):
         rows = sort_rows(it.target.rows(name))
         keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
         target[name] = [row for row, kept in zip(rows, keep) if kept]
-    it = TarskiInterpretation(it.source, Instance.build(it.target.schema, target), it.skolem)
+    it = TarskiInterpretation(it.source, build_instance(it.target.schema, target), it.skolem)
     morphism = alpha_star(it, arrow)
     assert satisfies(morphism) == oracle.satisfies(morphism)
 
@@ -176,7 +177,7 @@ def validation_cases(draw):
     # repeats allowed: a constraint listed twice reports each witness once
     constraints = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
     domain = draw(st.frozensets(st.sampled_from((2, "b")), max_size=2))
-    return Instance.build(VALIDATION_SCHEMA, rows), constraints, domain
+    return build_instance(VALIDATION_SCHEMA, rows), constraints, domain
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,7 +187,7 @@ def test_validation_matches_the_oracle(case):
 
 
 def test_the_validation_cases_reach_every_shape():
-    inst = Instance.build(
+    inst = build_instance(
         VALIDATION_SCHEMA,
         {P: [(1,), ("a",)], Q: [(0, 0), (0, NULL), (0, 1), (0, "a"), (1, 1), (NULL, 0)]},
     )
@@ -213,7 +214,7 @@ def test_a_body_function_term_raises_once_a_row_agrees_before_it(row, expected):
     # forall x . P(x, x, hash(x)) -> Q(x): a row raises only when it agrees
     # with the atom at every position before the function term
     schema = Schema("S", [RelationSymbol(P, ("a", "b", "c")), RelationSymbol(Q, ("a",))])
-    inst = Instance.build(schema, {P: [row], Q: []})
+    inst = build_instance(schema, {P: [row], Q: []})
     tgd = Tgd(("x",), (atom(P, x, x, App(hash_symbol(), (x,))),), (atom(Q, x),))
     for validate in (validate_instance, oracle.validate_instance):
         assert outcome(validate, inst, [tgd], ()) == expected
@@ -223,7 +224,7 @@ def test_a_constraint_longer_than_one_generated_function():
     # twenty body atoms and a free variable: the search goes on in a
     # second generated function
     n = 20
-    inst = Instance.build(VALIDATION_SCHEMA, {P: [(0,)], Q: [(0, 0), (0, 1), (1, 1), (1, NULL)]})
+    inst = build_instance(VALIDATION_SCHEMA, {P: [(0,)], Q: [(0, 0), (0, 1), (1, 1), (1, NULL)]})
     body = tuple(atom(Q, Var(f"x{i}"), Var(f"x{i + 1}")) for i in range(n))
     names = tuple(f"x{i}" for i in range(n + 1))
     guard = Comparison(Var("w"), "<", Var(f"x{n}"))
@@ -238,7 +239,7 @@ def test_the_key_egd_sorts_its_relation_twice(monkeypatch):
     # one index per (relation, positions): the first atom reads K whole,
     # the second by x1; sorting K per partial match would take 201 sorts
     k = RelationSymbol("K", ("a", "b"))
-    inst = Instance.build(Schema("S", [k]), {"K": [(i, i) for i in range(200)]})
+    inst = build_instance(Schema("S", [k]), {"K": [(i, i) for i in range(200)]})
     key = Egd(("x", "y", "z"), (atom("K", x, y), atom("K", x, z)), (("y", "z"),))
     sorts = Counter()
     sort_rows = logic.sort_rows
@@ -256,7 +257,7 @@ def test_head_atoms_are_matched_not_tested(monkeypatch):
     # a search of the head's existentials through the domain would test
     # Q(x, y, z) at every pair of domain values
     schema = Schema("S", [RelationSymbol(P, ("a",)), RelationSymbol("Q3", ("a", "b", "c"))])
-    inst = Instance.build(
+    inst = build_instance(
         schema, {P: [(i,) for i in range(30)], "Q3": [(i, i, i) for i in range(0, 30, 2)]}
     )
     head = atom("Q3", x, y, z)
@@ -318,7 +319,7 @@ def subterms(term):
 @given(evaluation_cases())
 def test_term_and_guard_evaluation_match_the_oracle(case):
     term, guard, g = case
-    empty = Instance.build(VALIDATION_SCHEMA, {})
+    empty = build_instance(VALIDATION_SCHEMA, {})
     it = TarskiInterpretation(empty, empty, {})
     # every subterm, so that constants and variables are also met outside
     # hash arguments and comparisons: a head term of a generated join over

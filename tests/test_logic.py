@@ -9,7 +9,6 @@ from dbmorph import (
     Egd,
     FuncKind,
     FuncSymbol,
-    Instance,
     NormalizedImplication,
     NotNull,
     NULL,
@@ -38,7 +37,7 @@ from dbmorph.logic import (
 from dbmorph.irdb import hash_tuple
 
 import interp_oracle
-from conftest import load_example
+from conftest import build_instance, load_example
 
 
 def atom(rel, *names, negated=False):
@@ -321,7 +320,7 @@ def two_rel_schema():
 
 def test_validation_report_ok_when_no_violations():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,)], "q": [(1, 1)]})
+    inst = build_instance(schema, {"p": [(1,)], "q": [(1, 1)]})
     dep = Tgd(("x",), (atom("p", "x"),), (atom("q", "x", "x"),))
     report = validate_instance(inst, [dep])
     assert report.ok
@@ -330,7 +329,7 @@ def test_validation_report_ok_when_no_violations():
 
 def test_tgd_violation_carries_universal_witness():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,), (2,)], "q": [(1, 1)]})
+    inst = build_instance(schema, {"p": [(1,), (2,)], "q": [(1, 1)]})
     dep = Tgd(("x",), (atom("p", "x"),), (atom("q", "x", "x"),))
     report = validate_instance(inst, [dep])
     assert not report.ok
@@ -341,7 +340,7 @@ def test_tgd_violation_carries_universal_witness():
 
 def test_rhs_existential_witnessed_by_any_row():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,)], "q": [(1, 9)]})
+    inst = build_instance(schema, {"p": [(1,)], "q": [(1, 9)]})
     dep = Tgd(
         ("x",), (atom("p", "x"),), (atom("q", "x", "z"),), rhs_exists=("z",)
     )
@@ -350,7 +349,7 @@ def test_rhs_existential_witnessed_by_any_row():
 
 def test_lhs_existential_assignments_collapse_to_one_witness():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"q": [(1, 5), (1, 6)]})
+    inst = build_instance(schema, {"q": [(1, 5), (1, 6)]})
     dep = Tgd(
         ("x",), (atom("q", "x", "w"),), (atom("p", "x"),), lhs_exists=("w",)
     )
@@ -360,7 +359,7 @@ def test_lhs_existential_assignments_collapse_to_one_witness():
 
 def test_egd_violation_per_conflicting_pair():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"q": [(1, 5), (1, 6)]})
+    inst = build_instance(schema, {"q": [(1, 5), (1, 6)]})
     dep = Egd(
         ("x", "y1", "y2"),
         (atom("q", "x", "y1"), atom("q", "x", "y2")),
@@ -374,7 +373,7 @@ def test_egd_violation_per_conflicting_pair():
 
 def test_egd_holds_on_functional_relation():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"q": [(1, 5), (2, 6)]})
+    inst = build_instance(schema, {"q": [(1, 5), (2, 6)]})
     dep = Egd(
         ("x", "y1", "y2"),
         (atom("q", "x", "y1"), atom("q", "x", "y2")),
@@ -385,7 +384,7 @@ def test_egd_holds_on_functional_relation():
 
 def test_null_values_violate_equality_constraints():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"q": [(1, NULL)]})
+    inst = build_instance(schema, {"q": [(1, NULL)]})
     dep = Egd(
         ("x", "y1", "y2"),
         (atom("q", "x", "y1"), atom("q", "x", "y2")),
@@ -397,7 +396,7 @@ def test_null_values_violate_equality_constraints():
 
 def test_negated_atom_and_notnull_in_lhs():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,), (NULL,)], "q": [(1, 1)]})
+    inst = build_instance(schema, {"p": [(1,), (NULL,)], "q": [(1, 1)]})
     dep = Tgd(
         ("x",),
         (atom("p", "x"), NotNull(Var("x")), atom("q", "x", "x", negated=True)),
@@ -414,14 +413,14 @@ def test_schema_constraints_are_the_default():
         [RelationSymbol("p", ("c1",)), RelationSymbol("q", ("c1", "c2"))],
         [dep],
     )
-    inst = Instance.build(schema, {"p": [(3,)]})
+    inst = build_instance(schema, {"p": [(3,)]})
     report = validate_instance(inst)
     assert [v.constraint for v in report.violations] == [dep]
 
 
 def test_constraint_constants_extend_the_domain():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,)]})
+    inst = build_instance(schema, {"p": [(1,)]})
     dep = Tgd(
         ("x",),
         (atom("p", "x"), Comparison(Var("x"), "<", Const(5))),
@@ -433,7 +432,7 @@ def test_constraint_constants_extend_the_domain():
 
 def test_domain_parameter_feeds_unmatched_variables():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,)]})
+    inst = build_instance(schema, {"p": [(1,)]})
     h = hash_tuple((1,))
     dep = Tgd(
         ("x", "b"),
@@ -450,20 +449,20 @@ def test_domain_parameter_feeds_unmatched_variables():
 def test_hash_terms_evaluate_inside_constraints():
     schema = two_rel_schema()
     h = hash_tuple((7,))
-    inst = Instance.build(schema, {"p": [(7,)], "q": [(7, h)]})
+    inst = build_instance(schema, {"p": [(7,)], "q": [(7, h)]})
     dep = Tgd(
         ("x",),
         (atom("p", "x"),),
         (RelAtom("q", (Var("x"), App(hash_symbol(), (Var("x"),)))),),
     )
     assert validate_instance(inst, [dep]).ok
-    bad = Instance.build(schema, {"p": [(7,)], "q": [(7, "0" * 16)]})
+    bad = build_instance(schema, {"p": [(7,)], "q": [(7, "0" * 16)]})
     assert not validate_instance(bad, [dep]).ok
 
 
 def test_skolem_terms_are_rejected_inside_constraints():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,)]})
+    inst = build_instance(schema, {"p": [(1,)]})
     f = FuncSymbol("f1", FuncKind.SKOLEM)
     dep = Tgd(
         ("x",),
@@ -476,7 +475,7 @@ def test_skolem_terms_are_rejected_inside_constraints():
 
 def test_function_patterns_in_lhs_atoms_are_rejected():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"q": [(1, 1)]})
+    inst = build_instance(schema, {"q": [(1, 1)]})
     dep = Egd(
         ("x",),
         (RelAtom("q", (Var("x"), App(hash_symbol(), (Var("x"),)))),),
@@ -488,7 +487,7 @@ def test_function_patterns_in_lhs_atoms_are_rejected():
 
 def test_truth_constants_match_the_integer_one():
     schema = two_rel_schema()
-    inst = Instance.build(schema, {"p": [(1,)], "q": [(1, 2)]})
+    inst = build_instance(schema, {"p": [(1,)], "q": [(1, 2)]})
     dep = Tgd(
         ("y",),
         (RelAtom("p", (Const(1),)), atom("q", "y", "y", negated=True), atom("p", "y")),

@@ -16,7 +16,9 @@ from dbmorph import (
     SchemaError,
     active_domain,
 )
-from dbmorph.model import BOTTOM_ROWS, row_key, sort_rows, value_key
+from dbmorph.model import BOTTOM_ROWS, check_values, row_key, sort_rows, value_key
+
+from conftest import build_instance
 
 
 def test_null_is_none():
@@ -88,8 +90,25 @@ def test_relation_rejects_bools_and_floats():
         Relation(sym, frozenset({(True,)}))
     with pytest.raises(SchemaError):
         Relation(sym, frozenset({(1.5,)}))
-    with pytest.raises(SchemaError, match=r"invalid domain value \[2\]"):
+    with pytest.raises(SchemaError) as err:
         Relation(sym, [(1,), ([2],)])
+    assert str(err.value) == "relation r: [2] is not a domain value"
+
+
+def test_relation_names_its_first_bad_row_in_input_order():
+    # the message must not depend on the order of a set of rows, which
+    # changes with the hash seed
+    sym = RelationSymbol("r", ("a", "b"))
+    narrow = [(f"x{i}",) for i in range(200)]
+    with pytest.raises(SchemaError) as err:
+        Relation(sym, [(0, 0), *narrow, (1, 1, 1)])
+    assert str(err.value) == "row ('x0',) has 1 values; r has arity 2"
+    with pytest.raises(SchemaError) as err:
+        Relation(sym, [(0, 0), *[(i, 1.5 + i) for i in range(200)], (True, 0)])
+    assert str(err.value) == "relation r: floats are not domain values"
+    with pytest.raises(SchemaError) as err:
+        Relation(sym, [(0, 0), *narrow, (1, [2])])
+    assert str(err.value) == "relation r: [2] is not a domain value"
 
 
 def test_relation_reads_a_one_shot_iterator_of_rows_once():
@@ -141,7 +160,7 @@ def test_ordinary_symbols_are_name_sorted():
 
 def test_instance_fills_missing_relations_and_bottom():
     schema = Schema("S", [RelationSymbol("r", ("a",)), RelationSymbol("s", ("a",))])
-    inst = Instance.build(schema, {"r": [(1,)]})
+    inst = build_instance(schema, {"r": [(1,)]})
     assert inst.rows("r") == frozenset({(1,)})
     assert inst.rows("s") == frozenset()
     assert inst.relation(EMPTY_NAME) is BOTTOM
@@ -154,11 +173,11 @@ def test_instance_rejects_foreign_symbols():
     with pytest.raises(SchemaError):
         Instance(schema, {"r": Relation(other, frozenset())})
     with pytest.raises(SchemaError):
-        Instance.build(schema, {"s": [(1,)]})
+        build_instance(schema, {"s": [(1,)]})
 
 
 def test_active_domain_ignores_bottom():
     schema = Schema("S", [RelationSymbol("r", ("a", "b"))])
-    inst = Instance.build(schema, {"r": [(1, "x"), (2, NULL)]})
+    inst = build_instance(schema, {"r": [(1, "x"), (2, NULL)]})
     assert active_domain(inst) == frozenset({1, 2, "x", NULL})
 

@@ -21,7 +21,7 @@ from dbmorph import (
     saturate,
 )
 from dbmorph.dsl import parse_mapping
-from dbmorph.model import Relation, RelationSymbol, Schema, sort_rows
+from dbmorph.model import Relation, RelationSymbol, Schema, check_values, sort_rows
 from dbmorph.project import (
     arrow_to_json,
     canonical_json,
@@ -37,7 +37,6 @@ from dbmorph.project import (
     pfunction_to_json,
     saturation_to_json,
     validation_to_json,
-    value_from_json,
 )
 from dbmorph import project as project_module
 from dbmorph.logic import validate_instance
@@ -49,23 +48,25 @@ from conftest import FIXTURES, arrow_and_interp, load_example
 
 
 # ---------------------------------------------------------------------------
-# values
+# values, by the one rule of ``model.check_values``
 
 
 def test_value_json_round_trip():
-    assert value_from_json(None) is NULL
-    assert json.loads(canonical_json([NULL, 5, "x"])) == [NULL, 5, "x"]
-    assert value_from_json(5) == 5
-    assert value_from_json("x") == "x"
+    row = json.loads('[null, 5, "x"]')
+    assert row == [NULL, 5, "x"]
+    assert check_values([row], "value") == [row]
+    assert json.loads(canonical_json(row)) == row
 
 
 def test_value_from_json_rejects_non_domain_values():
-    with pytest.raises(SchemaError):
-        value_from_json(True)
-    with pytest.raises(SchemaError):
-        value_from_json(1.5)
-    with pytest.raises(SchemaError):
-        value_from_json([1])
+    for value, fault in [
+        (True, "booleans are not domain values"),
+        (1.5, "floats are not domain values"),
+        ([1], "[1] is not a domain value"),
+    ]:
+        with pytest.raises(SchemaError) as err:
+            check_values([[value]], "value")
+        assert str(err.value) == f"value: {fault}"
 
 
 def test_rows_serialize_sorted():
@@ -300,8 +301,30 @@ def test_graph_edges_must_match_mapping_schemas(tmp_path):
         mini_project(graph=[["B", "A", "m"]]),
         {"a.json": MINI_INSTANCE, "m.map": "forall x . p(x) -> s(x)"},
     )
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         load_project(path)
+    assert str(err.value) == f"{path}: graph edge ['B', 'A', 'm'] disagrees with mapping m's schemas"
+
+
+@pytest.mark.parametrize(
+    "key, entry, message",
+    [
+        ("instances", {"a": {"schema": "ZZ", "file": "a.json"}},
+         "instance a: project declares no schema ZZ"),
+        ("mappings", {"m": {"source": "A", "target": "ZZ", "file": "m.map"}},
+         "mapping m: project declares no schema ZZ"),
+        ("graph", [["A", "B", "m"], ["A", "B", "m_zz"]],
+         "graph edge ['A', 'B', 'm_zz']: project declares no mapping m_zz"),
+        ("graph", [["ZZ", "B", "m"]], "graph edge ['ZZ', 'B', 'm']: project declares no schema ZZ"),
+    ],
+)
+def test_undeclared_names_are_located_in_the_project_file(tmp_path, key, entry, message):
+    data = mini_project()
+    data[key] = entry
+    path = write_project(tmp_path, data, {})
+    with pytest.raises(SchemaError) as err:
+        load_project(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_schema_constraints_must_be_first_order(tmp_path):
@@ -396,9 +419,16 @@ def test_interpretation_tables_give_one_value_per_point(tmp_path, example1):
 
 def test_interpretation_unknown_instance(tmp_path, example1):
     path = tmp_path / "interp.json"
-    path.write_text(json.dumps({"source": "zz", "target": "b"}), encoding="utf-8")
-    with pytest.raises(SchemaError):
-        load_interpretation_file(path, example1)
+    for names, message in [
+        ({"source": "zz", "target": "b"}, "'source': project declares no instance zz"),
+        ({"source": "a", "target": "zz"}, "'target': project declares no instance zz"),
+        ({"source": "a", "target": "b", "extras": ["c", "zz"]},
+         "'extras' entry: project declares no instance zz"),
+    ]:
+        path.write_text(json.dumps(names), encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_interpretation_file(path, example1)
+        assert str(err.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -697,11 +727,17 @@ def test_bulk_member_loading_is_the_per_value_loader(data):
 PAIR_FAULTS = [[["e1"]], [["e1"], "o1", "o2"], "pair", None, {"a": 1}]
 
 
+def interpretation_of(entries, default="o9"):
+    return {"source": "a", "target": "b", "skolem": {"f1": {"entries": entries, "default": default}}}
+
+
 @st.composite
 def interpretation_documents(draw):
     """An interpretation of example1 whose skolem entries and domain hold
     up to two faults: args that are no row, a value or an argument that is
-    no domain value, or an entry that is no [args, value] pair."""
+    no domain value, or an entry that is no [args, value] pair; and whose
+    table's default may be no domain value, a fault reported after every
+    fault of the table's entries."""
     pairs = st.tuples(st.lists(plain_values, max_size=2), plain_values).map(list)
     entries = draw(st.lists(pairs, max_size=5))
     for fault in draw(st.lists(st.sampled_from(["args", "value", "pair"]), max_size=2)):
@@ -713,7 +749,7 @@ def interpretation_documents(draw):
             entries[at][0] = [*args, bad] if isinstance(args, list) and bad not in NOT_ROWS else bad
         else:
             entries[at][-1] = draw(st.sampled_from(BAD_VALUES))
-    data = {"source": "a", "target": "b", "skolem": {"f1": {"entries": entries, "default": "o9"}}}
+    data = interpretation_of(entries, draw(st.sampled_from(["o9", *BAD_VALUES])))
     if draw(st.booleans()):
         data["domain"] = draw(planted([draw(st.lists(plain_values, max_size=4))]))[0]
     return data
@@ -725,6 +761,14 @@ def skolem_tables(it):
 
 @settings(max_examples=300, deadline=None)
 @given(interpretation_documents())
+# a conflicting duplicate, then a bad value: the value is reported
+@example(interpretation_of([[["e1"], "o1"], [["e1"], "o2"], [["e2"], 1.5]]))
+# a bad value, then an entry that is no pair: the value is reported
+@example(interpretation_of([[["e1"], "o1"], [["e2"], True], "pair"]))
+# a bad value and bad args in one pair: the value is reported
+@example(interpretation_of([[["e1"], "o1"], [["e2", 1.5], True]]))
+# a conflicting duplicate and a bad default: the duplicate is reported
+@example(interpretation_of([[["e1"], "o1"], [["e1"], "o2"]], default=[1]))
 def test_bulk_interpretation_loading_is_the_per_value_loader(example1, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(tmp, "interp.json", data)

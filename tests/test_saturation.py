@@ -31,7 +31,7 @@ from dbmorph.saturation import _selector
 import law_oracle
 import saturation_oracle as oracle
 from interp_oracle import component_assignment
-from conftest import arrow_and_interp, load_example
+from conftest import arrow_and_interp, build_instance, load_example
 
 CONTACT = (132, "Zoran", "Majkic", "Appia", "0187")
 
@@ -55,8 +55,8 @@ def simple_setup(mapping_text, source_rows, target_rows, skolem=None, target_sym
     )
     arrow = compile_source(mapping_text, a, b)
     it = TarskiInterpretation(
-        Instance.build(a, source_rows),
-        Instance.build(b, target_rows),
+        build_instance(a, source_rows),
+        build_instance(b, target_rows),
         {name: FunctionTable(name, entries) for name, entries in (skolem or {}).items()},
     )
     return arrow, it
