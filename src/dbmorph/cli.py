@@ -38,7 +38,6 @@ from .project import (
     load_member_file,
     load_project,
     morphism_to_json,
-    saturation_to_json,
     validation_to_json,
 )
 from .saturation import derive_pfunction, saturate
@@ -130,8 +129,7 @@ def cmd_eval(args) -> int:
 
 def cmd_saturate(args) -> int:
     project, arrow, it = _arrow_and_interp(args)
-    sat = saturate(it, arrow)
-    _emit(args, saturation_to_json(sat))
+    _emit(args, saturate(it, arrow))
     return 0
 
 

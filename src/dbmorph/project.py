@@ -14,8 +14,13 @@ string.  It also takes a ``PFunction`` and writes the bytes of its
 ``pfunction_to_json``: when the arguments are int rows of one width per
 place and the rows int rows of one width, the graph is written from
 ``PFunction.graph`` with one ``%`` template per argument shape, else
-through the generic writer.  ``kernel_to_json`` reuses the rows
-``FluxKernel`` sorted to order its members.
+through the generic writer.  It takes a ``SaturatedMorphism`` too and
+writes the bytes of its ``saturation_to_json``: when every value of the
+extras' rows and perturbations is an int, the extras are written from
+``SaturatedMorphism.extras`` with one ``%`` template per extra shape (the
+trigger's row widths, the output's width and the perturbation's argument
+widths), else through the generic writer.  ``kernel_to_json`` reuses the
+rows ``FluxKernel`` sorted to order its members.
 
 Rows cross the file boundary unconverted.  NULL is ``None``, so JSON's
 ``null`` loads as NULL, and a payload holds rows as the library does, as
@@ -111,6 +116,16 @@ def _columns(value, where: str) -> tuple:
     return tuple(value)
 
 
+def _located(where: str, make, *args):
+    """``make(*args)``, where a ``SchemaError`` it raises, as for a relation
+    with duplicate columns or, in a schema, with none, is located by
+    ``where``."""
+    try:
+        return make(*args)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def _section(data: dict, key: str, kind: type, where: str):
     """data[key], an empty ``kind`` when absent, checked to be of that kind."""
     return _typed(data.get(key, kind()), kind, f"{where}: '{key}'")
@@ -142,7 +157,7 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
             raise SchemaError(f"{where}: relation {name} needs 'columns' and 'rows'")
         columns = _columns(body["columns"], f"{where}: relation {name}: 'columns'")
         rows = _typed(body["rows"], list, f"{where}: relation {name}: 'rows'")
-        symbol = RelationSymbol(name, columns)
+        symbol = _located(f"{where}: relation {name}", RelationSymbol, name, columns)
         _arrays(rows, f"{where}: {name}")
         try:
             relations[name] = Relation(symbol, rows)
@@ -151,7 +166,8 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
             raise SchemaError(f"{where}: relation {name}: {exc}") from None
 
     if schema is None:
-        schema = Schema(str(data.get("schema", "S")), [rel.symbol for rel in relations.values()])
+        symbols = [rel.symbol for rel in relations.values()]
+        schema = _located(where, Schema, str(data.get("schema", "S")), symbols)
     else:
         if "schema" in data and data["schema"] != schema.name:
             raise SchemaError(
@@ -317,15 +333,15 @@ def load_project(path) -> Project:
     for name, body in sorted(_section(data, "schemas", dict, path).items()):
         where = f"{path}: schema {name}"
         relations = _section(_typed(body, dict, where), "relations", dict, where)
-        symbols = {
-            rel: RelationSymbol(rel, _columns(cols, f"{where}: relation {rel}"))
-            for rel, cols in sorted(relations.items())
-        }
+        symbols = {}
+        for rel, cols in sorted(relations.items()):
+            at = f"{where}: relation {rel}"
+            symbols[rel] = _located(at, RelationSymbol, rel, _columns(cols, at))
         constraints = ()
         if "constraints" in body:
             text = _typed(body["constraints"], str, f"{where}: 'constraints'")
             constraints = _schema_constraints(text, symbols, where)
-        schemas[name] = Schema(name, symbols.values(), constraints)
+        schemas[name] = _located(where, Schema, name, symbols.values(), constraints)
 
     project = Project(domain=tuple(domain), schemas=schemas)
 
@@ -454,9 +470,19 @@ _SCALARS = {
 @lru_cache(maxsize=256)
 def _row_format(width: int, inner: str) -> str:
     """The text of one row of ``width`` ints at item indent ``inner``, as a
-    ``%`` format."""
+    ``%`` format; the empty array for width 0."""
+    if not width:
+        return "[]"
     cell = ",\n" + inner + "  "
     return "[\n" + inner + "  " + cell.join(["%d"] * width) + "\n" + inner + "]"
+
+
+def _list_text(items: list, indent: str) -> str:
+    """The text of a list whose item texts are ``items``, at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def _int_width(rows) -> int:
@@ -526,7 +552,7 @@ def _graph_text(graph: tuple, indent: str) -> "str | None":
         for _, rs in graph
     ]
     values = tuple(chain.from_iterable(chain.from_iterable(args)))
-    return "[\n" + inner + (",\n" + inner).join(entries) % values + "\n" + indent + "]"
+    return _list_text(entries, indent) % values
 
 
 def _write_pfunction(pf: PFunction, indent: str, chunks: list) -> None:
@@ -537,6 +563,68 @@ def _write_pfunction(pf: PFunction, indent: str, chunks: list) -> None:
     payload = pfunction_to_json(pf if graph is None else replace(pf, graph=()))
     if graph is not None:
         payload["graph"] = _Text(graph)
+    _write_json(payload, indent, chunks)
+
+
+@lru_cache(maxsize=256)
+def _extra_format(places: tuple, width: int, demands: tuple, inner: str) -> str:
+    """The text of one saturation extra at item indent ``inner``, as a
+    ``%`` format over its values in text order: the trigger's, whose
+    places are rows of ``places`` ints, the output's, a row of ``width``
+    ints, the encoded operation name and index, then per demand the
+    argument values, a row of ``demands`` ints, the encoded function name
+    and the int value."""
+    key, demand = inner + "  ", inner + "    "
+    entry = (
+        "{\n" + demand + '  "args": %s,\n' + demand + '  "function": %%s,\n'
+        + demand + '  "value": %%d\n' + demand + "}"
+    )
+    return (
+        "{\n" + key + '"args": '
+        + _list_text([_row_format(w, key + "  ") for w in places], key)
+        + ",\n" + key + '"b": ' + _row_format(width, key)
+        + ",\n" + key + '"op": %s,\n' + key + '"opIndex": %d,\n' + key + '"perturbation": '
+        + _list_text([entry % _row_format(w, demand + "  ") for w in demands], key)
+        + "\n" + inner + "}"
+    )
+
+
+def _extras_text(extras: tuple, indent: str) -> "str | None":
+    """The text of the ``extras`` list of ``saturation_to_json`` at indent
+    ``indent`` when every value of a row or a perturbation is exactly an
+    ``int``; None otherwise, as for no extras.  Each extra is an
+    ``_extra_format`` format, chosen by its shape, and the joined formats
+    are filled with every value at once."""
+    if not extras:
+        return None
+    rows = [row for e in extras for row in (*e.trigger, e.output)]
+    rows += [(*args, value) for e in extras for (_, args), value in e.perturbation]
+    if not set(map(type, chain.from_iterable(rows))) <= _INT_CLASS:
+        return None
+    inner = indent + "  "
+    formats, cells = [], []
+    for e in extras:
+        demands = e.perturbation
+        shape = tuple([len(args) for (_, args), _ in demands])
+        formats.append(_extra_format(tuple(map(len, e.trigger)), len(e.output), shape, inner))
+        cells += chain.from_iterable(e.trigger)
+        cells += e.output
+        cells += (_encode_str(e.op_name), e.op_index)
+        for (name, args), value in demands:
+            cells += args
+            cells += (_encode_str(name), value)
+    return _list_text(formats, indent) % tuple(cells)
+
+
+def _write_saturation(sat: SaturatedMorphism, indent: str, chunks: list) -> None:
+    """Append the text of ``saturation_to_json(sat)``.  Extras that
+    ``_extras_text`` writes are written from ``sat.extras``, with no record
+    per extra; any others go through the generic writer."""
+    extras = _extras_text(sat.extras, indent + "  ")
+    payload = saturation_to_json(sat if extras is None else replace(sat, extras=()))
+    if extras is not None:
+        payload["extras"] = _Text(extras)
+        payload["counts"]["extras"] = len(sat.extras)
     _write_json(payload, indent, chunks)
 
 
@@ -574,7 +662,7 @@ def _write_json(value, indent: str, chunks: list) -> None:
         elif value[0].__class__ in _ROW_CLASSES and value[0] and value[0][0].__class__ is int:
             rows = _int_rows(value, inner)
             if rows is not None:  # a list of int rows is one format per row
-                chunks.append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]")
+                chunks.append(_list_text(rows, indent))
                 return
         sep = "[\n" + inner
         for item in value:
@@ -588,6 +676,8 @@ def _write_json(value, indent: str, chunks: list) -> None:
         chunks.append(int.__repr__(value))
     elif isinstance(value, PFunction):
         _write_pfunction(value, indent, chunks)
+    elif isinstance(value, SaturatedMorphism):
+        _write_saturation(value, indent, chunks)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 

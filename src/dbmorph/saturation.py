@@ -8,12 +8,15 @@ arguments, alternative row) pair; each extra agrees with the base
 component everywhere else.  Operations whose heads contain no skolem
 symbol contribute nothing: built-ins and constants cannot be reassigned.
 
-The alternative rows come from the target relation indexed by the
-produced row's values at the simple-variable head positions.  An extra's
-skolem demands, the argument tuples of the skolem head terms, come from a
-function generated from the operation's shape (``logic._compiled``), run
-on the trigger only when it has an alternative row: the join guard holds,
-so each variable's first occurrence gives its value.
+The alternative rows come from the target relation grouped by its values
+at the simple-variable head positions.  Only the groups of two or more rows
+are kept, each sorted once: a produced row lies in its own group, so these
+are the keys that hold an alternative row, and any other trigger costs one
+dict lookup.  An extra's skolem demands, the argument tuples of the skolem
+head terms, come from a function generated from the operation's shape
+(``logic._compiled``), run on the trigger only when it has an alternative
+row: the join guard holds, so each variable's first occurrence gives its
+value.
 
 The extras never change the information flux (they agree with the base on
 all simple-variable positions), so the saturated morphism equals the base
@@ -60,13 +63,15 @@ def _head_skolems(op: OperadOperation) -> frozenset:
 
 
 def _selector(it: TarskiInterpretation, op: OperadOperation):
-    """Index the target relation once by its values at the simple-variable
-    head positions; the returned lookup gives, for a produced row, the rows
-    agreeing with it there, sorted."""
+    """The key of a row at the simple-variable head positions, and the
+    target relation's rows grouped by it, keeping only the groups of two or
+    more rows, each sorted.  Under the satisfaction precondition a produced
+    row lies in its own group, so a kept group is exactly one that holds an
+    alternative row; a trigger whose key is not kept needs one lookup."""
     positions = [j - 1 for j in sorted(simple_var_positions(op))]
-    index = group_rows(sort_rows(it.target.rows(op.target)), positions)
-    key = _key_getter(positions)
-    return lambda row: index.get(key(row), ())
+    groups = group_rows(it.target.rows(op.target), positions)
+    kept = {key: sort_rows(rows) for key, rows in groups.items() if len(rows) > 1}
+    return _key_getter(positions), kept
 
 
 def _demands(it: TarskiInterpretation, op: OperadOperation):
@@ -141,9 +146,11 @@ def _candidate_extra(
         else:
             reason = f"head position {j} is not a skolem term and cannot be reassigned"
         return SkippedCandidate(op_index, op.name, trigger, candidate, reason)
-    perturbation = tuple(
-        sorted(demands.items(), key=lambda item: (item[0][0], row_key(item[0][1])))
-    )
+    perturbation = tuple(demands.items())
+    if len(perturbation) > 1:
+        perturbation = tuple(
+            sorted(perturbation, key=lambda item: (item[0][0], row_key(item[0][1])))
+        )
     return ExtraFunction(
         component=component,
         op_index=op_index,
@@ -198,17 +205,18 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
         op = component.op
         if not _head_skolems(op):
             continue
-        select, (names, demand) = _selector(it, op), _demands(it, op)
+        key, alternatives = _selector(it, op)
+        if not alternatives:
+            continue
+        names, demand = _demands(it, op)
         for trigger, produced in component.graph().items():
-            if produced == ():
+            rows = produced and alternatives.get(key(produced))
+            if not rows:  # a failed join guard, or no alternative row
                 continue
-            wants = None
-            for candidate in select(produced):
+            wants = demand(trigger)
+            for candidate in rows:
                 if candidate == produced:
                     continue
-                if wants is None:
-                    # the trigger's demands, computed once a candidate needs them
-                    wants = demand(trigger)
                 built = _candidate_extra(
                     component, op_index, names, wants, trigger, produced, candidate
                 )

@@ -17,6 +17,9 @@ invocation the exit code and the sha256 of stdout and of stderr in
 - the same set for ``skips``, whose ``saturate`` record pins the
   ``skipped`` block: candidates skipped for both reasons, with NULL in a
   trigger and in a candidate row;
+- the same set for ``ints``, whose values are all ints, so that its
+  ``saturate`` extras and ``pfunction`` graphs are written from their
+  ``%`` templates;
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
   and 3, fixpoint searches that cannot find a foreign, a too-wide or a
   NULL-bearing probe, a cap hit in each bounds regime, and the caps just
@@ -42,7 +45,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
-EXAMPLES = ("example1", "example3", "example4", "example5", "join", "skips")
+EXAMPLES = ("example1", "example3", "example4", "example5", "join", "skips", "ints")
 PFUNCTION_OPS = range(13)
 # (mapping, interpretation, member file, --bounds or None), all of example1
 FLUX_MEMBERS = (

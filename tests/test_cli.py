@@ -631,6 +631,36 @@ def test_unknown_mapping_exits_three(capsys):
     assert code == 3 and "zzz" in err
 
 
+@pytest.mark.parametrize(
+    "schema_columns, instance_columns, message",
+    [
+        # an instance file whose relation repeats a column
+        (["c1"], ["c1", "c1"], "a.json: relation p: duplicate column names in p: ('c1', 'c1')"),
+        # a schema relation that repeats a column
+        (["c1", "c1"], ["c1"],
+         "project.json: schema A: relation p: duplicate column names in p: ('c1', 'c1')"),
+        # a schema relation with no columns
+        ([], [], "project.json: schema A: ordinary symbol p must have arity >= 1"),
+    ],
+    ids=["instance-duplicate", "schema-duplicate", "schema-no-columns"],
+)
+def test_relation_symbol_faults_name_their_file(
+    capsys, tmp_path, schema_columns, instance_columns, message
+):
+    project = {
+        "schemas": {"A": {"relations": {"p": schema_columns}}},
+        "instances": {"a": {"schema": "A", "file": "a.json"}},
+    }
+    instance = {"schema": "A", "relations": {"p": {"columns": instance_columns, "rows": []}}}
+    (tmp_path / "project.json").write_text(json.dumps(project), encoding="utf-8")
+    (tmp_path / "a.json").write_text(json.dumps(instance), encoding="utf-8")
+    code, out, err = run(
+        capsys, "parse", "--project", str(tmp_path / "project.json"), "--instance", "a"
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {tmp_path}/{message}\n"
+
+
 def test_unknown_subcommand_exits_three(capsys):
     assert main(["frobnicate"]) == 3
     capsys.readouterr()

@@ -62,9 +62,8 @@ def test_satisfies_matches_the_oracle(case, data):
 
 def _select_every_row(it, op):
     """A wrong selector: every target row, whatever the simple-variable
-    positions hold."""
-    rows = sort_rows(it.target.rows(op.target))
-    return lambda produced: rows
+    positions hold, in one group under one key."""
+    return lambda produced: (), {(): sort_rows(it.target.rows(op.target))}
 
 
 def _accept_every_candidate(component, op_index, heads, g, trigger, produced, candidate):

@@ -4,6 +4,7 @@ import json
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +41,7 @@ from dbmorph.project import (
 )
 from dbmorph import project as project_module
 from dbmorph.logic import validate_instance
-from dbmorph.saturation import PFunction
+from dbmorph.saturation import ExtraFunction, PFunction, SaturatedMorphism, SkippedCandidate
 
 import project_oracle
 from cli_golden import EXAMPLES
@@ -626,6 +627,79 @@ def test_the_fixture_pfunctions_are_written_from_their_graphs():
                     pf = derive_pfunction(sat, k)
                     assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
                     written.append(project_module._graph_text(pf.graph, "  ") is not None)
+    # both the templates and the generic writer are taken
+    assert any(written) and not all(written)
+
+
+@st.composite
+def saturations(draw):
+    """Saturated morphisms of every shape the writer meets.  Half of them
+    have int values in every row and perturbation, the payloads the
+    templates write; the others may hold near misses: string, NULL or
+    boolean values.  Triggers have up to three places of width 0 to 3,
+    outputs width 0 to 3, and perturbations up to two demands, whose
+    arguments may be empty; there may be no extras and there may be
+    skips.  Only the fields that ``saturation_to_json`` reads are set."""
+    values = int_values if draw(st.booleans()) else near_values
+    texts = st.text(max_size=3)
+    rows = st.integers(0, 3).flatmap(lambda w: st.tuples(*[values] * w))
+    triggers = st.lists(rows, max_size=3).map(tuple)
+    demand = st.tuples(st.tuples(texts, rows), values)
+    extras = st.lists(
+        st.builds(
+            ExtraFunction,
+            component=st.none(),
+            op_index=st.integers(1, 12),
+            op_name=texts,
+            trigger=triggers,
+            output=rows,
+            perturbation=st.lists(demand, max_size=2).map(tuple),
+        ),
+        max_size=6,
+    )
+    skipped = st.lists(
+        st.builds(SkippedCandidate, st.integers(1, 12), texts, triggers, rows, texts), max_size=3
+    )
+    base = SimpleNamespace(arrow=SimpleNamespace(name=draw(texts)))
+    return SaturatedMorphism(base, tuple(draw(extras)), tuple(draw(skipped)))
+
+
+def saturation_of(*extras, skipped=()):
+    return SaturatedMorphism(SimpleNamespace(arrow=SimpleNamespace(name="m")), extras, skipped)
+
+
+def extra_of(trigger, output, *perturbation):
+    return ExtraFunction(None, 1, "q_1", trigger, output, perturbation)
+
+
+@settings(max_examples=400, deadline=None)
+@given(saturations())
+@example(saturation_of())  # no extras
+@example(saturation_of(extra_of(((1, 2), (3,)), (1, 4), (("f", (1,)), 4), (("g", (3, 2)), 5))))
+@example(saturation_of(extra_of(((), (1,)), (), (("f", ()), 1))))  # rows of width 0
+@example(saturation_of(extra_of(((1,),), (1, "%d"), (("f", (1,)), "%d"))))
+@example(saturation_of(ExtraFunction(None, 1, "%d", ((1,),), (1,), ((("%s", (1,)), 2),))))
+@example(saturation_of(extra_of(((1,),), (1, 2), (("f", (1,)), None))))  # a NULL value
+@example(saturation_of(extra_of(((True,),), (1,)), skipped=(SkippedCandidate(1, "q", ((1,),), (2,), "r"),)))
+def test_a_saturation_is_written_as_its_plain_data(sat):
+    """The CLI writes a saturation by ``canonical_json(sat)`` (``cli._emit``):
+    the bytes ``json.dumps`` writes of ``saturation_to_json(sat)``."""
+    assert canonical_json(sat) == plain_dumps(saturation_to_json(sat))
+
+
+def test_the_fixture_saturations_are_written_from_their_extras():
+    written = []
+    for example in EXAMPLES:
+        project = load_example(example)
+        for mapping in project.mappings:
+            arrow = compile_project_mapping(project, mapping)
+            for path in sorted((FIXTURES / example).glob("interp*.json")):
+                try:
+                    sat = saturate(load_interpretation_file(path, project), arrow)
+                except DbmorphError:
+                    continue
+                assert canonical_json(sat) == plain_dumps(saturation_to_json(sat))
+                written.append(project_module._extras_text(sat.extras, "  ") is not None)
     # both the templates and the generic writer are taken
     assert any(written) and not all(written)
 

@@ -5,7 +5,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dbmorph import (
     FluxKernel,
@@ -25,7 +25,7 @@ from dbmorph import (
     saturate,
 )
 from dbmorph.flux import EQUAL, UNEQUAL, flux_positions
-from dbmorph.model import NULL
+from dbmorph.model import NULL, row_key
 from dbmorph.saturation import _selector
 
 import law_oracle
@@ -66,11 +66,19 @@ def simple_setup(mapping_text, source_rows, target_rows, skolem=None, target_sym
 # selections
 
 
+def selection(it, op, produced):
+    """The sorted target rows that agree with ``produced`` at the
+    simple-variable head positions when there are two or more of them, the
+    produced row among them; None when it has no alternative."""
+    key, kept = _selector(it, op)
+    return kept.get(key(produced))
+
+
 def test_extension_relation_drops_the_produced_row(hobby):
     arrow, it, sat = hobby
     op = arrow.operations[0]
     produced = sat.base.component(op.name).apply((CONTACT,))
-    full = list(_selector(it, op)(produced))
+    full = selection(it, op, produced)
     assert full == [(132, "art"), (132, "music"), (132, "photography"), (132, "travel")]
     assert frozenset(full) - {produced} == frozenset(
         {(132, "music"), (132, "photography"), (132, "travel")}
@@ -81,8 +89,32 @@ def test_selection_agrees_on_every_simple_position(example1):
     arrow, it = arrow_and_interp(example1, "example1", "m_bc", "interp_bc.json")
     op = arrow.operations[0]
     produced = alpha_star(it, arrow).component(op.name).apply((("e1",), ("e1",)))
-    # only (e1, o1) matches e1 at the first position
-    assert frozenset(_selector(it, op)(produced)) == frozenset({("e1", "o1")})
+    assert produced == ("e1", "o1")
+    # only (e1, o1) matches e1 at the first position: it has no alternative
+    assert it.target.rows("Office") == frozenset({("e1", "o1"), ("e3", "o2")})
+    assert selection(it, op, produced) is None
+    # one more row at e1 makes a group of two, sorted
+    widened = TarskiInterpretation(
+        it.source,
+        build_instance(it.target.schema, {"Office": [("e3", "o2"), ("e1", "o1"), ("e1", "o0")]}),
+        it.skolem,
+        it.extras,
+    )
+    assert selection(widened, op, produced) == [("e1", "o0"), ("e1", "o1")]
+    assert selection(widened, op, ("e3", "o2")) is None
+
+
+def test_only_groups_with_an_alternative_are_kept():
+    arrow, it = simple_setup(
+        "exists f1 . forall x, y . r2(x, y) -> s2(x, f1(x))",
+        {"r2": [(1, 1)]},
+        {"s2": [(1, "a"), (1, 2), (1, NULL), (2, "a"), ("b", 3)]},
+        skolem={"f1": {(1,): "a"}},
+    )
+    key, kept = _selector(it, arrow.operations[0])
+    # value_key order: NULL, then ints, then strings
+    assert kept == {(1,): [(1, NULL), (1, 2), (1, "a")]}
+    assert key((1, "a")) == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +158,10 @@ def test_saturation_counts_match_the_extension_relations(hobby):
     total = 0
     for op in arrow.operations:
         comp = sat.base.component(op.name)
-        select = _selector(it, op)
         for trigger, produced in comp.graph().items():
             if produced == ():
                 continue
-            total += len(frozenset(select(produced)) - {produced})
+            total += len(frozenset(selection(it, op, produced) or ()) - {produced})
     assert len(sat.extras) + len(sat.skipped) == total
 
 
@@ -176,6 +207,20 @@ def test_perturbations_order_mixed_arguments_by_value_key():
     )
     (extra,) = saturate(it, arrow).extras
     assert extra.perturbation == ((("f1", (1,)), "p2"), (("f1", ("a",)), "q2"))
+
+
+def test_perturbations_are_sorted_whatever_the_head_order():
+    # the head demands f2 before f1, and f1 at ("a",) before f1 at (1,)
+    arrow, it = simple_setup(
+        "exists f1, f2 . forall x, y . r2(x, y) -> s3(f2(x), f1(y), f1(x))",
+        {"r2": [(1, "a")]},
+        {"s3": [("u", "q", "p"), ("u2", "q2", "p2")]},
+        skolem={"f1": {(1,): "p", ("a",): "q"}, "f2": {(1,): "u"}},
+    )
+    (extra,) = saturate(it, arrow).extras
+    assert extra.perturbation == (
+        (("f1", (1,)), "p2"), (("f1", ("a",)), "q2"), (("f2", (1,)), "u2")
+    )
 
 
 def test_constant_positions_cannot_be_reassigned():
@@ -426,16 +471,31 @@ def assert_saturation_matches_the_oracle(arrow, it):
     for op_index in range(1, len(arrow.operations) + 1):
         assert derive_pfunction(sat, op_index) == oracle.derive_pfunction(expected, op_index)
     for component in sat.base.components:
-        select = _selector(it, component.op)
+        key, kept = _selector(it, component.op)
         for trigger, produced in component.graph().items():
             if produced != ():
                 g = component_assignment(component.op, trigger)
-                assert frozenset(select(produced)) == oracle._selection_rows(it, component.op, g)
+                rows = oracle._selection_rows(it, component.op, g)
+                # the rows in value_key order when they hold an alternative
+                want = sorted(rows, key=row_key) if len(rows) > 1 else None
+                assert kept.get(key(produced)) == want
     return sat
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_cases())
+# one group whose rows mix ints, strings and NULL: (0, "a") and its
+# alternatives (0, NULL) and (0, 1), sorted by value_key
+@example(oracle_case([0], {"r2": [(0, 1)]}, {"f1": ["a"] * 4}, {"s2": [(0, 1), (0, NULL)]}))
+# every group a single row: no extras, and nothing to sort
+@example(
+    oracle_case(
+        [0, 3],
+        {"r2": [(0, 1), (1, 1)]},
+        {"f1": ["a"] * 4, "f4": [0] * 16},
+        {"s2": [("a", 0)], "s3": [(0, 1, 0)]},
+    )
+)
 def test_saturation_matches_the_scan_oracle(case):
     _, arrow, it = case
     assert_saturation_matches_the_oracle(arrow, it)
