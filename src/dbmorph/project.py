@@ -10,17 +10,16 @@ environment-dependent content, so two runs over the same inputs produce
 byte-identical files.  ``canonical_json`` writes the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
 with its own emitter, which writes a list of scalars, such as a row, as one
-string.  It also takes a ``PFunction`` and writes the bytes of its
-``pfunction_to_json``: when the arguments are int rows of one width per
-place and the rows int rows of one width, the graph is written from
-``PFunction.graph`` with one ``%`` template per argument shape, else
-through the generic writer.  It takes a ``SaturatedMorphism`` too and
-writes the bytes of its ``saturation_to_json``: when every value of the
-extras' rows and perturbations is an int, the extras are written from
-``SaturatedMorphism.extras`` with one ``%`` template per extra shape (the
-trigger's row widths, the output's width and the perturbation's argument
-widths), else through the generic writer.  ``kernel_to_json`` reuses the
-rows ``FluxKernel`` sorted to order its members.
+string.  Given a ``PFunction`` or a ``SaturatedMorphism`` it writes the
+bytes of its ``pfunction_to_json`` or ``saturation_to_json``: a graph whose
+arguments and rows are int rows of one width per place, or extras whose
+rows and perturbations hold only ints, are written from the object with one
+``%`` template per entry shape, else through the generic writer.  A
+template is the text the emitter writes of a skeleton whose scalars are
+placeholders, so the layout is stated once.  ``kernel_to_json`` reuses the
+rows ``FluxKernel`` sorted to order its members.  A DSL or compile fault in
+a mapping file names the file; one in a schema's constraints names the
+project file and the schema.
 
 Rows cross the file boundary unconverted.  NULL is ``None``, so JSON's
 ``null`` loads as NULL, and a payload holds rows as the library does, as
@@ -41,7 +40,7 @@ from itertools import chain
 from pathlib import Path
 
 from .dsl import parse_mapping, pretty_literal, pretty_mapping, pretty_term
-from .errors import ParseError, SchemaError
+from .errors import DbmorphError, ParseError, SchemaError
 from .flux import FluxKernel
 from .interp import FunctionTable, InstanceMorphism, SatisfactionReport, TarskiInterpretation
 from .logic import RelAtom, SOtgd, ValidationReport
@@ -117,13 +116,14 @@ def _columns(value, where: str) -> tuple:
 
 
 def _located(where: str, make, *args):
-    """``make(*args)``, where a ``SchemaError`` it raises, as for a relation
-    with duplicate columns or, in a schema, with none, is located by
-    ``where``."""
+    """``make(*args)``, where an input error it raises, as a relation with
+    duplicate columns or a DSL fault in a mapping file, is located by
+    ``where`` in front of its message; its class and attributes stay."""
     try:
         return make(*args)
-    except SchemaError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    except DbmorphError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _section(data: dict, key: str, kind: type, where: str):
@@ -264,31 +264,25 @@ class Project:
     _read: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def schema(self, name: str) -> Schema:
-        return self._declared("schema", self.schemas, name)
+        return _named(self.schemas, "schema", name)
 
     def instance(self, name: str) -> Instance:
-        entry = self._declared("instance", self.instances, name)
+        entry = _named(self.instances, "instance", name)
         if ("instance", name) not in self._read:
             self._read["instance", name] = load_instance_file(*entry)
         return self._read["instance", name]
 
     def mapping(self, name: str) -> MappingSource:
-        path, source, target = self._declared("mapping", self.mappings, name)
+        path, source, target = _named(self.mappings, "mapping", name)
         if ("mapping", name) not in self._read:
             self._read["mapping", name] = MappingSource(name, source, target, _read_text(path))
         return self._read["mapping", name]
-
-    @staticmethod
-    def _declared(kind: str, entries: dict, name: str):
-        if name not in entries:
-            raise SchemaError(f"project declares no {kind} {name}")
-        return entries[name]
 
 
 def _schema_constraints(text: str, symbols: dict, where: str):
     """The schema's dependencies; each relational atom, negated or not, in
     either side, must name a relation of the schema with its arity."""
-    parsed = parse_mapping(text)
+    parsed = _located(f"{where}: constraints", parse_mapping, text)
     if isinstance(parsed, SOtgd):
         raise SchemaError(f"{where}: constraints must be plain dependencies")
     for dep in parsed:
@@ -314,11 +308,12 @@ def _entry_field(body, key: str, where: str) -> str:
     return _typed(body[key], str, f"{where}: '{key}'")
 
 
-def _named(entries: dict, kind: str, name: str, where: str):
+def _named(entries: dict, kind: str, name: str, where: str = ""):
     """``entries[name]``; a ``kind`` that the project does not declare is an
-    input error located by ``where``."""
+    input error, located by ``where`` when it is given."""
     if name not in entries:
-        raise SchemaError(f"{where}: project declares no {kind} {name}")
+        fault = f"project declares no {kind} {name}"
+        raise SchemaError(f"{where}: {fault}" if where else fault)
     return entries[name]
 
 
@@ -376,9 +371,8 @@ def load_project(path) -> Project:
 
 def compile_project_mapping(project: Project, name: str) -> OperadArrow:
     ms = project.mapping(name)
-    return compile_source(
-        ms.text, project.schema(ms.source), project.schema(ms.target), name=name
-    )
+    source, target = project.schema(ms.source), project.schema(ms.target)
+    return _located(str(project.mappings[name][0]), compile_source, ms.text, source, target, name)
 
 
 def _skolem_entries(pairs: list, where: str) -> dict:
@@ -466,15 +460,37 @@ _SCALARS = {
     _Text: str.__str__,
 }
 
+# the scalars of a template: an int, an encoded string, and a hole, where
+# text is cut or put in; no value writes a hole, as JSON escapes a NUL
+_INT, _STR, _HOLE = _Text("%d"), _Text("%s"), _Text("\0")
+
+
+def _template(skeleton, indent: str) -> str:
+    """The text that ``_write_json`` writes for ``skeleton`` at ``indent``:
+    a ``%`` format when its scalars are ``_INT`` and ``_STR``."""
+    chunks: list = []
+    _write_json(skeleton, indent, chunks)
+    return "".join(chunks)
+
 
 @lru_cache(maxsize=256)
-def _row_format(width: int, inner: str) -> str:
-    """The text of one row of ``width`` ints at item indent ``inner``, as a
-    ``%`` format; the empty array for width 0."""
-    if not width:
-        return "[]"
-    cell = ",\n" + inner + "  "
-    return "[\n" + inner + "  " + cell.join(["%d"] * width) + "\n" + inner + "]"
+def _row_format(width: int, indent: str) -> str:
+    """The text of a row of ``width`` ints at ``indent``, as a ``%`` format."""
+    return _template([_INT] * width, indent)
+
+
+@lru_cache(maxsize=256)
+def _item_layout(indent: str) -> tuple:
+    """The text before, between and after the items of a list under a key
+    of a payload written at ``indent``, such as a p-function's graph."""
+    return tuple(_template({"": [_HOLE, _HOLE]}, indent).split(_HOLE))
+
+
+def _item_template(skeleton, indent: str) -> str:
+    """The text of ``skeleton`` as an item of a list under a key of a
+    payload written at ``indent``."""
+    before, _, after = _item_layout(indent)
+    return _template({"": [skeleton]}, indent).removeprefix(before).removesuffix(after)
 
 
 def _list_text(items: list, indent: str) -> str:
@@ -482,7 +498,8 @@ def _list_text(items: list, indent: str) -> str:
     if not items:
         return "[]"
     inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    sep = ",\n" + inner
+    return f"[\n{inner}{sep.join(items)}\n{indent}]"
 
 
 def _int_width(rows) -> int:
@@ -503,39 +520,30 @@ def _int_width(rows) -> int:
     return 0
 
 
-def _int_rows(value, inner: str) -> "list | None":
-    """The text of each row of ``value``, at item indent ``inner``, when
-    ``_int_width`` gives its width; None otherwise."""
-    width = _int_width(value)
-    if not width:
-        return None
-    row = _row_format(width, inner)
-    return [row % tuple(r) for r in value]
-
-
 @lru_cache(maxsize=256)
-def _entry_formats(widths: tuple, inner: str) -> tuple:
-    """The text of one p-function graph entry at item indent ``inner``,
-    whose arguments are rows of ``widths`` ints, as ``%`` formats over its
-    argument values: the whole entry when it has no rows, and the text
-    before its first row and after its last, rows that sit at item indent
-    ``inner`` and four spaces more."""
-    key = inner + "  "
-    args = (",\n" + key + "  ").join([_row_format(w, key + "  ") for w in widths])
-    opened = "{\n" + key + '"args": [\n' + key + "  " + args
-    opened += "\n" + key + '],\n' + key + '"rows": '
-    closed = "\n" + inner + "}"
-    return opened + "[]" + closed, opened + "[\n" + key + "  ", "\n" + key + "]" + closed
+def _entry_formats(widths: tuple, width: int, indent: str) -> tuple:
+    """The text of one graph entry of a p-function written at ``indent``,
+    whose arguments are rows of ``widths`` ints and whose rows are rows of
+    ``width`` ints, as ``%`` formats: the whole entry when it has no rows,
+    over its argument values; the text before its first row, over the
+    same; and the text of one row, between two rows and after the last."""
+    args = [[_INT] * w for w in widths]
+    empty, cut, one = (
+        _item_template({"args": args, "rows": rows}, indent)
+        for rows in ([], [_HOLE, _HOLE], [[_INT] * width])
+    )
+    before, between, after = cut.split(_HOLE)
+    return empty, before, one.removeprefix(before).removesuffix(after), between, after
 
 
 def _graph_text(graph: tuple, indent: str) -> "str | None":
-    """The text of a p-function graph at indent ``indent`` when its
-    argument tuples are lists or tuples of one count of places, each place
-    holding ``_int_width`` rows, and all the rows of its row sets are
-    ``_int_width`` rows; None otherwise, as for an empty graph or a place
-    of width 0.  Each entry is an ``_entry_formats`` format, with one
-    ``_row_format`` text per sorted row, and the joined entries are filled
-    with every argument value at once."""
+    """The text of the entries of the graph of a p-function written at
+    ``indent`` when its argument tuples are lists or tuples of one count
+    of places, each place holding ``_int_width`` rows, and all the rows of
+    its row sets are ``_int_width`` rows; None otherwise, as for an empty
+    graph or a place of width 0.  Each entry is an ``_entry_formats``
+    format, with one row text per sorted row, and the joined entries are
+    filled with every argument value at once."""
     args = [a for a, _ in graph]
     widths = ()
     if args and set(map(type, args)) <= _ROW_CLASSES and len(set(map(len, args))) == 1:
@@ -544,55 +552,46 @@ def _graph_text(graph: tuple, indent: str) -> "str | None":
     width = _int_width(rows) if rows else 0
     if not widths or not all(widths) or (rows and not width):
         return None
-    inner = indent + "  "
-    empty, before, after = _entry_formats(widths, inner)
-    row, sep = _row_format(width, inner + "    "), ",\n" + inner + "    "
+    empty, before, row, between, after = _entry_formats(widths, width, indent)
     entries = [
-        before + sep.join([row % tuple(r) for r in sorted(rs)]) + after if rs else empty
+        before + between.join([row % tuple(r) for r in sorted(rs)]) + after if rs else empty
         for _, rs in graph
     ]
     values = tuple(chain.from_iterable(chain.from_iterable(args)))
-    return _list_text(entries, indent) % values
+    return _item_layout(indent)[1].join(entries) % values
 
 
 def _write_pfunction(pf: PFunction, indent: str, chunks: list) -> None:
     """Append the text of ``pfunction_to_json(pf)``.  A graph that
     ``_graph_text`` writes is written from ``pf.graph``, with no record
-    per entry; any other goes through the generic writer."""
-    graph = _graph_text(pf.graph, indent + "  ")
-    payload = pfunction_to_json(pf if graph is None else replace(pf, graph=()))
-    if graph is not None:
-        payload["graph"] = _Text(graph)
-    _write_json(payload, indent, chunks)
+    per entry, at a ``_HOLE``; any other goes through the generic writer."""
+    graph = _graph_text(pf.graph, indent)
+    if graph is None:
+        _write_json(pfunction_to_json(pf), indent, chunks)
+    else:
+        payload = {**pfunction_to_json(replace(pf, graph=())), "graph": [_HOLE]}
+        chunks.append(_template(payload, indent).replace(_HOLE, graph))
 
 
 @lru_cache(maxsize=256)
-def _extra_format(places: tuple, width: int, demands: tuple, inner: str) -> str:
-    """The text of one saturation extra at item indent ``inner``, as a
+def _extra_format(places: tuple, width: int, demands: tuple, indent: str) -> str:
+    """The text of one extra of a saturation written at ``indent``, as a
     ``%`` format over its values in text order: the trigger's, whose
     places are rows of ``places`` ints, the output's, a row of ``width``
     ints, the encoded operation name and index, then per demand the
     argument values, a row of ``demands`` ints, the encoded function name
     and the int value."""
-    key, demand = inner + "  ", inner + "    "
-    entry = (
-        "{\n" + demand + '  "args": %s,\n' + demand + '  "function": %%s,\n'
-        + demand + '  "value": %%d\n' + demand + "}"
-    )
-    return (
-        "{\n" + key + '"args": '
-        + _list_text([_row_format(w, key + "  ") for w in places], key)
-        + ",\n" + key + '"b": ' + _row_format(width, key)
-        + ",\n" + key + '"op": %s,\n' + key + '"opIndex": %d,\n' + key + '"perturbation": '
-        + _list_text([entry % _row_format(w, demand + "  ") for w in demands], key)
-        + "\n" + inner + "}"
+    return _item_template(
+        {"args": [[_INT] * w for w in places], "b": [_INT] * width, "op": _STR, "opIndex": _INT,
+         "perturbation": [{"args": [_INT] * w, "function": _STR, "value": _INT} for w in demands]},
+        indent,
     )
 
 
 def _extras_text(extras: tuple, indent: str) -> "str | None":
-    """The text of the ``extras`` list of ``saturation_to_json`` at indent
-    ``indent`` when every value of a row or a perturbation is exactly an
-    ``int``; None otherwise, as for no extras.  Each extra is an
+    """The text of the items of the ``extras`` list of a saturation
+    written at ``indent`` when every value of a row or a perturbation is
+    exactly an ``int``; None otherwise, as for no extras.  Each extra is an
     ``_extra_format`` format, chosen by its shape, and the joined formats
     are filled with every value at once."""
     if not extras:
@@ -601,31 +600,31 @@ def _extras_text(extras: tuple, indent: str) -> "str | None":
     rows += [(*args, value) for e in extras for (_, args), value in e.perturbation]
     if not set(map(type, chain.from_iterable(rows))) <= _INT_CLASS:
         return None
-    inner = indent + "  "
     formats, cells = [], []
     for e in extras:
         demands = e.perturbation
         shape = tuple([len(args) for (_, args), _ in demands])
-        formats.append(_extra_format(tuple(map(len, e.trigger)), len(e.output), shape, inner))
+        formats.append(_extra_format(tuple(map(len, e.trigger)), len(e.output), shape, indent))
         cells += chain.from_iterable(e.trigger)
         cells += e.output
         cells += (_encode_str(e.op_name), e.op_index)
         for (name, args), value in demands:
             cells += args
             cells += (_encode_str(name), value)
-    return _list_text(formats, indent) % tuple(cells)
+    return _item_layout(indent)[1].join(formats) % tuple(cells)
 
 
 def _write_saturation(sat: SaturatedMorphism, indent: str, chunks: list) -> None:
     """Append the text of ``saturation_to_json(sat)``.  Extras that
     ``_extras_text`` writes are written from ``sat.extras``, with no record
-    per extra; any others go through the generic writer."""
-    extras = _extras_text(sat.extras, indent + "  ")
-    payload = saturation_to_json(sat if extras is None else replace(sat, extras=()))
-    if extras is not None:
-        payload["extras"] = _Text(extras)
+    per extra, at a ``_HOLE``; any others go through the generic writer."""
+    extras = _extras_text(sat.extras, indent)
+    if extras is None:
+        _write_json(saturation_to_json(sat), indent, chunks)
+    else:
+        payload = {**saturation_to_json(replace(sat, extras=())), "extras": [_HOLE]}
         payload["counts"]["extras"] = len(sat.extras)
-    _write_json(payload, indent, chunks)
+        chunks.append(_template(payload, indent).replace(_HOLE, extras))
 
 
 def _write_json(value, indent: str, chunks: list) -> None:
@@ -653,16 +652,16 @@ def _write_json(value, indent: str, chunks: list) -> None:
             return
         if value[0].__class__ in _SCALARS:  # a list of scalars, such as a row, is one string
             try:
-                items = (",\n" + inner).join([_SCALARS[v.__class__](v) for v in value])
+                items = [_SCALARS[v.__class__](v) for v in value]
             except KeyError:  # a container after the first item
                 pass
             else:
-                chunks.append("[\n" + inner + items + "\n" + indent + "]")
+                chunks.append(_list_text(items, indent))
                 return
         elif value[0].__class__ in _ROW_CLASSES and value[0] and value[0][0].__class__ is int:
-            rows = _int_rows(value, inner)
-            if rows is not None:  # a list of int rows is one format per row
-                chunks.append(_list_text(rows, indent))
+            if width := _int_width(value):  # a list of int rows is one format per row
+                row = _row_format(width, inner)
+                chunks.append(_list_text([row % tuple(r) for r in value], indent))
                 return
         sep = "[\n" + inner
         for item in value:

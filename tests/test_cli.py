@@ -18,6 +18,7 @@ from dbmorph import cli, interp as interp_module, logic, saturation as saturatio
 from dbmorph import project as project_module
 from dbmorph.cli import main
 from dbmorph.dsl import _MAX_NESTING as DSL_NESTING, parse_mapping
+from dbmorph.errors import DbmorphError, ParseError, SchemaError
 from dbmorph.interp import ComponentFunction
 from dbmorph.project import (
     compile_project_mapping,
@@ -632,6 +633,16 @@ def test_unknown_mapping_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, kind",
+    [(["compile", "--mapping", "zzz"], "mapping"), (["parse", "--instance", "zzz"], "instance")],
+)
+def test_a_name_the_project_lacks_is_an_unlocated_input_error(capsys, argv, kind):
+    # a name given on the command line sits in no file
+    code, out, err = run(capsys, argv[0], "--project", P1, *argv[1:])
+    assert (code, out, err) == (3, "", f"error: project declares no {kind} zzz\n")
+
+
+@pytest.mark.parametrize(
     "schema_columns, instance_columns, message",
     [
         # an instance file whose relation repeats a column
@@ -994,8 +1005,44 @@ def test_too_long_numbers_are_located_parse_errors(capsys, tmp_path, where):
     else:
         edit_project(tmp_path, lambda data: data["schemas"]["A"].update(constraints=text))
     code, out, err = run(capsys, "compile", "--project", str(project), "--mapping", "m_ab")
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert "line 1, column 29: number has too many digits" in err
+    located = {"mapping": tmp_path / "m_ab.map", "constraints": f"{project}: schema A: constraints"}
+    assert (code, out) == (3, "")
+    assert err == f"error: {located[where]}: line 1, column 29: number has too many digits\n"
+
+
+@pytest.mark.parametrize(
+    "where, text, message",
+    [
+        ("m_ab.map", "forall x . EmpAcme(x) -> Emp(x",
+         "line 1, column 31: expected ')', found 'end of input'"),
+        ("m_ab.map", "forall x . EmpAcme(x) -> Emp(f(x))",
+         "line 1, column 30: unknown function symbol f (not bound by exists, not a built-in)"),
+        ("m_ab.map", "forall x . EmpAcme(x) -> Nope(x)", "schema B has no relation Nope"),
+        ("constraints", "forall x . EmpAcme(x) -> Local(x",
+         "line 1, column 33: expected ')', found 'end of input'"),
+    ],
+    ids=["mapping-syntax", "mapping-resolution", "mapping-compile", "constraints-syntax"],
+)
+def test_dsl_and_compile_faults_name_their_file(capsys, tmp_path, where, text, message):
+    project = copy_example1(tmp_path)
+    if where == "constraints":
+        # every schema's constraints are parsed on load, whatever the mapping
+        edit_project(tmp_path, lambda data: data["schemas"]["A"].update(constraints=text))
+        located, mapping = f"{project}: schema A: constraints", "m_bc"
+    else:
+        (tmp_path / where).write_text(text, encoding="utf-8")
+        located, mapping = tmp_path / where, "m_ab"
+    code, out, err = run(capsys, "compile", "--project", str(project), "--mapping", mapping)
+    assert (code, out, err) == (3, "", f"error: {located}: {message}\n")
+    # the fault keeps its class and, when it is a parse error, its position
+    with pytest.raises(DbmorphError) as fault:
+        compile_project_mapping(load_project(project), mapping)
+    assert str(fault.value) == f"{located}: {message}"
+    if message.startswith("line"):
+        assert isinstance(fault.value, ParseError)
+        assert message.startswith(f"line {fault.value.line}, column {fault.value.column}: ")
+    else:
+        assert type(fault.value) is SchemaError
 
 
 @pytest.mark.parametrize(
@@ -1059,7 +1106,8 @@ def test_nesting_up_to_the_bound_runs_and_one_more_level_is_an_input_error(
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == (
-            f"error: line 1, column {column}: argument lists nest deeper than {DSL_NESTING}\n"
+            f"error: {mapping}: line 1, column {column}: "
+            f"argument lists nest deeper than {DSL_NESTING}\n"
         )
 
 
