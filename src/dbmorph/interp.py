@@ -13,8 +13,9 @@ A component evaluates only the argument tuples that pass the join guard:
 its graph holds those, each mapped to its head value or to the empty tuple
 when a built-in guard fails, and every other tuple of the product maps to
 the empty tuple.  The join, the guards and the head terms run as one
-function generated from the operation's shape (``logic._compiled``), so a
-joined tuple costs index lookups and skolem table lookups in one frame.
+function generated from the operation's shape (``logic._compiled``) over
+the place relations' indexes (``Relation.index``), so a joined tuple costs
+index lookups and skolem table lookups in one frame.
 The ``--verbose`` trace runs the yielding variant of the same source,
 which gives each joined tuple's assignment, guard outcomes and output as
 it goes and keeps none.
@@ -28,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .errors import IncompleteInterpretationError, SchemaError
 from .logic import _compiled
@@ -38,9 +39,9 @@ from .model import (
     DomainValue,
     Instance,
     Relation,
+    RelationSymbol,
     Row,
     active_domain,
-    group_rows,
     sort_rows,
 )
 from .operads import OperadArrow, OperadOperation, Place
@@ -48,7 +49,6 @@ from .operads import OperadArrow, OperadOperation, Place
 __all__ = [
     "FunctionTable",
     "TarskiInterpretation",
-    "place_domain",
     "ComponentFunction",
     "InstanceMorphism",
     "alpha_star",
@@ -87,6 +87,7 @@ class TarskiInterpretation:
     skolem: dict
     extras: tuple = ()
     domain: "frozenset | None" = None
+    _complements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.skolem = dict(self.skolem)
@@ -105,9 +106,17 @@ class TarskiInterpretation:
         raise SchemaError(f"characteristic function references unknown relation {name}")
 
     def place_relation(self, place: Place) -> Relation:
-        if place.char:
-            return self.char_relation(place.symbol)
-        return self.source.relation(place.symbol)
+        """α(r) for a positive place; for a negated one, built once, the
+        complement over the domain values at the place's own arity."""
+        rel = self.char_relation(place.symbol) if place.char else self.source.relation(place.symbol)
+        if not place.negated:
+            return rel
+        key = (rel, place.arity)
+        if key not in self._complements:
+            symbol = RelationSymbol(rel.symbol.name, tuple(f"c{j}" for j in range(place.arity)))
+            universe = itertools.product(self.domain_values(), repeat=place.arity)
+            self._complements[key] = Relation(symbol, [t for t in universe if t not in rel])
+        return self._complements[key]
 
     def domain_values(self) -> frozenset:
         if self.domain is not None:
@@ -136,16 +145,6 @@ def _ignore(args) -> None:
     pass
 
 
-def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
-    """α(r) for a positive place; the active-domain complement for a negated
-    one."""
-    rel = it.place_relation(place)
-    if not place.negated:
-        return rel.rows
-    universe = itertools.product(it.domain_values(), repeat=place.arity)
-    return frozenset(t for t in universe if t not in rel.rows)
-
-
 class ComponentFunction:
     """The total map an operation denotes under a fixed interpretation."""
 
@@ -153,43 +152,34 @@ class ComponentFunction:
         self.it = it
         self.op = op
         self.codomain = it.target.relation(op.target)
-        self._members: "tuple | None" = None
-        self._domains: "tuple | None" = None
         self._graph: "dict | None" = None
         self._counts: "Counter | None" = None
         self._image: "frozenset | None" = None
 
-    @property
-    def domains(self) -> tuple:
-        """Each place's domain, sorted."""
-        if self._domains is None:
-            self._members = tuple(place_domain(self.it, p) for p in self.op.places)
-            self._domains = tuple(tuple(sort_rows(rows)) for rows in self._members)
-        return self._domains
+    @cached_property
+    def relations(self) -> tuple:
+        """Each place's relation (``TarskiInterpretation.place_relation``)."""
+        return tuple(self.it.place_relation(p) for p in self.op.places)
 
     def domain_product(self):
-        return itertools.product(*self.domains)
+        return itertools.product(*(rel.index() for rel in self.relations))
 
     def _run(self, mode: str, *extra):
         """The generated join of this operation in ``mode`` over the place
-        domains, or None when a domain is empty; the widths are checked
-        first."""
-        op, domains = self.op, self.domains
-        if not all(domains):
+        relations' indexes, or None when a relation is empty; the widths
+        are checked first."""
+        op, relations = self.op, self.relations
+        if not all(relations):
             return None
-        for place, rows in zip(op.places, domains):
-            # every row of one domain has the same width
-            if len(rows[0]) != place.arity:
+        for place, rel in zip(op.places, relations):
+            if rel.symbol.arity != place.arity:
                 raise SchemaError(
-                    f"operation {op.name}: tuple {rows[0]!r} does not fit atom "
+                    f"operation {op.name}: tuple {rel.index()[0]!r} does not fit atom "
                     f"{place.symbol}/{place.arity}"
                 )
         atoms = [p.variables for p in op.places]
         program, consts, funcs, _ = _compiled(mode, atoms, op.guards, op.target_terms)
-        inputs = tuple(
-            group_rows(rows, positions) if positions else rows
-            for rows, positions in zip(domains, program.positions)
-        )
+        inputs = tuple(map(Relation.index, relations, program.positions))
         return program.run(inputs, consts, _lookups(self.it, funcs), *extra)
 
     def evaluations(self, reached=_ignore):
@@ -213,9 +203,8 @@ class ComponentFunction:
         out = self.graph().get(args)
         if out is not None:
             return out
-        if len(args) == len(self._members) and all(
-            t in rows for t, rows in zip(args, self._members)
-        ):
+        relations = self.relations
+        if len(args) == len(relations) and all(map(Relation.__contains__, relations, args)):
             return ()
         raise SchemaError(f"arguments {args!r} lie outside the domain of {self.op.name}")
 
@@ -224,7 +213,7 @@ class ComponentFunction:
         if self._counts is None:
             graph = self.graph()
             self._counts = Counter(graph.values())
-            self._counts[()] += math.prod(map(len, self.domains)) - len(graph)
+            self._counts[()] += math.prod(map(len, self.relations)) - len(graph)
         return self._counts
 
     def image(self) -> frozenset:
@@ -233,7 +222,7 @@ class ComponentFunction:
             if self.op.target == EMPTY_NAME:
                 # r_∅'s only row IS the empty tuple, and every tuple of the
                 # product maps to it
-                self._image = frozenset({()}) if all(self.domains) else frozenset()
+                self._image = frozenset({()}) if all(self.relations) else frozenset()
             else:
                 # for every other operation () is the failure sentinel
                 self._image = frozenset(out for out in outputs if out != ())

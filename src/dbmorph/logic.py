@@ -11,7 +11,7 @@ compiler: Skolemization of tgd sets, constant hoisting, normalization into
 single-head implications, and constraint validation of finite instances.
 
 One generator (``_compiled``) turns a join into Python source: atoms
-matched left to right against ``model.group_rows`` indexes, literal tests
+matched left to right against the relations' indexes, literal tests
 and head terms, with variables as locals, a skolem application as one
 table lookup and the comparison rules inlined.  The source is compiled
 once per shape, which leaves out names and constants, and serves the
@@ -35,8 +35,6 @@ from .model import (
     DomainValue,
     Instance,
     active_domain,
-    group_rows,
-    sort_rows,
     value_key,
 )
 
@@ -476,8 +474,8 @@ _GLOBALS = {
 
 class _Program(NamedTuple):
     """A generated function; per atom, the key positions of the index its
-    rows are looked up in (``model.group_rows`` of them, or the rows
-    themselves where there are none); and its source text."""
+    rows are looked up in (``model.Relation.index`` at them); and its
+    source text."""
 
     run: object
     positions: tuple
@@ -769,13 +767,13 @@ def validate_instance(
     constraints: Sequence[Dependency] | None = None,
     domain: Iterable[DomainValue] = (),
 ) -> ValidationReport:
-    """Check every tgd and egd by matching atoms against indexed rows; only
-    the variables that no atom binds range over the active domain plus the
-    declared constants, so witnesses outside that domain go unseen.
-    Violations are data, not errors; a function term in a positive lhs atom
-    is a SafetyError once a row agrees with the atom at every position
-    before it.  A constraint's body and head searches are generated joins
-    (``_compiled``), made once per constraint, not once per match."""
+    """Check every tgd and egd by matching atoms against the relations'
+    indexes; only the variables that no atom binds range over the active
+    domain plus the declared constants, so witnesses outside that domain go
+    unseen.  Violations are data, not errors; a function term in a positive
+    lhs atom is a SafetyError once a row agrees with the atom at every
+    position before it.  A constraint's body and head searches are
+    generated joins (``_compiled``), made once per constraint, not per match."""
     if constraints is None:
         constraints = inst.schema.constraints
     base: set = set(active_domain(inst)) | set(domain)
@@ -787,9 +785,6 @@ def validate_instance(
     dom = sorted(base, key=value_key)
     # (constraint, witness) -> None, in the order the violations are found
     found: dict = {}
-    # (relation, positions) -> sorted rows, grouped by positions when there
-    # are any, shared by every constraint
-    index: dict = {}
 
     def searcher(atoms: Sequence[RelAtom], tests: Sequence[Literal], bound, free):
         """The assignments that extend values of the ``bound`` names, match
@@ -804,14 +799,10 @@ def validate_instance(
         def search(values: tuple) -> Iterator[dict]:
             nonlocal inputs
             if inputs is None:
-                inputs = []
-                for atom, positions in zip(atoms, program.positions):
-                    key = (atom.relation, positions)
-                    if key not in index:
-                        rows = sort_rows(inst.rows(atom.relation))
-                        index[key] = group_rows(rows, positions) if positions else rows
-                    inputs.append(index[key])
-                inputs = tuple(inputs) + tuple(inst.rows(name) for name in relations)
+                inputs = tuple(
+                    inst.relation(atom.relation).index(positions)
+                    for atom, positions in zip(atoms, program.positions)
+                ) + tuple(inst.rows(name) for name in relations)
             return program.run(inputs, consts, funcs, values, dom)
 
         return search

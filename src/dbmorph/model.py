@@ -11,6 +11,9 @@ fault texts: ``Relation`` checks its rows with it, and every loader in
 Every schema implicitly contains the distinguished nullary symbol ``r_∅``;
 every instance maps it to the unit relation ``⊥ = {()}``.  Ordinary symbols
 have arity >= 1 and relations over them are finite *sets* of rows.
+
+A ``Relation`` owns its row order and its indexes (``Relation.index``),
+which every join reads: evaluation, saturation and validation alike.
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ class Relation:
 
     symbol: RelationSymbol
     rows: frozenset
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # ``rows`` may be any iterable of rows: it is read once, and no row
@@ -169,6 +173,21 @@ class Relation:
             row = next(row for row in rows if len(row) != arity)
             raise SchemaError(f"row {row!r} has {len(row)} values; {name} has arity {arity}")
         object.__setattr__(self, "rows", frozenset(rows))
+
+    def index(self, positions: tuple = ()) -> "list | dict":
+        """The rows in ``sort_rows`` order, or grouped at ``positions``
+        (0-based) with each group in that order; built once per positions."""
+        index = self._indexes.get(positions)
+        if index is None:
+            if positions:
+                index = group_rows(self.rows, positions)
+                for key, rows in index.items():
+                    if len(rows) > 1:
+                        index[key] = sort_rows(rows)
+            else:
+                index = sort_rows(self.rows)
+            self._indexes[positions] = index
+        return index
 
     def values(self) -> frozenset:
         return frozenset(v for row in self.rows for v in row)

@@ -8,9 +8,9 @@ arguments, alternative row) pair; each extra agrees with the base
 component everywhere else.  Operations whose heads contain no skolem
 symbol contribute nothing: built-ins and constants cannot be reassigned.
 
-The alternative rows come from the target relation grouped by its values
-at the simple-variable head positions.  Only the groups of two or more rows
-are kept, each sorted once: a produced row lies in its own group, so these
+The alternative rows come from the target relation's index at the
+simple-variable head positions (``Relation.index``).  Only its groups of
+two or more rows are kept: a produced row lies in its own group, so these
 are the keys that hold an alternative row, and any other trigger costs one
 dict lookup.  An extra's skolem demands, the argument tuples of the skolem
 head terms, come from a function generated from the operation's shape
@@ -40,7 +40,7 @@ from .interp import (
     satisfies,
 )
 from .logic import App, FuncKind, _compiled, term_functions
-from .model import Instance, Row, _key_getter, group_rows, row_key, sort_rows
+from .model import Instance, Row, _key_getter, row_key
 from .operads import OperadArrow, OperadOperation, simple_var_positions
 
 __all__ = [
@@ -64,13 +64,14 @@ def _head_skolems(op: OperadOperation) -> frozenset:
 
 def _selector(it: TarskiInterpretation, op: OperadOperation):
     """The key of a row at the simple-variable head positions, and the
-    target relation's rows grouped by it, keeping only the groups of two or
-    more rows, each sorted.  Under the satisfaction precondition a produced
-    row lies in its own group, so a kept group is exactly one that holds an
-    alternative row; a trigger whose key is not kept needs one lookup."""
-    positions = [j - 1 for j in sorted(simple_var_positions(op))]
-    groups = group_rows(it.target.rows(op.target), positions)
-    kept = {key: sort_rows(rows) for key, rows in groups.items() if len(rows) > 1}
+    groups of two or more rows of the target relation's index there.
+    Under the satisfaction precondition a produced row lies in its own
+    group, so a kept group is exactly one that holds an alternative row; a
+    trigger whose key is not kept needs one lookup."""
+    positions = tuple(j - 1 for j in sorted(simple_var_positions(op)))
+    index = it.target.relation(op.target).index(positions)
+    groups = index.items() if positions else [((), index)]
+    kept = {key: rows for key, rows in groups if len(rows) > 1}
     return _key_getter(positions), kept
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -17,6 +18,22 @@ def build_instance(schema: Schema, rows: Mapping[str, Iterable[Row]]) -> Instanc
     """An instance of ``schema`` from the rows of some of its relations, as
     the tests build one in code; omitted relations are empty."""
     return Instance(schema, {name: Relation(schema.symbol(name), rws) for name, rws in rows.items()})
+
+
+def count_index_builds(monkeypatch) -> Counter:
+    """(relation name, positions) -> how many times ``Relation.index``
+    builds that index from here on, counted as the calls that find it
+    not yet built."""
+    builds: Counter = Counter()
+    index = Relation.index
+
+    def counting_index(rel, positions=()):
+        if positions not in rel._indexes:
+            builds[rel.symbol.name, positions] += 1
+        return index(rel, positions)
+
+    monkeypatch.setattr(Relation, "index", counting_index)
+    return builds
 
 
 def load_example(name):

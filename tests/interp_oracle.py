@@ -20,6 +20,11 @@ it before generated joins inlined it.
 ran from PR 19 until heads, guards and validation tests came to run as
 generated joins: a second oracle, which the term and guard tests compare
 the generated code with beside the tree walk.
+
+``place_domain`` is ``interp``'s as it stood before a place relation came
+to carry its own sorted rows and a negated place's complement, with the
+plain lookup of ``place_relation`` beside it, so that the oracle shares no
+row order or complement with the path it checks.
 """
 
 import itertools
@@ -29,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 from dbmorph.dsl import pretty_term
 from dbmorph.errors import SafetyError, SchemaError
-from dbmorph.interp import TarskiInterpretation, place_domain
+from dbmorph.interp import TarskiInterpretation
 from dbmorph.irdb import hash_tuple
 from dbmorph.logic import (
     Comparison,
@@ -41,7 +46,7 @@ from dbmorph.logic import (
     Var,
 )
 from dbmorph.model import EMPTY_NAME, NULL, DomainValue, Instance, Row, sort_rows
-from dbmorph.operads import OperadOperation, build_equal_var_set
+from dbmorph.operads import OperadOperation, Place, build_equal_var_set
 
 
 def eval_comparison(op: str, a: DomainValue, b: DomainValue) -> bool:
@@ -241,6 +246,24 @@ def _evaluate(it: TarskiInterpretation, op: OperadOperation, args: tuple) -> tup
         if not holds:
             return g, checks, ()
     return g, checks, tuple(_term_value(t, g, skolem_value) for t in op.target_terms)
+
+
+def place_relation(it: TarskiInterpretation, place: Place):
+    """The relation a place names, resolved as the package resolves it,
+    with no complement taken."""
+    if place.char:
+        return it.char_relation(place.symbol)
+    return it.source.relation(place.symbol)
+
+
+def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
+    """α(r) for a positive place; the active-domain complement for a negated
+    one."""
+    rel = place_relation(it, place)
+    if not place.negated:
+        return rel.rows
+    universe = itertools.product(it.domain_values(), repeat=place.arity)
+    return frozenset(t for t in universe if t not in rel.rows)
 
 
 class ComponentFunction:

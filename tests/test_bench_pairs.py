@@ -2,8 +2,11 @@
 working tree wins and the export of the working tree."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -104,3 +107,25 @@ def test_the_working_tree_export_holds_edits_and_untracked_files_but_not_ignored
     files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert files == [".gitignore", "src/kept.py", "src/new.py"]
     assert (dest / "src" / "kept.py").read_text() == "edited\n"
+
+
+def test_a_stale_output_file_stops_the_script_before_any_run(tmp_path, monkeypatch):
+    root = tmp_path / "repo"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}\n')
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "base")
+    stale = {"pr": "ci", "base": "0" * 40, "seconds": 2.0, "runs": []}
+    (root / "BENCH_ci.json").write_text(json.dumps(stale))
+
+    def unexpected(*args):
+        raise AssertionError("ran before checking the output file")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "export", unexpected)
+    monkeypatch.setattr(bench_pairs, "run_once", unexpected)
+    argv = ["--pr", "ci", "--workload", "corpus", "--seed", "7193", "--pairs", "1"]
+    with pytest.raises(SystemExit, match="holds runs against another base"):
+        bench_pairs.main(argv + ["--seconds", "2"])
+    assert json.loads((root / "BENCH_ci.json").read_text()) == stale

@@ -32,7 +32,7 @@ from dbmorph import (
     satisfies,
 )
 from dbmorph.cli import _trace_morphism
-from dbmorph.interp import _lookups, place_domain
+from dbmorph.interp import _lookups
 from dbmorph.irdb import hash_tuple
 from dbmorph.logic import COMPARISON_OPS, NotNull, _compiled, hash_symbol
 from dbmorph.model import EMPTY_NAME
@@ -273,7 +273,7 @@ def test_failed_guard_yields_the_empty_tuple():
 
 def test_place_domain_of_a_positive_place(example1):
     _, it = plain_interp(example1)
-    assert place_domain(it, Place("Emp", ("x",))) == frozenset(
+    assert it.place_relation(Place("Emp", ("x",))).rows == frozenset(
         {("e1",), ("e2",), ("e3",)}
     )
 
@@ -281,7 +281,7 @@ def test_place_domain_of_a_positive_place(example1):
 def test_negated_place_complements_over_the_active_domain(example1):
     _, it = plain_interp(example1)
     dom = it.domain_values()
-    out = place_domain(it, Place("Local1", ("x",), negated=True))
+    out = it.place_relation(Place("Local1", ("x",), negated=True)).rows
     assert out == frozenset({(v,) for v in dom} - {("e1",), ("e3",)})
 
 
@@ -290,7 +290,7 @@ def test_explicit_domain_overrides_the_active_one(example1):
     narrowed = TarskiInterpretation(
         it.source, it.target, it.skolem, domain=frozenset({"e1", "e2"})
     )
-    out = place_domain(narrowed, Place("Local1", ("x",), negated=True))
+    out = narrowed.place_relation(Place("Local1", ("x",), negated=True)).rows
     assert out == frozenset({("e2",)})
 
 
@@ -314,7 +314,7 @@ def test_component_graph_is_total(example1):
     arrow, it = plain_interp(example1)
     op = arrow.operations[0]
     comp, oracle = ComponentFunction(it, op), interp_oracle.ComponentFunction(it, op)
-    sizes = [len(d) for d in comp.domains]
+    sizes = [len(rel) for rel in comp.relations]
     assert sizes == [3, 2]
     product = list(comp.domain_product())
     assert len(product) == 6

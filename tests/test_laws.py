@@ -34,7 +34,7 @@ from dbmorph.saturation import ExtraFunction
 
 import interp_oracle
 import law_oracle as oracle
-from conftest import build_instance
+from conftest import build_instance, count_index_builds
 from test_saturation import oracle_case, oracle_cases
 
 # ---------------------------------------------------------------------------
@@ -236,20 +236,13 @@ def test_a_constraint_longer_than_one_generated_function():
 
 def test_the_key_egd_sorts_its_relation_twice(monkeypatch):
     # one index per (relation, positions): the first atom reads K whole,
-    # the second by x1; sorting K per partial match would take 201 sorts
+    # the second by x1; an index per partial match would take 201 builds
     k = RelationSymbol("K", ("a", "b"))
     inst = build_instance(Schema("S", [k]), {"K": [(i, i) for i in range(200)]})
     key = Egd(("x", "y", "z"), (atom("K", x, y), atom("K", x, z)), (("y", "z"),))
-    sorts = Counter()
-    sort_rows = logic.sort_rows
-
-    def counting_sort_rows(rows):
-        sorts["sort_rows"] += 1
-        return sort_rows(rows)
-
-    monkeypatch.setattr(logic, "sort_rows", counting_sort_rows)
+    builds = count_index_builds(monkeypatch)
     assert validate_instance(inst, [key]).ok
-    assert sorts["sort_rows"] == 2
+    assert builds == Counter({("K", ()): 1, ("K", (0,)): 1})
 
 
 def test_head_atoms_are_matched_not_tested(monkeypatch):

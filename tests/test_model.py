@@ -1,5 +1,6 @@
 """Relational core: values, relations, schemas, instances."""
 
+import itertools
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from dbmorph import (
     SchemaError,
     active_domain,
 )
-from dbmorph.model import BOTTOM_ROWS, check_values, row_key, sort_rows, value_key
+from dbmorph.model import BOTTOM_ROWS, check_values, group_rows, row_key, sort_rows, value_key
 
 from conftest import build_instance
 
@@ -123,6 +124,22 @@ def test_relation_accepts_null_values():
     assert (NULL, 1) in rel
     assert rel.values() == frozenset({NULL, 1})
     assert len(rel) == 1
+
+
+@given(st.lists(st.tuples(domain_values, domain_values, domain_values)))
+def test_an_index_is_the_sorted_rows_grouped(rows):
+    rel = Relation(RelationSymbol("r", ("a", "b", "c")), rows)
+    for positions in itertools.chain.from_iterable(
+        itertools.combinations(range(3), k) for k in range(4)
+    ):
+        expected = group_rows(sort_rows(rel.rows), positions) if positions else sort_rows(rel.rows)
+        index = rel.index(positions)
+        # the same keys, each group in the same order
+        assert index == expected
+        assert rel.index(positions) is index
+    # the indexes are no part of the relation's value
+    fresh = Relation(rel.symbol, rows)
+    assert fresh == rel and hash(fresh) == hash(rel) and repr(fresh) == repr(rel)
 
 
 def test_schema_always_contains_the_nullary_symbol():

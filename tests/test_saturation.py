@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from dbmorph import (
     FluxKernel,
     FunctionTable,
-    Instance,
     PreconditionError,
     RelationSymbol,
     SaturatedMorphism,
@@ -25,13 +24,14 @@ from dbmorph import (
     saturate,
 )
 from dbmorph.flux import EQUAL, UNEQUAL, flux_positions
-from dbmorph.model import NULL, row_key
+from dbmorph import interp, logic, model, saturation
+from dbmorph.model import EMPTY_NAME, NULL, row_key
 from dbmorph.saturation import _selector
 
 import law_oracle
 import saturation_oracle as oracle
 from interp_oracle import component_assignment
-from conftest import arrow_and_interp, build_instance, load_example
+from conftest import arrow_and_interp, build_instance, count_index_builds, load_example
 
 CONTACT = (132, "Zoran", "Majkic", "Appia", "0187")
 
@@ -362,18 +362,45 @@ def test_saturate_reads_each_target_relation_once(monkeypatch):
         },
         skolem={"f1": dict.fromkeys(r2, "a"), "f2": dict.fromkeys(r, "a")},
     )
-    reads = Counter()
-    rows = Instance.rows
-
-    def counting_rows(instance, name):
-        reads[name] += 1
-        return rows(instance, name)
-
-    monkeypatch.setattr(Instance, "rows", counting_rows)
+    builds = count_index_builds(monkeypatch)
     sat = saturate(it, arrow)
     assert len(sat.extras) == 3
-    # seven triggers, but one read per skolem-headed operation
-    assert reads == Counter({"s2": 1, "s3": 1})
+    # seven triggers, but one index per skolem-headed operation, at its
+    # simple-variable head positions
+    reads = Counter({key: n for key, n in builds.items() if key[0] in it.target.schema})
+    assert reads == Counter({("s2", (0,)): 1, ("s3", (0, 1)): 1})
+
+
+def test_a_saturate_of_the_join_fixture_indexes_each_relation_once(monkeypatch):
+    # both operations join R(x, y) & S(y, z): R is sorted and S grouped by
+    # its first column once, not once per operation, and the targets are
+    # grouped at the simple-variable head positions; a sort or grouping of
+    # a whole relation is counted in whichever module asks for it
+    arrow, it = arrow_and_interp(load_example("join"), "join", "m", "interp.json")
+    names = {
+        rel.rows: name
+        for inst in (it.source, it.target)
+        for name, rel in inst.relations.items()
+        if name != EMPTY_NAME
+    }
+    builds = Counter()
+
+    def counted(fn):
+        # a sort of the whole relation counts as its index at no positions
+        def wrapper(rows, *positions):
+            rows = list(rows)
+            if frozenset(rows) in names:
+                builds[names[frozenset(rows)], tuple(positions[0]) if positions else ()] += 1
+            return fn(rows, *positions)
+
+        return wrapper
+
+    for module in (model, interp, saturation, logic):
+        for name in ("sort_rows", "group_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert len(saturate(it, arrow).extras) == 9
+    assert builds == Counter({("R", ()): 1, ("S", (0,)): 1, ("T", (0, 1)): 1, ("U", (0,)): 1})
 
 
 # ---------------------------------------------------------------------------

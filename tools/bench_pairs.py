@@ -17,8 +17,10 @@ Writes ``BENCH_<pr>.json`` at the repository root: per workload and seed,
 each end-to-end metric's median and quartiles on each side, the number of
 pairs the working tree won (by the metric's ``better`` direction in
 ``BENCHMARK.json``), the failed-request counts, and the calibration
-medians.  Runs an earlier invocation wrote there against the same base,
-for other workloads or seeds, are kept.  Then prints one line per workload,
+medians.  Runs an earlier invocation wrote there against the same base
+and run length, for other workloads or seeds, are kept; a file written
+against another base or run length stops the script before it runs
+anything.  Then prints one line per workload,
 seed and end-to-end metric of this invocation: the base median and
 quartiles, the working tree's median, the signed change and the pairs won,
 marked ``OVER BOUND`` where the working tree's median is worse than the
@@ -169,6 +171,12 @@ def main(argv=None) -> int:
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     results = []
     commit = git(ROOT, "rev-parse", "--verify", f"{args.base}^{{commit}}")
+    out = ROOT / f"BENCH_{args.pr}.json"
+    # an earlier output is checked before any run, and its runs are kept
+    # when they are against the same base and run length
+    earlier = json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+    if earlier and (earlier["base"], earlier["seconds"]) != (commit, args.seconds):
+        raise SystemExit(f"{out} holds runs against another base or run length")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         # both sides leave git the same way, under names of equal length
         sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
@@ -183,7 +191,6 @@ def main(argv=None) -> int:
                         runs[side].append(run_once(sides[side], workload, seed, args.seconds))
                     print(f"{workload} seed {seed} pair {i + 1}/{args.pairs} done", file=sys.stderr)
                 results.append(compare(workload, seed, runs, directions))
-    out = ROOT / f"BENCH_{args.pr}.json"
     payload = {
         "pr": args.pr,
         "base": commit,
@@ -192,11 +199,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --trace 0",
         "runs": results,
     }
-    if out.exists():
-        # keep the runs of earlier invocations against the same base
-        earlier = json.loads(out.read_text(encoding="utf-8"))
-        if (earlier["base"], earlier["seconds"]) != (commit, args.seconds):
-            raise SystemExit(f"{out} holds runs against another base or run length")
+    if earlier:
         fresh = {(r["workload"], r["seed"]) for r in results}
         payload["runs"] = [
             r for r in earlier["runs"] if (r["workload"], r["seed"]) not in fresh
