@@ -55,7 +55,6 @@ from .logic import (
     HASH_NAME,
     Literal,
     NotNull,
-    NormalizedImplication,
     RelAtom,
     SOtgd,
     SOtgdConjunct,
@@ -486,11 +485,9 @@ def pretty_literal(lit: Literal) -> str:
     return f"{pretty_term(lit.left)} {lit.op} {pretty_term(lit.right)}"
 
 
-def _pretty_conjunct(dep: "Dependency | SOtgdConjunct | NormalizedImplication") -> str:
+def _pretty_conjunct(dep: "Dependency | SOtgdConjunct") -> str:
     if isinstance(dep, Egd):
         head = " & ".join(f"{y} = {z}" for y, z in dep.equalities)
-    elif isinstance(dep, NormalizedImplication):
-        head = pretty_atom(dep.head)
     else:
         head = " & ".join(pretty_atom(a) for a in dep.rhs)
     if not dep.universals:
@@ -499,10 +496,8 @@ def _pretty_conjunct(dep: "Dependency | SOtgdConjunct | NormalizedImplication") 
     return f"forall {', '.join(dep.universals)} . {lhs} -> {head}"
 
 
-def pretty_mapping(obj: "SOtgd | NormalizedImplication | Sequence") -> str:
-    """Render an SOtgd, a list of tgds/egds, or a normalized implication."""
-    if isinstance(obj, NormalizedImplication):
-        return _pretty_conjunct(obj)
+def pretty_mapping(obj: "SOtgd | Sequence") -> str:
+    """Render an SOtgd or a list of tgds/egds."""
     if obj == TAUT_SOTGD:
         return "taut"
     prefix = ""

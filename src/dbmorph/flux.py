@@ -46,9 +46,9 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from .dsl import pretty_term
-from .errors import PreconditionError
+from .errors import PreconditionError, SchemaError
 from .logic import Const, Var
-from .model import _ONE_CLASS, NULL, row_key, value_key
+from .model import _ONE_CLASS, NULL, _key_getter, row_key, value_key
 from .operads import OperadOperation
 
 __all__ = [
@@ -82,13 +82,22 @@ UNKNOWN = "unknown-within-bounds"
 @dataclass(frozen=True)
 class FluxKernel:
     """Finite generator set of a flux; ⊥ is always a member, so the empty
-    flux is ⊥⁰ = {⊥} rather than the empty set."""
+    flux is ⊥⁰ = {⊥} rather than the empty set.  A member's rows share one
+    width, since no view derives rows of two; the first member in input
+    order that breaks this is named by its two smallest widths."""
 
     members: frozenset
 
     def __init__(self, members=()):
         norm = {BOTTOM_MEMBER}
-        norm.update(frozenset(tuple(row) for row in member) for member in members)
+        for member in members:
+            member = frozenset(map(tuple, member))
+            widths = sorted(set(map(len, member)))
+            if len(widths) > 1:
+                raise SchemaError(
+                    f"kernel member rows differ in width: {widths[0]} and {widths[1]} values"
+                )
+            norm.add(member)
         object.__setattr__(self, "members", frozenset(norm))
 
     def sorted_members(self) -> list:
@@ -161,18 +170,6 @@ def flux_positions(op: OperadOperation) -> tuple:
     )
 
 
-def _projection(op: OperadOperation):
-    """The map of a row to its values at the operation's flux positions,
-    as a tuple, or None when there are none."""
-    pos = flux_positions(op)
-    if not pos:
-        return None
-    if len(pos) == 1:
-        j = pos[0] - 1
-        return lambda row: (row[j],)
-    return itemgetter(*[j - 1 for j in pos])
-
-
 def flux_kernel(morphism) -> FluxKernel:
     """One member per operation with source-carrying head variables: the
     projection of its image onto those positions.  ⊥ is adjoined; with no
@@ -180,8 +177,9 @@ def flux_kernel(morphism) -> FluxKernel:
     ``morphism.extras`` adds a member by the delta rule above."""
     members, projected, counts = [], {}, {}
     for c in morphism.components:
-        project = _projection(c.op)
-        if project is not None:
+        positions = flux_positions(c.op)
+        if positions:
+            project = _key_getter([j - 1 for j in positions])
             member = frozenset(map(project, c.image()))
             projected[c] = project, member
             members.append(member)
@@ -410,15 +408,13 @@ def _closed_form(kernel: FluxKernel, bounds: ClosureBounds, target: frozenset) -
     """The ``capped`` of a fixpoint search of ``kernel`` for ``target``
     when the closed form of the closure leaves ``target`` out, so that no
     search finds it.  None when the target lies in the closure or the
-    closed form does not apply (bounded depth, a kernel that holds NULL or
-    a member of mixed widths)."""
+    closed form does not apply (bounded depth or a kernel that holds
+    NULL).  Each member's rows share one width (``FluxKernel``)."""
     if bounds.max_depth is not None:
         return None
     values: set = set()
     wide: dict = {}  # each width above max_arity -> the kernel rows of that width
     for member in kernel.members:
-        if len({len(row) for row in member}) > 1:
-            return None
         for row in member:
             values.update(row)
             if len(row) > bounds.max_arity:

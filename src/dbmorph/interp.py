@@ -5,9 +5,11 @@ the skolem function symbols, and nothing else: the hash built-in and the
 characteristic places are derived.  Each operad operation then denotes a
 total component function R_1 × … × R_k → rows ∪ {()}: the i-th factor is
 the relation named by the i-th place symbol (complemented over the active
-domain when the place is negated), and an argument tuple maps to the
-evaluated head tuple when the equal-variable join guard and every built-in
-guard hold, to the empty tuple otherwise.
+domain, at the relation's own arity, when the place is negated), and an
+argument tuple maps to the evaluated head tuple when the equal-variable
+join guard and every built-in guard hold, to the empty tuple otherwise.
+A place whose atom has another arity than its relation is an input error,
+whatever its sign, as soon as the relation it reads holds a row.
 
 A component evaluates only the argument tuples that pass the join guard:
 its graph holds those, each mapped to its head value or to the empty tuple
@@ -39,7 +41,6 @@ from .model import (
     DomainValue,
     Instance,
     Relation,
-    RelationSymbol,
     Row,
     active_domain,
     sort_rows,
@@ -106,17 +107,16 @@ class TarskiInterpretation:
         raise SchemaError(f"characteristic function references unknown relation {name}")
 
     def place_relation(self, place: Place) -> Relation:
-        """α(r) for a positive place; for a negated one, built once, the
-        complement over the domain values at the place's own arity."""
+        """α(r) for a positive place; for a negated one, built once per
+        relation, its complement over the domain values, under its own
+        symbol and so at its own arity."""
         rel = self.char_relation(place.symbol) if place.char else self.source.relation(place.symbol)
         if not place.negated:
             return rel
-        key = (rel, place.arity)
-        if key not in self._complements:
-            symbol = RelationSymbol(rel.symbol.name, tuple(f"c{j}" for j in range(place.arity)))
-            universe = itertools.product(self.domain_values(), repeat=place.arity)
-            self._complements[key] = Relation(symbol, [t for t in universe if t not in rel])
-        return self._complements[key]
+        if rel not in self._complements:
+            universe = itertools.product(self.domain_values(), repeat=rel.symbol.arity)
+            self._complements[rel] = Relation(rel.symbol, [t for t in universe if t not in rel])
+        return self._complements[rel]
 
     def domain_values(self) -> frozenset:
         if self.domain is not None:

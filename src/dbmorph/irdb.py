@@ -92,12 +92,11 @@ def parse_tuple(symbol: RelationSymbol, row: Row) -> list[VectorTuple]:
     ]
 
 
-def parse_database(inst: Instance, schema_name: str = "V") -> Instance:
+def parse_database(inst: Instance) -> Instance:
     """Flatten every ordinary relation of the instance into r_V."""
     out: set = set()
     for sym in inst.schema.ordinary_symbols():
         for row in inst.rows(sym.name):
             out.update(parse_tuple(sym, row))
-    target = vector_schema(schema_name)
-    return Instance(target, {"r_V": Relation(VECTOR_SYMBOL, frozenset(out))})
+    return Instance(vector_schema(), {"r_V": Relation(VECTOR_SYMBOL, frozenset(out))})
 

@@ -494,9 +494,7 @@ def _item_template(skeleton, indent: str) -> str:
 
 
 def _list_text(items: list, indent: str) -> str:
-    """The text of a list whose item texts are ``items``, at ``indent``."""
-    if not items:
-        return "[]"
+    """The text of the nonempty list of item texts ``items``, at ``indent``."""
     inner = indent + "  "
     sep = ",\n" + inner
     return f"[\n{inner}{sep.join(items)}\n{indent}]"

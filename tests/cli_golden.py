@@ -20,6 +20,10 @@ invocation the exit code and the sha256 of stdout and of stderr in
 - the same set for ``ints``, whose values are all ints, so that its
   ``saturate`` extras and ``pfunction`` graphs are written from their
   ``%`` templates;
+- the same set for ``arity``, whose ``eval`` records pin that a place
+  whose atom has another arity than its relation exits 3 whatever its
+  sign, while a negated place of the relation's arity reads its
+  complement over values that only an ``extras`` instance holds;
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
   and 3, fixpoint searches that cannot find a foreign, a too-wide or a
   NULL-bearing probe, a cap hit in each bounds regime, and the caps just
@@ -45,7 +49,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
-EXAMPLES = ("example1", "example3", "example4", "example5", "join", "skips", "ints")
+EXAMPLES = ("example1", "example3", "example4", "example5", "join", "skips", "ints", "arity")
 PFUNCTION_OPS = range(13)
 # (mapping, interpretation, member file, --bounds or None), all of example1
 FLUX_MEMBERS = (

@@ -24,7 +24,10 @@ the generated code with beside the tree walk.
 ``place_domain`` is ``interp``'s as it stood before a place relation came
 to carry its own sorted rows and a negated place's complement, with the
 plain lookup of ``place_relation`` beside it, so that the oracle shares no
-row order or complement with the path it checks.
+row order or complement with the path it checks.  Its complement is
+taken at the relation's arity, not the place's, as ``interp`` takes it
+since a negated place came to read its relation's complement under the
+relation's own symbol.
 """
 
 import itertools
@@ -257,12 +260,13 @@ def place_relation(it: TarskiInterpretation, place: Place):
 
 
 def place_domain(it: TarskiInterpretation, place: Place) -> frozenset:
-    """α(r) for a positive place; the active-domain complement for a negated
-    one."""
+    """α(r) for a positive place; for a negated one, the active-domain
+    complement at the relation's own arity, so that a place whose atom has
+    another arity misfits whatever its sign."""
     rel = place_relation(it, place)
     if not place.negated:
         return rel.rows
-    universe = itertools.product(it.domain_values(), repeat=place.arity)
+    universe = itertools.product(it.domain_values(), repeat=rel.symbol.arity)
     return frozenset(t for t in universe if t not in rel.rows)
 
 

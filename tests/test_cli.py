@@ -24,8 +24,10 @@ from dbmorph.project import (
     compile_project_mapping,
     load_interpretation_file,
     load_project,
+    validation_to_json,
 )
 
+import law_oracle
 from conftest import FIXTURES
 
 REPO = FIXTURES.parent.parent
@@ -614,6 +616,24 @@ def test_validate_exits_three_once_a_row_agrees_before_a_function_term(
         assert payload(out) == {"valid": True, "violations": []}
     else:
         assert out == "" and "function terms" in err
+
+
+def test_validate_reads_comparisons_and_notnull_in_a_schema_constraint(capsys, tmp_path):
+    # R(5, NULL) fails notnull(y) and R(6, 30) alone has no S partner
+    project = json.loads((FIXTURES / "join" / "project.json").read_text(encoding="utf-8"))
+    project["schemas"]["A"]["constraints"] = (
+        "forall x, y . R(x, y) & x != y & notnull(y) -> S(y, z)"
+    )
+    (tmp_path / "project.json").write_text(json.dumps(project), encoding="utf-8")
+    for name in ("a.json", "b.json", "m.map"):
+        (tmp_path / name).write_bytes((FIXTURES / "join" / name).read_bytes())
+    path = str(tmp_path / "project.json")
+    code, out, _ = run(capsys, "validate", "--project", path, "--instance", "a")
+    assert code == 1
+    inst = load_project(path).instance("a")
+    oracle = law_oracle.validate_instance(inst, inst.schema.constraints)
+    assert payload(out) == validation_to_json(oracle)
+    assert [v["witness"] for v in payload(out)["violations"]] == [{"x": 6, "y": 30}]
 
 
 # ---------------------------------------------------------------------------

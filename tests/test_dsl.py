@@ -467,6 +467,19 @@ def test_tokens_parse_and_print_match_the_oracle(text):
     assert outcome(dsl, text) == outcome(oracle, text)
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("forall x . p(x) & hash(x) -> q(x)", "'hash' cannot be used as a relation", 19),
+        ("forall x . p(x) -> notnull(x)", "a dependency head is a relational atom", 20),
+    ],
+)
+def test_a_misplaced_atom_is_located(text, message, column):
+    with pytest.raises(ParseError, match=f"^line 1, column {column}: {message}$") as err:
+        parse_mapping(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_syntax_errors_win_over_resolution_errors():
     # the whole text is parsed before any conjunct is resolved
     with pytest.raises(ParseError, match="expected a term") as err:

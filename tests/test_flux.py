@@ -15,6 +15,7 @@ from dbmorph import (
     RelAtom,
     RelationSymbol,
     Schema,
+    SchemaError,
     TarskiInterpretation,
     Var,
     alpha_star,
@@ -62,6 +63,19 @@ def test_empty_rowset_is_distinct_from_bottom():
     k = FluxKernel([frozenset()])
     assert len(k) == 2
     assert frozenset() in k and BOTTOM_MEMBER in k
+
+
+@pytest.mark.parametrize(
+    "members, widths",
+    [
+        ([{(0,), (1, 0)}], "1 and 2"),
+        # the first mixed member in input order, by its two smallest widths
+        ([member((0,)), member((0, 0, 0), (1,), (1, 1, 1, 1)), member((0,), (0, 0))], "1 and 3"),
+    ],
+)
+def test_a_member_whose_rows_differ_in_width_is_refused(members, widths):
+    with pytest.raises(SchemaError, match=f"^kernel member rows differ in width: {widths} values$"):
+        FluxKernel(members)
 
 
 def test_sorted_members_lead_with_bottom():
@@ -585,6 +599,14 @@ def searched_verdict(target, kernel, bounds):
     with mock.patch.object(flux, "_closed_form", lambda *a: None), \
             mock.patch.object(flux, "closure_set", oracle_closure_set):
         return in_closure(target, kernel, bounds)
+
+
+def test_a_kernel_that_holds_null_is_searched_under_fixpoint_bounds():
+    kernel = FluxKernel([member((NULL,), (1,)), member((1, 2))])
+    bounds = ClosureBounds(None, 2, 100)
+    for target in (member((2,)), member(("foreign",))):
+        assert flux._closed_form(kernel, bounds, target) is None
+        assert in_closure(target, kernel, bounds) == searched_verdict(target, kernel, bounds)
 
 
 def closure_caps(kernel, max_arity):

@@ -305,6 +305,29 @@ def test_char_places_resolve_target_then_extras_then_source(example1):
         without_extras.place_relation(over65)
 
 
+def test_a_negated_place_ranges_over_values_only_the_extras_hold():
+    # 9 lies only in the extras instance c, so the complement of t holds
+    # exactly the pairs that use it, and without c it is empty
+    project = load_example("arity")
+    _, it = arrow_and_interp(project, "arity", "ok", "interp.json")
+    not_t = Place("t", ("x", "y"), negated=True, char=True)
+    pairs = set(itertools.product((0, 1, 9), repeat=2))
+    assert it.place_relation(not_t).rows == pairs - set(itertools.product((0, 1), repeat=2))
+    without_extras = TarskiInterpretation(it.source, it.target, it.skolem)
+    assert not without_extras.place_relation(not_t)
+
+
+@pytest.mark.parametrize("mapping, row", [("pos", (9,)), ("neg", (0,))])
+def test_a_place_that_misfits_its_relation_is_refused_whatever_its_sign(mapping, row):
+    # r1 is unary; a negated place reads its complement {0, 1} under r1's
+    # own symbol, so the width check of a positive place covers it
+    arrow, it = arrow_and_interp(load_example("arity"), "arity", mapping, "interp.json")
+    comp = ComponentFunction(it, arrow.operations[0])
+    assert comp.relations[2].symbol == it.extras[0].schema.symbol("r1")
+    with pytest.raises(SchemaError, match=rf"tuple \({row[0]},\) does not fit atom r1/2"):
+        comp.graph()
+
+
 # ---------------------------------------------------------------------------
 # component functions
 

@@ -1,5 +1,6 @@
 """Project files, instance files, and canonical serialization."""
 
+import enum
 import json
 import tempfile
 from collections import Counter
@@ -218,6 +219,14 @@ row_lists = st.one_of(
 )
 
 
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+class _Name(str):
+    pass
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
@@ -235,6 +244,8 @@ row_lists = st.one_of(
 @example([[True, 1]])
 @example([[1, 2], [3]])
 @example({"rows": [(1, -(10**40)), [2**63, 0]]})
+# int and str subclasses, written as json.dumps writes them
+@example([_Flag.ON, {"k": _Name("a\"\n")}, [[_Flag.ON, 2]]])
 def test_canonical_json_is_json_dumps(document):
     want = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     assert canonical_json(document) == want
