@@ -11,15 +11,17 @@ byte-identical files.  ``canonical_json`` writes the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
 with its own emitter, which writes a list of scalars, such as a row, as one
 string.  Given a ``PFunction`` or a ``SaturatedMorphism`` it writes the
-bytes of its ``pfunction_to_json`` or ``saturation_to_json``: a graph whose
-arguments and rows are int rows of one width per place, or extras whose
-rows and perturbations hold only ints, are written from the object with one
-``%`` template per entry shape, else through the generic writer.  A
-template is the text the emitter writes of a skeleton whose scalars are
-placeholders, so the layout is stated once.  ``kernel_to_json`` reuses the
-rows ``FluxKernel`` sorted to order its members.  A DSL or compile fault in
-a mapping file names the file; one in a schema's constraints names the
-project file and the schema.
+bytes of its ``pfunction_to_json`` or ``saturation_to_json`` from the
+object.  A graph is written at the cost of its distinct rows: each
+argument row object once, by a ``%`` template when it holds only ints,
+else by the generic writer, and the entries from a skeleton entry cut at
+its rows.  Extras whose rows and perturbations hold only ints are written
+with one ``%`` template per extra shape, others through the generic
+writer.  A template is the text the emitter writes of a skeleton whose
+scalars are placeholders, so the layout is stated once.  ``kernel_to_json``
+reuses the rows ``FluxKernel`` sorted to order its members.  A DSL or
+compile fault in a mapping file names the file; one in a schema's
+constraints names the project file and the schema.
 
 Rows cross the file boundary unconverted.  NULL is ``None``, so JSON's
 ``null`` loads as NULL, and a payload holds rows as the library does, as
@@ -465,11 +467,12 @@ _SCALARS = {
 _INT, _STR, _HOLE = _Text("%d"), _Text("%s"), _Text("\0")
 
 
-def _template(skeleton, indent: str) -> str:
-    """The text that ``_write_json`` writes for ``skeleton`` at ``indent``:
-    a ``%`` format when its scalars are ``_INT`` and ``_STR``."""
+def _template(value, indent: str) -> str:
+    """The text that ``_write_json`` writes for ``value`` at ``indent``:
+    a ``%`` format when it is a skeleton whose scalars are ``_INT`` and
+    ``_STR``."""
     chunks: list = []
-    _write_json(skeleton, indent, chunks)
+    _write_json(value, indent, chunks)
     return "".join(chunks)
 
 
@@ -519,50 +522,70 @@ def _int_width(rows) -> int:
 
 
 @lru_cache(maxsize=256)
-def _entry_formats(widths: tuple, width: int, indent: str) -> tuple:
+def _entry_pieces(places: int, indent: str) -> tuple:
     """The text of one graph entry of a p-function written at ``indent``,
-    whose arguments are rows of ``widths`` ints and whose rows are rows of
-    ``width`` ints, as ``%`` formats: the whole entry when it has no rows,
-    over its argument values; the text before its first row, over the
-    same; and the text of one row, between two rows and after the last."""
-    args = [[_INT] * w for w in widths]
-    empty, cut, one = (
-        _item_template({"args": args, "rows": rows}, indent)
-        for rows in ([], [_HOLE, _HOLE], [[_INT] * width])
-    )
-    before, between, after = cut.split(_HOLE)
-    return empty, before, one.removeprefix(before).removesuffix(after), between, after
+    with ``places`` arguments, cut where its argument rows and its rows go:
+    the texts before each argument; the rest of an entry without rows; and
+    the text before its first row, between two rows and after the last.
+    With no places there is no text before an argument, and the rest of an
+    entry is all of it."""
+    holes = [_HOLE] * places
+    *heads, empty = _item_template({"args": holes, "rows": []}, indent).split(_HOLE)
+    cut = _item_template({"args": holes, "rows": [_HOLE, _HOLE]}, indent).split(_HOLE)
+    return tuple(heads), empty, *cut[places:]
+
+
+def _row_text(row, indent: str) -> str:
+    """The text of ``row`` at ``indent``: its ``_row_format`` when every
+    value is exactly an ``int``, else what the generic writer writes."""
+    if row.__class__ in _ROW_CLASSES and set(map(type, row)) <= _INT_CLASS:
+        return _row_format(len(row), indent) % tuple(row)
+    return _template(row, indent)
 
 
 def _graph_text(graph: tuple, indent: str) -> "str | None":
     """The text of the entries of the graph of a p-function written at
     ``indent`` when its argument tuples are lists or tuples of one count
-    of places, each place holding ``_int_width`` rows, and all the rows of
-    its row sets are ``_int_width`` rows; None otherwise, as for an empty
-    graph or a place of width 0.  Each entry is an ``_entry_formats``
-    format, with one row text per sorted row, and the joined entries are
-    filled with every argument value at once."""
+    of places; None otherwise, as for an empty graph.  Each argument row
+    object is written once by ``_row_text``, keyed by its ``id``, not by
+    its value: the graph keeps it alive, and equal rows may differ in their
+    text, as ``(1, 2)`` and ``(True, 2)`` do.  The ``_entry_pieces`` of
+    every entry are interleaved with those texts by slice, each ending in
+    the entry's rows, one ``_row_text`` per row in ``sort_rows`` order,
+    and joined once."""
     args = [a for a, _ in graph]
-    widths = ()
-    if args and set(map(type, args)) <= _ROW_CLASSES and len(set(map(len, args))) == 1:
-        widths = tuple(map(_int_width, zip(*args)))
-    rows = list(chain.from_iterable([r for _, r in graph if r]))
-    width = _int_width(rows) if rows else 0
-    if not widths or not all(widths) or (rows and not width):
+    if not args or not set(map(type, args)) <= _ROW_CLASSES or len(set(map(len, args))) != 1:
         return None
-    empty, before, row, between, after = _entry_formats(widths, width, indent)
-    entries = [
-        before + between.join([row % tuple(r) for r in sorted(rs)]) + after if rs else empty
+    places = len(args[0])
+    heads, empty, before, between, after = _entry_pieces(places, indent)
+    inner = between.partition("\n")[2]
+    cells = list(chain.from_iterable(args))
+    ids = list(map(id, cells))
+    texts = {key: _row_text(row, inner) for key, row in dict(zip(ids, cells)).items()}
+    # each entry ends in the separator of the entries, cut from the last
+    sep = _item_layout(indent)[1]
+    empty, after = empty + sep, after + sep
+    step = 2 * places + 1
+    pieces = [empty] * (len(graph) * step)
+    for j, head in enumerate(heads):
+        pieces[2 * j :: step] = [head] * len(graph)
+        pieces[2 * j + 1 :: step] = map(texts.__getitem__, ids[j::places])
+    # with no places, an entry is one piece, its rows included
+    pieces[2 * places :: step] = [
+        before + between.join([_row_text(r, inner) for r in sort_rows(rs)]) + after
+        if rs else empty
         for _, rs in graph
     ]
-    values = tuple(chain.from_iterable(chain.from_iterable(args)))
-    return _item_layout(indent)[1].join(entries) % values
+    pieces[-1] = pieces[-1].removesuffix(sep)
+    return "".join(pieces)
 
 
 def _write_pfunction(pf: PFunction, indent: str, chunks: list) -> None:
     """Append the text of ``pfunction_to_json(pf)``.  A graph that
     ``_graph_text`` writes is written from ``pf.graph``, with no record
-    per entry, at a ``_HOLE``; any other goes through the generic writer."""
+    per entry, at a ``_HOLE``; the generic writer writes the others, an
+    empty graph and those the library never builds: argument tuples of
+    different lengths, or arguments that are neither lists nor tuples."""
     graph = _graph_text(pf.graph, indent)
     if graph is None:
         _write_json(pfunction_to_json(pf), indent, chunks)

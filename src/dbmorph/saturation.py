@@ -243,13 +243,19 @@ def _domain_descriptor(op: OperadOperation) -> tuple:
     return tuple((p.symbol, p.negated, p.char) for p in op.places)
 
 
+def _chosen(arrow: OperadArrow, op_index: int) -> OperadOperation:
+    """The operation of ``arrow`` at ``op_index``, counted from 1; an input
+    error when there is none."""
+    ops = arrow.operations
+    if not 1 <= op_index <= len(ops):
+        raise SchemaError(f"operation index {op_index} out of range 1..{len(ops)}")
+    return ops[op_index - 1]
+
+
 def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
     """Union of the graphs of every component (bases and extras alike) that
     shares the chosen operation's domain and codomain."""
-    ops = sat.arrow.operations
-    if not 1 <= op_index <= len(ops):
-        raise SchemaError(f"operation index {op_index} out of range 1..{len(ops)}")
-    chosen = ops[op_index - 1]
+    chosen = _chosen(sat.arrow, op_index)
     key = (_domain_descriptor(chosen), chosen.target)
 
     # one pass over each member's graph, then the extras: an extra differs

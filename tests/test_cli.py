@@ -327,6 +327,21 @@ def test_pfunction_index_out_of_range_is_a_usage_error(capsys):
     assert code == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("op", ["0", "12"])
+@pytest.mark.parametrize("name", ["interp.json", "interp_bad.json"])
+def test_pfunction_index_is_checked_before_saturating(capsys, monkeypatch, name, op):
+    """An index out of range exits 3 whether or not the interpretation
+    satisfies the mapping (``interp_bad.json`` does not): it is checked
+    against the compiled arrow, and nothing is saturated."""
+    monkeypatch.setattr(cli, "saturate", lambda *_: pytest.fail("saturated"))
+    code, out, err = run(
+        capsys,
+        "pfunction", "--project", P4, "--mapping", "m_ab",
+        "--interp", interp("example4", name), "--op", op,
+    )
+    assert (code, out, err) == (3, "", f"error: operation index {op} out of range 1..1\n")
+
+
 # ---------------------------------------------------------------------------
 # flux
 
@@ -495,6 +510,20 @@ def test_equal_unknown_within_bounds_exits_two(capsys, tmp_path):
     # the empty projection of the idle operation separates the kernels
     assert data["left"]["members"] == [[[]], [], [[1]]]
     assert data["right"]["members"] == [[[]], [[1]]]
+
+
+def test_equal_reports_a_capped_search(capsys, tmp_path):
+    """Under bounds too small to close the kernel, ``equal`` exits 2 and
+    says that its search was capped."""
+    project, it = unknown_fixture(tmp_path)
+    code, out, _ = run(
+        capsys,
+        "equal", "--project", project, "--mapping", "m1", "--interp", it,
+        "--mapping2", "m2", "--interp2", it, "--bounds", "3,2,2",
+    )
+    assert code == 2
+    data = payload(out)
+    assert data["verdict"] == "unknown-within-bounds" and data["capped"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,16 @@ def test_underivable_member_within_domain_is_unknown():
     assert out.detail == (("right", frozenset()),)
 
 
+def test_a_capped_search_leaves_equality_unknown_and_says_so():
+    """A union against its two parts: under max_relations 2 each closure
+    search stops at its cap, so the verdict is unknown, and says that a
+    search was capped."""
+    k1 = FluxKernel([member((0,), (1,))])
+    k2 = FluxKernel([member((0,)), member((1,))])
+    out = flux_equal(k1, k2, ClosureBounds(3, 2, 2))
+    assert out.verdict == UNKNOWN and out.capped is True
+
+
 def test_column_permutations_compare_equal():
     k1 = FluxKernel([member((1, 2), (3, 4))])
     k2 = FluxKernel([member((2, 1), (4, 3))])

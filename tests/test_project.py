@@ -1,9 +1,11 @@
 """Project files, instance files, and canonical serialization."""
 
 import enum
+import itertools
 import json
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -584,25 +586,39 @@ near_values = st.one_of(int_values, st.sampled_from(["", "a", "%d", "é\n"]), st
 
 @st.composite
 def pfunctions(draw):
-    """P-functions of every shape the writer meets.  Half of them have
-    int arguments of one width >= 1 per place and int rows of one width,
-    the shapes the templates write; the others may hold near misses:
-    string, NULL or boolean values, argument tuples of two shapes, places
-    or rows of width 0, row sets with rows of two widths."""
-    if draw(st.booleans()):
-        arg_values = row_values = int_values
-        shapes = [draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
-        widths = [draw(st.integers(1, 4))]
+    """P-functions of every shape the writer meets.  A third of them are
+    products, as ``derive_pfunction`` builds: the argument tuples, lists
+    or tuples, run over every choice of one row per place, so that they
+    share each place's row objects, among them lists, and strings, NULL or
+    booleans may be among the values.  A third have int arguments of one
+    width >= 1 per place and int rows of one width.  The others may hold
+    near misses: string, NULL or boolean values, argument tuples of two
+    shapes, places or rows of width 0, row sets with rows of two widths."""
+    kind = draw(st.sampled_from(["product", "ints", "near"]))
+    if kind == "product":
+        values = draw(st.sampled_from([int_values, near_values]))
+        row = st.integers(0, 3).flatmap(lambda w: st.tuples(*[values] * w))
+        places = draw(st.lists(st.lists(st.one_of(row, row.map(list)), min_size=1, max_size=3), max_size=3))
+        rows = st.one_of(st.just(frozenset()), st.frozensets(row, max_size=3))
+        tuples = st.sampled_from([tuple, list])
+        graph = [(draw(tuples)(args), draw(rows)) for args in itertools.product(*places)]
+        count = len(places)
     else:
-        arg_values = draw(st.sampled_from([int_values, near_values]))
-        row_values = draw(st.sampled_from([int_values, near_values]))
-        shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=2))
-        widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
-    args = st.one_of(*[st.tuples(*[st.tuples(*[arg_values] * w) for w in shape]) for shape in shapes])
-    rows = st.frozensets(st.one_of(*[st.tuples(*[row_values] * w) for w in widths]), max_size=3)
-    graph = draw(st.lists(st.tuples(args, st.one_of(st.just(frozenset()), rows)), max_size=8))
+        if kind == "ints":
+            arg_values = row_values = int_values
+            shapes = [draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+            widths = [draw(st.integers(1, 4))]
+        else:
+            arg_values = draw(st.sampled_from([int_values, near_values]))
+            row_values = draw(st.sampled_from([int_values, near_values]))
+            shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=1, max_size=2))
+            widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+        args = st.one_of(*[st.tuples(*[st.tuples(*[arg_values] * w) for w in shape]) for shape in shapes])
+        rows = st.frozensets(st.one_of(*[st.tuples(*[row_values] * w) for w in widths]), max_size=3)
+        graph = draw(st.lists(st.tuples(args, st.one_of(st.just(frozenset()), rows)), max_size=8))
+        count = len(shapes[0])
     texts = st.text(max_size=3)
-    domain = draw(st.tuples(*[st.tuples(texts, st.booleans(), st.booleans()) for _ in shapes[0]]))
+    domain = draw(st.tuples(*[st.tuples(texts, st.booleans(), st.booleans()) for _ in range(count)]))
     return PFunction(draw(texts), domain, draw(texts), tuple(graph))
 
 
@@ -616,15 +632,18 @@ def pfunction_of(*graph):
 @example(pfunction_of((((1,),), frozenset({(1,), (2, 3)}))))  # ragged rows
 @example(pfunction_of((((1,),), frozenset({()}))))  # a row of width 0
 @example(pfunction_of((((True,),), frozenset())))
+# equal rows, and equal hashes, of different texts
+@example(pfunction_of((((1, 2),), frozenset()), (((True, 2),), frozenset({(True, 2), (1, 3)}))))
 @example(PFunction("f", (), "T", (((), frozenset({(1,)})),)))  # no places
+@example(PFunction("f", (), "T", (((), frozenset({(1,)})), ((), frozenset()), ([], frozenset({("a",), (None,)})))))
 def test_a_pfunction_is_written_as_its_plain_data(pf):
     """The CLI writes a p-function by ``canonical_json(pf)`` (``cli._emit``):
     the bytes ``json.dumps`` writes of ``pfunction_to_json(pf)``."""
     assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
 
 
-def test_the_fixture_pfunctions_are_written_from_their_graphs():
-    written = []
+def fixture_pfunctions():
+    """Every p-function of the fixture projects, with its project's name."""
     for example in EXAMPLES:
         project = load_example(example)
         for mapping in project.mappings:
@@ -635,11 +654,48 @@ def test_the_fixture_pfunctions_are_written_from_their_graphs():
                 except DbmorphError:
                     continue
                 for k in range(1, len(arrow.operations) + 1):
-                    pf = derive_pfunction(sat, k)
-                    assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
-                    written.append(project_module._graph_text(pf.graph, "  ") is not None)
-    # both the templates and the generic writer are taken
-    assert any(written) and not all(written)
+                    yield example, derive_pfunction(sat, k)
+
+
+def test_the_fixture_pfunctions_are_written_from_their_graphs():
+    """Each fixture graph, whatever its values, is written by
+    ``_graph_text``; the property test above covers the generic writer."""
+    written = []
+    for _, pf in fixture_pfunctions():
+        assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
+        written.append(project_module._graph_text(pf.graph, "  ") is not None)
+    assert written and all(written)
+
+
+def test_a_graph_is_written_at_the_cost_of_its_rows(monkeypatch):
+    """Writing the ``join`` p-functions runs the generic writer at most
+    once per distinct argument row object, plus a constant: the payload
+    around the graph and the rows of its row sets, which hold strings.
+    More entries over the same argument rows, with no rows, add no run."""
+    calls = Counter()
+    generic = project_module._write_json
+
+    def counted(value, indent, chunks):
+        calls["runs"] += 1
+        generic(value, indent, chunks)
+
+    monkeypatch.setattr(project_module, "_write_json", counted)
+
+    def runs(pf) -> int:
+        canonical_json(pf)  # the templates are cached from here on
+        calls.clear()
+        assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
+        return calls["runs"]
+
+    pfs = [pf for example, pf in fixture_pfunctions() if example == "join"]
+    assert len(pfs) == 2
+    for pf in pfs:
+        distinct = len({id(row) for args, _ in pf.graph for row in args})
+        rows = sum(len(rs) for _, rs in pf.graph)
+        assert distinct < len(pf.graph)
+        assert runs(pf) <= distinct + rows + 20
+        more = pf.graph + tuple((args, frozenset()) for args, _ in pf.graph) * 3
+        assert runs(replace(pf, graph=more)) == runs(pf)
 
 
 @st.composite
