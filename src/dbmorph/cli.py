@@ -40,7 +40,7 @@ from .project import (
     morphism_to_json,
     validation_to_json,
 )
-from .saturation import _chosen, derive_pfunction, saturate
+from .saturation import _chosen, _family, _saturated, derive_pfunction, saturate
 
 __all__ = ["main"]
 
@@ -135,9 +135,9 @@ def cmd_saturate(args) -> int:
 
 def cmd_pfunction(args) -> int:
     project, arrow, it = _arrow_and_interp(args)
-    _chosen(arrow, args.op)  # a malformed index is an input error, before saturating
-    sat = saturate(it, arrow)
-    pf = derive_pfunction(sat, args.op)
+    # a malformed index is an input error, before saturating
+    chosen = _chosen(arrow, args.op)
+    pf = derive_pfunction(_saturated(it, arrow, _family(chosen)), args.op)
     _emit(args, pf)
     return 0
 

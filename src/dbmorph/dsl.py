@@ -35,12 +35,19 @@ existentials and lhs-only variables are implicit inner existentials.
 built-in predicate, ``null`` the missing-value constant, and ``taut`` the
 trivial dependency.  Bare identifiers are variables.  ``parse_mapping``
 after ``pretty_mapping`` is the identity on ASTs.
+
+Parsing costs its tokens: one regular-expression match per token, and each
+token and raw tree node is a plain tuple that carries its offset in the
+text.  Only a fault turns an offset into the line and column that its
+``ParseError`` reports.  The whole text is tokenized and parsed before
+anything is resolved, on purpose: a syntax error anywhere wins over a
+binding or arity error anywhere, whatever their order in the text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import ParseError
 from .logic import (
@@ -82,53 +89,62 @@ RESERVED = {"exists", "forall", "not", "null", "taut", "notnull"}
 # and printing met the default recursion limit at 330 levels.
 _MAX_NESTING = 100
 
-# One alternative per token kind, tried in order at each position; every
-# character matches one of them.  ``\d`` is exactly ``str.isdecimal`` and
-# ``[\w']`` exactly ``str.isalnum`` or ``_'``; ``ident`` may start with a
-# numeric non-decimal such as ``²``, which ``_tokenize`` rejects.
+# One match per token: the blanks and newlines in front of it, then one
+# alternative per token kind, tried in order; after the blanks every
+# character starts one of them, and the end of the text matches ``eof``.
+# ``\d`` is exactly ``str.isdecimal`` and ``[\w']`` exactly ``str.isalnum``
+# or ``_'``; an identifier that starts past ASCII is ``wide``, since it may
+# start with a numeric non-decimal such as ``²``, which ``_tokenize`` rejects.
 _OPEN_STRING = re.compile(r'"(?:[^"\\\n]|\\[ntr"\\]|\\x[0-9a-fA-F]{2})*')
 _TOKEN = re.compile(
-    rf"""(?P<newline>\n)
-      | (?P<blank>[ \t\r]+)
-      | (?P<string>{_OPEN_STRING.pattern}")
-      | (?P<number>\d+)
-      | (?P<ident>[^\W\d][\w']*)
+    rf"""[ \t\r\n]*(?:
+        (?P<ident>[A-Za-z_][\w']*)
       | (?P<punct>&&|->|[!<>]=|[&.,()=<>])
-      | (?P<bad>.)""",
+      | (?P<number>\d+)
+      | (?P<string>{_OPEN_STRING.pattern}")
+      | (?P<wide>[^\W\d][\w']*)
+      | (?P<eof>\Z)
+      | (?P<bad>.))""",
     re.VERBOSE,
 )
+_PLAIN = frozenset({"ident", "punct", "number"})
 _ESCAPE = re.compile(r"\\(x..|.)")
 _UNESCAPE = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | number | string | punct | eof
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, each a (kind, value, offset) tuple, the last
+    one ``eof``.  The kinds are ident, number, string, punct and eof; a
+    string's value is its unescaped content."""
+    tokens: list = []
+    append = tokens.append
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
+        if kind in _PLAIN:
+            append((kind, m[kind], m.start(kind)))
             continue
-        if kind == "blank":
-            continue
-        value = m.group()
-        col = m.start() - line_start + 1
+        start, value = m.start(kind), m[kind]
         if kind == "string":
-            value = _ESCAPE.sub(_unescape, value[1:-1])
-        elif kind == "bad" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
-            if value == '"':
-                _string_error(text, m.start(), line, col)
-            raise ParseError(f"unexpected character {value[0]!r}", line, col)
-        tokens.append(_Token(kind, value, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+            append((kind, _ESCAPE.sub(_unescape, value[1:-1]), start))
+        elif kind == "wide" and value[0].isalpha():
+            append(("ident", value, start))
+        elif kind == "eof":
+            # a match that ends at the end of the text is followed by an
+            # empty ``eof`` match there; the first one ends the tokens
+            append((kind, "", start))
+            break
+        elif value == '"':
+            _string_error(text, start)
+        else:
+            raise ParseError(f"unexpected character {value[0]!r}", *_location(text, start))
     return tokens
+
+
+def _location(text: str, offset: int) -> tuple:
+    """The line and column of ``text[offset]``, both counted from 1; only a
+    fault asks for them."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _unescape(escape: re.Match) -> str:
@@ -136,240 +152,190 @@ def _unescape(escape: re.Match) -> str:
     return chr(int(code[1:], 16)) if code[0] == "x" else _UNESCAPE[code]
 
 
-def _string_error(text: str, start: int, line: int, col: int) -> None:
+def _string_error(text: str, start: int) -> None:
     """Raise the error of the string that opens at ``text[start]`` and does
     not close: at its longest well-formed prefix, the text ends or a line
     does (an unterminated string, located at the quote) or a backslash
     starts a bad escape (located at the backslash)."""
     end = _OPEN_STRING.match(text, start).end()
     if end == len(text) or text[end] == "\n":
-        raise ParseError("unterminated string", line, col)
-    col += end - start
+        raise ParseError("unterminated string", *_location(text, start))
     if end + 1 == len(text):
-        raise ParseError("unterminated escape", line, col)
-    raise ParseError(f"unknown escape \\{text[end + 1]}", line, col)
+        raise ParseError("unterminated escape", *_location(text, end))
+    raise ParseError(f"unknown escape \\{text[end + 1]}", *_location(text, end))
 
 
-# raw (unresolved) syntax trees
-
-class _RawTerm(NamedTuple):
-    kind: str  # var | const | app
-    value: object
-    args: tuple = ()
-    line: int = 0
-    col: int = 0
-
-
-class _RawLiteral(NamedTuple):
-    kind: str  # atom | cmp | eq-head
-    negated: bool
-    name: str | None
-    terms: tuple
-    op: str | None
-    line: int
-    col: int
+# Raw (unresolved) syntax trees are plain tuples: a term is (kind, value,
+# args, offset) with kind var, const or app, and a literal is (kind,
+# negated, name, terms, op, offset) with kind atom, cmp or eq-head.
 
 
 class _Parser:
+    """Recursive descent over the token list.  Each rule takes the index of
+    its first token and returns its tree and the index after it."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fault(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *_location(self.text, offset))
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
+    def expect(self, i: int, kind: str, value: str | None = None) -> int:
+        tok_kind, tok_value, offset = self.tokens[i]
+        if tok_kind != kind or (value is not None and tok_value != value):
             want = value if value is not None else kind
-            got = tok.value if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {want!r}, found {got!r}", tok.line, tok.col)
-        return self.next()
+            got = tok_value if tok_kind != "eof" else "end of input"
+            raise self.fault(f"expected {want!r}, found {got!r}", offset)
+        return i + 1
 
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+    def at(self, i: int, kind: str, value: str) -> bool:
+        tok = self.tokens[i]
+        return tok[1] == value and tok[0] == kind
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+    def separated(self, i: int, sep: str, item, *args) -> tuple:
+        """One or more ``item(i, *args)`` results, ``sep``-separated, and
+        the index after the last."""
+        tokens = self.tokens
+        items = []
+        while True:
+            result, i = item(i, *args)
+            items.append(result)
+            kind, value, _ = tokens[i]
+            if value != sep or kind != "punct":
+                return items, i
+            i += 1
 
     # --- names -----------------------------------------------------------
 
-    def ident(self, what: str) -> _Token:
-        tok = self.expect("ident")
-        if tok.value in RESERVED or tok.value == HASH_NAME:
-            raise ParseError(f"{tok.value!r} is reserved and cannot name a {what}", tok.line, tok.col)
-        return tok
-
-    def separated(self, sep: str, item, *args) -> list:
-        """One or more ``item(*args)`` results, ``sep``-separated."""
-        items = [item(*args)]
-        while self.at_punct(sep):
-            self.next()
-            items.append(item(*args))
-        return items
-
-    def name_list(self, what: str) -> list[_Token]:
-        return self.separated(",", self.ident, what)
+    def ident(self, i: int, what: str) -> tuple:
+        i = self.expect(i, "ident")
+        tok = self.tokens[i - 1]
+        if tok[1] in RESERVED or tok[1] == HASH_NAME:
+            raise self.fault(f"{tok[1]!r} is reserved and cannot name a {what}", tok[2])
+        return tok, i
 
     # --- terms and literals ------------------------------------------------
 
-    def term(self, depth: int = 0) -> _RawTerm:
+    def term(self, i: int, depth: int = 0) -> tuple:
         """One term inside ``depth`` open argument lists."""
-        tok = self.next()
-        if tok.kind == "number":
-            try:
-                value = int(tok.value)
-            except ValueError:  # past the interpreter's limit on integer digits
-                raise ParseError("number has too many digits", tok.line, tok.col) from None
-            return _RawTerm("const", value, line=tok.line, col=tok.col)
-        if tok.kind == "string":
-            return _RawTerm("const", tok.value, line=tok.line, col=tok.col)
-        if tok.kind == "ident":
-            if tok.value == "null":
-                return _RawTerm("const", NULL, line=tok.line, col=tok.col)
-            if self.at_punct("("):
+        tokens = self.tokens
+        kind, value, offset = tokens[i]
+        i += 1
+        if kind == "ident":
+            if value == "null":
+                return ("const", NULL, (), offset), i
+            if tokens[i][1] == "(" and tokens[i][0] == "punct":
                 if depth == _MAX_NESTING:
-                    raise ParseError(
-                        f"argument lists nest deeper than {_MAX_NESTING}", tok.line, tok.col
-                    )
-                self.next()
-                if self.at_punct(")"):
-                    close = self.peek()
-                    raise ParseError("empty argument list", close.line, close.col)
-                args = self.separated(",", self.term, depth + 1)
-                self.expect("punct", ")")
-                return _RawTerm("app", tok.value, tuple(args), tok.line, tok.col)
-            if tok.value in RESERVED:
-                raise ParseError(f"{tok.value!r} is reserved", tok.line, tok.col)
-            return _RawTerm("var", tok.value, line=tok.line, col=tok.col)
-        raise ParseError(f"expected a term, found {tok.value or tok.kind!r}", tok.line, tok.col)
+                    raise self.fault(f"argument lists nest deeper than {_MAX_NESTING}", offset)
+                if tokens[i + 1][1] == ")" and tokens[i + 1][0] == "punct":
+                    raise self.fault("empty argument list", tokens[i + 1][2])
+                args, i = self.separated(i + 1, ",", self.term, depth + 1)
+                return ("app", value, tuple(args), offset), self.expect(i, "punct", ")")
+            if value in RESERVED:
+                raise self.fault(f"{value!r} is reserved", offset)
+            return ("var", value, (), offset), i
+        if kind == "number":
+            try:
+                return ("const", int(value), (), offset), i
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise self.fault("number has too many digits", offset) from None
+        if kind == "string":
+            return ("const", value, (), offset), i
+        raise self.fault(f"expected a term, found {value or kind!r}", offset)
 
-    def _cmp_op(self) -> str | None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value in COMPARISON_OPS:
-            return tok.value
-        return None
-
-    def literal(self, head: bool) -> _RawLiteral:
-        tok = self.peek()
-        negated = False
-        if not head and tok.kind == "ident" and tok.value == "not":
-            self.next()
-            negated = True
-            tok = self.peek()
-        left = self.term()
-        op = self._cmp_op()
-        if op is not None and not negated:
+    def literal(self, i: int, head: bool) -> tuple:
+        negated = not head and self.at(i, "ident", "not")
+        left, i = self.term(i + 1 if negated else i)
+        kind, op, offset = self.tokens[i]
+        if kind == "punct" and op in COMPARISON_OPS and not negated:
             if head and op != "=":
-                optok = self.peek()
-                raise ParseError("only '=' may head an egd", optok.line, optok.col)
-            self.next()
-            right = self.term()
-            return _RawLiteral("eq-head" if head else "cmp", False, None, (left, right), op, tok.line, tok.col)
-        if left.kind != "app":
-            raise ParseError(
-                "expected an atom or a comparison", left.line, left.col
-            )
-        return _RawLiteral("atom", negated, str(left.value), left.args, None, left.line, left.col)
+                raise self.fault("only '=' may head an egd", offset)
+            right, i = self.term(i + 1)
+            return ("eq-head" if head else "cmp", False, None, (left, right), op, left[3]), i
+        if left[0] != "app":
+            raise self.fault("expected an atom or a comparison", left[3])
+        return ("atom", negated, left[1], left[2], None, left[3]), i
 
     # --- conjuncts ----------------------------------------------------------
 
-    def conjunct(self) -> tuple:
-        self.expect("ident", "forall")
-        universals = self.name_list("variable")
-        self.expect("punct", ".")
-        lhs = self.separated("&", self.literal, False)
-        self.expect("punct", "->")
-        return universals, lhs, self.separated("&", self.literal, True)
+    def conjunct(self, i: int) -> tuple:
+        i = self.expect(i, "ident", "forall")
+        universals, i = self.separated(i, ",", self.ident, "variable")
+        lhs, i = self.separated(self.expect(i, "punct", "."), "&", self.literal, False)
+        head, i = self.separated(self.expect(i, "punct", "->"), "&", self.literal, True)
+        return (universals, lhs, head), i
 
 
 class _Resolver:
     """Turns raw trees into typed ASTs, enforcing binding and arity rules."""
 
-    def __init__(self, functions: dict):
+    def __init__(self, fault, functions: dict):
+        self.fault = fault  # the parser's: (message, offset) -> ParseError
         self.functions = functions  # name -> FuncSymbol
         self.rel_arity: dict = {}
         self.fn_arity: dict = {}
+        self.vars: dict = {}  # name -> its one Var
 
-    def check_rel(self, name: str, arity: int, line: int, col: int) -> None:
-        seen = self.rel_arity.get(name)
-        if seen is None:
-            self.rel_arity[name] = arity
-        elif seen != arity:
-            raise ParseError(
-                f"relation {name} used with arity {arity}, earlier with {seen}", line, col
-            )
-
-    def term(self, raw: _RawTerm, bound: set, implicit: list | None) -> Term:
-        if raw.kind == "const":
-            return Const(raw.value)
-        if raw.kind == "var":
-            name = str(raw.value)
+    def term(self, raw: tuple, bound: set, implicit: list | None) -> Term:
+        kind, name, args, offset = raw
+        if kind == "var":
             if name not in bound:
                 if implicit is None:
-                    raise ParseError(
-                        f"variable {name} is not bound by any quantifier", raw.line, raw.col
-                    )
+                    raise self.fault(f"variable {name} is not bound by any quantifier", offset)
                 if name not in implicit:
                     implicit.append(name)
-            return Var(name)
-        name = str(raw.value)
-        args = tuple(self.term(a, bound, implicit) for a in raw.args)
+            var = self.vars.get(name)
+            if var is None:
+                var = self.vars[name] = Var(name)
+            return var
+        if kind == "const":
+            return Const(name)
+        args = tuple([self.term(a, bound, implicit) for a in args])
         if name == HASH_NAME:
             return App(hash_symbol(), args)
         sym = self.functions.get(name)
         if sym is None:
-            raise ParseError(
-                f"unknown function symbol {name} (not bound by exists, not a built-in)",
-                raw.line,
-                raw.col,
+            raise self.fault(
+                f"unknown function symbol {name} (not bound by exists, not a built-in)", offset
             )
-        seen = self.fn_arity.get(name)
-        if seen is None:
-            self.fn_arity[name] = len(args)
-        elif seen != len(args):
-            raise ParseError(
-                f"function {name} used with arity {len(args)}, earlier with {seen}",
-                raw.line,
-                raw.col,
+        seen = self.fn_arity.setdefault(name, len(args))
+        if seen != len(args):
+            raise self.fault(
+                f"function {name} used with arity {len(args)}, earlier with {seen}", offset
             )
         return App(sym, args)
 
-    def literal(self, raw: _RawLiteral, bound: set, implicit: list | None) -> Literal:
-        if raw.kind == "cmp":
-            left = self.term(raw.terms[0], bound, implicit)
-            right = self.term(raw.terms[1], bound, implicit)
-            return Comparison(left, raw.op, right)
-        assert raw.kind == "atom"
-        if raw.name == "notnull":
-            if len(raw.terms) != 1:
-                raise ParseError("notnull takes exactly one argument", raw.line, raw.col)
-            return NotNull(self.term(raw.terms[0], bound, implicit), raw.negated)
-        if raw.name in RESERVED or raw.name == HASH_NAME:
-            raise ParseError(f"{raw.name!r} cannot be used as a relation", raw.line, raw.col)
-        self.check_rel(raw.name, len(raw.terms), raw.line, raw.col)
-        terms = tuple(self.term(t, bound, implicit) for t in raw.terms)
-        return RelAtom(raw.name, terms, raw.negated)
+    def literal(self, raw: tuple, bound: set, implicit: list | None) -> Literal:
+        kind, negated, name, terms, op, offset = raw
+        if kind == "cmp":
+            left = self.term(terms[0], bound, implicit)
+            return Comparison(left, op, self.term(terms[1], bound, implicit))
+        if name == "notnull":
+            if len(terms) != 1:
+                raise self.fault("notnull takes exactly one argument", offset)
+            return NotNull(self.term(terms[0], bound, implicit), negated)
+        if name in RESERVED or name == HASH_NAME:
+            raise self.fault(f"{name!r} cannot be used as a relation", offset)
+        seen = self.rel_arity.setdefault(name, len(terms))
+        if seen != len(terms):
+            raise self.fault(
+                f"relation {name} used with arity {len(terms)}, earlier with {seen}", offset
+            )
+        return RelAtom(name, tuple([self.term(t, bound, implicit) for t in terms]), negated)
 
-    def head_atom(self, raw: _RawLiteral, bound: set, implicit: list | None) -> RelAtom:
+    def head_atom(self, raw: tuple, bound: set, implicit: list | None) -> RelAtom:
         atom = self.literal(raw, bound, implicit)
         if not isinstance(atom, RelAtom):
-            raise ParseError("a dependency head is a relational atom", raw.line, raw.col)
+            raise self.fault("a dependency head is a relational atom", raw[5])
         return atom
 
-    def equality(self, raw: _RawLiteral, bound: set) -> tuple:
+    def equality(self, raw: tuple, bound: set) -> tuple:
         pair = []
-        for raw_side in raw.terms:
+        for raw_side in raw[3]:
             side = self.term(raw_side, bound, None)
             if not isinstance(side, Var):
-                raise ParseError("egds equate variables", raw.line, raw.col)
+                raise self.fault("egds equate variables", raw[5])
             pair.append(side.name)
         return tuple(pair)
 
@@ -378,65 +344,57 @@ def parse_mapping(text: str) -> "SOtgd | list[Dependency]":
     """Parse mapping text.  With an ``exists`` prefix the result is a single
     SOtgd; otherwise a list of tgds and egds, one per conjunct."""
     parser = _Parser(text)
-    if parser.at_keyword("taut"):
-        parser.next()
-        parser.expect("eof")
+    if parser.at(0, "ident", "taut"):
+        parser.expect(1, "eof")
         return TAUT_SOTGD
 
     functions: dict = {}  # name -> FuncSymbol, in prefix order
-    is_sotgd = False
-    if parser.at_keyword("exists"):
-        is_sotgd = True
-        parser.next()
-        for tok in parser.name_list("function"):
-            if tok.value in functions:
-                raise ParseError(f"duplicate function symbol {tok.value}", tok.line, tok.col)
-            functions[tok.value] = FuncSymbol(tok.value, FuncKind.SKOLEM)
-        parser.expect("punct", ".")
+    i = 0
+    is_sotgd = parser.at(0, "ident", "exists")
+    if is_sotgd:
+        names, i = parser.separated(1, ",", parser.ident, "function")
+        for _, name, offset in names:
+            if name in functions:
+                raise parser.fault(f"duplicate function symbol {name}", offset)
+            functions[name] = FuncSymbol(name, FuncKind.SKOLEM)
+        i = parser.expect(i, "punct", ".")
 
-    raw_conjuncts = parser.separated("&&", parser.conjunct)
-    parser.expect("eof")
+    raw_conjuncts, i = parser.separated(i, "&&", parser.conjunct)
+    parser.expect(i, "eof")
 
-    resolver = _Resolver(functions)
+    resolver = _Resolver(parser.fault, functions)
     conjuncts: list = []
     for universal_toks, raw_lhs, raw_head in raw_conjuncts:
-        _check_distinct(universal_toks)
-        universals = tuple(t.value for t in universal_toks)
-        bound = set(universals)
-        equalities = [r for r in raw_head if r.kind == "eq-head"]
+        bound: set = set()
+        for _, name, offset in universal_toks:
+            if name in bound:
+                raise parser.fault(f"duplicate variable {name}", offset)
+            bound.add(name)
+        universals = tuple([tok[1] for tok in universal_toks])
+        equalities = [r for r in raw_head if r[0] == "eq-head"]
         if equalities and not is_sotgd and len(equalities) < len(raw_head):
-            r = raw_head[0]
-            raise ParseError("a head mixes relational atoms and equalities", r.line, r.col)
+            raise parser.fault("a head mixes relational atoms and equalities", raw_head[0][5])
         # only a tgd binds variables implicitly
         lhs_implicit = None if is_sotgd or equalities else []
-        lhs = tuple(resolver.literal(r, bound, lhs_implicit) for r in raw_lhs)
+        lhs = tuple([resolver.literal(r, bound, lhs_implicit) for r in raw_lhs])
         if is_sotgd and equalities:
-            r = equalities[0]
-            raise ParseError("equality heads are not allowed in an SOtgd mapping", r.line, r.col)
+            message = "equality heads are not allowed in an SOtgd mapping"
+            raise parser.fault(message, equalities[0][5])
         if equalities:
             conjuncts.append(Egd(universals, lhs, [resolver.equality(r, bound) for r in raw_head]))
             continue
         head_implicit = None if is_sotgd else []
-        head = tuple(resolver.head_atom(r, bound, head_implicit) for r in raw_head)
+        head = tuple([resolver.head_atom(r, bound, head_implicit) for r in raw_head])
         if is_sotgd:
             conjuncts.append(SOtgdConjunct(universals, lhs, head))
             continue
         for v in head_implicit:
             if v in lhs_implicit:
-                r = raw_head[0]
-                raise ParseError(
-                    f"variable {v} occurs on both sides but is not declared forall", r.line, r.col
+                raise parser.fault(
+                    f"variable {v} occurs on both sides but is not declared forall", raw_head[0][5]
                 )
         conjuncts.append(Tgd(universals, lhs, head, lhs_implicit, head_implicit))
     return SOtgd(functions.values(), conjuncts) if is_sotgd else conjuncts
-
-
-def _check_distinct(toks: Sequence[_Token]) -> None:
-    seen: set = set()
-    for t in toks:
-        if t.value in seen:
-            raise ParseError(f"duplicate variable {t.value}", t.line, t.col)
-        seen.add(t.value)
 
 
 # ---------------------------------------------------------------------------

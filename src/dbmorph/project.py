@@ -253,11 +253,14 @@ class MappingSource:
 @dataclass
 class Project:
     """A loaded project file.  ``instances`` maps each instance name to its
-    (path, schema) and ``mappings`` each mapping name to its (path, source,
-    target); ``instance()`` and ``mapping()`` read and check a file on first
+    (file name, schema) and ``mappings`` each mapping name to its (file
+    name, source, target); a file name is relative to ``directory``, the
+    project file's directory, and is joined to it only when the file is
+    read.  ``instance()`` and ``mapping()`` read and check a file on first
     use and keep the result, so a command reads only the files it needs,
     each once."""
 
+    directory: Path
     domain: tuple = ()
     schemas: dict = field(default_factory=dict)
     instances: dict = field(default_factory=dict)
@@ -269,15 +272,16 @@ class Project:
         return _named(self.schemas, "schema", name)
 
     def instance(self, name: str) -> Instance:
-        entry = _named(self.instances, "instance", name)
+        file, schema = _named(self.instances, "instance", name)
         if ("instance", name) not in self._read:
-            self._read["instance", name] = load_instance_file(*entry)
+            self._read["instance", name] = load_instance_file(self.directory / file, schema)
         return self._read["instance", name]
 
     def mapping(self, name: str) -> MappingSource:
-        path, source, target = _named(self.mappings, "mapping", name)
+        file, source, target = _named(self.mappings, "mapping", name)
         if ("mapping", name) not in self._read:
-            self._read["mapping", name] = MappingSource(name, source, target, _read_text(path))
+            text = _read_text(self.directory / file)
+            self._read["mapping", name] = MappingSource(name, source, target, text)
         return self._read["mapping", name]
 
 
@@ -322,7 +326,6 @@ def _named(entries: dict, kind: str, name: str, where: str = ""):
 def load_project(path) -> Project:
     path = Path(path)
     data = _typed(_read_json(path), dict, f"{path}: the top level")
-    base = path.parent
 
     (domain,) = check_values([_section(data, "domain", list, path)], f"{path}: 'domain'")
 
@@ -340,19 +343,18 @@ def load_project(path) -> Project:
             constraints = _schema_constraints(text, symbols, where)
         schemas[name] = _located(where, Schema, name, symbols.values(), constraints)
 
-    project = Project(domain=tuple(domain), schemas=schemas)
+    project = Project(path.parent, tuple(domain), schemas)
 
     for name, body in sorted(_section(data, "instances", dict, path).items()):
         where = f"{path}: instance {name}"
         schema = _named(schemas, "schema", _entry_field(body, "schema", where), where)
-        project.instances[name] = (base / _entry_field(body, "file", where), schema)
+        project.instances[name] = (_entry_field(body, "file", where), schema)
 
     for name, body in sorted(_section(data, "mappings", dict, path).items()):
         where = f"{path}: mapping {name}"
         src = _named(schemas, "schema", _entry_field(body, "source", where), where)
         tgt = _named(schemas, "schema", _entry_field(body, "target", where), where)
-        file = base / _entry_field(body, "file", where)
-        project.mappings[name] = (file, src.name, tgt.name)
+        project.mappings[name] = (_entry_field(body, "file", where), src.name, tgt.name)
 
     edges = []
     for edge in _section(data, "graph", list, path):
@@ -374,7 +376,8 @@ def load_project(path) -> Project:
 def compile_project_mapping(project: Project, name: str) -> OperadArrow:
     ms = project.mapping(name)
     source, target = project.schema(ms.source), project.schema(ms.target)
-    return _located(str(project.mappings[name][0]), compile_source, ms.text, source, target, name)
+    where = str(project.directory / project.mappings[name][0])
+    return _located(where, compile_source, ms.text, source, target, name)
 
 
 def _skolem_entries(pairs: list, where: str) -> dict:

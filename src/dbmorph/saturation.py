@@ -192,6 +192,13 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
     heads are skipped outright; arguments with failing guards contribute
     nothing; every alternative row yields one extra or one skip report.
     """
+    return _saturated(it, arrow, None)
+
+
+def _saturated(it: TarskiInterpretation, arrow: OperadArrow, family) -> SaturatedMorphism:
+    """``saturate``, with the extras and skips of only the operations in
+    ``family`` (a ``_family`` key) when it is not None: a p-function reads
+    no others.  Satisfaction is checked over every operation either way."""
     base = alpha_star(it, arrow)
     report = satisfies(base)
     if not report.satisfied:
@@ -204,7 +211,7 @@ def saturate(it: TarskiInterpretation, arrow: OperadArrow) -> SaturatedMorphism:
     skipped: list = []
     for op_index, component in enumerate(base.components, 1):
         op = component.op
-        if not _head_skolems(op):
+        if (family is not None and _family(op) != family) or not _head_skolems(op):
             continue
         key, alternatives = _selector(it, op)
         if not alternatives:
@@ -243,6 +250,11 @@ def _domain_descriptor(op: OperadOperation) -> tuple:
     return tuple((p.symbol, p.negated, p.char) for p in op.places)
 
 
+def _family(op: OperadOperation) -> tuple:
+    """What the members of a p-function share: the domain and codomain."""
+    return _domain_descriptor(op), op.target
+
+
 def _chosen(arrow: OperadArrow, op_index: int) -> OperadOperation:
     """The operation of ``arrow`` at ``op_index``, counted from 1; an input
     error when there is none."""
@@ -256,19 +268,18 @@ def derive_pfunction(sat: SaturatedMorphism, op_index: int) -> PFunction:
     """Union of the graphs of every component (bases and extras alike) that
     shares the chosen operation's domain and codomain."""
     chosen = _chosen(sat.arrow, op_index)
-    key = (_domain_descriptor(chosen), chosen.target)
+    key = _family(chosen)
 
     # one pass over each member's graph, then the extras: an extra differs
     # from its base component, itself a member, only at its trigger
     reached = defaultdict(set)
     for c in sat.base.components:
-        if (_domain_descriptor(c.op), c.op.target) == key:
+        if _family(c.op) == key:
             for args, out in c.graph().items():
                 if out != ():
                     reached[args].add(out)
     for extra in sat.extras:
-        op = extra.component.op
-        if (_domain_descriptor(op), op.target) == key and extra.output != ():
+        if _family(extra.component.op) == key and extra.output != ():
             reached[extra.trigger].add(extra.output)
 
     # the product is listed; a tuple that no member reaches maps to one

@@ -21,9 +21,11 @@ from dbmorph.dsl import _MAX_NESTING as DSL_NESTING, parse_mapping
 from dbmorph.errors import DbmorphError, ParseError, SchemaError
 from dbmorph.interp import ComponentFunction
 from dbmorph.project import (
+    canonical_json,
     compile_project_mapping,
     load_interpretation_file,
     load_project,
+    pfunction_to_json,
     validation_to_json,
 )
 
@@ -333,13 +335,38 @@ def test_pfunction_index_is_checked_before_saturating(capsys, monkeypatch, name,
     """An index out of range exits 3 whether or not the interpretation
     satisfies the mapping (``interp_bad.json`` does not): it is checked
     against the compiled arrow, and nothing is saturated."""
-    monkeypatch.setattr(cli, "saturate", lambda *_: pytest.fail("saturated"))
+    monkeypatch.setattr(cli, "_saturated", lambda *_: pytest.fail("saturated"))
     code, out, err = run(
         capsys,
         "pfunction", "--project", P4, "--mapping", "m_ab",
         "--interp", interp("example4", name), "--op", op,
     )
     assert (code, out, err) == (3, "", f"error: operation index {op} out of range 1..1\n")
+
+
+@pytest.mark.parametrize("op", [1, 2])
+def test_pfunction_scans_only_its_family(capsys, monkeypatch, op):
+    """Both operations of ``join`` have extras, in families of their own:
+    ``pfunction --op k`` writes the bytes of the p-function of the full
+    saturation and scans the triggers of operation k alone."""
+    project = load_project(FIXTURES / "join" / "project.json")
+    arrow = compile_project_mapping(project, "m")
+    it = load_interpretation_file(interp("join"), project)
+    full = saturation_module.saturate(it, arrow)
+    assert {extra.op_index for extra in full.extras} == {1, 2}
+    want = canonical_json(pfunction_to_json(saturation_module.derive_pfunction(full, op)))
+    scanned = []
+    selector = saturation_module._selector
+    monkeypatch.setattr(
+        saturation_module, "_selector", lambda it, o: scanned.append(o.name) or selector(it, o)
+    )
+    code, out, err = run(
+        capsys,
+        "pfunction", "--project", str(FIXTURES / "join" / "project.json"), "--mapping", "m",
+        "--interp", interp("join"), "--op", str(op),
+    )
+    assert (code, out, err) == (0, want, "")
+    assert scanned == [arrow.operations[op - 1].name]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dbmorph import (
     Tgd,
     Var,
     dsl,
+    load_project,
     parse_mapping,
     pretty_mapping,
 )
@@ -418,10 +419,22 @@ def _error(exc):
     return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
+def located_tokens(module, text):
+    """``(kind, value, line, col)`` per token; ``dsl`` gives each token's
+    offset, and its line and column are counted here."""
+    if module is oracle:
+        return [(t.kind, t.value, t.line, t.col) for t in oracle._tokenize(text)]
+    located = []
+    for kind, value, offset in module._tokenize(text):
+        lines = text[:offset].split("\n")
+        located.append((kind, value, len(lines), len(lines[-1]) + 1))
+    return located
+
+
 def outcome(module, text):
     """Tokens, parse and print of ``text``; where one fails, its error."""
     try:
-        tokens = [(t.kind, t.value, t.line, t.col) for t in module._tokenize(text)]
+        tokens = located_tokens(module, text)
     except ParseError as exc:
         tokens = _error(exc)
     try:
@@ -488,3 +501,57 @@ def test_syntax_errors_win_over_resolution_errors():
     with pytest.raises(ParseError, match="a head mixes") as err:
         parse_mapping("forall x . p(x) & g(x) = 1 -> x = x & q(x)")
     assert (err.value.line, err.value.column) == (1, 31)
+
+
+# one text per located fault: the tokenizer's, the parser's and the resolver's
+LOCATED_FAULTS = [
+    "forall x . p(x)\n  -> q(x) ;",
+    'forall x . p("a) -> q(x)',
+    'forall x . p("a\\q") -> q(x)',
+    'forall x . p("a\\',
+    "forall ²x . p(x) -> q(x)",
+    "forall x . p(x) -> q(x) q",
+    "forall not . p(x) -> q(x)",
+    "forall x . p(x, ->) -> q(x)",
+    "forall x . p(x, not) -> q(x)",
+    "forall x . p(" + "f(" * dsl._MAX_NESTING + "x" + ")" * (dsl._MAX_NESTING + 1) + " -> q(x)",
+    "forall x . p() -> q(x)",
+    "forall x . p(x) -> x < x",
+    "forall x . x -> q(x)",
+    "forall x . p(x, " + "9" * 5000 + ") -> q(x)",
+    "exists f, f . forall x . p(x) -> q(f(x))",
+    "exists f . forall x . p(x, y) -> q(f(x))",
+    "exists f . forall x . p(x) -> q(g(x))",
+    "exists f . forall x . p(x) -> q(f(x)) & r(f(x, x))",
+    "exists f . forall x . p(x) -> x = x",
+    "forall x . p(x) -> q(x) && forall x . p(x, x) -> q(x)",
+    "forall x . p(x) & notnull(x, x) -> q(x)",
+    "forall x . p(x) & taut(x) -> q(x)",
+    "forall x . p(x) -> notnull(x)",
+    "forall x . p(x) -> x = 1",
+    "forall x . p(x) -> x = x & q(x)",
+    "forall x . p(x, y) -> q(x, y)",
+    "forall x, x . p(x) -> q(x)",
+]
+
+
+def test_a_location_is_computed_only_for_a_fault(monkeypatch):
+    offsets = []
+    location = dsl._location
+
+    def counted(text, offset):
+        offsets.append(offset)
+        return location(text, offset)
+
+    monkeypatch.setattr(dsl, "_location", counted)
+    for path in ALL_MAPPING_FILES:
+        parse_mapping(path.read_text(encoding="utf-8"))
+    for path in sorted(FIXTURES.glob("*/project.json")):
+        load_project(path)  # parses every schema's constraints
+    assert offsets == []
+    for text in LOCATED_FAULTS:
+        with pytest.raises(ParseError) as err:
+            parse_mapping(text)
+        assert err.value.line is not None, text
+        assert len(offsets) == 1, text
+        assert location(text, offsets.pop()) == (err.value.line, err.value.column)
