@@ -24,6 +24,9 @@ invocation the exit code and the sha256 of stdout and of stderr in
   whose atom has another arity than its relation exits 3 whatever its
   sign, while a negated place of the relation's arity reads its
   complement over values that only an ``extras`` instance holds;
+- the same set for ``capped``, whose ``equal`` of ``m1`` against ``m2``
+  is unknown within the default bounds and, under ``--bounds 3,2,2``
+  (``CAPPED_BOUNDS``), says that its search was capped;
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
   and 3, fixpoint searches that cannot find a foreign, a too-wide or a
   NULL-bearing probe, a cap hit in each bounds regime, and the caps just
@@ -33,6 +36,11 @@ Usage (stdlib only):
 
     python tests/cli_golden.py           # check; exit 1 listing each mismatch
     python tests/cli_golden.py --write   # record the current behaviour
+    python tests/cli_golden.py --processes join skips
+
+``--processes`` checks the named fixtures' invocations, those whose
+``--project`` lies in that fixture, each run as its own ``python -m
+dbmorph.cli`` process, against the same record.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -49,7 +58,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
-EXAMPLES = ("example1", "example3", "example4", "example5", "join", "skips", "ints", "arity")
+SRC = HERE.parent / "src"
+EXAMPLES = (
+    "example1", "example3", "example4", "example5", "join", "skips", "ints", "arity", "capped"
+)
 PFUNCTION_OPS = range(13)
 # (mapping, interpretation, member file, --bounds or None), all of example1
 FLUX_MEMBERS = (
@@ -64,8 +76,11 @@ FLUX_MEMBERS = (
     ("m_ac", "interp_ac", "member_foreign.json", "none,1,8"),
     ("m_ac", "interp_ac", "member_foreign.json", "none,1,9"),
 )
+# --bounds of ``equal --mapping2 m2`` from each mapping of capped, a relation
+# cap under the size of the kernels' closures
+CAPPED_BOUNDS = "3,2,2"
 
-sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(SRC))
 
 from dbmorph import cli  # noqa: E402
 
@@ -95,11 +110,15 @@ def invocations() -> list:
         argv = ["flux", "--project", "example1/project.json", "--mapping", mapping,
                 "--interp", f"example1/{interp}.json", "--member", f"example1/{member}"]
         out.append(argv + ["--bounds", bounds] if bounds else argv)
+    for mapping in ("m1", "m2"):
+        out.append(["equal", "--project", "capped/project.json", "--mapping", mapping,
+                    "--interp", "capped/interp.json", "--mapping2", "m2",
+                    "--interp2", "capped/interp.json", "--bounds", CAPPED_BOUNDS])
     return out
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(argv: list) -> dict:
@@ -113,7 +132,23 @@ def run(argv: list) -> dict:
         except Exception:  # a traceback is behaviour too
             code = 1
             print(traceback.format_exc().splitlines()[-1], file=sys.stderr)
-    return {"exit": code, "stdout": _digest(stdout.getvalue()), "stderr": _digest(stderr.getvalue())}
+    return {
+        "exit": code,
+        "stdout": _digest(stdout.getvalue().encode("utf-8")),
+        "stderr": _digest(stderr.getvalue().encode("utf-8")),
+    }
+
+
+def run_process(argv: list) -> dict:
+    """Exit code and output digests of one ``python -m dbmorph.cli``
+    process, run in ``tests/fixtures``."""
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dbmorph.cli", *argv],
+        cwd=FIXTURES, env=env, capture_output=True, timeout=120,
+    )
+    return {"exit": done.returncode, "stdout": _digest(done.stdout), "stderr": _digest(done.stderr)}
 
 
 def record() -> dict:
@@ -125,16 +160,33 @@ def record() -> dict:
         os.chdir(cwd)
 
 
+def _differences(current: dict, subset: bool = False) -> list:
+    """One line per invocation whose result in ``current`` differs from
+    the golden file: every invocation of either, or with ``subset`` those
+    of ``current`` only."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    keys = current.keys() if subset else golden.keys() | current.keys()
+    return [
+        f"{key}: recorded {golden.get(key)}, now {current.get(key)}"
+        for key in sorted(keys)
+        if golden.get(key) != current.get(key)
+    ]
+
+
 def mismatches() -> list:
     """One line per invocation whose result differs from the golden file."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    current = record()
-    lines = []
-    for key in sorted(golden.keys() | current.keys()):
-        want, got = golden.get(key), current.get(key)
-        if want != got:
-            lines.append(f"{key}: recorded {want}, now {got}")
-    return lines
+    return _differences(record())
+
+
+def process_mismatches(fixtures) -> list:
+    """One line per invocation of the given fixtures whose result, run as
+    a process, differs from the golden file."""
+    chosen = [
+        argv for argv in invocations()
+        if argv[argv.index("--project") + 1].split("/")[0] in fixtures
+    ]
+    current = {" ".join(argv): run_process(argv) for argv in chosen}
+    return _differences(current, subset=True)
 
 
 def main(argv=None) -> int:
@@ -144,10 +196,13 @@ def main(argv=None) -> int:
         GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"recorded {len(results)} invocations in {GOLDEN.name}")
         return 0
-    if argv:
-        print("usage: cli_golden.py [--write]", file=sys.stderr)
+    if argv[:1] == ["--processes"] and len(argv) > 1 and set(argv[1:]) <= set(EXAMPLES):
+        lines = process_mismatches(argv[1:])
+    elif argv:
+        print("usage: cli_golden.py [--write | --processes FIXTURE...]", file=sys.stderr)
         return 2
-    lines = mismatches()
+    else:
+        lines = mismatches()
     for line in lines:
         print(line)
     print(f"{len(lines)} mismatches")

@@ -1,6 +1,7 @@
 """The dbmorph command line: subcommands, exit codes, canonical output."""
 
 import functools
+import gc
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from dbmorph.project import (
     validation_to_json,
 )
 
+import cli_golden
 import law_oracle
 from conftest import FIXTURES
 
@@ -480,47 +482,10 @@ def test_equal_requires_both_second_arguments(capsys):
 
 
 def unknown_fixture(tmp_path):
-    (tmp_path / "a.json").write_text(
-        json.dumps(
-            {
-                "schema": "A",
-                "relations": {
-                    "p": {"columns": ["c1"], "rows": [[1]]},
-                    "p2": {"columns": ["c1"], "rows": []},
-                },
-            }
-        ),
-        encoding="utf-8",
-    )
-    (tmp_path / "b.json").write_text(
-        json.dumps({"schema": "B", "relations": {}}), encoding="utf-8"
-    )
-    (tmp_path / "m1.map").write_text(
-        "forall x . p(x) -> s(x)\n&& forall x . p2(x) -> t(x)", encoding="utf-8"
-    )
-    (tmp_path / "m2.map").write_text("forall x . p(x) -> s(x)", encoding="utf-8")
-    (tmp_path / "interp.json").write_text(
-        json.dumps({"source": "a", "target": "b"}), encoding="utf-8"
-    )
-    (tmp_path / "project.json").write_text(
-        json.dumps(
-            {
-                "schemas": {
-                    "A": {"relations": {"p": ["c1"], "p2": ["c1"]}},
-                    "B": {"relations": {"s": ["c1"], "t": ["c1"]}},
-                },
-                "instances": {
-                    "a": {"schema": "A", "file": "a.json"},
-                    "b": {"schema": "B", "file": "b.json"},
-                },
-                "mappings": {
-                    "m1": {"source": "A", "target": "B", "file": "m1.map"},
-                    "m2": {"source": "A", "target": "B", "file": "m2.map"},
-                },
-            }
-        ),
-        encoding="utf-8",
-    )
+    """A copy of the ``capped`` project in ``tmp_path``, for tests that
+    break its files: its project and interpretation file."""
+    for src in (FIXTURES / "capped").iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
     return str(tmp_path / "project.json"), str(tmp_path / "interp.json")
 
 
@@ -1536,3 +1501,79 @@ def test_the_module_entry_point_runs(capsys, monkeypatch):
     assert done.returncode == 0, done.stderr
     assert done.stdout == run(capsys, *argv)[1].encode("utf-8")
     assert entry_point(*argv, "--bogus").returncode == 3
+
+
+# ---------------------------------------------------------------------------
+# the cycle collector is paused for the length of a command
+
+
+@contextmanager
+def collector(enabled):
+    """The cycle collector on or off, then as it was."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_command_leaves_no_cyclic_garbage(monkeypatch):
+    """Every golden invocation, whatever its exit code, leaves nothing for
+    the cycle collector: what a command builds dies by reference count,
+    which is what lets ``main`` pause the collector while it runs."""
+    monkeypatch.chdir(FIXTURES)
+    argvs = cli_golden.invocations()
+    cli_golden.run(argvs[0])  # the parser, built once, holds cycles of its own
+    found, codes = {}, set()
+    with collector(False):
+        gc.collect()
+        for argv in argvs:
+            codes.add(cli_golden.run(argv)["exit"])
+            found[" ".join(argv)] = gc.collect(0)
+    assert {key: n for key, n in found.items() if n} == {}
+    assert codes == {0, 1, 2, 3}
+    assert any("--verbose" in argv for argv in argvs)
+    assert any("--member" in argv for argv in argvs)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys, enabled):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compile", lambda args: seen.append(gc.isenabled()) or 0)
+    with collector(enabled):
+        assert run(capsys, *COMPILE_E1)[0] == 0
+    assert seen == [False]
+
+
+EVAL_BAD_E4 = (
+    "eval", "--project", P4, "--mapping", "m_ab", "--interp", interp("example4", "interp_bad.json")
+)
+
+
+def raise_unexpected(args):
+    raise RuntimeError("not an input error")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (COMPILE_E1, 0),
+        (EVAL_BAD_E4, 1),
+        (("compile", "--project", P4, "--mapping", "zzz"), 3),
+        ((*COMPILE_E1, "--bogus"), 3),
+        (COMPILE_E1, RuntimeError),
+    ],
+    ids=["exit 0", "exit 1", "exit 3", "usage error", "unexpected exception"],
+)
+def test_the_callers_collector_state_comes_back(monkeypatch, capsys, enabled, argv, code):
+    if code is RuntimeError:
+        monkeypatch.setattr(cli, "cmd_compile", raise_unexpected)
+    with collector(enabled):
+        if code is RuntimeError:
+            with pytest.raises(RuntimeError):
+                main(list(argv))
+        else:
+            assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
