@@ -261,7 +261,7 @@ class Instance:
         self.relations = {}
         for name, rel in relations.items():
             sym = schema.symbol(name)
-            if rel.symbol != sym:
+            if rel.symbol is not sym and rel.symbol != sym:
                 raise SchemaError(f"relation for {name} built over a different symbol")
             self.relations[name] = rel
         for name, sym in schema.symbols.items():

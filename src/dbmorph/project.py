@@ -31,6 +31,14 @@ Each value read is checked once by ``model.check_values``, the one rule of
 domain values: instance rows through ``Relation``, which also checks their
 widths, and the other values directly, by one class test per list.  Only a
 list that fails it is scanned, in file order, for its first located fault.
+
+An input file is read as bytes and decoded once, as UTF-8; a CR LF or a
+lone CR reads as LF, as text mode reads it, so a fault's line and column
+do not depend on a file's line ends.  Only a text that holds a backslash
+is searched for a ``\\u`` escape of an unpaired surrogate.  A relation of
+an instance file whose columns are its schema's is built over the schema's
+own symbol.  The fields of a project's entries and its column lists pass
+one class test each, and a located text is formatted only for a fault.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ def _arrays(rows: list, where: str) -> list:
     """``rows`` when each is a JSON array.  Otherwise an input error located
     by ``where`` at the first that is not, or at a value of an earlier row
     that is no domain value, which comes first in the file."""
-    if not set(map(type, rows)) <= {list}:
+    if not set(map(type, rows)) <= _LIST_CLASS:
         for row in rows:
             if row.__class__ is not list:
                 raise SchemaError(f"{where}: each row must be a JSON array")
@@ -100,6 +108,7 @@ def _arrays(rows: list, where: str) -> list:
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+_LIST_CLASS, _STR_CLASS = {list}, {str}
 
 
 def _typed(value, kind: type, where: str):
@@ -129,8 +138,10 @@ def _located(where: str, make, *args):
 
 
 def _section(data: dict, key: str, kind: type, where: str):
-    """data[key], an empty ``kind`` when absent, checked to be of that kind."""
-    return _typed(data.get(key, kind()), kind, f"{where}: '{key}'")
+    """data[key], an empty ``kind`` when absent, checked to be of that kind;
+    the located text of a fault is formatted only then."""
+    value = data[key] if key in data else kind()
+    return value if value.__class__ is kind else _typed(value, kind, f"{where}: '{key}'")
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -154,13 +165,23 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
         raise SchemaError(f"{where}: 'relations' must be an object")
 
     relations = {}
+    declared_symbols = {} if schema is None else schema.symbols
     for name, body in sorted(declared.items()):
         if not isinstance(body, dict) or "columns" not in body or "rows" not in body:
             raise SchemaError(f"{where}: relation {name} needs 'columns' and 'rows'")
-        columns = _columns(body["columns"], f"{where}: relation {name}: 'columns'")
-        rows = _typed(body["rows"], list, f"{where}: relation {name}: 'rows'")
-        symbol = _located(f"{where}: relation {name}", RelationSymbol, name, columns)
-        _arrays(rows, f"{where}: {name}")
+        columns, rows = body["columns"], body["rows"]
+        symbol = declared_symbols.get(name)
+        if (
+            symbol is None
+            or columns.__class__ is not list
+            or tuple(columns) != symbol.columns
+            or rows.__class__ is not list
+            or not set(map(type, rows)) <= _LIST_CLASS
+        ):  # every check in file order, with its located text
+            columns = _columns(columns, f"{where}: relation {name}: 'columns'")
+            rows = _typed(rows, list, f"{where}: relation {name}: 'rows'")
+            symbol = _located(f"{where}: relation {name}", RelationSymbol, name, columns)
+            _arrays(rows, f"{where}: {name}")
         try:
             relations[name] = Relation(symbol, rows)
         except SchemaError as exc:  # located here: a value fault, else a width fault
@@ -178,7 +199,8 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
         for name, rel in relations.items():
             if name not in schema:
                 raise SchemaError(f"{where}: schema {schema.name} has no relation {name}")
-            if rel.symbol != schema.symbol(name):
+            # a relation whose columns are the schema's is built over its symbol
+            if rel.symbol is not schema.symbol(name):
                 raise SchemaError(
                     f"{where}: relation {name} disagrees with the schema's columns"
                 )
@@ -186,14 +208,18 @@ def load_instance(data: dict, schema: "Schema | None" = None, where: str = "inst
 
 
 def _read_text(path: Path) -> str:
-    """One input file as text; bytes that are not UTF-8 are an input error
-    located by path and byte offset."""
+    """One input file as text: its bytes decoded once, with ``\\r\\n`` and a
+    lone ``\\r`` read as ``\\n``, as text mode reads them.  Bytes that are not
+    UTF-8 are an input error located by path and byte offset."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: invalid UTF-8: {exc.reason}") from None
     except ValueError as exc:  # a NUL in the name, which no file system takes
         raise ParseError(f"{str(path)!r}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _read_json(path: Path):
@@ -201,7 +227,8 @@ def _read_json(path: Path):
     by path, line and column, and JSON nested past the recursion limit, or
     an integer with more digits than ``int`` converts, one naming the file.
     A ``\\u`` escape of an unpaired surrogate, which no UTF-8 output can
-    carry, is an input error naming the file."""
+    carry, is an input error naming the file; only a text that holds one is
+    checked, after a scan for a backslash."""
     text = _read_text(path)
     try:
         data = json.loads(text)
@@ -213,7 +240,7 @@ def _read_json(path: Path):
         raise ParseError(f"{path}: an integer has too many digits") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nests too deeply") from None
-    if "\\u" in text:
+    if "\\" in text and "\\u" in text:  # the one-character scan is the fast one
         try:
             json.dumps(data, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -314,6 +341,39 @@ def _entry_field(body, key: str, where: str) -> str:
     return _typed(body[key], str, f"{where}: '{key}'")
 
 
+def _symbol(name: str, columns, where: str) -> RelationSymbol:
+    """The symbol of relation ``name`` of the schema that ``where`` locates
+    in a project file: its ``columns`` are a JSON array of distinct strings.
+    Only when one class test or the symbol fails are the columns checked
+    again, with the located text of the fault."""
+    if columns.__class__ is list and set(map(type, columns)) <= _STR_CLASS:
+        try:
+            return RelationSymbol(name, columns)
+        except SchemaError:
+            pass
+    at = f"{where}: relation {name}"
+    return _located(at, RelationSymbol, name, _columns(columns, at))
+
+
+# the string fields of a project's entries, each schema name before the file
+_ENTRY_FIELDS = {"instance": ("schema", "file"), "mapping": ("source", "target", "file")}
+
+
+def _entry(body, kind: str, name: str, path: Path, schemas: dict) -> list:
+    """The fields of the ``kind`` entry ``name`` of a project file, each
+    schema name one that ``schemas`` declares.  Only when one class test
+    fails are they checked in file order, with the located text of the
+    first fault, a schema name as soon as it is read."""
+    keys = _ENTRY_FIELDS[kind]
+    fields = [body.get(key) for key in keys] if body.__class__ is dict else [None]
+    if set(map(type, fields)) == _STR_CLASS and schemas.keys() >= {*fields[:-1]}:
+        return fields
+    where = f"{path}: {kind} {name}"
+    for key in keys[:-1]:
+        _named(schemas, "schema", _entry_field(body, key, where), where)
+    return [_entry_field(body, key, where) for key in keys]
+
+
 def _named(entries: dict, kind: str, name: str, where: str = ""):
     """``entries[name]``; a ``kind`` that the project does not declare is an
     input error, located by ``where`` when it is given."""
@@ -333,10 +393,7 @@ def load_project(path) -> Project:
     for name, body in sorted(_section(data, "schemas", dict, path).items()):
         where = f"{path}: schema {name}"
         relations = _section(_typed(body, dict, where), "relations", dict, where)
-        symbols = {}
-        for rel, cols in sorted(relations.items()):
-            at = f"{where}: relation {rel}"
-            symbols[rel] = _located(at, RelationSymbol, rel, _columns(cols, at))
+        symbols = {rel: _symbol(rel, cols, where) for rel, cols in sorted(relations.items())}
         constraints = ()
         if "constraints" in body:
             text = _typed(body["constraints"], str, f"{where}: 'constraints'")
@@ -346,15 +403,12 @@ def load_project(path) -> Project:
     project = Project(path.parent, tuple(domain), schemas)
 
     for name, body in sorted(_section(data, "instances", dict, path).items()):
-        where = f"{path}: instance {name}"
-        schema = _named(schemas, "schema", _entry_field(body, "schema", where), where)
-        project.instances[name] = (_entry_field(body, "file", where), schema)
+        schema, file = _entry(body, "instance", name, path, schemas)
+        project.instances[name] = (file, schemas[schema])
 
     for name, body in sorted(_section(data, "mappings", dict, path).items()):
-        where = f"{path}: mapping {name}"
-        src = _named(schemas, "schema", _entry_field(body, "source", where), where)
-        tgt = _named(schemas, "schema", _entry_field(body, "target", where), where)
-        project.mappings[name] = (_entry_field(body, "file", where), src.name, tgt.name)
+        src, tgt, file = _entry(body, "mapping", name, path, schemas)
+        project.mappings[name] = (file, src, tgt)
 
     edges = []
     for edge in _section(data, "graph", list, path):

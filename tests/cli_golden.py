@@ -27,6 +27,11 @@ invocation the exit code and the sha256 of stdout and of stderr in
 - the same set for ``capped``, whose ``equal`` of ``m1`` against ``m2``
   is unknown within the default bounds and, under ``--bounds 3,2,2``
   (``CAPPED_BOUNDS``), says that its search was capped;
+- the same set for ``crlf``, whose files end their lines in CR LF, and
+  ``compile`` of the mapping of ``crlf/faults.json`` (``CRLF_FAULT``): a
+  lone CR comes before the fault of that mapping and of
+  ``interp_bad.json``, so that the records pin the line and column of a
+  DSL and of a JSON fault as text mode counts them;
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
   and 3, fixpoint searches that cannot find a foreign, a too-wide or a
   NULL-bearing probe, a cap hit in each bounds regime, and the caps just
@@ -60,7 +65,8 @@ FIXTURES = HERE / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 SRC = HERE.parent / "src"
 EXAMPLES = (
-    "example1", "example3", "example4", "example5", "join", "skips", "ints", "arity", "capped"
+    "example1", "example3", "example4", "example5", "join", "skips", "ints", "arity", "capped",
+    "crlf",
 )
 PFUNCTION_OPS = range(13)
 # (mapping, interpretation, member file, --bounds or None), all of example1
@@ -79,6 +85,9 @@ FLUX_MEMBERS = (
 # --bounds of ``equal --mapping2 m2`` from each mapping of capped, a relation
 # cap under the size of the kernels' closures
 CAPPED_BOUNDS = "3,2,2"
+# the mapping of crlf with a DSL fault, declared by a project file of its
+# own, as every mapping that a fixture's project.json declares compiles
+CRLF_FAULT = ["compile", "--project", "crlf/faults.json", "--mapping", "bad"]
 
 sys.path.insert(0, str(SRC))
 
@@ -114,6 +123,7 @@ def invocations() -> list:
         out.append(["equal", "--project", "capped/project.json", "--mapping", mapping,
                     "--interp", "capped/interp.json", "--mapping2", "m2",
                     "--interp2", "capped/interp.json", "--bounds", CAPPED_BOUNDS])
+    out.append(CRLF_FAULT)
     return out
 
 

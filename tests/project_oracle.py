@@ -2,6 +2,14 @@
 kept verbatim as the oracle the differential tests in ``test_project.py``
 compare ``dbmorph.project`` and ``dbmorph.model.Relation`` against.
 
+``_read_text`` and ``_read_json`` read a file as they did before an input
+file was read as bytes and decoded once: in text mode, with every ``\\u``
+escape checked for an unpaired surrogate.  ``load_project`` is the project
+loader as it stood before its fields and column lists were checked by one
+class test each, with a located text formatted for every entry, field and
+edge; ``_section`` and ``_entry_field`` are its helpers as they stood then.
+The loaders here read files through these readers.
+
 Each value of a row list goes through ``value_from_json``, with its located
 message formatted per row, and a row's width is checked in a second loop.
 ``relation_rows`` checks rows as ``Relation.__post_init__`` does, value by
@@ -16,18 +24,117 @@ domain values; ``value_from_json`` is kept here verbatim.
 import json
 from pathlib import Path
 
-from dbmorph.errors import SchemaError
+from dbmorph.errors import ParseError, SchemaError
 from dbmorph.interp import FunctionTable, TarskiInterpretation
-from dbmorph.model import NULL, Instance, RelationSymbol, Row, Schema
+from dbmorph.model import NULL, Instance, RelationSymbol, Row, Schema, check_values
 from dbmorph.project import (
     Project,
     _columns,
-    _read_json,
-    _section,
+    _located,
+    _named,
+    _schema_constraints,
     _typed,
 )
 
 from conftest import build_instance
+
+
+def _read_text(path: Path) -> str:
+    """One input file as text; bytes that are not UTF-8 are an input error
+    located by path and byte offset."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: invalid UTF-8: {exc.reason}") from None
+    except ValueError as exc:  # a NUL in the name, which no file system takes
+        raise ParseError(f"{str(path)!r}: {exc}") from None
+
+
+def _read_json(path: Path):
+    """Parse one JSON input file; malformed JSON is an input error located
+    by path, line and column, and JSON nested past the recursion limit, or
+    an integer with more digits than ``int`` converts, one naming the file.
+    A ``\\u`` escape of an unpaired surrogate, which no UTF-8 output can
+    carry, is an input error naming the file."""
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from None
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise ParseError(f"{path}: an integer has too many digits") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nests too deeply") from None
+    if "\\u" in text:
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = ord(exc.object[exc.start])
+            raise ParseError(f"{path}: unpaired surrogate \\u{bad:04x} in a JSON string") from None
+    return data
+
+
+def _section(data: dict, key: str, kind: type, where: str):
+    """data[key], an empty ``kind`` when absent, checked to be of that kind."""
+    return _typed(data.get(key, kind()), kind, f"{where}: '{key}'")
+
+
+def _entry_field(body, key: str, where: str) -> str:
+    if key not in _typed(body, dict, where):
+        raise SchemaError(f"{where}: missing '{key}'")
+    return _typed(body[key], str, f"{where}: '{key}'")
+
+
+def load_project(path) -> Project:
+    path = Path(path)
+    data = _typed(_read_json(path), dict, f"{path}: the top level")
+
+    (domain,) = check_values([_section(data, "domain", list, path)], f"{path}: 'domain'")
+
+    schemas = {}
+    for name, body in sorted(_section(data, "schemas", dict, path).items()):
+        where = f"{path}: schema {name}"
+        relations = _section(_typed(body, dict, where), "relations", dict, where)
+        symbols = {}
+        for rel, cols in sorted(relations.items()):
+            at = f"{where}: relation {rel}"
+            symbols[rel] = _located(at, RelationSymbol, rel, _columns(cols, at))
+        constraints = ()
+        if "constraints" in body:
+            text = _typed(body["constraints"], str, f"{where}: 'constraints'")
+            constraints = _schema_constraints(text, symbols, where)
+        schemas[name] = _located(where, Schema, name, symbols.values(), constraints)
+
+    project = Project(path.parent, tuple(domain), schemas)
+
+    for name, body in sorted(_section(data, "instances", dict, path).items()):
+        where = f"{path}: instance {name}"
+        schema = _named(schemas, "schema", _entry_field(body, "schema", where), where)
+        project.instances[name] = (_entry_field(body, "file", where), schema)
+
+    for name, body in sorted(_section(data, "mappings", dict, path).items()):
+        where = f"{path}: mapping {name}"
+        src = _named(schemas, "schema", _entry_field(body, "source", where), where)
+        tgt = _named(schemas, "schema", _entry_field(body, "target", where), where)
+        project.mappings[name] = (_entry_field(body, "file", where), src.name, tgt.name)
+
+    edges = []
+    for edge in _section(data, "graph", list, path):
+        where = f"{path}: graph edge {edge!r}"
+        if not isinstance(edge, list) or len(edge) != 3 or not all(
+            isinstance(end, str) for end in edge
+        ):
+            raise SchemaError(f"{where} is not a [source, target, mapping] triple")
+        src, tgt, mapping = edge
+        _named(schemas, "schema", src, where)
+        _named(schemas, "schema", tgt, where)
+        if _named(project.mappings, "mapping", mapping, where)[1:] != (src, tgt):
+            raise SchemaError(f"{where} disagrees with mapping {mapping}'s schemas")
+        edges.append((src, tgt, mapping))
+    project.graph = tuple(edges)
+    return project
 
 
 def value_from_json(value, where: str = "value"):

@@ -578,6 +578,19 @@ def plain_dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def count_calls(monkeypatch, *names) -> Counter:
+    """How many times each of the named globals of ``dbmorph.project`` is
+    called from here on."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, name=name, call=getattr(project_module, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(project_module, name, counted)
+    return calls
+
+
 int_values = st.one_of(st.integers(-3, 3), huge_ints)
 # near misses of the shape templates: strings (a "%" among them), NULL and
 # booleans among the ints
@@ -696,6 +709,32 @@ def test_a_graph_is_written_at_the_cost_of_its_rows(monkeypatch):
         assert runs(pf) <= distinct + rows + 20
         more = pf.graph + tuple((args, frozenset()) for args, _ in pf.graph) * 3
         assert runs(replace(pf, graph=more)) == runs(pf)
+
+
+def test_int_rows_are_written_at_the_cost_of_their_list(monkeypatch):
+    """A list of rows of ints, as lists, tuples or both, is written with one
+    row template: the generic writer runs for the payload and the list, not
+    per row.  So are the argument rows and the row sets of a p-function's
+    graph whose values are all ints, its argument rows lists or tuples:
+    the writer's runs do not grow with the graph."""
+    calls = count_calls(monkeypatch, "_write_json")
+    for rows in ([[1, 2], [3, 4]] * 5, [(1, 2), (3, 4)] * 5, [[1, 2], (3, 4)] * 5):
+        canonical_json({"rows": rows})  # the row template is cached from here on
+        calls.clear()
+        assert canonical_json({"rows": rows}) == plain_dumps({"rows": rows})
+        assert calls == {"_write_json": 2}
+
+    def runs(pf) -> int:
+        canonical_json(pf)  # the templates are cached from here on
+        calls.clear()
+        assert canonical_json(pf) == plain_dumps(pfunction_to_json(pf))
+        return calls["_write_json"]
+
+    pfs = [pf for example, pf in fixture_pfunctions() if example == "ints"]
+    assert max(len(pf.graph) for pf in pfs) > 2
+    for pf in pfs:
+        mixed = tuple((list(a) if i % 2 else a, rs) for i, (a, rs) in enumerate(pf.graph))
+        assert runs(pf) == runs(replace(pf, graph=mixed)) == runs(replace(pf, graph=pf.graph[:1]))
 
 
 @st.composite
@@ -919,3 +958,278 @@ def test_bulk_interpretation_loading_is_the_per_value_loader(example1, data):
         assert got == want
     else:
         assert skolem_tables(got) == skolem_tables(want)
+
+
+def test_an_instance_is_loaded_over_its_schemas_symbols(monkeypatch):
+    """Loading an instance file over its schema builds no ``RelationSymbol``
+    and formats no located text when every relation's columns are the
+    schema's: each relation is built over the schema's own symbol.  A
+    relation whose columns differ builds one, and is refused."""
+    projects = [load_example(example) for example in EXAMPLES]
+    calls = count_calls(monkeypatch, "RelationSymbol", "_columns", "_arrays")
+    loaded = 0
+    for project in projects:
+        for name in project.instances:
+            inst = project.instance(name)
+            for rel, relation in inst.relations.items():
+                assert relation.symbol is inst.schema.symbols[rel]
+            loaded += 1
+    assert calls == {} and loaded > 20
+    data = {"relations": {"p": {"columns": ["c2", "c1"], "rows": []}}}
+    with pytest.raises(SchemaError, match="relation p disagrees with the schema's columns"):
+        load_instance(data, sample_schema())
+    assert calls == {"RelationSymbol": 1, "_columns": 1, "_arrays": 1}
+
+
+def test_sound_interpretations_and_members_are_checked_in_bulk(monkeypatch):
+    """The skolem tables of a sound interpretation file and the rows of a
+    sound member file pass one class test each: no pair or row of them is
+    checked on its own."""
+    projects = {example: load_example(example) for example in EXAMPLES}
+    calls = count_calls(monkeypatch, "_arrays", "check_values")
+    tables = 0
+    for example, project in projects.items():
+        for path in sorted((FIXTURES / example).glob("interp*.json")):
+            try:
+                tables += len(load_interpretation_file(path, project).skolem)
+            except DbmorphError:
+                continue
+            assert calls["_arrays"] == 0
+    assert tables > 10
+    with tempfile.TemporaryDirectory() as tmp:  # a table of every value class
+        path = write_json(tmp, "interp.json", interpretation_of([[[1], "o1"], [["e1"], None]]))
+        load_interpretation_file(path, projects["example1"])
+    assert calls["_arrays"] == 0
+    members = sorted((FIXTURES / "example1").glob("member_*.json"))
+    for path in members:
+        calls.clear()
+        load_member_file(path)
+        assert calls == {"_arrays": 1, "check_values": 1}
+    assert len(members) == 5
+
+
+def test_a_project_file_is_checked_without_located_texts(monkeypatch):
+    """Loading a project file whose entries and column lists are sound runs
+    none of the checks that format a located text per field or per
+    relation; a faulty entry does, and is refused."""
+    calls = count_calls(monkeypatch, "_entry_field", "_columns")
+    for example in EXAMPLES:
+        load_example(example)
+    assert calls == {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "project.json"
+        path.write_text(json.dumps(mini_project()), encoding="utf-8")
+        load_project(path)
+        assert calls == {}
+        data = mini_project()
+        data["mappings"]["m"]["target"] = "ZZ"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SchemaError, match="mapping m: project declares no schema ZZ"):
+            load_project(path)
+    assert calls == {"_entry_field": 2}
+
+
+# ---------------------------------------------------------------------------
+# reading input files, and project files, against the readers and the
+# project loader as they stood before (tests/project_oracle.py)
+
+BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf0\x9f\x98"]
+# strings whose JSON text holds escapes: unpaired surrogates of either half,
+# a surrogate pair, control characters, a quote and a backslash
+ESCAPED = ["\ud800", "x\udfffy", "\U0001f600", "é", "\t\"\\", "\x00\x1f"]
+
+
+@st.composite
+def input_bytes(draw):
+    """The bytes of an input file: mostly JSON text, with non-ASCII
+    characters as ``\\u`` escapes or as UTF-8, whose lines end in LF, CR LF
+    or a lone CR, drawn per line, with perhaps a raw CR at a drawn offset,
+    a UTF-8 BOM in front and an invalid byte at a drawn offset; or any
+    bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=24))
+    strings = st.one_of(st.sampled_from(ESCAPED), st.text(max_size=4))
+    items = st.one_of(st.integers(-2, 2), strings, st.lists(strings, max_size=2))
+    doc = draw(st.lists(items, max_size=4))
+    ascii_only = draw(st.booleans())
+    text = json.dumps(doc, ensure_ascii=ascii_only, indent=draw(st.sampled_from([None, 0, 2])))
+    lines = text.split("\n")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\r" + text[at:]
+    data = text.encode("utf-8", "surrogatepass")  # a raw surrogate is no UTF-8
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+def read(load, path):
+    """What ``load(path)`` returns, as its ``repr``, which tells ``1`` from
+    ``1.0`` and ``True``, or the type and message of its error."""
+    try:
+        return repr(load(path))
+    except DbmorphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(input_bytes())
+@example(b'\xef\xbb\xbf[1]\r\n')
+@example(b'[1,\r\r\n2,\r"a"\r\n}')  # a JSON fault after a lone CR and a CR LF
+@example(b'["\\ud800"]\r\n')  # an unpaired surrogate
+@example(b'["\\ud83d\\ude00", "\\n"]')  # a pair, and an escape that is none
+@example(b'["a\\n"]\r\n')  # a backslash and no \u escape
+@example(b'[\r\r\n"\xff"]')  # an invalid byte after a lone CR
+@example(b'["\r"]')  # a raw CR in a string: a control character
+def test_an_input_file_is_read_as_text_mode_reads_it(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(data)
+        for reader in ("_read_text", "_read_json"):
+            got = read(getattr(project_module, reader), path)
+            assert got == read(getattr(project_oracle, reader), path), reader
+
+
+PROJECT_DOCUMENT = {
+    "domain": [0, "a"],
+    "schemas": {
+        "A": {
+            "relations": {"p": ["c1"], "q": ["c1", "c2"]},
+            "constraints": "forall x . p(x) -> q(x, x)",
+        },
+        "B": {"relations": {"s": ["c1"]}},
+    },
+    "instances": {"a": {"schema": "A", "file": "a.json"}, "b": {"schema": "B", "file": "b.json"}},
+    "mappings": {
+        "m": {"source": "A", "target": "B", "file": "m.map"},
+        "n": {"source": "B", "target": "B", "file": "n.map"},
+    },
+    "graph": [["A", "B", "m"], ["B", "B", "n"]],
+}
+WRONG_KINDS = [None, True, 1, 1.5, "s", [], {}, ["s"], {"s": "t"}]
+# names a project declares or not, column lists and graph edges that are
+# malformed or whose names are not declared, relation names of no symbol
+NAMES = ["A", "B", "ZZ", "m", "n", "zz", ""]
+COLUMN_FAULTS = [[], ["c1", "c1"], ["c1", 2], ["c1", None], [""]]
+EDGE_FAULTS = [
+    ["A", "B"], ["A", "B", "m", "m"], ["A", 1, "m"], ["B", "A", "m"], ["A", "B", "zz"],
+    ["ZZ", "B", "m"], ["A", "ZZ", "m"], ["A", "B", "n"], "A B m", [None, None, None],
+]
+RELATION_NAMES = ["", "r_∅", "p"]
+
+
+def sites(value, at=()):
+    """The place of every value inside ``value``, each dict value and list
+    item, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
+        value, list) else ()
+    for key, item in items:
+        yield (*at, key)
+        yield from sites(item, (*at, key))
+
+
+def with_fault(doc, at, fault):
+    """A copy of ``doc`` with the value at ``at`` replaced by ``fault``, or
+    its key dropped when ``fault`` is ``DROP``, or renamed when ``fault``
+    is ``RENAME`` and a name."""
+    doc = json.loads(json.dumps(doc))
+    if not at:
+        return fault
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    if fault is DROP:
+        del parent[at[-1]]
+    elif isinstance(fault, tuple):  # (RENAME, name)
+        parent[fault[1]] = parent.pop(at[-1])
+    else:
+        parent[at[-1]] = fault
+    return doc
+
+
+DROP, RENAME = object(), object()
+
+
+def loaded(load, path):
+    try:
+        return load(path)
+    except DbmorphError as exc:
+        return type(exc), str(exc)
+
+
+def assert_project_loads_as_before(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "project.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got = loaded(load_project, path)
+        assert got == loaded(project_oracle.load_project, path)
+    return got
+
+
+def test_every_single_fault_of_a_project_file_is_located_as_before():
+    """A value of each wrong JSON kind at each place of a project file, or
+    its key dropped, loads as the project loader that formatted a located
+    text for every entry loaded it: to the same error."""
+    assert isinstance(assert_project_loads_as_before(PROJECT_DOCUMENT), project_module.Project)
+    places = [(), *sites(PROJECT_DOCUMENT)]
+    messages = set()
+    for at in places:
+        faults = WRONG_KINDS + ([DROP] if at and not isinstance(at[-1], int) else [])
+        for fault in faults:
+            got = assert_project_loads_as_before(with_fault(PROJECT_DOCUMENT, at, fault))
+            if isinstance(got, tuple):
+                messages.add(got[1].partition("project.json")[2])
+    assert len(messages) > 100
+
+
+@st.composite
+def project_documents(draw):
+    """``PROJECT_DOCUMENT`` with up to three faults at drawn places: a value
+    of a wrong JSON kind, a name, a faulty column list or graph edge, a
+    dropped key, or a relation renamed to a name that no symbol takes."""
+    doc = PROJECT_DOCUMENT
+    for _ in range(draw(st.integers(0, 3))):
+        places = list(sites(doc))
+        if not places:
+            break
+        at = draw(st.sampled_from(places))
+        kind = draw(st.sampled_from(["kind", "name", "columns", "edge", "drop", "rename"]))
+        if kind == "kind":
+            fault = draw(st.sampled_from(WRONG_KINDS))
+        elif kind == "name":
+            fault = draw(st.sampled_from(NAMES))
+        elif kind == "columns":
+            fault = draw(st.sampled_from(COLUMN_FAULTS))
+        elif kind == "edge":
+            fault = draw(st.sampled_from(EDGE_FAULTS))
+        elif isinstance(at[-1], int):
+            continue
+        elif kind == "drop":
+            fault = DROP
+        else:
+            fault = (RENAME, draw(st.sampled_from(RELATION_NAMES)))
+        doc = with_fault(doc, at, fault)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(project_documents())
+@example(with_fault(PROJECT_DOCUMENT, ("schemas", "A", "relations", "q"), ["c1", "c1"]))
+@example(with_fault(PROJECT_DOCUMENT, ("schemas", "B", "relations", "s"), []))
+@example(with_fault(PROJECT_DOCUMENT, ("instances", "b", "schema"), "ZZ"))
+@example(with_fault(PROJECT_DOCUMENT, ("mappings", "m", "target"), "ZZ"))
+@example(with_fault(with_fault(PROJECT_DOCUMENT, ("mappings", "m", "target"), "ZZ"),
+                    ("mappings", "m", "file"), 1))  # the schema is named first
+@example(with_fault(PROJECT_DOCUMENT, ("graph", 1), ["A", "B", "n"]))
+@example(with_fault(PROJECT_DOCUMENT, ("schemas", "A", "relations", "p"), (RENAME, "r_∅")))
+def test_a_project_file_loads_as_before(doc):
+    """Each drawn project file loads as the project loader that formatted a
+    located text for every entry loaded it: to an equal ``Project``, or to
+    the same error."""
+    assert_project_loads_as_before(doc)
