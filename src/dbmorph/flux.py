@@ -211,20 +211,32 @@ class ClosureResult:
 
 
 @lru_cache(maxsize=256)
-def _projections(classes: tuple, max_arity: int) -> tuple:
+def _projections(classes: tuple, blocks: tuple, max_arity: int) -> tuple:
     """(getter, witness column list) of the projections of a member onto
     its injective position sequences of at most ``max_arity``, keeping the
-    first sequence of each class pattern.  ``classes`` numbers the member's
-    distinct column vectors in order of first occurrence, one entry per
-    column; two sequences with the same pattern pick equal column vectors
-    and so give the same row set.  A member with repeated columns filters
-    the table of one with distinct columns, and shares its getters."""
+    first sequence in enumeration order of each orbit below.  ``classes``
+    numbers the member's distinct column vectors in order of first
+    occurrence, one entry per column; two sequences with the same pattern
+    pick equal column vectors and so give the same row set.  ``blocks`` is
+    the (label, width) of each block of a member that is a product, equal
+    blocks labelled alike, or () unless two blocks are equal.  A swap of
+    equal blocks maps the member's rows onto themselves, so a sequence and
+    its image give the same row set; it also maps equal column vectors
+    onto equal ones, so a pattern's orbit under the swaps is one row set.
+    A member with repeated columns or equal blocks filters the table of
+    one with distinct columns, and shares its getters."""
     distinct = tuple(range(len(classes)))
-    if classes != distinct:
-        first: dict = {}
-        for p in _projections(distinct, max_arity):
-            first.setdefault(p[0](classes), p)
-        return tuple(first.values())
+    if classes != distinct or blocks:
+        # each kept sequence marks the patterns of its whole orbit as seen
+        swaps = _block_swaps(blocks) if blocks else [distinct]
+        images = [tuple(classes[j] for j in g) for g in swaps]
+        seen: set = set()
+        out = []
+        for p in _projections(distinct, (), max_arity):
+            if p[0](classes) not in seen:
+                out.append(p)
+                seen.update(map(p[0], images))
+        return tuple(out)
     out = []
     for k in range(1, min(len(classes), max_arity) + 1):
         for seq in itertools.permutations(distinct, k):
@@ -234,6 +246,18 @@ def _projections(classes: tuple, max_arity: int) -> tuple:
                 get = itemgetter(*seq)
             out.append((get, ",".join(str(j + 1) for j in seq)))
     return tuple(out)
+
+
+def _block_swaps(blocks: tuple) -> list:
+    """Every column permutation that permutes equal blocks among
+    themselves, as the tuple of each column's image."""
+    starts = itertools.accumulate((w for _, w in blocks), initial=0)
+    columns = [range(start, start + w) for start, (_, w) in zip(starts, blocks)]
+    return [
+        tuple(itertools.chain.from_iterable(columns[b] for b in order))
+        for order in itertools.permutations(range(len(blocks)))
+        if all(blocks[b] == block for b, block in zip(order, blocks))
+    ]
 
 
 def _mask(rows: frozenset, bits: dict) -> int:
@@ -269,9 +293,12 @@ def closure_set(
     starts, since only then can it be paired; the last depth of a bounded
     search adds most members and pairs none of them.
 
-    Two kinds of projection are never built, because each gives a row set
-    that is in ``members`` by then (see ``_views``); skipping a view that
-    would not be proposed changes no member, witness, order or ``capped``.
+    Three kinds of projection are never built, because each gives a row
+    set that is in ``members`` by then (see ``_views``); skipping a view
+    that would not be proposed changes no member, witness, order or
+    ``capped``.  For the third, ``blocks`` keeps the blocks of each product
+    ``_views`` proposes; a product of products concatenates its operands'
+    blocks.  They are a property of the row set, whatever its witness.
     """
     members: dict = {}
     counter = 0
@@ -285,6 +312,7 @@ def closure_set(
     bits: dict = {}
     masks: list = [None] * len(members)  # in the order of ``members``; None until made
     known: set = set()
+    blocks: dict = {}  # product row set -> its blocks' row sets, as ``_views`` built it
 
     remaining = set(targets or ()) - set(members)
     views = iter(())
@@ -302,7 +330,7 @@ def closure_set(
                 if masks[i] is None:
                     masks[i] = _mask(member, bits)
                     known.add(masks[i])
-            views = _views(members, masks, known, start, constants, bounds.max_arity)
+            views = _views(members, masks, known, blocks, start, constants, bounds.max_arity)
             start, depth = len(members), depth + 1
         elif len(members) >= bounds.max_relations:
             return ClosureResult(members, True, False)
@@ -316,7 +344,9 @@ def closure_set(
     return ClosureResult(members, False, False)
 
 
-def _views(members: dict, masks: list, known: set, start: int, constants: list, max_arity: int):
+def _views(
+    members: dict, masks: list, known: set, blocks: dict, start: int, constants: list, max_arity: int
+):
     """One depth of the search: each view result not yet in ``members``,
     with its witness text and, for a union, its row-set mask.
 
@@ -332,12 +362,17 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
     propose a product or such a union.  A product or union with ⊥ or the
     empty row set gives back one of its operands, so none is tried.
 
-    Projections skip two kinds of duplicate before a row set is built:
+    Projections skip three kinds of duplicate before a row set is built:
     - Of position sequences whose columns carry the same pattern of column
       vectors, only the first is built (``_projections``): equal column
       vectors give equal rows.  That first one is in ``members`` when a
       later one would come, since it was known, or proposed and admitted,
       or refused by the cap, which ends the search.
+    - Of a product with equal blocks, a sequence that a swap of equal
+      blocks maps onto an earlier one, or onto the pattern of an earlier
+      one, is not built (``_projections``): the swap maps the product's
+      rows onto themselves, so both give one row set, and by the argument
+      above the earlier one's is in ``members``.
     - A member whose witness is ``project[t](m)`` has no projection built.
       It was admitted in the depth before, from ``m`` in that depth's
       frontier, and ``project[s](project[t](m))`` is ``project[t∘s](m)``, a
@@ -367,7 +402,7 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
             continue  # its projections are projections of its operand
         classes: dict = {}
         key = tuple(classes.setdefault(col, len(classes)) for col in zip(*member))
-        for get, columns in _projections(key, max_arity):
+        for get, columns in _projections(key, _equal_blocks(blocks.get(member, ())), max_arity):
             rows = frozenset(map(get, member))
             if rows not in members:
                 yield rows, f"project[{columns}]({expr})", None
@@ -382,6 +417,7 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
             if 0 < n2 <= room:
                 rows = frozenset(a + b for a in m1 for b in m2)
                 if rows not in members:
+                    blocks[rows] = blocks.get(m1, (m1,)) + blocks.get(m2, (m2,))
                     yield rows, f"({e1} x {e2})", None
             # a member admitted since the partners were kept can make the
             # union a duplicate: a union has its mask in ``known`` by now,
@@ -390,6 +426,14 @@ def _views(members: dict, masks: list, known: set, start: int, constants: list, 
                 rows = m1 | m2
                 if rows not in members:
                     yield rows, f"({e1} u {e2})", k1 | k2
+
+
+def _equal_blocks(parts: tuple) -> tuple:
+    """The ``blocks`` of ``_projections`` for a product of the row sets
+    ``parts``: () unless two of them are equal."""
+    labels: dict = {}
+    shape = tuple((labels.setdefault(b, len(labels)), len(next(iter(b)))) for b in parts)
+    return shape if len(labels) < len(shape) else ()
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ def _read_json(path: Path):
 
 
 def load_instance_file(path, schema: "Schema | None" = None) -> Instance:
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)  # ``Project.instance`` joins a Path
     return load_instance(_read_json(path), schema, where=str(path))
 
 
