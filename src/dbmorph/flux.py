@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 BOTTOM_MEMBER = frozenset({()})
+_EMPTY = frozenset()
 
 EQUAL = "equal"
 UNEQUAL = "unequal"
@@ -293,12 +294,16 @@ def closure_set(
     starts, since only then can it be paired; the last depth of a bounded
     search adds most members and pairs none of them.
 
-    Three kinds of projection are never built, because each gives a row
-    set that is in ``members`` by then (see ``_views``); skipping a view
-    that would not be proposed changes no member, witness, order or
-    ``capped``.  For the third, ``blocks`` keeps the blocks of each product
-    ``_views`` proposes; a product of products concatenates its operands'
-    blocks.  They are a property of the row set, whatever its witness.
+    A selection that keeps every row or none, and four kinds of
+    projection, are never built, because each gives a row set that is in
+    ``members`` by then (see ``_views``); skipping a view that would not be
+    proposed changes no member, witness, order or ``capped``.  For the
+    last two, ``blocks`` keeps the blocks of each product ``_views``
+    proposes; a product of products concatenates its operands' blocks.
+    They are a property of the row set, whatever its witness.  For the
+    last, ``projected`` keeps, for the whole search, the ``_factors`` of
+    each member whose projections are all in ``members``: those it
+    projected, and those the ``project[...]`` rule skipped.
     """
     members: dict = {}
     counter = 0
@@ -313,6 +318,7 @@ def closure_set(
     masks: list = [None] * len(members)  # in the order of ``members``; None until made
     known: set = set()
     blocks: dict = {}  # product row set -> its blocks' row sets, as ``_views`` built it
+    projected: set = set()  # the ``_factors`` of each member whose projections are members
 
     remaining = set(targets or ()) - set(members)
     views = iter(())
@@ -330,7 +336,9 @@ def closure_set(
                 if masks[i] is None:
                     masks[i] = _mask(member, bits)
                     known.add(masks[i])
-            views = _views(members, masks, known, blocks, start, constants, bounds.max_arity)
+            views = _views(
+                members, masks, known, blocks, projected, start, constants, bounds.max_arity
+            )
             start, depth = len(members), depth + 1
         elif len(members) >= bounds.max_relations:
             return ClosureResult(members, True, False)
@@ -345,7 +353,14 @@ def closure_set(
 
 
 def _views(
-    members: dict, masks: list, known: set, blocks: dict, start: int, constants: list, max_arity: int
+    members: dict,
+    masks: list,
+    known: set,
+    blocks: dict,
+    projected: set,
+    start: int,
+    constants: list,
+    max_arity: int,
 ):
     """One depth of the search: each view result not yet in ``members``,
     with its witness text and, for a union, its row-set mask.
@@ -362,7 +377,15 @@ def _views(
     propose a product or such a union.  A product or union with ⊥ or the
     empty row set gives back one of its operands, so none is tried.
 
-    Projections skip three kinds of duplicate before a row set is built:
+    A selection of a frontier member ``m`` reads the rows of each column
+    grouped by value, once, and builds no row set when it keeps every row
+    or none: ``select[c=k](m)`` is the group of ``k``, a subset of ``m``;
+    the group that holds every row is ``m`` itself, and a missing group is
+    ∅, a member once the first empty result of the search is admitted.
+    ``select[c=c2](m)`` is settled alike, and so is every selection of a
+    one-row member.
+
+    Projections skip four kinds of duplicate before a row set is built:
     - Of position sequences whose columns carry the same pattern of column
       vectors, only the first is built (``_projections``): equal column
       vectors give equal rows.  That first one is in ``members`` when a
@@ -378,6 +401,13 @@ def _views(
       frontier, and ``project[s](project[t](m))`` is ``project[t∘s](m)``, a
       projection of ``m`` onto at most ``max_arity`` positions; by the rule
       above every such row set is in ``members`` once that depth completes.
+    - A member whose ``_factors`` are in ``projected`` has no projection
+      built.  A product is commutative up to a column permutation, and a
+      one-row relation is the product of its one-column values, so two
+      members with the same multiset of factors are column permutations
+      of each other: each projection of one is a projection of the other
+      onto an injective sequence of the same length, which is in
+      ``members`` once the other's projections are, by the rules above.
     """
     items = [
         (m, e, len(next(iter(m))) if m else 0, k) for (m, e), k in zip(members.items(), masks)
@@ -387,22 +417,16 @@ def _views(
     for member, expr, n, _ in frontier:
         if not member:
             continue
-        for col in range(1, n + 1):
-            c = col - 1
-            for const, shown in constants:
-                rows = frozenset(r for r in member if r[c] is not NULL and r[c] == const)
-                if rows not in members:
-                    yield rows, f"select[{col}={shown}]({expr})", None
-            for col2 in range(col + 1, n + 1):
-                c2 = col2 - 1
-                rows = frozenset(r for r in member if r[c] is not NULL and r[c] == r[c2])
-                if rows not in members:
-                    yield rows, f"select[{col}={col2}]({expr})", None
-        if expr.startswith("project["):
-            continue  # its projections are projections of its operand
+        yield from _selections(member, expr, n, constants, members)
+        parts = blocks.get(member, ())
+        factors = _factors(parts or (member,))
+        done = factors in projected or expr.startswith("project[")
+        projected.add(factors)
+        if done:
+            continue
         classes: dict = {}
         key = tuple(classes.setdefault(col, len(classes)) for col in zip(*member))
-        for get, columns in _projections(key, _equal_blocks(blocks.get(member, ())), max_arity):
+        for get, columns in _projections(key, _equal_blocks(parts), max_arity):
             rows = frozenset(map(get, member))
             if rows not in members:
                 yield rows, f"project[{columns}]({expr})", None
@@ -426,6 +450,45 @@ def _views(
                 rows = m1 | m2
                 if rows not in members:
                     yield rows, f"({e1} u {e2})", k1 | k2
+
+
+def _selections(member: frozenset, expr: str, n: int, constants: list, members: dict):
+    """The selections of the nonempty ``member`` of width ``n`` not in
+    ``members``, by constant and then between columns, column by column;
+    one that keeps every row or none builds no row set (see ``_views``)."""
+    size = len(member)
+    for col in range(1, n + 1):
+        c = col - 1
+        groups: dict = {}
+        for r in member:
+            if r[c] is not NULL:
+                groups.setdefault(r[c], []).append(r)
+        for const, shown in constants:
+            kept = groups.get(const, ())
+            rows = member if len(kept) == size else frozenset(kept) if kept else _EMPTY
+            if rows not in members:
+                yield rows, f"select[{col}={shown}]({expr})", None
+        for col2 in range(col + 1, n + 1):
+            c2 = col2 - 1
+            kept = [r for r in member if r[c] is not NULL and r[c] == r[c2]]
+            rows = member if len(kept) == size else frozenset(kept) if kept else _EMPTY
+            if rows not in members:
+                yield rows, f"select[{col}={col2}]({expr})", None
+
+
+def _factors(parts: tuple) -> frozenset:
+    """The multiset of factors of a product of the row sets ``parts``, as
+    (factor, count) pairs: each part of two or more rows, and for a part of
+    one row the one-column, one-row relation of each of its values, named
+    by its row ``(v,)``."""
+    counts: Counter = Counter()
+    for part in parts:
+        if len(part) == 1:
+            (row,) = part
+            counts.update(zip(row))
+        else:
+            counts[part] += 1
+    return frozenset(counts.items())
 
 
 def _equal_blocks(parts: tuple) -> tuple:

@@ -225,7 +225,8 @@ class ComponentFunction:
                 self._image = frozenset({()}) if all(self.relations) else frozenset()
             else:
                 # for every other operation () is the failure sentinel
-                self._image = frozenset(out for out in outputs if out != ())
+                image = frozenset(outputs)
+                self._image = image - {()} if () in image else image
         return self._image
 
 

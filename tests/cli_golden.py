@@ -35,7 +35,12 @@ invocation the exit code and the sha256 of stdout and of stderr in
 - ``flux --member`` on example1 (``FLUX_MEMBERS``): witnesses of depth 2
   and 3, fixpoint searches that cannot find a foreign, a too-wide or a
   NULL-bearing probe, a cap hit in each bounds regime, and the caps just
-  under and at the size of a fixpoint.
+  under and at the size of a fixpoint;
+- the same set for ``onerow``, whose kernel is two one-row members, and
+  ``flux --member`` on it under ``--bounds 3,6,1500`` (``ONEROW_MEMBERS``):
+  a witness of depth 3 that projects a product of three blocks, which pins
+  the order in which the search proposes such projections, and a foreign
+  probe whose search the cap stops in depth 3.
 
 Usage (stdlib only):
 
@@ -66,7 +71,7 @@ GOLDEN = FIXTURES / "cli_golden.json"
 SRC = HERE.parent / "src"
 EXAMPLES = (
     "example1", "example3", "example4", "example5", "join", "skips", "ints", "arity", "capped",
-    "crlf",
+    "crlf", "onerow",
 )
 PFUNCTION_OPS = range(13)
 # (mapping, interpretation, member file, --bounds or None), all of example1
@@ -82,6 +87,8 @@ FLUX_MEMBERS = (
     ("m_ac", "interp_ac", "member_foreign.json", "none,1,8"),
     ("m_ac", "interp_ac", "member_foreign.json", "none,1,9"),
 )
+# (member file, --bounds) of ``flux --member`` on onerow
+ONEROW_MEMBERS = (("member_found.json", "3,6,1500"), ("member_foreign.json", "3,6,1500"))
 # --bounds of ``equal --mapping2 m2`` from each mapping of capped, a relation
 # cap under the size of the kernels' closures
 CAPPED_BOUNDS = "3,2,2"
@@ -119,6 +126,10 @@ def invocations() -> list:
         argv = ["flux", "--project", "example1/project.json", "--mapping", mapping,
                 "--interp", f"example1/{interp}.json", "--member", f"example1/{member}"]
         out.append(argv + ["--bounds", bounds] if bounds else argv)
+    for member, bounds in ONEROW_MEMBERS:
+        out.append(["flux", "--project", "onerow/project.json", "--mapping", "m",
+                    "--interp", "onerow/interp.json", "--member", f"onerow/{member}",
+                    "--bounds", bounds])
     for mapping in ("m1", "m2"):
         out.append(["equal", "--project", "capped/project.json", "--mapping", mapping,
                     "--interp", "capped/interp.json", "--mapping2", "m2",

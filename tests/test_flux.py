@@ -580,10 +580,13 @@ def test_products_of_equal_blocks_are_projected_as_the_full_pair_product_project
 
 
 def test_the_symmetric_cases_reach_every_product_of_equal_blocks(monkeypatch):
-    """The strategy above reaches projections of ``A x A``, ``A x (A x A)``
-    and ``(A x B) x (A x B)``: the equal-block patterns passed to
-    ``_projections`` include the three, and so do those of the capped
-    workload kernels, under their cap."""
+    """The strategy above reaches projections of products of two, three
+    and four equal blocks: the equal-block patterns passed to
+    ``_projections`` include those of ``A x A``, ``A x (A x A)`` and
+    ``(A x A) x (B x B)``, and the capped workload kernels, under their
+    cap, pass some equal-block pattern too.  ``(A x B) x (A x B)`` has the
+    factors of ``(A x A) x (B x B)``, which is admitted first in the same
+    depth and projected first, so its own pattern is not projected."""
     shapes = []
     projections = flux._projections
 
@@ -594,7 +597,7 @@ def test_the_symmetric_cases_reach_every_product_of_equal_blocks(monkeypatch):
     monkeypatch.setattr(flux, "_projections", spy)
     case = symmetric_case(member((0,), (1,)), member(("a",)), ClosureBounds(3, 6, 185), None, None)
     assert assert_matches_the_oracle(*case).capped
-    assert {((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1)), ((0, 1), (1, 1), (0, 1), (1, 1))} <= set(shapes)
+    assert {((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 1), (1, 1), (1, 1))} <= set(shapes)
     for members in CAPPED_WORKLOAD_KERNELS:
         shapes.clear()
         result = assert_matches_the_oracle(FluxKernel(members), ClosureBounds(2, 6, 80), None)
@@ -634,6 +637,141 @@ def test_a_product_of_equal_blocks_is_projected_once_per_orbit(monkeypatch):
     builds.clear()
     assert list(closure_set(kernel, bounds).members.items()) == list(filtered.members.items())
     assert 3 * projected < 2 * builds[True]
+
+
+def permuted_case(row, order, other, bounds, target):
+    """The kernel of the one-row member ``{row}``, the one-row member whose
+    row is ``row`` in ``order``, and ``other`` (when given), under
+    ``bounds``, probing for a foreign row (``target`` None) or for the
+    projection onto ``target`` of the product of the two one-row members
+    in the order opposite to the one the search proposes first."""
+    rows = sorted({row, tuple(row[j] for j in order)}, key=row_key)
+    kernel = FluxKernel([member(r) for r in rows] + ([other] if other else []))
+    if target is None:
+        return kernel, bounds, frozenset({member(("foreign",))})
+    product = rows[-1] + rows[0]
+    return kernel, bounds, frozenset({member(tuple(product[j] for j in target))})
+
+
+@st.composite
+def permuted_cases(draw):
+    """Bounded searches whose selections keep every row or none and whose
+    members are column permutations of one another: a kernel of a one-row
+    member, a member whose one row permutes it, and maybe a member of one
+    to three rows, all over values with NULL.  Their products come in both
+    orders and hold one-row blocks, and each one-row product of one order
+    permutes one of the other.  Depth 1 to 3, up to arity 6, under caps
+    that stop about one search in five in the middle of a depth."""
+    row = tuple(draw(st.lists(closure_values, min_size=2, max_size=3)))
+    order = draw(st.permutations(range(len(row))))
+    if order == sorted(order):
+        order.reverse()
+    other = None
+    if draw(st.booleans()):
+        other = draw(st.frozensets(st.tuples(*[closure_values] * draw(st.integers(1, 2))), min_size=1, max_size=3))
+    bounds = ClosureBounds(draw(st.sampled_from([1, 2, 3, 3])), draw(st.integers(2, 6)), draw(st.integers(20, 400)))
+    target = None
+    if draw(st.booleans()):
+        target = draw(st.permutations(range(2 * len(row))))[: draw(st.integers(1, 2 * len(row)))]
+    return permuted_case(row, order, other, bounds, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_cases())
+@with_capped_workload_kernels
+def test_selections_and_permuted_members_are_settled_as_the_full_pair_product_settles_them(case):
+    assert_matches_the_oracle(*case)
+
+
+def counting_builds(monkeypatch):
+    """Count the row sets ``flux`` builds from then on: ``True`` for a
+    projection, which maps its getter over the rows, ``False`` for any
+    other (a selection, a product).  The multisets of ``flux._factors``
+    are not row sets and are left out."""
+    builds = Counter()
+
+    def counted(rows=()):
+        if type(rows) is not type({}.items()):
+            builds[type(rows) is map] += 1
+        return frozenset(rows)
+
+    monkeypatch.setattr(flux, "frozenset", counted, raising=False)
+    return builds
+
+
+def every_selection(member, expr, n, constants, members):
+    """``flux._selections`` without its rule: each selection builds its
+    row set, even one that keeps every row or none, through the
+    ``frozenset`` that ``counting_builds`` puts in ``flux``."""
+    for col in range(1, n + 1):
+        c = col - 1
+        for const, shown in constants:
+            rows = flux.frozenset(r for r in member if r[c] is not NULL and r[c] == const)
+            if rows not in members:
+                yield rows, f"select[{col}={shown}]({expr})", None
+        for col2 in range(col + 1, n + 1):
+            rows = flux.frozenset(r for r in member if r[c] is not NULL and r[c] == r[col2 - 1])
+            if rows not in members:
+                yield rows, f"select[{col}={col2}]({expr})", None
+
+
+def builds_with_each_rule_removed(monkeypatch, kernel, bounds, targets):
+    """The members and the row-set builds of a search as it runs, with
+    ``_selections`` building every selection, and with no member's
+    factors known (``_factors`` giving a new object each time); the
+    members must be the same in all three."""
+    out = []
+    for rule, stub in ((None, None), ("_selections", every_selection), ("_factors", lambda parts: object())):
+        with monkeypatch.context() as patch:
+            if rule:
+                patch.setattr(flux, rule, stub)
+            builds = counting_builds(patch)
+            result = closure_set(kernel, bounds, targets)
+        out.append((list(result.members.items()), result.capped, result.fixpoint, builds))
+    assert out[0][:3] == out[1][:3] == out[2][:3]
+    return [builds for *_, builds in out]
+
+
+def test_permuted_cases_settle_selections_and_permuted_members_without_a_build(monkeypatch):
+    """In the cases drawn above, and in the capped workload kernels under
+    their cap, each rule fires.  Leaving out the selections that keep
+    every row or none builds fewer selection row sets than building every
+    selection, in every case.  A member whose factors are known builds no
+    projection, so fewer are built than with no factors known, in every
+    case but the second workload kernel, whose cap stops the search while
+    it projects ``(g1 x g2)``, before ``(g2 x g1)`` comes up."""
+    cases = [
+        permuted_case((0, NULL, "a"), [2, 0, 1], None, ClosureBounds(3, 5, 300), [3, 1, 2, 0]),
+        permuted_case((1, "a"), [1, 0], member((0, 1), (1, NULL)), ClosureBounds(3, 4, 300), None),
+    ]
+    cases += [(FluxKernel(m), ClosureBounds(2, 6, 80), frozenset({member(("zz",))})) for m in CAPPED_WORKLOAD_KERNELS]
+    fired = []
+    for kernel, bounds, targets in cases:
+        assert_matches_the_oracle(kernel, bounds, targets)
+        kept, every_selection_built, no_factors = builds_with_each_rule_removed(
+            monkeypatch, kernel, bounds, targets
+        )
+        assert kept[False] < every_selection_built[False]
+        assert kept[True] <= no_factors[True]
+        fired.append(kept[True] < no_factors[True])
+    assert fired == [True, True, True, False] + [True] * 5
+
+
+def test_one_row_members_build_a_fraction_of_their_projections(monkeypatch):
+    """The kernel of two one-row members ``{(0, 1)}`` and ``{("a", 1)}``
+    (the ``onerow`` fixture) under ``3,6,1500``, probing for a foreign
+    row: the cap stops the search in depth 3, after most projections have
+    come from one-row members that permute each other's rows.  It admits
+    the same members with either rule removed; it builds under a third of
+    the projection row sets it builds with no member's factors known, and
+    fewer selection row sets than it builds with every selection built."""
+    kernel = FluxKernel([member((0, 1)), member(("a", 1))])
+    bounds = ClosureBounds(3, 6, 1500)
+    kept, every_selection_built, no_factors = builds_with_each_rule_removed(
+        monkeypatch, kernel, bounds, frozenset({member(("zz", 1))})
+    )
+    assert 3 * kept[True] < no_factors[True]
+    assert kept[False] < every_selection_built[False]
 
 
 # ---------------------------------------------------------------------------
