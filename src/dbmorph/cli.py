@@ -164,8 +164,8 @@ def cmd_flux(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    project, arrow, it = _arrow_and_interp(args)
     bounds = _bounds(args.bounds)
+    project, arrow, it = _arrow_and_interp(args)
     if args.mapping2 or args.interp2:
         if not (args.mapping2 and args.interp2):
             raise DbmorphError("--mapping2 and --interp2 go together")

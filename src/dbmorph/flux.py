@@ -261,18 +261,6 @@ def _block_swaps(blocks: tuple) -> list:
     ]
 
 
-def _mask(rows: frozenset, bits: dict) -> int:
-    """The row-set bitmask of ``rows``; a row gets the next free bit the
-    first time a mask holds it, so masks map one-to-one onto row sets."""
-    mask = 0
-    for row in rows:
-        bit = bits.get(row)
-        if bit is None:
-            bit = bits[row] = 1 << len(bits)
-        mask |= bit
-    return mask
-
-
 def closure_set(
     kernel: FluxKernel,
     bounds: ClosureBounds = DEFAULT_BOUNDS,
@@ -289,10 +277,7 @@ def closure_set(
 
     The search is semi-naive: each depth's frontier is the tail of
     ``members`` that the depth before added (see ``_views``).  One loop
-    admits every new relation.  Each member's row-set mask is made once: a
-    union's comes with it, and any other member's when the next depth
-    starts, since only then can it be paired; the last depth of a bounded
-    search adds most members and pairs none of them.
+    admits every new relation.
 
     A selection that keeps every row or none, and four kinds of
     projection, are never built, because each gives a row set that is in
@@ -314,9 +299,6 @@ def closure_set(
             counter += 1
             members.setdefault(member, f"g{counter}")
     constants = [(c, pretty_term(Const(c))) for c in sorted(kernel.values(), key=value_key)]
-    bits: dict = {}
-    masks: list = [None] * len(members)  # in the order of ``members``; None until made
-    known: set = set()
     blocks: dict = {}  # product row set -> its blocks' row sets, as ``_views`` built it
     projected: set = set()  # the ``_factors`` of each member whose projections are members
 
@@ -332,50 +314,31 @@ def closure_set(
                 return ClosureResult(members, False, True)
             if bounds.max_depth is not None and depth >= bounds.max_depth:
                 break
-            for i, member in enumerate(itertools.islice(members, start, None), start):
-                if masks[i] is None:
-                    masks[i] = _mask(member, bits)
-                    known.add(masks[i])
-            views = _views(
-                members, masks, known, blocks, projected, start, constants, bounds.max_arity
-            )
+            views = _views(members, blocks, projected, start, constants, bounds.max_arity)
             start, depth = len(members), depth + 1
         elif len(members) >= bounds.max_relations:
             return ClosureResult(members, True, False)
         else:
-            rows, witness, mask = view
+            rows, witness = view
             members[rows] = witness
-            masks.append(mask)
-            if mask is not None:
-                known.add(mask)
             remaining.discard(rows)
     return ClosureResult(members, False, False)
 
 
 def _views(
-    members: dict,
-    masks: list,
-    known: set,
-    blocks: dict,
-    projected: set,
-    start: int,
-    constants: list,
-    max_arity: int,
+    members: dict, blocks: dict, projected: set, start: int, constants: list, max_arity: int
 ):
     """One depth of the search: each view result not yet in ``members``,
-    with its witness text and, for a union, its row-set mask.
+    with its witness text.
 
     The unary views apply to the frontier, the members from ``start`` on;
     products and unions take, in the order of the full pair product, only
     the pairs that hold a frontier member.  The caller admits or refuses a
     proposal before resuming, so the duplicate test sees every member
-    admitted so far.  Every member from before this depth has its mask in
-    ``masks`` and ``known``, and so has every union admitted since; a union
-    whose mask is in ``known`` is a duplicate (a member's own mask is, so
-    the diagonal never proposes), and that test comes before any row set
-    is built.  Each outer member first keeps only the partners that could
-    propose a product or such a union.  A product or union with ⊥ or the
-    empty row set gives back one of its operands, so none is tried.
+    admitted so far.  A product or union with ⊥ or the empty row set gives
+    back one of its operands, so none is tried.  Each outer member of width
+    ``n`` first keeps its partners of width 1 to ``max_arity - n``, for a
+    product, and of width ``n``, for a union.
 
     A selection of a frontier member ``m`` reads the rows of each column
     grouped by value, once, and builds no row set when it keeps every row
@@ -409,12 +372,10 @@ def _views(
       onto an injective sequence of the same length, which is in
       ``members`` once the other's projections are, by the rules above.
     """
-    items = [
-        (m, e, len(next(iter(m))) if m else 0, k) for (m, e), k in zip(members.items(), masks)
-    ]
+    items = [(m, e, len(next(iter(m))) if m else 0) for m, e in members.items()]
     frontier = items[start:]
 
-    for member, expr, n, _ in frontier:
+    for member, expr, n in frontier:
         if not member:
             continue
         yield from _selections(member, expr, n, constants, members)
@@ -429,27 +390,24 @@ def _views(
         for get, columns in _projections(key, _equal_blocks(parts), max_arity):
             rows = frozenset(map(get, member))
             if rows not in members:
-                yield rows, f"project[{columns}]({expr})", None
+                yield rows, f"project[{columns}]({expr})"
 
-    for i, (m1, e1, n1, k1) in enumerate(items):
-        room = max_arity - n1 if n1 else 0  # the widest product partner
-        partners = [
-            p for p in (items if i >= start else frontier)
-            if 0 < p[2] <= room or (p[2] == n1 and k1 | p[3] not in known)
-        ]
-        for m2, e2, n2, k2 in partners:
-            if 0 < n2 <= room:
+    for i, (m1, e1, n1) in enumerate(items):
+        if not n1:  # ⊥ or ∅ takes no partner
+            continue
+        room = max_arity - n1  # the widest product partner
+        pool = items if i >= start else frontier
+        partners = [p for p in pool if 0 < p[2] <= room or p[2] == n1]
+        for m2, e2, n2 in partners:
+            if n2 <= room:
                 rows = frozenset(a + b for a in m1 for b in m2)
                 if rows not in members:
                     blocks[rows] = blocks.get(m1, (m1,)) + blocks.get(m2, (m2,))
-                    yield rows, f"({e1} x {e2})", None
-            # a member admitted since the partners were kept can make the
-            # union a duplicate: a union has its mask in ``known`` by now,
-            # any other member of this depth only its rows in ``members``
-            if n2 == n1 and k1 | k2 not in known:
+                    yield rows, f"({e1} x {e2})"
+            if n2 == n1:
                 rows = m1 | m2
                 if rows not in members:
-                    yield rows, f"({e1} u {e2})", k1 | k2
+                    yield rows, f"({e1} u {e2})"
 
 
 def _selections(member: frozenset, expr: str, n: int, constants: list, members: dict):
@@ -467,13 +425,13 @@ def _selections(member: frozenset, expr: str, n: int, constants: list, members: 
             kept = groups.get(const, ())
             rows = member if len(kept) == size else frozenset(kept) if kept else _EMPTY
             if rows not in members:
-                yield rows, f"select[{col}={shown}]({expr})", None
+                yield rows, f"select[{col}={shown}]({expr})"
         for col2 in range(col + 1, n + 1):
             c2 = col2 - 1
             kept = [r for r in member if r[c] is not NULL and r[c] == r[c2]]
             rows = member if len(kept) == size else frozenset(kept) if kept else _EMPTY
             if rows not in members:
-                yield rows, f"select[{col}={col2}]({expr})", None
+                yield rows, f"select[{col}={col2}]({expr})"
 
 
 def _factors(parts: tuple) -> frozenset:

@@ -412,13 +412,25 @@ def test_flux_member_not_derivable_exits_two(capsys, tmp_path):
     assert data["member"]["witness"] is None
 
 
-def test_flux_bounds_are_validated(capsys):
-    code, _, err = run(
+def bounds_run(capsys, command, spec, project=P4):
+    return run(
         capsys,
-        "flux", "--project", P4, "--mapping", "m_ab",
-        "--interp", interp("example4"), "--bounds", "1,2",
+        command, "--project", project, "--mapping", "m_ab",
+        "--interp", interp("example4"), "--bounds", spec,
     )
-    assert code == 3 and "--bounds" in err
+
+
+def test_flux_bounds_are_validated(capsys):
+    """``flux`` and ``equal`` take the closure search's bounds alike."""
+    for command in ("flux", "equal"):
+        code, _, err = bounds_run(capsys, command, "1,2")
+        assert code == 3 and "--bounds" in err
+
+
+@pytest.mark.parametrize("command", ["flux", "equal"])
+def test_bounds_are_validated_before_any_file_is_read(capsys, tmp_path, command):
+    code, _, err = bounds_run(capsys, command, "1,2", str(tmp_path / "missing.json"))
+    assert code == 3 and err.startswith("error: --bounds takes depth,arity,cap")
 
 
 def test_flux_accepts_none_depth(capsys, tmp_path):
@@ -435,12 +447,9 @@ def test_flux_accepts_none_depth(capsys, tmp_path):
 
 @pytest.mark.parametrize("spec", ["x,1,1", "3,6,0"])
 def test_flux_bounds_values_are_validated(capsys, spec):
-    code, _, err = run(
-        capsys,
-        "flux", "--project", P4, "--mapping", "m_ab",
-        "--interp", interp("example4"), "--bounds", spec,
-    )
-    assert code == 3 and err.startswith("error: --bounds")
+    for command in ("flux", "equal"):
+        code, _, err = bounds_run(capsys, command, spec)
+        assert code == 3 and err.startswith("error: --bounds")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Flux kernels and the bounded view-closure comparison."""
 
 import itertools
+import types
 from collections import Counter
 from unittest import mock
 
@@ -255,6 +256,24 @@ def test_closure_is_idempotent_at_the_fixpoint():
     assert set(again.members) == set(first.members)
 
 
+def test_bottom_and_the_empty_relation_take_no_partner(monkeypatch):
+    """A product with ⊥ gives back its other operand and one with ∅ gives
+    ∅, so neither is built: over a kernel of one-column members, every
+    product that a search builds is nonempty and two columns wide or more."""
+    products = []
+
+    def recorded(rows=()):
+        built = frozenset(rows)
+        if type(rows) is types.GeneratorType and all(type(r) is tuple for r in built):
+            products.append(built)
+        return built
+
+    monkeypatch.setattr(flux, "frozenset", recorded, raising=False)
+    result = closure_set(FluxKernel([member((0,)), member((1,))]), ClosureBounds(2, 2, 1000))
+    assert frozenset() in result.members and products
+    assert all(rows and min(map(len, rows)) >= 2 for rows in products)
+
+
 def test_relation_cap_marks_the_result():
     k = FluxKernel([member((1,), (2,), (3,))])
     result = closure_set(k, ClosureBounds(max_depth=None, max_relations=4))
@@ -354,6 +373,10 @@ def test_composed_flux_membership_is_a_conjunction():
     assert both.witnesses == ("select[1=1](g1)", "g1")
     one = in_composed_flux(member((2,)), k1, k2)
     assert not one.found
+    assert not (both.capped or one.capped)
+    # the cap stops the search in k1 only, and the verdict says so
+    capped = in_composed_flux(member((1,)), k1, k2, ClosureBounds(3, 2, 2))
+    assert not capped.found and capped.capped
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +480,10 @@ def test_closure_matches_the_full_pair_product(case):
     assert_matches_the_oracle(*case)
 
 
-# the two regimes the row-set masks serve: a fixpoint search over a power
-# set, where nearly every union is a duplicate, and a bounded search that
-# the relation cap stops in the middle of a depth
-MASK_REGIMES = [
+# two large searches: a fixpoint search over a power set, where nearly
+# every union is a duplicate, and a bounded search that the relation cap
+# stops in the middle of a depth
+LARGE_SEARCHES = [
     pytest.param(
         FluxKernel([member((0, 0), (1, 0), ("a", "a"))]),
         ClosureBounds(None, 2, 4000),
@@ -476,7 +499,7 @@ MASK_REGIMES = [
 ]
 
 
-@pytest.mark.parametrize("kernel, bounds, size", MASK_REGIMES)
+@pytest.mark.parametrize("kernel, bounds, size", LARGE_SEARCHES)
 def test_closure_matches_the_full_pair_product_on_large_searches(kernel, bounds, size):
     result = assert_matches_the_oracle(kernel, bounds, frozenset({member(("zz",))}))
     assert len(result.members) == size
@@ -630,7 +653,7 @@ def test_a_product_of_equal_blocks_is_projected_once_per_orbit(monkeypatch):
         return frozenset(rows)
 
     monkeypatch.setattr(flux, "frozenset", counted, raising=False)
-    kernel, bounds, _ = MASK_REGIMES[1].values
+    kernel, bounds, _ = LARGE_SEARCHES[1].values
     filtered = closure_set(kernel, bounds)
     projected = builds[True]
     monkeypatch.setattr(flux, "_equal_blocks", lambda parts: ())
@@ -708,11 +731,11 @@ def every_selection(member, expr, n, constants, members):
         for const, shown in constants:
             rows = flux.frozenset(r for r in member if r[c] is not NULL and r[c] == const)
             if rows not in members:
-                yield rows, f"select[{col}={shown}]({expr})", None
+                yield rows, f"select[{col}={shown}]({expr})"
         for col2 in range(col + 1, n + 1):
             rows = flux.frozenset(r for r in member if r[c] is not NULL and r[c] == r[col2 - 1])
             if rows not in members:
-                yield rows, f"select[{col}={col2}]({expr})", None
+                yield rows, f"select[{col}={col2}]({expr})"
 
 
 def builds_with_each_rule_removed(monkeypatch, kernel, bounds, targets):

@@ -759,3 +759,15 @@ def test_the_readme_shows_a_generated_function():
     text = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
     (op,) = [o for o in compile_project_mapping(load_example("join"), "m").operations if o.guards]
     assert generated(op).source in text
+
+
+def test_a_demand_names_the_arguments_of_each_skolem_head_term_only():
+    """The demand of one match gives, per head term, the argument tuple of
+    its skolem application, and None for a variable, a constant or a hash
+    term."""
+    f = FuncSymbol("f", FuncKind.SKOLEM)
+    x, y = Var("x"), Var("y")
+    head = (x, Const(5), App(hash_symbol(), (x, y)), App(f, (y, x)))
+    program, consts, funcs, _ = _compiled("demand", [("x", "y")], (), head)
+    assert funcs == ("f",)
+    assert program.run(((1, 2),), consts, [({}, None)]) == (None, None, None, (2, 1))

@@ -247,6 +247,15 @@ def test_normalize_keeps_the_tautology():
     assert TAUT_IMPLICATION.is_tautology
 
 
+@pytest.mark.parametrize("lhs", [(RelAtom("r", (Const(1),)),), (TAUT_ATOM,)])
+def test_normalize_keeps_a_head_that_binds_no_variable(lhs):
+    """A conjunct with no universals is the tautology only when its body
+    and its head are both the empty-symbol atom."""
+    head = RelAtom("s", (Const(2),))
+    (impl,) = normalize(SOtgd((), (SOtgdConjunct((), lhs, (head,)),)))
+    assert impl.head == head and not impl.is_tautology
+
+
 def test_normalize_rejects_empty_symbol_heads():
     conj = SOtgdConjunct(("x",), (atom("r", "x"),), (atom("s", "x"), TAUT_ATOM))
     with pytest.raises(SafetyError):
